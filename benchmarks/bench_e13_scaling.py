@@ -65,20 +65,12 @@ def _both_backends(groups: int, size: int, k: int, lam: int, seed: int):
 
 
 def run_quick():
-    """CI smoke: smallest config, both backends, ledgers must match —
-    and both vectorized step strategies must reproduce them exactly."""
+    """CI smoke: smallest config, both backends, ledgers must match."""
     out = _both_backends(groups=8, size=10, k=2 * 80, lam=20, seed=8)
     text, fast, _ = out["vectorized"]
     assert text.rounds / fast.rounds >= 1.5
     g = thick_cycle(8, 10)
     pl = uniform_random_placement(g.n, 2 * 80, seed=8)
-    for step in ("round", "span"):
-        ts = textbook_broadcast(g, pl, backend="vectorized", step=step)
-        fs = fast_broadcast(
-            g, pl, lam=20, C=1.5, seed=1, backend="vectorized", step=step
-        )
-        assert ts.phases == text.phases, f"textbook ledger drifted (step={step})"
-        assert fs.phases == fast.phases, f"fast ledger drifted (step={step})"
     speedup = out["simulator"][2] / out["vectorized"][2]
     # Traced rerun: the phase breakdown lands in BENCH_E13.json (so
     # compare_bench can attribute a wall-clock regression to the phase

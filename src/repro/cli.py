@@ -125,7 +125,7 @@ def _cmd_packing(args) -> int:
     parts = args.parts if args.parts else num_parts(lam, g.n, args.C)
     packing, attempts = build_packing_with_retry(
         g, parts, seed=args.seed, distributed=True, backend=args.backend,
-        roots=args.roots, batch=args.batch,
+        roots=args.roots,
     )
     print(f"lambda={lam} parts={parts} attempts={attempts}")
     print(f"roots={args.roots} {packing.roots if parts <= 8 else ''}")
@@ -448,12 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     backend_opt(p)
     roots_opt(p)
     p.add_argument("--parts", type=int, default=0)
-    p.add_argument(
-        "--batch", type=int, default=1,
-        help="retry candidates probed per attempt through one multi-query "
-        "plane sweep (bit-identical to batch=1; >1 needs the vectorized "
-        "backend to pay off)",
-    )
     trace_opt(p)
     p.set_defaults(fn=_cmd_packing)
 

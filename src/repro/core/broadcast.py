@@ -24,6 +24,7 @@ n nodes is verified after the pipeline phase.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,19 +174,12 @@ def _number_messages(
     return _number_messages_batch(graph, [placement], backend)[0]
 
 
-def _run_pipeline(graph, trees, per_channel, verify, backend, step=None):
-    """Dispatch the Lemma 1 pipeline to the chosen backend.
-
-    ``step`` picks the vectorized engine's stepping strategy
-    (:func:`repro.engine.kernels.resolve_step`); the simulator is always
-    per-round.
-    """
+def _run_pipeline(graph, trees, per_channel, verify, backend):
+    """Dispatch the Lemma 1 pipeline to the chosen backend."""
     if backend == "vectorized":
         from repro.engine.fastpath import vectorized_tree_broadcast
 
-        return vectorized_tree_broadcast(
-            graph, trees, per_channel, verify=verify, step=step
-        )
+        return vectorized_tree_broadcast(graph, trees, per_channel, verify=verify)
     return run_tree_broadcast(graph, trees, per_channel, verify=verify)
 
 
@@ -199,7 +193,7 @@ def _placement_ids(
     }
 
 
-def _textbook_tail(graph, placement, tree, starts, phases, verify, backend, step):
+def _textbook_tail(graph, placement, tree, starts, phases, verify, backend):
     """Per-placement remainder of the textbook algorithm (post-numbering)."""
     k = sum(placement.values())
     if backend == "vectorized":
@@ -213,9 +207,7 @@ def _textbook_tail(graph, placement, tree, starts, phases, verify, backend, step
     else:
         ids = _placement_ids(placement, starts)
     with obs.span("pipeline"):
-        outcome = _run_pipeline(
-            graph, {0: tree}, {0: ids}, verify, backend, step=step
-        )
+        outcome = _run_pipeline(graph, {0: tree}, {0: ids}, verify, backend)
     phases["pipeline"] = outcome.rounds
     return BroadcastResult(
         algorithm="textbook",
@@ -234,11 +226,10 @@ def textbook_broadcast(
     placement: dict[int, int],
     verify: bool = True,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> BroadcastResult:
     """Lemma 1's O(D + k) pipeline over a single BFS tree."""
     return textbook_broadcast_batch(
-        graph, [placement], verify=verify, backend=backend, step=step
+        graph, [placement], verify=verify, backend=backend
     )[0]
 
 
@@ -247,7 +238,6 @@ def textbook_broadcast_batch(
     placements,
     verify: bool = True,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> list[BroadcastResult]:
     """Many textbook broadcasts with the shared prologue paid once.
 
@@ -264,9 +254,7 @@ def textbook_broadcast_batch(
     with obs.span("textbook_broadcast"):
         numbered = _number_messages_batch(graph, placements, backend)
         return [
-            _textbook_tail(
-                graph, placement, tree, starts, phases, verify, backend, step
-            )
+            _textbook_tail(graph, placement, tree, starts, phases, verify, backend)
             for placement, (_leader, tree, starts, phases) in zip(
                 placements, numbered
             )
@@ -284,7 +272,6 @@ def fast_broadcast(
     decomposition: Decomposition | None = None,
     packing: TreePacking | None = None,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> BroadcastResult:
     """Theorem 1's Õ((n + k)/λ)-round broadcast.
 
@@ -306,9 +293,6 @@ def fast_broadcast(
     backend: ``"simulator"`` executes every phase on the CONGEST simulator;
         ``"vectorized"`` computes the identical phase ledger with the numpy
         engine (see :mod:`repro.engine`).
-    step: stepping strategy of the vectorized pipeline phase
-        (:func:`repro.engine.kernels.resolve_step`); ignored by the
-        simulator.
     """
     from repro.engine import validate_backend
     from repro.graphs.connectivity import edge_connectivity
@@ -345,12 +329,10 @@ def fast_broadcast(
             phases["tree_packing"] = packing.construction_rounds
         else:
             phases["tree_packing"] = 0
-        return _fast_tail(
-            graph, placement, starts, phases, packing, verify, backend, step
-        )
+        return _fast_tail(graph, placement, starts, phases, packing, verify, backend)
 
 
-def _fast_tail(graph, placement, starts, phases, packing, verify, backend, step):
+def _fast_tail(graph, placement, starts, phases, packing, verify, backend):
     """Per-placement remainder of Theorem 1 (channel split + pipeline)."""
     k = sum(placement.values())
     parts = packing.size
@@ -390,7 +372,7 @@ def _fast_tail(graph, placement, starts, phases, packing, verify, backend, step)
 
         trees = {c: _bfs_view(packing, c) for c in range(parts)}
     with obs.span("pipeline"):
-        outcome = _run_pipeline(graph, trees, per_channel, verify, backend, step=step)
+        outcome = _run_pipeline(graph, trees, per_channel, verify, backend)
     phases["pipeline"] = outcome.rounds
     return BroadcastResult(
         algorithm="fast",
@@ -413,26 +395,23 @@ def fast_broadcast_batch(
     verify: bool = True,
     distributed_packing: bool = True,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> list[BroadcastResult]:
     """Many Theorem 1 broadcasts with all placement-independent work shared.
 
     Element ``i`` is bit-identical to ``fast_broadcast(graph,
     placements[i], seed=seeds[i], ...)``: edge connectivity, the leader and
     its global tree, and the tree packing of each distinct seed are computed
-    once (the packing via :func:`build_packing_with_retry` candidate
-    batching under the vectorized backend — itself bit-identical to the
-    sequential retry walk); numbering, the channel split, and the pipeline
-    run per placement. ``seeds`` is one int for all placements or a
-    per-placement list.
+    once; numbering, the channel split, and the pipeline run per placement.
+    ``seeds`` is one integer (any :class:`numbers.Integral`) for all
+    placements or a per-placement list.
     """
     from repro.engine import validate_backend
     from repro.graphs.connectivity import edge_connectivity
 
     validate_backend(backend)
     placements = list(placements)
-    if isinstance(seeds, int):
-        seed_list = [seeds] * len(placements)
+    if isinstance(seeds, numbers.Integral):
+        seed_list = [int(seeds)] * len(placements)
     else:
         seed_list = [int(s) for s in seeds]
         if len(seed_list) != len(placements):
@@ -462,13 +441,12 @@ def fast_broadcast_batch(
                         root=leader,
                         distributed=distributed_packing,
                         backend=backend,
-                        batch=4 if backend == "vectorized" else 1,
                     )
                 packings[seed] = packing
             phases["tree_packing"] = packing.construction_rounds
             results.append(
                 _fast_tail(
-                    graph, placement, starts, phases, packing, verify, backend, step
+                    graph, placement, starts, phases, packing, verify, backend
                 )
             )
         return results
@@ -499,7 +477,6 @@ def combined_broadcast(
     seed: int = 0,
     verify: bool = True,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> BroadcastResult:
     """Section 3.2's min(textbook, fast): predict, then run the winner.
 
@@ -521,7 +498,7 @@ def combined_broadcast(
     t_fast = predict_fast_rounds(graph.n, k, delta, lam, C)
     if t_text <= t_fast:
         result = textbook_broadcast(
-            graph, placement, verify=verify, backend=backend, step=step
+            graph, placement, verify=verify, backend=backend
         )
         result.algorithm = "combined/textbook"
     else:
@@ -533,7 +510,6 @@ def combined_broadcast(
             seed=seed,
             verify=verify,
             backend=backend,
-            step=step,
         )
         result.algorithm = "combined/fast"
     return result

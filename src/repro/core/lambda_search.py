@@ -58,7 +58,6 @@ def find_packing_unknown_lambda(
     check_factor: float = 4.0,
     root: int = 0,
     backend: str = "simulator",
-    lookahead: int = 1,
 ) -> LambdaSearchOutcome:
     """Exponential search for a valid Theorem 2 packing without knowing λ.
 
@@ -75,14 +74,6 @@ def find_packing_unknown_lambda(
     seed for every guess would mean a guess that fails due to an unlucky
     partition is never re-randomized, so the w.h.p. argument would silently
     lean on the guess halving alone.
-
-    ``lookahead > 1`` (vectorized backend only) validates that many guesses
-    speculatively: the halving schedule is deterministic, so the next L
-    iterations' decompositions are known upfront and their class BFS runs
-    fuse into one :func:`~repro.engine.plane.masked_union_bfs` plane sweep.
-    The recorded trace — guesses, per-iteration validation rounds, seeds,
-    accepted guess, packing — is bit-identical to the sequential walk;
-    probes past the accepted guess are discarded unrecorded.
     """
     delta = graph.min_degree()
     if delta < 1:
@@ -90,11 +81,6 @@ def find_packing_unknown_lambda(
     depth_bound = max(
         float(graph.n), check_factor * graph.n * math.log(max(graph.n, 2)) / delta
     )
-
-    if lookahead > 1 and backend == "vectorized" and graph.m:
-        return _lookahead_search(
-            graph, seed, C, depth_bound, root, delta, lookahead
-        )
 
     outcome = LambdaSearchOutcome()
     guess = delta
@@ -124,69 +110,6 @@ def find_packing_unknown_lambda(
             )
         guess = max(1, guess // 2)
         iteration += 1
-
-
-def _lookahead_search(
-    graph: Graph,
-    seed: int,
-    C: float,
-    depth_bound: float,
-    root: int,
-    delta: int,
-    lookahead: int,
-) -> LambdaSearchOutcome:
-    """Speculative plane-batched twin of the sequential search loop.
-
-    The halving schedule ``δ, δ/2, …, 1`` is deterministic, so up to
-    ``lookahead`` iterations' partitions are drawn upfront and all their
-    class BFS probes fuse into one union plane sweep. Iterations are then
-    replayed in order against the probed results — accepted exactly where
-    the sequential loop would accept, recording the identical trace.
-    """
-    from repro.engine.plane import masked_union_bfs
-
-    outcome = LambdaSearchOutcome()
-    schedule = []
-    guess = delta
-    while True:
-        schedule.append(guess)
-        if guess == 1:
-            break
-        guess = max(1, guess // 2)
-    pos = 0
-    while pos < len(schedule):
-        block = schedule[pos : pos + lookahead]
-        parts_list = [num_parts(g, graph.n, C) for g in block]
-        seeds = [seed + 7919 * (pos + j) for j in range(len(block))]
-        decomps = [
-            random_partition(graph, p, s) for p, s in zip(parts_list, seeds)
-        ]
-        masks = [m for d in decomps for m in d.masks()]
-        probes = masked_union_bfs(
-            graph, masks, [root] * len(masks), group_sizes=parts_list
-        )
-        base = 0
-        for g, parts, iter_seed in zip(block, parts_list, seeds):
-            results = probes[base : base + parts]
-            base += parts
-            rounds = 0
-            for r in results:
-                if r.rounds > rounds:
-                    rounds = r.rounds
-            for r in results:
-                r.rounds = rounds  # the joint clock is shared, as in solo runs
-            outcome.guesses.append(g)
-            outcome.validation_rounds.append(rounds)
-            outcome.seeds.append(iter_seed)
-            if all(r.spans() and r.depth <= depth_bound for r in results):
-                outcome.accepted_guess = g
-                outcome.packing = packing_from_bfs_results(graph, results, rounds)
-                return outcome
-        pos += len(block)
-    raise ValidationError(
-        "exponential search exhausted: even λ̃=1 failed validation "
-        "(is the graph disconnected?)"
-    )
 
 
 def broadcast_unknown_lambda(

@@ -337,7 +337,6 @@ def build_packing_with_retry(
     max_tries: int = 8,
     backend: str = "simulator",
     roots=None,
-    batch: int = 1,
 ) -> tuple[TreePacking, int]:
     """Theorem 2 packing with seed-retry on w.h.p. failure.
 
@@ -353,14 +352,6 @@ def build_packing_with_retry(
     resolved to an explicit list *once*, before the retry loop — the roots
     depend only on the host graph, not on the decomposition attempt, and the
     cut-aware policy's Theorem 7 run is far too expensive to repeat per seed.
-
-    ``batch > 1`` (vectorized backend only) probes that many retry
-    candidates speculatively: the spanning check of every attempt in the
-    batch runs as one :func:`~repro.engine.plane.masked_union_bfs` plane
-    sweep, and the first spanning attempt is then built conventionally —
-    the returned packing and attempt count are bit-identical to the
-    sequential ``batch=1`` walk, only the failed attempts' dispatch
-    overhead is amortized.
     """
     from repro.core.decomposition import random_partition
 
@@ -372,39 +363,6 @@ def build_packing_with_retry(
         seed=seed,
         backend=backend,
     )
-    if batch > 1 and backend == "vectorized" and graph.m:
-        from repro.engine.plane import masked_union_bfs
-
-        for lo in range(0, max_tries, batch):
-            attempts = list(range(lo, min(lo + batch, max_tries)))
-            decomps = [
-                random_partition(graph, parts, seed + 7919 * a) for a in attempts
-            ]
-            masks = [m for d in decomps for m in d.masks()]
-            probes = masked_union_bfs(
-                graph,
-                masks,
-                list(root_list) * len(decomps),
-                group_sizes=[parts] * len(decomps),
-            )
-            for ai, attempt in enumerate(attempts):
-                block = probes[ai * parts : (ai + 1) * parts]
-                if all(r.spans() for r in block):
-                    packing = build_tree_packing(
-                        decomps[ai],
-                        root=root,
-                        distributed=distributed,
-                        backend=backend,
-                        roots=root_list,
-                    )
-                    packing.construction_rounds *= attempt + 1
-                    obs.count("packing.attempts", attempt + 1)
-                    return packing, attempt + 1
-        raise ValidationError(
-            f"no spanning {parts}-part decomposition in {max_tries} seeds — "
-            "the per-class expected degree δ/parts is likely below the ln n "
-            "connectivity threshold; use fewer parts (larger C)"
-        )
     last_error: ValidationError | None = None
     for attempt in range(max_tries):
         decomp = random_partition(graph, parts, seed + 7919 * attempt)

@@ -31,10 +31,11 @@ count are deterministic functions of the input:
     layer-by-layer; rounds = 2 · depth(T).
   - **Pipelined tree broadcast (Lemma 1 / Theorem 1 step 4)** — the round
     count depends only on per-node queue *lengths*, never on message
-    identity, so a vectorized per-round queue-length recurrence over all
-    nodes and channels reproduces the simulator's round count exactly;
-    congestion and message/bit totals follow in closed form (each message
-    crosses each tree edge once downward, and its root-path once upward).
+    identity. Between queue-drain events the recurrence is closed-form, so
+    the upcast advances one tree layer per numpy step; the root's service,
+    the downcast, congestion, and message/bit totals follow in closed form
+    (each message crosses each tree edge once downward, and its root-path
+    once upward).
 
 **Certification relationship.** The vectorized backend inherits the
 simulator's certification *by testing, not by construction*: the
@@ -58,15 +59,11 @@ executions — receipt sets, drop counts, round totals, and the fault RNG
 stream — bit for bit, which is what lets the Section 1.2 resilience
 experiments (``redundant_broadcast``, E16) run at n = 10⁵.
 
-Within the vectorized backend, loop-heavy paths additionally pick a **step
-strategy** (:mod:`repro.engine.kernels`): ``"round"`` advances one numpy
-step per round, ``"span"`` advances one step per *event* — queue evolution
-between events is closed-form, so the Lemma 1 recurrence and the rate-0
-fault engine batch thousands of rounds into a handful of array ops. Both
-strategies are bit-identical (same rounds, bits, receipts, RNG stream);
-``step=None``/``"auto"`` defers to the ``REPRO_STEP`` env var (default
-``"span"``), and span paths silently fall back to ``"round"`` where the
-closed form does not apply (drop_rate > 0, irregular layerings).
+Within the vectorized backend the input alone picks each path; no option
+or environment variable selects one. The fault engine runs a closed form
+for rate-0 plans on BFS-layered trees, another for pure total loss, and
+replays round by round only where coin draws depend on earlier drops
+(rates in (0, 1)) or a closed form's precondition fails.
 
 Callers opt in via the ``backend=`` parameter threaded through
 :func:`repro.primitives.bfs.run_bfs`,
@@ -84,11 +81,7 @@ on the ``broadcast``, ``packing``, ``apsp``, and ``cuts`` subcommands.
 
 from __future__ import annotations
 
-from repro.engine.kernels import (
-    STEP_STRATEGIES,
-    frontier_sweep,
-    resolve_step,
-)
+from repro.engine.kernels import frontier_sweep
 from repro.engine.fastpath import (
     vectorized_bfs,
     vectorized_elect_leader,
@@ -105,9 +98,7 @@ from repro.util.errors import ValidationError
 
 __all__ = [
     "BACKENDS",
-    "STEP_STRATEGIES",
     "frontier_sweep",
-    "resolve_step",
     "validate_backend",
     "vectorized_bfs",
     "vectorized_parallel_bfs",

@@ -17,10 +17,9 @@ from repro.engine.kernels import (
     expand_csr_rows,
     frontier_sweep,
     last_send_round_spans,
-    resolve_step,
-    upcast_rounds,
     upcast_spans,
 )
+from repro.engine.plane import masked_union_bfs
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.primitives.pipeline import TreeBroadcastOutcome
@@ -35,22 +34,6 @@ __all__ = [
     "vectorized_numbering",
     "vectorized_tree_broadcast",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# CSR helpers
-# --------------------------------------------------------------------------- #
-
-def _channel_adjacency(
-    graph: Graph, edge_mask: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the subgraph keeping only masked edges.
-
-    Thin wrapper over :meth:`Graph.masked_csr`, which memoizes the filtered
-    arrays per (graph, mask) pair — repeated traversals of one decomposition
-    (parallel channels, packing retries, both-backend sweeps) reuse them.
-    """
-    return graph.masked_csr(edge_mask)
 
 
 # BFS sweeps and tree-children construction live in repro.engine.kernels
@@ -74,7 +57,7 @@ def vectorized_bfs(
     """
     if not (0 <= root < graph.n):
         raise ValidationError(f"root {root} out of range")
-    indptr, indices = _channel_adjacency(graph, edge_mask)
+    indptr, indices = graph.masked_csr(edge_mask)
     parent, dist = frontier_sweep(graph.n, indptr, indices, root)
     depth = int(dist.max())
     rounds = depth + 1 if indptr[root + 1] > indptr[root] else 0
@@ -90,103 +73,18 @@ def vectorized_bfs(
 def vectorized_parallel_bfs(
     graph: Graph,
     edge_masks: list[np.ndarray],
-    roots: list[int] | None = None,
+    roots: list[int],
 ) -> tuple[list[BFSResult], int]:
-    """Fast-path :func:`repro.primitives.bfs.run_parallel_bfs`.
+    """Fast-path :func:`repro.primitives.bfs.run_parallel_bfs`, which
+    validates the masks and roots before dispatching here.
 
-    All channels share one clock, so the joint execution costs the *max*
-    channel depth + 1 — the Section 3.1 claim that edge-disjoint floods run
-    concurrently for free.
+    Every channel runs in one :func:`~repro.engine.plane.masked_union_bfs`
+    sweep. All channels share one clock, so the joint execution costs the
+    *max* channel depth + 1 — the Section 3.1 claim that edge-disjoint
+    floods run concurrently for free.
     """
-    masks = [np.asarray(m, dtype=bool) for m in edge_masks]
-    if masks:
-        stack = np.stack(masks)
-        if stack.sum(axis=0).max() > 1:
-            raise ValidationError("edge masks must be pairwise disjoint")
-    if roots is None:
-        roots = [0] * len(masks)
-    if len(roots) != len(masks):
-        raise ValidationError("need one root per channel")
-    for root in roots:
-        if not (0 <= root < graph.n):
-            raise ValidationError(f"root {root} out of range")
-    if len(masks) >= 2 and graph.m:
-        return _batched_parallel_bfs(graph, masks, roots)
-
-    results: list[BFSResult] = []
-    rounds = 0
-    for mask, root in zip(masks, roots):
-        indptr, indices = _channel_adjacency(graph, mask)
-        parent, dist = frontier_sweep(graph.n, indptr, indices, root)
-        if indptr[root + 1] > indptr[root]:
-            rounds = max(rounds, int(dist.max()) + 1)
-        results.append(
-            BFSResult(
-                root=root,
-                parent=parent,
-                dist=dist,
-                children=None,  # derived lazily from parent — identical lists
-                rounds=0,  # patched below: the joint clock is shared
-            )
-        )
-    for r in results:
-        r.rounds = rounds
-    return results, rounds
-
-
-def _batched_parallel_bfs(
-    graph: Graph, masks: list[np.ndarray], roots: list[int]
-) -> tuple[list[BFSResult], int]:
-    """All channels in **one** frontier sweep over their disjoint union.
-
-    Channel ``c``'s subgraph is laid out on nodes ``[c·n, (c+1)·n)``;
-    edge-disjointness means the components never touch, so a multi-root
-    :func:`frontier_sweep` advances every channel on the shared clock the
-    simulator already uses — one layer loop and one parents pass in total
-    instead of one *per channel*, and no per-channel ``masked_csr``
-    builds. Per-channel slices of the result are bit-identical to solo
-    sweeps (components are independent, and within a component the parent
-    offsets cancel).
-    """
-    n = graph.n
-    C = len(masks)
-    big_n = C * n
-    subs = graph.disjoint_masked_csrs(masks)
-    # Shift each channel's neighbor ids into its node block, writing
-    # straight into the union array (no per-channel temporaries — at
-    # n = 10⁶ those were hundreds of MB of throwaway allocations).
-    big_indices = np.empty(sum(ind.size for _ip, ind in subs), dtype=np.int64)
-    lo = 0
-    for c, (_ip, ind) in enumerate(subs):
-        np.add(ind, c * n, out=big_indices[lo : lo + ind.size])
-        lo += ind.size
-    big_indptr = np.zeros(big_n + 1, dtype=np.int64)
-    np.cumsum(
-        np.concatenate([np.diff(ip) for ip, _ind in subs]), out=big_indptr[1:]
-    )
-    roots_arr = (
-        np.arange(C, dtype=np.int64) * n + np.asarray(roots, dtype=np.int64)
-    )
-    parent_big, dist_big = frontier_sweep(big_n, big_indptr, big_indices, roots_arr)
-
-    results: list[BFSResult] = []
-    rounds = 0
-    for c, root in enumerate(roots):
-        off = c * n
-        pb = parent_big[off : off + n]
-        parent = np.where(pb >= 0, pb - off, pb)
-        dist = dist_big[off : off + n]
-        if big_indptr[off + root + 1] > big_indptr[off + root]:
-            rounds = max(rounds, int(dist.max()) + 1)
-        results.append(
-            BFSResult(
-                root=root,
-                parent=parent,
-                dist=dist,
-                children=None,  # derived lazily from parent — identical lists
-                rounds=0,  # patched below: the joint clock is shared
-            )
-        )
+    results = masked_union_bfs(graph, edge_masks, roots)
+    rounds = max((r.rounds for r in results), default=0)
     for r in results:
         r.rounds = rounds
     return results, rounds
@@ -293,27 +191,12 @@ def vectorized_numbering(
 # Lemma 1 / Theorem 1 step 4 — pipelined tree broadcast
 # --------------------------------------------------------------------------- #
 
-def _last_send_round(arrival_rounds: np.ndarray, arrival_counts: np.ndarray) -> int:
-    """Last send round of a work-conserving unit-rate queue fed by batches.
-
-    ``arrival_counts[j]`` items land in round ``arrival_rounds[j]`` (rounds
-    strictly increasing, at least one batch); the server sends one item per
-    round whenever its queue is nonempty, and an item arriving in round r can
-    already be sent in round r. Folding the per-item recurrence
-    ``t_i = max(a_i, t_{i-1} + 1)`` over whole batches gives the closed form
-    ``t_last = max_j (a_j + (K - cum_{<j})) - 1`` with K the total item count.
-    """
-    cum_before = np.cumsum(arrival_counts) - arrival_counts
-    total = int(arrival_counts[-1] + cum_before[-1])
-    return int((arrival_rounds + (total - cum_before)).max()) - 1
-
 def vectorized_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
     messages: dict[int, dict[int, list[int] | np.ndarray]],
     verify: bool = True,
     bandwidth_factor: int = 8,
-    step: str | None = None,
 ) -> TreeBroadcastOutcome:
     """Fast-path :func:`repro.primitives.pipeline.run_tree_broadcast`.
 
@@ -322,11 +205,15 @@ def vectorized_tree_broadcast(
     every nonempty up-queue sends one message to its parent and every
     nonempty down-queue pops one (forwarded to children, if any); arrivals
     land one round after sends. The count is reproduced exactly without
-    pumping every queue every round: a sparse sweep over the nonempty
-    up-queues yields the root's arrival stream, the root's service is the
-    closed-form :func:`_last_send_round`, and the downcast is a pure
-    pipeline (non-root down-queues never exceed one item), finishing
-    ``depth(T)`` rounds after the root's last send.
+    pumping every queue every round: the layer-batched span algebra
+    (:func:`~repro.engine.kernels.upcast_spans`) yields the root's arrival
+    stream, the root's service is the closed-form
+    :func:`~repro.engine.kernels.last_send_round_spans`, and the downcast
+    is a pure pipeline (non-root down-queues never exceed one item),
+    finishing ``depth(T)`` rounds after the root's last send. Every tree
+    must be BFS-layered (``dist`` is the depth layering of ``parent``), as
+    every tree producer in the library guarantees; anything else raises
+    :class:`~repro.util.errors.ValidationError`.
 
     Metrics are closed-form: each message crosses every tree edge once on the
     downcast and its origin-to-root path once on the upcast, so the edge
@@ -336,12 +223,6 @@ def vectorized_tree_broadcast(
     ``verify`` is accepted for signature parity; delivery holds by
     construction once every tree spans (checked below), which the
     equivalence suite cross-validates against the simulator's counters.
-
-    ``step`` picks the upcast stepping strategy (see
-    :func:`repro.engine.kernels.resolve_step`): ``"span"`` (default)
-    batches whole tree layers, ``"round"`` replays the per-round
-    reference sweep. Both are bit-identical; ``"span"`` falls back to
-    ``"round"`` when a tree is not BFS-layered.
     """
     n = graph.n
     cids = sorted(trees)
@@ -482,59 +363,38 @@ def vectorized_tree_broadcast(
     #      pipeline: the root's last down-send at round t_last drains at the
     #      deepest leaf in round t_last + depth(T), which is the round the
     #      simulator goes quiet;
-    #   3. the upcast therefore only needs the *root's arrival stream*: the
-    #      "round" strategy replays it with one sparse sweep over the
-    #      nonempty UP queues per round (kernels.upcast_rounds,
-    #      O(Σ_msg depth(origin)) work), while the default "span" strategy
-    #      batches whole tree layers through the event-span algebra
-    #      (kernels.upcast_spans, no per-round Python iteration at all).
+    #   3. the upcast therefore only needs the *root's arrival stream*,
+    #      which kernels.upcast_spans batches whole tree layers through the
+    #      event-span algebra (no per-round Python iteration at all).
     up = np.where(nonroot, own, 0).ravel()
     flat_parents = (parents + (np.arange(C) * n)[:, None]).ravel()
-    is_root = ~nonroot.ravel()
-
-    strategy = resolve_step(step)
-    if strategy == "span":
-        flat_dist = dists.ravel()
-        nr = ~is_root
-        if not (
-            np.all(flat_dist[is_root] == 0)
-            and np.all(flat_dist[nr] == flat_dist[flat_parents[nr]] + 1)
-        ):
-            strategy = "round"  # non-BFS layering: keep the per-round reference
+    flat_dist = dists.ravel()
+    nr = nonroot.ravel()
+    if not (
+        np.all(flat_dist[~nr] == 0)
+        and np.all(flat_dist[nr] == flat_dist[flat_parents[nr]] + 1)
+    ):
+        raise ValidationError("tree dist is not the BFS layering of its parents")
 
     root_own = own[~nonroot]  # one entry per channel, in channel order
     rounds = 0
     with obs.span("upcast"):
-        if strategy == "span":
-            sn, sb, se, sr = upcast_spans(up, flat_parents, flat_dist)
-            span_chan = sn // n
-            for ci, cid in enumerate(cids):
-                if per_channel_k[cid] == 0:
-                    continue  # no sends on this channel at all
-                sel = span_chan == ci
-                starts = sb[sel]  # disjoint spans, sorted by start
-                ends = se[sel]
-                rates = sr[sel]
-                if root_own[ci]:
-                    zero = np.zeros(1, dtype=np.int64)
-                    starts = np.concatenate([zero, starts])
-                    ends = np.concatenate([zero, ends])
-                    rates = np.concatenate([[int(root_own[ci])], rates])
-                t_last = last_send_round_spans(starts, ends, rates)
-                rounds = max(rounds, t_last + int(dists[ci].max()))
-        else:
-            hf, hc, hr = upcast_rounds(up, flat_parents, is_root)
-            for ci, cid in enumerate(cids):
-                if per_channel_k[cid] == 0:
-                    continue  # no sends on this channel at all
-                sel = (hf // n) == ci
-                arr_rounds = hr[sel]  # strictly increasing (≤ one batch per round)
-                arr_counts = hc[sel]
-                if root_own[ci]:
-                    arr_rounds = np.concatenate([[0], arr_rounds])
-                    arr_counts = np.concatenate([[int(root_own[ci])], arr_counts])
-                t_last = _last_send_round(arr_rounds, arr_counts)
-                rounds = max(rounds, t_last + int(dists[ci].max()))
+        sn, sb, se, sr = upcast_spans(up, flat_parents, flat_dist)
+        span_chan = sn // n
+        for ci, cid in enumerate(cids):
+            if per_channel_k[cid] == 0:
+                continue  # no sends on this channel at all
+            sel = span_chan == ci
+            starts = sb[sel]  # disjoint spans, sorted by start
+            ends = se[sel]
+            rates = sr[sel]
+            if root_own[ci]:
+                zero = np.zeros(1, dtype=np.int64)
+                starts = np.concatenate([zero, starts])
+                ends = np.concatenate([zero, ends])
+                rates = np.concatenate([[int(root_own[ci])], rates])
+            t_last = last_send_round_spans(starts, ends, rates)
+            rounds = max(rounds, t_last + int(dists[ci].max()))
 
     # ---- exact metrics: closed-form congestion and totals ---------------- #
     # One flattened convergecast covers every channel at once (channel
@@ -542,7 +402,7 @@ def vectorized_tree_broadcast(
     # loops — at depth ~10³ and C trees those Python loops were the
     # dominant metrics cost.
     with obs.span("downcast_metrics"):
-        sub_flat = _subtree_sums(flat_parents, dists.ravel(), own.ravel())
+        sub_flat = _subtree_sums(flat_parents, flat_dist, own.ravel())
         total_bits = 0
         for ci, cid in enumerate(cids):
             k_c = per_channel_k[cid]

@@ -40,11 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.congest.adversary import FaultPlan
-from repro.engine.kernels import (
-    expand_csr_rows,
-    frontier_sweep,
-    resolve_step,
-)
+from repro.engine.kernels import expand_csr_rows, frontier_sweep
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.util.errors import ValidationError
@@ -209,7 +205,7 @@ def _span_faulty_bfs_total_loss(
     in (0, 1) the number of coins drawn each round depends on which
     earlier sends survived (drops change who adopts, hence who sends), so
     any fixed-shape pre-draw would desynchronize the fault RNG stream the
-    equivalence contract certifies. Those plans stay on the round path.
+    equivalence contract certifies. Those plans stay on the per-round replay.
     Dead edges and mobile schedules also stay there: they shrink the coin
     batch per round, which this closed form does not model.
     """
@@ -243,7 +239,6 @@ def vectorized_faulty_bfs(
     plan: FaultPlan | None = None,
     fault_seed=0,
     edge_mask: np.ndarray | None = None,
-    step: str | None = None,
 ) -> FaultyBFSOutcome:
     """Fast-path twin of the Lemma 2 flood on a :class:`FaultySimulator`.
 
@@ -255,11 +250,10 @@ def vectorized_faulty_bfs(
     leaves the child out of its parent's ``children`` list even though the
     child keeps the parent pointer, exactly like the simulator.
 
-    ``step="span"`` (the default, see
-    :func:`repro.engine.kernels.resolve_step`) replaces the per-round loop
-    with one closed-form sweep whenever the plan has no coin drops and no
-    mobile adversary — round-dependent faults force the ``"round"`` replay.
-    Both strategies are bit-identical where both apply.
+    The plan picks the path. With no mobile adversary, a rate-0 plan runs
+    as one closed-form sweep (:func:`_span_faulty_bfs`) and pure total
+    loss without dead edges as :func:`_span_faulty_bfs_total_loss`; every
+    other plan takes the per-round replay below.
     """
     if not (0 <= root < graph.n):
         raise ValidationError(f"root {root} out of range")
@@ -269,7 +263,7 @@ def vectorized_faulty_bfs(
     indptr, indices = graph.masked_csr(
         None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     )
-    if resolve_step(step) == "span" and not stream.mobile:
+    if not stream.mobile:
         if stream.rate == 0.0:
             return _span_faulty_bfs(
                 graph, root, stream, edge_mask, indptr, indices
@@ -371,7 +365,6 @@ def faulty_bfs(
     fault_seed=0,
     edge_mask: np.ndarray | None = None,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> FaultyBFSOutcome:
     """Lemma 2's flood under a fault plan, on either backend.
 
@@ -379,9 +372,7 @@ def faulty_bfs(
     on a :class:`~repro.congest.faults.FaultySimulator`;
     ``backend="vectorized"`` produces the bit-identical outcome (forest,
     round count, drop count, fault RNG state) via
-    :func:`vectorized_faulty_bfs`. ``step`` selects the vectorized
-    stepping strategy and is ignored by the simulator (which is always
-    per-round).
+    :func:`vectorized_faulty_bfs`.
     """
     from repro.engine import validate_backend
 
@@ -392,7 +383,6 @@ def faulty_bfs(
             plan=plan,
             fault_seed=fault_seed,
             edge_mask=edge_mask,
-            step=step,
         )
     from repro.congest.faults import FaultySimulator
     from repro.congest.network import Network
@@ -435,7 +425,6 @@ def faulty_bfs_grid(
     fault_seeds=None,
     edge_mask: np.ndarray | None = None,
     backend: str = "vectorized",
-    step: str | None = None,
 ) -> list[FaultyBFSOutcome]:
     """A whole (root × fault-seed) grid of faulty floods in one plane sweep.
 
@@ -448,9 +437,8 @@ def faulty_bfs_grid(
     dead-subtracted CSR: the coin RNG is untouched, so outcomes across
     fault seeds differ only in their (pristine) recorded RNG state, and
     queries sharing a root share read-only forest rows. Every other plan —
-    positive rates, mobile schedules, ``step="round"``, the simulator
-    backend — falls back to the per-query loop, which is the contract's
-    definition anyway.
+    positive rates, mobile schedules, the simulator backend — falls back
+    to the per-query loop, which is the contract's definition anyway.
 
     ``fault_seeds`` defaults to all zeros; when given it must match
     ``roots`` in length.
@@ -466,7 +454,6 @@ def faulty_bfs_grid(
         )
     if (
         validate_backend(backend) != "vectorized"
-        or resolve_step(step) != "span"
         or plan.mobile
         or plan.drop_rate != 0.0
         or not root_list
@@ -474,7 +461,7 @@ def faulty_bfs_grid(
         return [
             faulty_bfs(
                 graph, r, plan=plan, fault_seed=s, edge_mask=edge_mask,
-                backend=backend, step=step,
+                backend=backend,
             )
             for r, s in zip(root_list, seeds)
         ]
@@ -885,7 +872,7 @@ def _span_faulty_broadcast_total_loss(
     Like the BFS twin, only the total-loss boundary admits this: rates in
     (0, 1) make each round's coin count depend on earlier survivals, and
     dead edges / mobile schedules shrink the per-round coin batch. Those
-    plans keep the round path (or the rate-0 span path).
+    plans keep the per-round replay (or the rate-0 span path).
     """
     from repro.util.bits import bits_for_int_array
 
@@ -939,7 +926,6 @@ def vectorized_faulty_broadcast(
     messages: dict[int, dict[int, list[int]]],
     plan: FaultPlan | None = None,
     fault_seed=0,
-    step: str | None = None,
 ) -> FaultyBroadcastOutcome:
     """Fast-path twin of the tracking broadcast on a faulty simulator.
 
@@ -959,15 +945,15 @@ def vectorized_faulty_broadcast(
     processed in sorted-cid order, which matches any driver that builds its
     per-node channel specs over ``{0: ..., 1: ..., ...}`` in cid order.
 
-    ``step="span"`` (the default, see
-    :func:`repro.engine.kernels.resolve_step`) runs the downcast — the
-    bulk of the work — closed-form via :func:`_span_faulty_broadcast`
-    whenever the plan draws no coins (``drop_rate == 0``; dead edges and
-    the mobile adversary are fine) and the trees are BFS-layered, and via
-    :func:`_span_faulty_broadcast_total_loss` under pure uniform total
-    loss (``drop_rate == 1.0``, no dead edges, no mobile set); otherwise,
-    and under ``step="round"``, the per-round replay below runs. All
-    strategies are bit-identical where they apply.
+    The plan and the trees pick the path. The downcast — the bulk of the
+    work — runs closed-form via :func:`_span_faulty_broadcast` whenever
+    the plan draws no coins (``drop_rate == 0``; dead edges and the mobile
+    adversary are fine), the trees are BFS-layered and the hole matrix
+    fits its memory gate; pure uniform total loss (``drop_rate == 1.0``,
+    no dead edges, no mobile set) runs via
+    :func:`_span_faulty_broadcast_total_loss`. Every other input takes the
+    per-round replay below, the only path for coin rates in (0, 1): how
+    many coins a round draws depends on which earlier sends survived.
     """
     plan = plan if plan is not None else FaultPlan()
     n = graph.n
@@ -1022,19 +1008,18 @@ def vectorized_faulty_broadcast(
                 recv, (rows, st.root >> 3), np.uint8(1 << (st.root & 7))
             )
 
-    if resolve_step(step) == "span":
-        if plan.drop_rate == 0.0:
-            kmax = [
-                sum(len(ms) for ms in messages.get(cid, {}).values()) for cid in cids
-            ]
-            if _span_broadcast_viable(n, chans, kmax):
-                return _span_faulty_broadcast(
-                    graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits, nbytes
-                )
-        elif plan.drop_rate == 1.0 and not plan.mobile and not stream.dead.any():
-            return _span_faulty_broadcast_total_loss(
-                chans, stream, mid_index, recv, cid_bits, n
+    if plan.drop_rate == 0.0:
+        kmax = [
+            sum(len(ms) for ms in messages.get(cid, {}).values()) for cid in cids
+        ]
+        if _span_broadcast_viable(n, chans, kmax):
+            return _span_faulty_broadcast(
+                graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits, nbytes
             )
+    elif plan.drop_rate == 1.0 and not plan.mobile and not stream.dead.any():
+        return _span_faulty_broadcast_total_loss(
+            chans, stream, mid_index, recv, cid_bits, n
+        )
 
     def send_phase():
         """Pump every nonempty queue once, in canonical order; pop heads.

@@ -20,17 +20,9 @@ O(events) numpy steps:
   are overlaid into arrival-rate spans (:func:`_overlay_spans`) and the
   work-conserving unit-rate queues are folded with a segmented max-plus
   scan (:func:`_busy_scan`). Total work is O((n + events) · depth-layers)
-  with no per-round Python iteration. :func:`upcast_rounds` keeps the
-  per-round reference loop for the ``"round"`` strategy and for the
-  span-vs-round equivalence checks in :mod:`repro.engine.verify`.
-
-Step strategies: every engine entry point with a hot round loop takes
-``step=None | "auto" | "round" | "span"``; ``None``/``"auto"`` defer to
-the ``REPRO_STEP`` environment variable (default ``"span"``). Both
-strategies are **bit-identical** — same rounds, bits, receipts, drops,
-and fault-RNG consumption — which the verify sweep enforces; span paths
-silently fall back to ``"round"`` on inputs outside their closed-form
-preconditions (non-BFS layering, positive drop rates, memory guards).
+  with no per-round Python iteration. The verify sweep
+  (``check_kernels``) replays the upcast one round at a time in plain
+  Python and demands the same root arrival stream.
 
 Exactness of the batch-at-start model used throughout: an arrival span
 of rate ``ρ ≥ 1`` over rounds ``[a, b]`` delivers item ``i`` at
@@ -49,10 +41,8 @@ import os
 import numpy as np
 
 from repro import obs
-from repro.util.errors import ValidationError
 
 __all__ = [
-    "STEP_STRATEGIES",
     "children_csr",
     "children_lists",
     "expand_csr_rows",
@@ -60,35 +50,10 @@ __all__ = [
     "in_sorted",
     "last_send_round_spans",
     "lists_to_csr",
-    "resolve_step",
     "scipy_sparse",
     "tree_parents",
-    "upcast_rounds",
     "upcast_spans",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# Step-strategy selection
-# --------------------------------------------------------------------------- #
-
-STEP_STRATEGIES = ("round", "span")
-
-
-def resolve_step(step: str | None = None) -> str:
-    """Resolve a ``step=`` argument to a concrete strategy.
-
-    ``None`` and ``"auto"`` defer to the ``REPRO_STEP`` environment
-    variable, defaulting to ``"span"``; anything else must name a member
-    of :data:`STEP_STRATEGIES`.
-    """
-    if step is None or step == "auto":
-        step = os.environ.get("REPRO_STEP") or "span"
-    if step not in STEP_STRATEGIES:
-        raise ValidationError(
-            f"unknown step strategy {step!r}; expected one of {STEP_STRATEGIES}"
-        )
-    return step
 
 
 _scipy_sparse_mod: object = None  # None = untried, False = unavailable
@@ -343,7 +308,7 @@ def tree_parents(
 
     ``root`` may be a single node or an array of roots — one per
     connected component, as in the disjoint-union sweep of
-    ``vectorized_parallel_bfs``.
+    ``repro.engine.plane.masked_union_bfs``.
     """
     deg = np.diff(indptr)
     rows_all = np.repeat(np.arange(n, dtype=np.int64), deg)
@@ -372,8 +337,9 @@ def frontier_sweep(
 
     ``root`` may be a single node or a sorted array of roots lying in
     pairwise-disconnected components (the disjoint-union batching of
-    ``vectorized_parallel_bfs``): each component's sweep proceeds exactly
-    as a solo sweep from its root would, on one shared layer clock.
+    :func:`repro.engine.plane.masked_union_bfs`): each component's sweep
+    proceeds exactly as a solo sweep from its root would, on one shared
+    layer clock.
 
     Parents are adopted inline as each layer lands (the candidate gather
     the dedup already pays carries the source of every arc), avoiding
@@ -487,11 +453,12 @@ def upcast_spans(
     into arrival spans, and merge with the layer's own batches (queued
     before round 1) through the busy scan. The final overlay onto the
     roots is **unshifted**: a root arrival in round r is the child's
-    send round, matching the per-round reference's hit bookkeeping.
+    send round.
 
     Returns ``(nodes, starts, ends, rates)`` — per flat root, the rounds
     where ``rates`` children deliver simultaneously. Expanding each span
-    into per-round batches reproduces :func:`upcast_rounds` exactly.
+    into per-round batches reproduces a round-by-round walk of the
+    up-queues exactly.
     """
     empty = np.empty(0, dtype=np.int64)
     if flat_dist.size == 0:
@@ -529,60 +496,6 @@ def upcast_spans(
     return _overlay_spans(flat_parents[iv_node], iv_b, iv_e)
 
 
-def upcast_rounds(
-    up: np.ndarray, flat_parents: np.ndarray, is_root: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-round reference of the Lemma 1 upcast (the ``"round"`` strategy).
-
-    One sparse sweep over the nonempty UP queues per round; returns the
-    root arrival stream ``(flat_targets, counts, rounds)`` in hit order.
-    ``up`` is not mutated. Kept verbatim as the bit-identity reference
-    for :func:`upcast_spans`.
-    """
-    up = np.asarray(up, dtype=np.int64).copy()
-    active = np.nonzero(up > 0)[0]
-    hit_flat: list[np.ndarray] = []
-    hit_count: list[np.ndarray] = []
-    hit_round: list[np.ndarray] = []
-    r = 0
-    while active.size:  # `active` is kept sorted and duplicate-free
-        obs.count("engine.queue_rounds")
-        obs.count("engine.queue_depth_peak", active.size, "max")
-        up[active] -= 1  # every nonempty UP queue sends one item to its parent
-        r += 1
-        tgt = flat_parents[active]
-        tgt.sort()
-        head = np.empty(tgt.size, dtype=bool)
-        head[0] = True
-        np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
-        starts = np.nonzero(head)[0]
-        targets = tgt[starts]
-        counts = np.diff(starts, append=tgt.size)
-        at_root = is_root[targets]
-        if at_root.any():
-            hit_flat.append(targets[at_root])
-            hit_count.append(counts[at_root])
-            hit_round.append(np.full(int(at_root.sum()), r, dtype=np.int64))
-        relayed = targets[~at_root]
-        up[relayed] += counts[~at_root]
-        # Merge (sorted ∪ sorted): survivors of the decrement + relay targets.
-        merged = np.concatenate([active[up[active] > 0], relayed])
-        merged.sort()
-        keep = np.empty(merged.size, dtype=bool)
-        if merged.size:
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-        active = merged[keep]
-    if hit_flat:
-        return (
-            np.concatenate(hit_flat),
-            np.concatenate(hit_count),
-            np.concatenate(hit_round),
-        )
-    empty = np.empty(0, dtype=np.int64)
-    return empty, empty, empty
-
-
 def last_send_round_spans(
     starts: np.ndarray, ends: np.ndarray, rates: np.ndarray
 ) -> int:
@@ -593,10 +506,11 @@ def last_send_round_spans(
     ``≥ 1``; a rate may be 0 only for a degenerate single-round batch
     such as the root's own items at round 0 — the batch-at-start model
     is exact either way since a width-1 span has no mid-span rounds).
-    Same closed form as the per-batch ``_last_send_round``: the maximum
-    of ``start_j + (items not yet arrived before span j)`` is attained
-    at span starts because the objective's slope inside a span is
-    ``1 - rate ≤ 0``.
+    Folding the per-item recurrence ``t_i = max(a_i, t_{i-1} + 1)`` over
+    whole batches gives ``t_last = max_j (a_j + (K - cum_{<j})) - 1``
+    with K the total item count; over spans the maximum of ``start_j +
+    (items not yet arrived before span j)`` is attained at span starts
+    because the objective's slope inside a span is ``1 - rate ≤ 0``.
     """
     w = (ends - starts + 1) * rates
     cum_before = np.cumsum(w) - w

@@ -1,11 +1,11 @@
 """Multi-query frontier planes: one sweep answering batches of BFS queries.
 
-Every vectorized entry point used to serve exactly one (root, channel-set,
-seed) configuration per call, so grid workloads — E16 adversary sweeps,
-packing retries, λ-search guesses, the E17 tournament — paid the whole
-per-call dispatch price once per cell. This module packs many independent
-queries into one array plane and lets a single layer loop amortize all of
-it, the minibatch idiom of graph samplers applied to the CONGEST engine.
+Every vectorized entry point used to serve exactly one (root, channel-set)
+configuration per call, so grid workloads — E16 adversary sweeps, the E17
+tournament, BFS query batches — paid the whole per-call dispatch price once
+per cell. This module packs many independent queries into one array plane
+and lets a single layer loop amortize all of it, the minibatch idiom of
+graph samplers applied to the CONGEST engine.
 
 Two batching shapes cover every caller:
 
@@ -17,13 +17,11 @@ Two batching shapes cover every caller:
   layers, one boolean SpMV of the ``(Q, n)`` frontier matrix against the
   shared adjacency — expands every live query's frontier per layer.
 
-* :func:`masked_union_bfs` — queries with **heterogeneous channel-sets**
-  (packing attempts, λ-search iterations). Each query's masked subgraph is
-  laid out on its own node block of one big CSR and a single
-  :func:`~repro.engine.kernels.frontier_sweep` serves all blocks on a
-  shared layer clock, exactly the disjoint-union batching of
-  ``vectorized_parallel_bfs`` — but without requiring masks of *different*
-  queries to be disjoint.
+* :func:`masked_union_bfs` — one query per **channel** of an edge-disjoint
+  decomposition (the Lemma 2 parallel BFS of a tree packing). Each
+  channel's masked subgraph is laid out on its own node block of one big
+  CSR and a single :func:`~repro.engine.kernels.frontier_sweep` serves all
+  blocks on a shared layer clock.
 
 **Bit-identity contract.** Each query's outputs equal its standalone run,
 element for element. The plane gather filters candidates against the
@@ -32,10 +30,7 @@ adopts the first occurrence per (query, node) — arcs enumerate the sorted
 frontier in order, so that first arc comes from the **smallest**
 previous-layer neighbor, the exact
 :func:`~repro.engine.kernels.tree_parents` adoption rule of the solo
-sweeps. Per-query RNG sub-streams follow the
-:func:`~repro.util.rng.rng_from_seed` discipline: a query batched with
-seed ``s`` consumes (or, for rate-0 fault queries, leaves untouched) the
-same PCG64 stream its standalone run would.
+sweeps.
 
 Memory is bounded by chunking query rows: :func:`plane_sweep` processes at
 most ``max_cells`` (query × node) cells of ``int64`` plane at a time, so
@@ -50,7 +45,6 @@ from repro import obs
 from repro.engine import kernels
 from repro.engine.kernels import expand_csr_rows, frontier_sweep, scipy_sparse
 from repro.util.errors import ValidationError
-from repro.util.rng import rng_from_seed
 
 __all__ = ["QueryPlane", "masked_union_bfs", "plane_sweep"]
 
@@ -63,11 +57,9 @@ class QueryPlane:
     """Bit-packed (queries × nodes) BFS plane over one shared CSR.
 
     Holds the packed ``uint64`` ``visited`` and ``frontier_mask`` planes,
-    the dense ``parent``/``dist`` planes, a per-query ``rounds`` counter,
-    and (optionally) per-query seeds from which :meth:`rng_streams`
-    derives one :func:`~repro.util.rng.rng_from_seed` generator per query.
-    :meth:`sweep` runs every query to exhaustion on one shared layer
-    clock; queries whose frontier dies simply stop contributing arcs.
+    the dense ``parent``/``dist`` planes and a per-query ``rounds``
+    counter. :meth:`sweep` runs every query to exhaustion on one shared
+    layer clock; queries whose frontier dies simply stop contributing arcs.
 
     ``frontier_mask`` is materialized from the live (query, node) pair
     list on demand — the SpMV layer path uses it both to build the
@@ -81,7 +73,6 @@ class QueryPlane:
         indptr: np.ndarray,
         indices: np.ndarray,
         roots,
-        seeds=None,
     ) -> None:
         self.n = int(n)
         self.indptr = indptr
@@ -92,9 +83,6 @@ class QueryPlane:
         ):
             raise ValidationError("plane roots out of range")
         self.queries = int(self.roots.size)
-        self.seeds = None if seeds is None else [int(s) for s in seeds]
-        if self.seeds is not None and len(self.seeds) != self.queries:
-            raise ValidationError("plane seeds must match the query count")
         self.words = (self.n + 63) >> 6
         self.visited = np.zeros((self.queries, self.words), dtype=np.uint64)
         self.frontier_mask = np.zeros_like(self.visited)
@@ -121,12 +109,6 @@ class QueryPlane:
     def _test_bits(self, plane: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         words = plane[q, v >> 6]
         return (words >> (v & 63).astype(np.uint64)) & np.uint64(1) != 0
-
-    def rng_streams(self) -> list:
-        """One :func:`rng_from_seed` generator per query, in query order."""
-        if self.seeds is None:
-            raise ValidationError("plane queries carry no seeds")
-        return [rng_from_seed(s) for s in self.seeds]
 
     # -- the layer loop -------------------------------------------------- #
 
@@ -242,7 +224,6 @@ def plane_sweep(
     indptr: np.ndarray,
     indices: np.ndarray,
     roots,
-    seeds=None,
     max_cells: int = _PLANE_MAX_CELLS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched BFS over one shared CSR: ``(parent, dist, rounds)`` planes.
@@ -259,7 +240,7 @@ def plane_sweep(
     obs.count("plane.queries", q)
     if q <= chunk:
         obs.count("plane.chunks")
-        plane = QueryPlane(n, indptr, indices, roots, seeds=seeds).sweep()
+        plane = QueryPlane(n, indptr, indices, roots).sweep()
         return plane.parent, plane.dist, plane.rounds
     obs.count("plane.chunks", -(-q // chunk))
     parent = np.full((q, n), -1, dtype=np.int64)
@@ -267,29 +248,29 @@ def plane_sweep(
     rounds = np.zeros(q, dtype=np.int64)
     for lo in range(0, q, chunk):
         hi = min(q, lo + chunk)
-        sub = None if seeds is None else list(seeds[lo:hi])
-        plane = QueryPlane(n, indptr, indices, roots[lo:hi], seeds=sub).sweep()
+        plane = QueryPlane(n, indptr, indices, roots[lo:hi]).sweep()
         parent[lo:hi] = plane.parent
         dist[lo:hi] = plane.dist
         rounds[lo:hi] = plane.rounds
     return parent, dist, rounds
 
 
-def masked_union_bfs(graph, masks, roots, group_sizes=None) -> list:
-    """BFS every ``(edge_mask, root)`` channel query in one union sweep.
+def masked_union_bfs(graph, masks, roots) -> list:
+    """BFS every ``(edge_mask, root)`` channel in one disjoint-union sweep.
 
-    Unlike ``vectorized_parallel_bfs`` the masks need **not** be pairwise
-    disjoint: ``group_sizes`` partitions ``masks`` into consecutive groups
-    that are internally disjoint (one group per packing attempt or
-    λ-search iteration; default: every mask its own group). Each group's
-    CSRs are built with the fused one-gather builder, every channel
-    subgraph is laid out on its own node block of one big CSR, and a
-    single :func:`frontier_sweep` serves all blocks — overlapping masks of
-    different groups never meet because their blocks are disconnected.
+    ``masks`` must be pairwise disjoint, as the channels of a Theorem 2
+    decomposition are: their CSRs come from the fused one-gather build in
+    :meth:`~repro.graphs.graph.Graph.disjoint_masked_csrs`. Channel ``c``'s
+    subgraph is laid out on nodes ``[c·n, (c+1)·n)`` of one big CSR, the
+    blocks never touch, and a single :func:`frontier_sweep` advances every
+    channel on a shared layer clock — one layer loop in total instead of
+    one per channel. Within a block the parent offsets cancel, so each
+    channel's slice equals its solo sweep.
 
     Returns one :class:`~repro.primitives.bfs.BFSResult` per mask,
     bit-identical to ``run_bfs(graph, root, edge_mask=mask,
-    backend="vectorized")`` (solo round accounting included).
+    backend="vectorized")`` (solo round accounting included). The ``dist``
+    rows are views into the union array.
     """
     from repro.primitives.bfs import BFSResult
 
@@ -300,26 +281,16 @@ def masked_union_bfs(graph, masks, roots, group_sizes=None) -> list:
     roots_local = np.asarray(roots, dtype=np.int64)
     if c and (int(roots_local.min()) < 0 or int(roots_local.max()) >= n):
         raise ValidationError("masked_union_bfs: root out of range")
-    if group_sizes is None:
-        group_sizes = [1] * c
-    if sum(group_sizes) != c:
-        raise ValidationError("group_sizes must partition the mask list")
-    csrs = []
-    i = 0
-    for gs in group_sizes:
-        if gs == 1:
-            csrs.append(graph.masked_csr(masks[i]))
-        else:
-            csrs.extend(graph.disjoint_masked_csrs(list(masks[i : i + gs])))
-        i += gs
+    csrs = graph.disjoint_masked_csrs(list(masks))
     total = sum(int(ind.size) for _iptr, ind in csrs)
-    big_indptr = np.empty(c * n + 1, dtype=np.int64)
-    big_indptr[0] = 0
+    big_indptr = np.zeros(c * n + 1, dtype=np.int64)
     big_indices = np.empty(total, dtype=np.int64)
     pos = 0
     for ci, (iptr, ind) in enumerate(csrs):
         big_indptr[ci * n + 1 : (ci + 1) * n + 1] = iptr[1:] + pos
-        big_indices[pos : pos + ind.size] = ind + ci * n
+        # Shift neighbor ids into the channel's block in place: at n = 10⁶
+        # per-channel temporaries were hundreds of MB of throwaway arrays.
+        np.add(ind, ci * n, out=big_indices[pos : pos + ind.size])
         pos += int(ind.size)
     roots_arr = roots_local + np.arange(c, dtype=np.int64) * n
     parent, dist = frontier_sweep(c * n, big_indptr, big_indices, roots_arr)
@@ -328,7 +299,7 @@ def masked_union_bfs(graph, masks, roots, group_sizes=None) -> list:
         off = ci * n
         pb = parent[off : off + n]
         pc = np.where(pb >= 0, pb - off, pb)
-        dc = dist[off : off + n].copy()
+        dc = dist[off : off + n]
         rt = int(roots_local[ci])
         rnd = int(dc.max()) + 1 if int(iptr[rt + 1]) > int(iptr[rt]) else 0
         results.append(

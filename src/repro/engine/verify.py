@@ -39,11 +39,10 @@ __all__ = [
     "check_apsp_pipeline",
     "check_cuts_pipeline",
     "check_faulty_bfs",
-    "check_step_strategies",
-    "check_faulty_step_strategies",
+    "check_kernels",
+    "check_fault_paths",
     "check_bfs_batch",
     "check_broadcast_batch",
-    "check_packing_candidates",
     "check_fault_grid",
     "check_redundant_broadcast",
     "check_root_policies",
@@ -849,49 +848,23 @@ def check_tournament(graph: Graph, k: int, seed) -> list[str]:
     return []
 
 
-def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list[str]:
-    """Span-batched stepping vs the per-round reference, plus direct
-    identities of the :mod:`repro.engine.kernels` primitives.
+def check_kernels(graph: Graph, seed) -> list[str]:
+    """Direct identities of the :mod:`repro.engine.kernels` primitives.
 
-    The Lemma 1 pipeline must be bit-identical under ``step="round"`` and
-    ``step="span"`` (rounds, congestion, per-edge/total messages and bits);
     ``frontier_sweep`` must agree between its scipy SpMV path and the pure
-    numpy fallback; ``upcast_spans`` expanded per round must replay
-    ``upcast_rounds``; and the small CSR/membership helpers must match
-    their numpy one-liners.
+    numpy fallback; ``tree_parents``, ``last_send_round_spans`` and
+    ``upcast_spans`` must match plain-Python walks (the upcast one round
+    at a time); and the small CSR/membership helpers must match their
+    numpy one-liners. The pipeline built on them is compared with the
+    simulator by :func:`check_tree_broadcast`.
     """
     import os
 
     from repro.engine import kernels
-    from repro.engine.fastpath import vectorized_tree_broadcast
-    from repro.primitives.bfs import run_parallel_bfs
-    from repro.util.errors import ValidationError
 
     out = []
     n = graph.n
     rng = ensure_rng(seed)
-
-    # -- strategy resolution -------------------------------------------- #
-    if (kernels.resolve_step("round"), kernels.resolve_step("span")) != (
-        "round",
-        "span",
-    ):
-        out.append("kernels: resolve_step mangles explicit strategies")
-    prev_step = os.environ.get("REPRO_STEP")
-    try:
-        os.environ["REPRO_STEP"] = "round"
-        if kernels.resolve_step(None) != "round" or kernels.resolve_step("auto") != "round":
-            out.append("kernels: resolve_step ignores REPRO_STEP")
-    finally:
-        if prev_step is None:
-            os.environ.pop("REPRO_STEP", None)
-        else:
-            os.environ["REPRO_STEP"] = prev_step
-    try:
-        kernels.resolve_step("bogus")
-        out.append("kernels: resolve_step accepted an unknown strategy")
-    except ValidationError:
-        pass
 
     # -- frontier_sweep: scipy SpMV path vs pure-numpy fallback --------- #
     root = int(rng.integers(n))
@@ -1005,147 +978,59 @@ def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list
     if not np.array_equal(kernels.in_sorted(values, table), np.isin(values, table)):
         out.append("kernels: in_sorted differs from np.isin")
 
-    # -- upcast_spans expanded per round == upcast_rounds --------------- #
+    # -- upcast_spans expanded per round == a round-by-round queue walk -- #
     up = rng.integers(0, 4, size=n).astype(np.int64)
     up[root] = 0
-    is_root = np.zeros(n, dtype=bool)
-    is_root[root] = True
-    hf, hc, hr = kernels.upcast_rounds(up, parent, is_root)
+    up[np_dist < 0] = 0  # unreached nodes have no path to the root
+    queue = up.tolist()
+    walk: list[tuple[int, int, int]] = []  # (round, root, items arriving)
+    r = 0
+    while any(queue):
+        r += 1
+        landed: dict[int, int] = {}
+        for v in [v for v in range(n) if queue[v]]:
+            queue[v] -= 1  # every nonempty up-queue sends one item
+            landed[int(parent[v])] = landed.get(int(parent[v]), 0) + 1
+        for u, c in sorted(landed.items()):
+            if u == root:
+                walk.append((r, u, c))
+            else:
+                queue[u] += c  # sendable from the next round on
     sn, sb, se, sr = kernels.upcast_spans(up, parent, np_dist)
-    widths = se - sb + 1
-    ef = np.repeat(sn, widths)
-    ec = np.repeat(sr, widths)
-    er = (
-        np.concatenate([np.arange(b, e + 1) for b, e in zip(sb, se)])
-        if sn.size
-        else np.empty(0, dtype=np.int64)
+    spans = sorted(
+        (rr, int(v), int(rate))
+        for v, b, e, rate in zip(sn, sb, se, sr)
+        for rr in range(int(b), int(e) + 1)
     )
-    ref = np.lexsort((hf, hr))
-    got = np.lexsort((ef, er))
-    if not (
-        np.array_equal(hf[ref], ef[got])
-        and np.array_equal(hc[ref], ec[got])
-        and np.array_equal(hr[ref], er[got])
-    ):
-        out.append("kernels: upcast_spans expansion != upcast_rounds")
-
-    # -- Lemma 1 pipeline: span vs round, full outcome ------------------ #
-    if graph.m:
-        results, _ = run_parallel_bfs(graph, masks, roots=roots, backend="vectorized")
-    else:  # edgeless host: run_parallel_bfs needs arcs to stack masks over
-        from repro.primitives.bfs import run_bfs
-
-        results = [run_bfs(graph, 0, backend="vectorized")]
-    trees = {c: r for c, r in enumerate(results) if r.spans()}
-    if trees:
-        cids = sorted(trees)
-        messages: dict[int, dict[int, list[int]]] = {c: {} for c in cids}
-        for j in range(1, k + 1):
-            c = cids[int(rng.integers(len(cids)))]
-            v = int(rng.integers(n))
-            messages[c].setdefault(v, []).append(j)
-        rnd = vectorized_tree_broadcast(graph, trees, messages, step="round")
-        spn = vectorized_tree_broadcast(graph, trees, messages, step="span")
-        if rnd.rounds != spn.rounds:
-            out.append(f"step: pipeline rounds {rnd.rounds} != {spn.rounds}")
-        if rnd.max_congestion != spn.max_congestion:
-            out.append("step: pipeline congestion differs span vs round")
-        if not np.array_equal(
-            rnd.metrics.edge_messages, spn.metrics.edge_messages
-        ):
-            out.append("step: per-edge message counts differ span vs round")
-        if (rnd.metrics.total_messages, rnd.metrics.total_bits) != (
-            spn.metrics.total_messages,
-            spn.metrics.total_bits,
-        ):
-            out.append("step: message/bit totals differ span vs round")
-        if rnd.per_channel_k != spn.per_channel_k:
-            out.append("step: per-channel k differ span vs round")
+    if spans != walk:
+        out.append("kernels: upcast_spans expansion != the round-by-round walk")
     return out
 
 
-def check_faulty_step_strategies(
-    graph: Graph, k: int, seed, parts: int = 2
-) -> list[str]:
-    """Fault engine: span-batched paths vs the per-round reference.
+def check_fault_paths(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
+    """Every path of the fault engine against the simulator.
 
-    Runs faulty BFS and redundant broadcast once per step strategy on a
-    rate-0 plan (dead + mobile edges — the span fastpath's home turf) and
-    once on a ``drop_rate>0`` plan (where span must silently fall back to
-    the identical per-round walk), comparing the *entire* outcome: forest,
-    rounds, drops, receipts, coverage, bit totals, and the fault RNG state.
+    The vectorized engine picks its path from the plan and the trees: the
+    rate-0 closed form (here with dead and mobile edges), the per-round
+    replay (rate 0.3), and the total-loss closed form (rate 1, no dead or
+    mobile edges). Each plan runs through :func:`check_faulty_bfs` and
+    :func:`check_redundant_broadcast`.
     """
-    from repro.core.broadcast import uniform_random_placement
-    from repro.core.resilient import redundant_broadcast
-    from repro.core.tree_packing import build_packing_with_retry
-    from repro.engine.faults import faulty_bfs
-    from repro.util.errors import ValidationError
-
     from repro.congest.adversary import FaultPlan
 
-    rng = ensure_rng(seed)
-    root = int(rng.integers(graph.n))
-    out = []
+    root = int(ensure_rng(seed).integers(graph.n))
     plans = [
-        random_fault_plan(graph, seed=seed + 1, rate=0.0),
-        random_fault_plan(graph, seed=seed + 2, rate=0.3),
-        # Pure uniform total loss — the boundary the span path collapses
-        # closed-form (no dead/mobile: those force the round replay).
-        FaultPlan(drop_rate=1.0),
+        ("rate0", random_fault_plan(graph, seed=seed + 1, rate=0.0)),
+        ("lossy", random_fault_plan(graph, seed=seed + 2, rate=0.3)),
+        ("total-loss", FaultPlan(drop_rate=1.0)),
     ]
-    for tag, plan in zip(("rate0", "lossy", "total-loss"), plans):
-        runs = {}
-        for step in ("round", "span"):
-            r = faulty_bfs(
-                graph, root, plan=plan, fault_seed=seed,
-                backend="vectorized", step=step,
-            )
-            runs[step] = r
-        diff = _diff_bfs(runs["round"].result, runs["span"].result, f"step-faulty-bfs[{tag}]")
-        out.extend(diff)
-        if runs["round"].dropped != runs["span"].dropped:
-            out.append(f"step-faulty-bfs[{tag}]: dropped counts differ")
-        if runs["round"].fault_rng_state != runs["span"].fault_rng_state:
-            out.append(f"step-faulty-bfs[{tag}]: fault RNG streams diverged")
-
-    try:
-        packing, _ = build_packing_with_retry(
-            graph, parts, seed=seed, distributed=False
+    out = []
+    for tag, plan in plans:
+        mismatches = check_faulty_bfs(graph, root, plan, fault_seed=seed)
+        mismatches += check_redundant_broadcast(
+            graph, k, seed, parts=parts, redundancy=2, plan=plan
         )
-    except ValidationError:
-        return out
-    placement = uniform_random_placement(graph.n, k, seed=seed)
-    redundancy = min(2, packing.size)
-    for tag, plan in zip(("rate0", "lossy", "total-loss"), plans):
-        reports = {}
-        for step in ("round", "span"):
-            reports[step] = redundant_broadcast(
-                graph,
-                placement,
-                packing,
-                redundancy=redundancy,
-                dead_edges=plan.dead_edges,
-                drop_rate=plan.drop_rate,
-                mobile=plan.mobile,
-                seed=seed,
-                fault_seed=seed + 1,
-                backend="vectorized",
-                collect_receipts=True,
-                step=step,
-            )
-        a, b = reports["round"], reports["span"]
-        if a.rounds != b.rounds:
-            out.append(f"step-redundant[{tag}]: rounds {a.rounds} != {b.rounds}")
-        if a.dropped_messages != b.dropped_messages:
-            out.append(f"step-redundant[{tag}]: dropped counts differ")
-        if a.per_message_coverage != b.per_message_coverage:
-            out.append(f"step-redundant[{tag}]: coverage differs")
-        if a.receipts != b.receipts:
-            out.append(f"step-redundant[{tag}]: receipt sets differ")
-        if a.fault_rng_state != b.fault_rng_state:
-            out.append(f"step-redundant[{tag}]: fault RNG streams diverged")
-        if (a.total_messages, a.total_bits) != (b.total_messages, b.total_bits):
-            out.append(f"step-redundant[{tag}]: message/bit totals differ")
+        out.extend(f"fault-paths[{tag}] {m}" for m in mismatches)
     return out
 
 
@@ -1154,7 +1039,7 @@ def check_bfs_batch(graph: Graph, roots, edge_mask=None) -> list[str]:
 
     The vectorized batch rides the :class:`~repro.engine.plane.QueryPlane`
     sweep; one pass also forces the plane's SpMV branch (gates zeroed, with
-    and without scipy) so every stepping variant of the plane is certified
+    and without scipy) so every layer kernel of the plane is certified
     against the solo kernels.
     """
     import os
@@ -1244,75 +1129,14 @@ def check_broadcast_batch(graph: Graph, k: int, seed) -> list[str]:
             out.extend(
                 _diff_broadcast_result(solo, fb[i], f"fast-batch[{backend}][{i}]")
             )
-    return out
-
-
-def _diff_packing(a, b, label: str) -> list[str]:
-    out = []
-    if a.size != b.size or a.construction_rounds != b.construction_rounds:
-        out.append(f"{label}: size/rounds differ")
-    for i, (ta, tb) in enumerate(zip(a.trees, b.trees)):
-        if ta.root != tb.root or not np.array_equal(ta.parent, tb.parent):
-            out.append(f"{label}: tree {i} differs")
-        elif not np.array_equal(ta.depth_of, tb.depth_of):
-            out.append(f"{label}: tree {i} depths differ")
-    ma, mb = a.class_masks, b.class_masks
-    if (ma is None) != (mb is None) or (
-        ma is not None and any(not np.array_equal(x, y) for x, y in zip(ma, mb))
-    ):
-        out.append(f"{label}: class masks differ")
-    return out
-
-
-def check_packing_candidates(graph: Graph, parts: int, seed) -> list[str]:
-    """Candidate batching == the sequential walks it speculates over.
-
-    ``build_packing_with_retry(batch=3)`` must return the same packing,
-    attempt count, and failure message as the one-seed-at-a-time walk, and
-    ``find_packing_unknown_lambda(lookahead=4)`` the same trace (guesses,
-    validation rounds, seeds, accepted guess) and packing as the sequential
-    halving loop — probes past the winner discarded unrecorded.
-    """
-    from repro.core.lambda_search import find_packing_unknown_lambda
-    from repro.core.tree_packing import build_packing_with_retry
-    from repro.util.errors import ValidationError
-
-    out = []
-    retry = {}
-    for b in (1, 3):
-        try:
-            retry[b] = build_packing_with_retry(
-                graph, parts, seed=seed, backend="vectorized", batch=b
-            )
-        except ValidationError as e:
-            retry[b] = str(e)
-    if isinstance(retry[1], str) or isinstance(retry[3], str):
-        if retry[1] != retry[3]:
-            out.append("packing-retry: sequential and batched failures differ")
-    else:
-        (pk1, n1), (pk3, n3) = retry[1], retry[3]
-        if n1 != n3:
-            out.append(f"packing-retry: attempts {n1} != {n3}")
-        out.extend(_diff_packing(pk1, pk3, "packing-retry"))
-
-    search = {}
-    for lookahead in (1, 4):
-        try:
-            search[lookahead] = find_packing_unknown_lambda(
-                graph, seed=seed, backend="vectorized", lookahead=lookahead
-            )
-        except ValidationError as e:
-            search[lookahead] = str(e)
-    a, b = search[1], search[4]
-    if isinstance(a, str) or isinstance(b, str):
-        if a != b:
-            out.append("lambda-lookahead: sequential and batched failures differ")
-        return out
-    if (a.guesses, a.validation_rounds, a.seeds, a.accepted_guess) != (
-        b.guesses, b.validation_rounds, b.seeds, b.accepted_guess
-    ):
-        out.append("lambda-lookahead: search traces differ")
-    out.extend(_diff_packing(a.packing, b.packing, "lambda-lookahead"))
+        # A numpy integer is the one-seed form, as a Python int is; ``solo``
+        # is the last placement's run under the same seed.
+        one = fast_broadcast_batch(
+            graph, placements[-1:], seeds=np.int64(seeds[-1]), backend=backend
+        )
+        out.extend(
+            _diff_broadcast_result(solo, one[0], f"fast-batch[{backend}][numpy seed]")
+        )
     return out
 
 
@@ -1512,19 +1336,14 @@ def verify_equivalence(
                 fault_seed=t,
                 edge_mask=masks[0] if t % 2 else None,
             ),
-            check_step_strategies(
-                g, masks, k, seed=14_000 * seed + t, roots=[root] * parts
-            ),
-            check_faulty_step_strategies(
-                g, k, seed=15_000 * seed + t, parts=parts
-            ),
+            check_kernels(g, seed=14_000 * seed + t),
+            check_fault_paths(g, k, seed=15_000 * seed + t, parts=parts),
             check_bfs_batch(
                 g,
                 [root, root, int(rng.integers(n))],
                 edge_mask=masks[0] if t % 2 else None,
             ),
             check_broadcast_batch(g, k, seed=16_000 * seed + t),
-            check_packing_candidates(g, parts, seed=17_000 * seed + t),
             check_fault_grid(g, k, seed=18_000 * seed + t, parts=parts),
             check_redundant_broadcast(
                 g,

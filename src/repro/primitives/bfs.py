@@ -338,19 +338,22 @@ def run_parallel_bfs(
     """
     from repro.engine import validate_backend
 
-    if validate_backend(backend) == "vectorized":
-        from repro.engine.fastpath import vectorized_parallel_bfs
-
-        return vectorized_parallel_bfs(graph, edge_masks, roots=roots)
+    validate_backend(backend)
     masks = [np.asarray(m, dtype=bool) for m in edge_masks]
-    if masks:
-        stack = np.stack(masks)
-        if stack.sum(axis=0).max() > 1:
-            raise ValidationError("edge masks must be pairwise disjoint")
+    # Any over an empty stack is False: an edgeless host (m = 0) passes.
+    if masks and (np.stack(masks).sum(axis=0) > 1).any():
+        raise ValidationError("edge masks must be pairwise disjoint")
     if roots is None:
         roots = [0] * len(masks)
     if len(roots) != len(masks):
         raise ValidationError("need one root per channel")
+    for root in roots:
+        if not (0 <= root < graph.n):
+            raise ValidationError(f"root {root} out of range")
+    if backend == "vectorized":
+        from repro.engine.fastpath import vectorized_parallel_bfs
+
+        return vectorized_parallel_bfs(graph, masks, roots)
 
     network = Network(graph)
     channel_roots = {c: roots[c] for c in range(len(masks))}

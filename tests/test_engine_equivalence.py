@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.broadcast import fast_broadcast, uniform_random_placement
 from repro.core.decomposition import random_partition
 from repro.core.lambda_search import find_packing_unknown_lambda
-from repro.core.tree_packing import build_tree_packing
+from repro.core.tree_packing import build_packing_with_retry, build_tree_packing
 from repro.engine import BACKENDS, validate_backend
 from repro.engine.fastpath import vectorized_tree_broadcast
 from repro.engine.verify import (
@@ -26,8 +26,9 @@ from repro.engine.verify import (
     check_combined_broadcast,
     check_coverage_repair,
     check_cuts_pipeline,
+    check_fault_paths,
     check_faulty_bfs,
-    check_faulty_step_strategies,
+    check_kernels,
     check_leader,
     check_numbering,
     check_parallel_bfs,
@@ -35,7 +36,6 @@ from repro.engine.verify import (
     check_root_policies,
     check_spanner,
     check_sparsifier,
-    check_step_strategies,
     check_tournament,
     check_tree_broadcast,
     check_unknown_lambda_broadcast,
@@ -152,6 +152,13 @@ class TestPipelineEquivalence:
         tree = run_bfs(g, 0, backend="vectorized")
         with pytest.raises(ValidationError):
             vectorized_tree_broadcast(g, {0: tree, 1: tree}, {0: {0: [1]}, 1: {0: [2]}})
+
+    def test_non_bfs_layered_tree_rejected(self):
+        g = thick_cycle(4, 3)
+        tree = run_bfs(g, 0, backend="vectorized")
+        tree.dist = tree.dist + (tree.dist > 0)  # non-roots one layer too deep
+        with pytest.raises(ValidationError):
+            vectorized_tree_broadcast(g, {0: tree}, {0: {0: [1]}})
 
 
 class TestPackingEquivalence:
@@ -314,6 +321,22 @@ class TestAwkwardInputs:
         tree = run_bfs(g, 0, backend="vectorized")
         out = vectorized_tree_broadcast(g, {0: tree}, {0: {0: [1, 2, 3]}})
         assert out.rounds == 2 and out.k_total == 3
+        # Parallel BFS over the one empty edge mask, and the packing and
+        # fast broadcast built on it, run and agree on both backends.
+        assert check_parallel_bfs(g, [np.zeros(0, dtype=bool)]) == []
+        runs = {}
+        for backend in BACKENDS:
+            packing = build_tree_packing(random_partition(g, 1, seed=0), backend=backend)
+            retried, attempts = build_packing_with_retry(g, 1, seed=0, backend=backend)
+            fast = fast_broadcast(g, {0: 3}, lam=1, backend=backend)
+            runs[backend] = (
+                packing.construction_rounds,
+                retried.construction_rounds,
+                attempts,
+                fast.phases,
+                fast.max_congestion,
+            )
+        assert runs["simulator"] == runs["vectorized"]
 
     def test_all_masked_edge_set(self):
         g = thick_cycle(5, 3)
@@ -517,18 +540,20 @@ class TestRobustnessEquivalence:
 
 
 class TestStepStrategyEquivalence:
-    """Span-batched stepping (ISSUE 8): one deterministic anchor here; the
-    randomized property suite lives in ``tests/test_span_engine.py``."""
+    """The span-batched engine paths against the simulator: one
+    deterministic anchor here; the randomized property suite lives in
+    ``tests/test_span_engine.py``."""
 
     def test_step_checks_on_packing_host(self):
         g = thick_cycle(8, 5)
         masks = random_edge_masks(g, 2, seed=3)
-        assert check_step_strategies(g, masks, 20, seed=4) == []
-        assert check_faulty_step_strategies(g, 20, seed=5, parts=2) == []
+        assert check_tree_broadcast(g, masks, 20, seed=4) == []
+        assert check_kernels(g, seed=4) == []
+        assert check_fault_paths(g, 20, seed=5, parts=2) == []
 
 
 class TestHarnessSweep:
     def test_randomized_sweep_is_clean(self):
         report = verify_equivalence(trials=6, seed=11, max_n=20)
-        assert report.checks == 6 * 26
+        assert report.checks == 6 * 25
         assert report.ok, report.mismatches

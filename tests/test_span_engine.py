@@ -1,29 +1,27 @@
-"""Property tests for the span-batched step strategy (ISSUE 8).
+"""Property tests for the span-batched engine paths.
 
-``step="span"`` advances the Lemma 1 queue recurrence and the rate-0
-fault engine one numpy step per *event* instead of per round. These
-tests assert it is **bit-identical** to the per-round reference —
-receipts, rounds, bits, drops, and the fault RNG stream — on randomized
-graphs and fault plans, including the ``drop_rate=1.0`` and single-node
-boundaries, and that the scipy SpMV frontier kernel matches its
-pure-numpy fallback.
+The vectorized engine advances the Lemma 1 queue recurrence and the rate-0
+fault engine one numpy step per *event* instead of per round. These tests
+assert it is **bit-identical** to the round-by-round simulator — receipts,
+rounds, bits, drops, and the fault RNG stream — on randomized graphs and
+fault plans, including the ``drop_rate=1.0`` and single-node boundaries,
+and that the kernels match their plain-Python and pure-numpy references.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import STEP_STRATEGIES, resolve_step
 from repro.engine.verify import (
-    check_faulty_step_strategies,
-    check_step_strategies,
+    check_fault_paths,
+    check_faulty_bfs,
+    check_kernels,
+    check_tree_broadcast,
     random_connected_graph,
     random_edge_masks,
     random_fault_plan,
 )
 from repro.graphs import Graph, thick_cycle
-from repro.util.errors import ValidationError
 
 _SETTINGS = settings(
     max_examples=15,
@@ -32,26 +30,9 @@ _SETTINGS = settings(
 )
 
 
-class TestStepResolution:
-    def test_explicit_strategies(self):
-        assert STEP_STRATEGIES == ("round", "span")
-        for s in STEP_STRATEGIES:
-            assert resolve_step(s) == s
-
-    def test_auto_defers_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEP", raising=False)
-        assert resolve_step(None) == "span"
-        assert resolve_step("auto") == "span"
-        monkeypatch.setenv("REPRO_STEP", "round")
-        assert resolve_step(None) == "round"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_step("turbo")
-
-
 class TestSpanPipelineEquivalence:
-    """Lemma 1 upcast spans + SpMV frontiers vs the per-round reference."""
+    """Lemma 1 upcast spans + SpMV frontiers vs the simulator and the
+    kernels' plain-Python references."""
 
     @_SETTINGS
     @given(
@@ -64,27 +45,31 @@ class TestSpanPipelineEquivalence:
     def test_span_equals_round(self, n, extra, seed, parts, k):
         g = random_connected_graph(n, extra, seed=seed)
         masks = random_edge_masks(g, parts, seed=seed + 1)
-        assert check_step_strategies(g, masks, k, seed=seed + 2) == []
+        assert check_tree_broadcast(g, masks, k, seed=seed + 2) == []
+        assert check_kernels(g, seed=seed + 2) == []
 
     def test_single_node_graph(self):
         g = Graph(1, [])
         masks = [np.zeros(0, dtype=bool)]
-        assert check_step_strategies(g, masks, 3, seed=1) == []
+        assert check_tree_broadcast(g, masks, 3, seed=1) == []
+        assert check_kernels(g, seed=1) == []
 
     def test_two_node_graph(self):
         g = Graph(2, [(0, 1)])
         masks = [np.ones(1, dtype=bool)]
-        assert check_step_strategies(g, masks, 5, seed=2) == []
+        assert check_tree_broadcast(g, masks, 5, seed=2) == []
+        assert check_kernels(g, seed=2) == []
 
     def test_deep_path_many_items(self):
         """A long path stresses the busy scan's layer shifting."""
         g = Graph(40, [(v, v + 1) for v in range(39)])
         masks = [np.ones(g.m, dtype=bool)]
-        assert check_step_strategies(g, masks, 60, seed=3) == []
+        assert check_tree_broadcast(g, masks, 60, seed=3) == []
+        assert check_kernels(g, seed=3) == []
 
 
 class TestSpanFaultEquivalence:
-    """Span fault paths (and their rate>0 fallback) vs per-round walk."""
+    """Every fault-engine path vs the round-by-round FaultySimulator."""
 
     @_SETTINGS
     @given(
@@ -96,13 +81,13 @@ class TestSpanFaultEquivalence:
     )
     def test_faulty_span_equals_round(self, n, extra, seed, k, parts):
         g = random_connected_graph(n, extra, seed=seed)
-        assert check_faulty_step_strategies(g, k, seed=seed + 1, parts=parts) == []
+        assert check_fault_paths(g, k, seed=seed + 1, parts=parts) == []
 
     @_SETTINGS
     @given(seed=st.integers(0, 10_000), k=st.integers(0, 16))
     def test_total_loss_boundary(self, seed, k):
-        """drop_rate=1.0: every coin flipped, nothing delivered — both
-        strategies must burn the identical RNG stream."""
+        """drop_rate=1.0: every coin flipped, nothing delivered — the
+        closed form must burn the simulator's RNG stream exactly."""
         from repro.core.broadcast import uniform_random_placement
         from repro.core.resilient import redundant_broadcast
         from repro.core.tree_packing import build_packing_with_retry
@@ -111,7 +96,7 @@ class TestSpanFaultEquivalence:
         packing, _ = build_packing_with_retry(g, 2, seed=seed, distributed=False)
         placement = uniform_random_placement(g.n, k, seed=seed)
         reports = {
-            step: redundant_broadcast(
+            backend: redundant_broadcast(
                 g,
                 placement,
                 packing,
@@ -119,13 +104,12 @@ class TestSpanFaultEquivalence:
                 drop_rate=1.0,
                 seed=seed,
                 fault_seed=seed + 1,
-                backend="vectorized",
+                backend=backend,
                 collect_receipts=True,
-                step=step,
             )
-            for step in STEP_STRATEGIES
+            for backend in ("simulator", "vectorized")
         }
-        a, b = reports["round"], reports["span"]
+        a, b = reports["simulator"], reports["vectorized"]
         assert a.rounds == b.rounds
         assert a.dropped_messages == b.dropped_messages
         assert a.per_message_coverage == b.per_message_coverage
@@ -134,21 +118,9 @@ class TestSpanFaultEquivalence:
         assert (a.total_messages, a.total_bits) == (b.total_messages, b.total_bits)
 
     def test_single_node_faulty_bfs(self):
-        from repro.engine.faults import faulty_bfs
-
         g = Graph(1, [])
         plan = random_fault_plan(g, seed=1, rate=0.0)
-        runs = {
-            step: faulty_bfs(
-                g, 0, plan=plan, fault_seed=2, backend="vectorized", step=step
-            )
-            for step in STEP_STRATEGIES
-        }
-        a, b = runs["round"], runs["span"]
-        assert np.array_equal(a.result.parent, b.result.parent)
-        assert a.result.rounds == b.result.rounds
-        assert a.dropped == b.dropped
-        assert a.fault_rng_state == b.fault_rng_state
+        assert check_faulty_bfs(g, 0, plan, fault_seed=2) == []
 
 
 class TestScipyFallback:
@@ -177,19 +149,5 @@ class TestScipyFallback:
         monkeypatch.setenv("REPRO_NO_SCIPY", "1")
         g = thick_cycle(6, 4)
         masks = random_edge_masks(g, 2, seed=7)
-        assert check_step_strategies(g, masks, 12, seed=8) == []
-
-
-class TestEnvStepOverride:
-    def test_repro_step_env_steers_default(self, monkeypatch):
-        """step=None paths obey REPRO_STEP — and both settings agree."""
-        from repro.core.broadcast import textbook_broadcast, uniform_random_placement
-
-        g = thick_cycle(6, 4)
-        placement = uniform_random_placement(g.n, 10, seed=1)
-        results = {}
-        for env in ("round", "span"):
-            monkeypatch.setenv("REPRO_STEP", env)
-            res = textbook_broadcast(g, placement, backend="vectorized")
-            results[env] = (res.phases, res.max_congestion)
-        assert results["round"] == results["span"]
+        assert check_tree_broadcast(g, masks, 12, seed=8) == []
+        assert check_kernels(g, seed=8) == []

@@ -1,6 +1,7 @@
 """Hypothesis tests for Baswana–Sen spanners and the cut sparsifier."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,25 @@ def test_spanner_stretch_always_holds(g, k, seed):
     sp = baswana_sen_spanner(g, k, seed=seed)
     ok, worst = check_spanner_stretch(g, sp.spanner, k)
     assert ok, f"stretch {worst} > {2*k-1} on n={g.n}, m={g.m}, k={k}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known stretch bug: ROADMAP.md open item 'Fix the spanner stretch bug'",
+)
+@pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+def test_spanner_stretch_pinned_instance(backend):
+    """The falsifying instance of the ROADMAP item: the spanner drops edge
+    (4, 6) of weight 1 and the best surviving 4→6 path costs 6 > 2k−1 = 5.
+    Strict, so a fix turns this red until the marker is removed."""
+    g = Graph(
+        8,
+        [(0, 1), (0, 4), (1, 6), (2, 4), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7)],
+        weights=[1.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0, 1.0, 1.0],
+    )
+    sp = baswana_sen_spanner(g, 3, seed=3068, backend=backend)
+    ok, worst = check_spanner_stretch(g, sp.spanner, 3)
+    assert ok, f"stretch {worst} > 5"
 
 
 @given(weighted_connected_graphs(), st.integers(2, 4), st.integers(0, 10_000))
