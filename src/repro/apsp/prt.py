@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
+from repro.graphs.traversal import all_pairs_distances
 from repro.util.errors import ProtocolError, ValidationError
 
 __all__ = ["PRTResult", "dfs_timestamps", "prt_apsp"]
@@ -82,28 +82,24 @@ def prt_apsp(graph: Graph, start: int = 0) -> PRTResult:
     same round (PRT prove this cannot happen; hitting the assertion would
     mean our DFS timestamps violate their precondition).
     """
-    n = graph.n
     pi = dfs_timestamps(graph, start)
-    dist = np.empty((n, n), dtype=np.int64)
-    for u in range(n):
-        du = bfs_distances(graph, u)
-        if np.any(du < 0):
-            raise ValidationError("PRT needs a connected graph")
-        dist[u] = du
+    dist = all_pairs_distances(graph)
+    if np.any(dist < 0):
+        raise ValidationError("PRT needs a connected graph")
 
-    # Arrival time of wave u at node v: 2π(u) + d(u, v).
-    arrivals = 2 * pi[:, None] + dist  # (u, v)
-    # Collision check: for each v, all arrival times distinct — one sort per
-    # column instead of n python-level np.unique calls.
-    ordered = np.sort(arrivals, axis=0)
-    collided = (ordered[1:] == ordered[:-1]).any(axis=0)
+    # Row v holds the arrival time 2π(u) + d(u, v) of every wave u at node v
+    # (d is symmetric); no collision means each sorted row is strictly
+    # increasing.
+    arrivals = dist + 2 * pi
+    arrivals.sort(axis=1)
+    collided = (arrivals[:, 1:] == arrivals[:, :-1]).any(axis=1)
     if collided.any():
         v = int(np.nonzero(collided)[0][0])
         raise ProtocolError(
             f"PRT collision at node {v}: two waves in one round "
             "(violates [PRT12] Lemma 3.1)"
         )
-    virtual_rounds = int(arrivals.max()) + 1
+    virtual_rounds = int(arrivals[:, -1].max()) + 1
     return PRTResult(
         dist=dist, pi=pi, virtual_rounds=virtual_rounds, collisions_checked=True
     )

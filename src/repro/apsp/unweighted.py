@@ -95,7 +95,10 @@ def approx_apsp_unweighted(
 
     s = clustering.s
     dgc = prt.dist  # exact distances on the cluster graph
-    estimate = 3 * dgc[s][:, s] + 2
+    # One gather, then in place: no n×n temporaries beyond the estimate.
+    estimate = dgc[np.ix_(s, s)]
+    estimate *= 3
+    estimate += 2
     np.fill_diagonal(estimate, 0)
 
     return ApproxAPSPResult(

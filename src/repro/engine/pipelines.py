@@ -24,8 +24,9 @@ Tie-breaks mirrored exactly:
   is that minimum);
 * the spanner's per-(node, cluster) lightest edge breaks weight ties toward
   the **smaller edge id**, and the lightest *sampled* cluster is the
-  ``(weight, edge id)`` minimum over sampled candidates — both are one
-  lexsort + group-head selection.
+  ``(weight, edge id)`` minimum over sampled candidates — both are
+  group-head selections over arcs sorted once per run by
+  ``(source, weight, edge id)``.
 """
 
 from __future__ import annotations
@@ -105,17 +106,27 @@ from repro.engine.kernels import in_sorted as _in_sorted  # noqa: E402
 
 
 class _ArcView:
-    """The directed-arc arrays one spanner run sweeps repeatedly."""
+    """The directed arcs one spanner run sweeps, in ``(src, w, eid)`` order.
+
+    Sorting once per run leaves each phase one single-key sort: within a
+    source's block the arcs already run lightest-first, ties toward the
+    smaller edge id.
+    """
 
     def __init__(self, graph: Graph):
-        self.src = graph.arc_sources()
-        self.dst = graph._indices
-        self.eid = graph._adj_edge_id
-        self.w = (
-            graph.weights[self.eid]
-            if graph.weights is not None
-            else np.ones(self.eid.size)
-        )
+        m = graph.m
+        w = graph.weights if graph.weights is not None else np.ones(m)
+        # rank[e] = position of edge e in (w, eid) order; src·m + rank is a
+        # unique key, so one flat argsort replaces a three-key lexsort.
+        rank = np.empty(m, dtype=np.int64)
+        rank[np.argsort(w, kind="stable")] = np.arange(m)
+        src = graph.arc_sources()
+        order = np.argsort(src * np.int64(m) + rank[graph._adj_edge_id])
+        self.n = graph.n
+        self.src = src[order]
+        self.dst = graph._indices[order]
+        self.eid = graph._adj_edge_id[order]
+        self.w = w[self.eid]
 
     def lightest_per_cluster(
         self, cluster_arr: np.ndarray
@@ -123,21 +134,27 @@ class _ArcView:
         """Per (source node, neighbor cluster) lightest edge.
 
         ``cluster_arr[u] = -1`` marks unclustered neighbors (skipped).
-        Returns ``(src, cluster, w, eid)`` group heads, grouped by source
-        (ascending) and minimal in ``(w, eid)`` within each group — the
+        Returns ``(src, cluster, w, eid)`` group heads, each minimal in
+        ``(w, eid)`` for its (source, cluster) pair, in arc order: grouped
+        by source (ascending), ``(w, eid)``-ascending within a source — the
         vectorized ``_lightest_per_cluster`` of the reference.
         """
         cl = cluster_arr[self.dst]
-        valid = cl >= 0
-        s_, c_, w_, e_ = self.src[valid], cl[valid], self.w[valid], self.eid[valid]
-        if s_.size == 0:
-            return s_, c_, w_, e_
-        order = np.lexsort((e_, w_, c_, s_))
-        s_, c_, w_, e_ = s_[order], c_[order], w_[order], e_[order]
-        head = np.empty(s_.size, dtype=bool)
-        head[0] = True
-        head[1:] = (s_[1:] != s_[:-1]) | (c_[1:] != c_[:-1])
-        return s_[head], c_[head], w_[head], e_[head]
+        valid = np.nonzero(cl >= 0)[0]
+        if valid.size == 0:
+            return self.src[valid], cl[valid], self.w[valid], self.eid[valid]
+        # A stable sort by (src, cluster) keeps arc order inside each pair,
+        # so every pair's lightest arc comes first.
+        key = self.src[valid] * np.int64(self.n) + cl[valid]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        head = np.zeros(valid.size, dtype=bool)
+        head[order[first]] = True
+        keep = valid[head]
+        return self.src[keep], cl[keep], self.w[keep], self.eid[keep]
 
 
 @obs.traced("spanner.edges")
@@ -174,15 +191,13 @@ def vectorized_spanner_edges(
         hs, hc, hw, he = hs[deciding], hc[deciding], hw[deciding], he[deciding]
 
         samp_head = _in_sorted(hc, sampled)
-        # Lightest sampled cluster per node: (w, eid)-minimum of its sampled
-        # heads (lexsort + first-of-group).
+        # Lightest sampled cluster per node: heads run (w, eid)-ascending
+        # within each source, so it is the node's first sampled head.
         best_w = np.full(n, np.inf)
         best_e = np.full(n, -1, dtype=np.int64)
         best_c = np.full(n, -1, dtype=np.int64)
         if samp_head.any():
             ss, sc, sw, se = hs[samp_head], hc[samp_head], hw[samp_head], he[samp_head]
-            order = np.lexsort((se, sw, ss))
-            ss, sc, sw, se = ss[order], sc[order], sw[order], se[order]
             top = np.empty(ss.size, dtype=bool)
             top[0] = True
             np.not_equal(ss[1:], ss[:-1], out=top[1:])

@@ -1309,7 +1309,9 @@ def verify_equivalence(
         n = int(rng.integers(2, max_n + 1))
         extra = int(rng.integers(0, max(1, n)))
         g = random_connected_graph(n, extra, seed=1000 * seed + t)
-        gw = random_weights(g, seed=1500 * seed + t) if t % 2 else g
+        # Weighted trials alternate tie-heavy weights in {1, 2} with 1–100.
+        high = 2 if t % 4 == 1 else 100
+        gw = random_weights(g, high=high, seed=1500 * seed + t) if t % 2 else g
         root = int(rng.integers(n))
         parts = int(rng.integers(1, 4))
         masks = random_edge_masks(g, parts, seed=2000 * seed + t)

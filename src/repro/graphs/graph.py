@@ -30,8 +30,7 @@ from repro.util.errors import ValidationError
 
 __all__ = ["Graph"]
 
-# Masked-CSR cache bound: oldest entries are evicted FIFO past this many
-# masks, which comfortably covers one decomposition's λ' classes.
+# Masked-CSR cache bound: oldest entries are evicted FIFO past this many masks.
 _MASKED_CSR_CACHE_LIMIT = 64
 
 
@@ -225,51 +224,27 @@ class Graph:
 
         Neighbor order inside each block is preserved (sorted by id), so the
         smallest-port tie-break of the CONGEST layer survives the filtering.
-        Results are **memoized per (graph, mask) pair**: protocols that
-        repeatedly traverse the same decomposition (parallel BFS channels,
-        packing validation, both-backend equivalence sweeps) get the arrays
-        back without rebuilding them. Keys are bit-packed (m/8 bytes) and
-        the cache holds the most recent ``_MASKED_CSR_CACHE_LIMIT`` masks —
-        a decomposition has at most λ' ≲ a few dozen classes, so the working
-        set always fits while one-shot masks (packing retries, λ-search
-        guesses) cannot pin memory forever. ``masked_csr_hits`` counts
-        cache hits. ``edge_mask=None`` returns the full adjacency (never
+        Results are **memoized per (graph, mask) pair** because callers of
+        this method come back to the same mask: a fault plan's
+        dead-edge-subtracted CSR is asked for by every faulty BFS and every
+        fault grid run under that plan, and a solo BFS channel mask by every
+        sweep over it. Keys are bit-packed (m/8 bytes) and the cache holds
+        the most recent ``_MASKED_CSR_CACHE_LIMIT`` masks, so one-shot masks
+        cannot pin memory forever. ``masked_csr_hits`` counts cache hits.
+        The fused multi-mask builder :meth:`disjoint_masked_csrs` does not
+        memoize. ``edge_mask=None`` returns the full adjacency (never
         copied).
         """
         if edge_mask is None:
             return self._indptr, self._indices
-        mask = np.asarray(edge_mask, dtype=bool)
-        if mask.shape != (self.m,):
-            raise ValidationError(
-                f"edge mask shape {mask.shape} does not match m={self.m}"
-            )
+        mask = self._checked_mask(edge_mask)
         key = np.packbits(mask).tobytes()
         hit = self._masked_csr_cache.get(key)
         if hit is not None:
             self.masked_csr_hits += 1
             obs.count("graph.masked_csr_hits")
             return hit
-        return self._build_masked_csr(key, mask[self._adj_edge_id])
-
-    def _build_masked_csr(
-        self, key: bytes, allowed: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compress the adjacency to ``allowed`` arcs and cache under ``key``."""
-        obs.count("graph.masked_csr_misses")
-        indices = self._indices[allowed]
-        # Per-row survivor counts as a segment sum of the allowed flags over
-        # each adjacency block — the arcs of node v are exactly
-        # [indptr[v], indptr[v+1]), so this equals
-        # bincount(arc_sources()[allowed]) without a second 2m-element
-        # compress. reduceat quirk: an empty segment yields a[start], not 0
-        # (and a start index of len(a) is out of bounds), so clip the
-        # starts and zero the empty rows explicitly.
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        if allowed.size:
-            starts = np.minimum(self._indptr[:-1], allowed.size - 1)
-            counts = np.add.reduceat(allowed, starts, dtype=np.int64)
-            counts[np.diff(self._indptr) == 0] = 0
-            np.cumsum(counts, out=indptr[1:])
+        indptr, indices = self._compress_arcs(mask[self._adj_edge_id])
         while len(self._masked_csr_cache) >= _MASKED_CSR_CACHE_LIMIT:
             self._masked_csr_cache.pop(next(iter(self._masked_csr_cache)))
         # The same arrays are handed to every caller: freeze them so an
@@ -279,55 +254,61 @@ class Graph:
         self._masked_csr_cache[key] = (indptr, indices)
         return indptr, indices
 
+    def _checked_mask(self, edge_mask: np.ndarray) -> np.ndarray:
+        """``edge_mask`` as a boolean array, checked to be one flag per edge."""
+        mask = np.asarray(edge_mask, dtype=bool)
+        if mask.shape != (self.m,):
+            raise ValidationError(
+                f"edge mask shape {mask.shape} does not match m={self.m}"
+            )
+        return mask
+
+    def _compress_arcs(self, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh CSR of the adjacency compressed to the ``allowed`` arcs."""
+        obs.count("graph.masked_csr_misses")
+        indices = self._indices[allowed]
+        # Per-row survivor counts as a segment sum of the allowed flags over
+        # each adjacency block — the arcs of node v are exactly
+        # [indptr[v], indptr[v+1]), so this equals
+        # bincount(arc_sources()[allowed]) without a second 2m-element
+        # compress. reduceat cannot express an empty segment (it yields
+        # a[start]), so it runs over the rows that have arcs: their starts
+        # are strictly increasing and each segment ends where the next
+        # non-empty row begins.
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        rows = np.flatnonzero(np.diff(self._indptr))
+        if rows.size:
+            counts = np.zeros(self.n, dtype=np.int64)
+            counts[rows] = np.add.reduceat(allowed, self._indptr[rows], dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+        return indptr, indices
+
     def disjoint_masked_csrs(
         self, edge_masks: list[np.ndarray]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`masked_csr` for pairwise-disjoint masks, one arc pass total.
+        """Fresh CSRs for pairwise-disjoint masks, one arc pass total.
 
         Building C channel CSRs one at a time costs C full gathers of the
         2m-long ``mask[arc_edge_id]`` array; for the disjoint masks of a
-        decomposition one shared label gather serves every build. Cache
-        keys, cached arrays, and hit accounting are exactly those of
-        per-mask :meth:`masked_csr` calls — only the construction of cache
-        *misses* is fused. Raises if the masks overlap (the label scatter
-        cannot represent an overlap, so the Theorem 2 invariant is checked
-        rather than assumed).
+        decomposition one shared label gather serves every build. Each
+        array equals what :meth:`masked_csr` returns for that mask, but
+        nothing is memoized: the caller, parallel BFS over one packing
+        attempt's colour classes, sweeps each decomposition once, so a
+        cached entry would only hold memory. Each CSR built counts one
+        ``graph.masked_csr_misses``. Raises if the masks overlap (the label
+        scatter cannot represent an overlap, so the Theorem 2 invariant is
+        checked rather than assumed).
         """
-        masks: list[np.ndarray] = []
-        keys: list[bytes] = []
-        for edge_mask in edge_masks:
-            mask = np.asarray(edge_mask, dtype=bool)
-            if mask.shape != (self.m,):
-                raise ValidationError(
-                    f"edge mask shape {mask.shape} does not match m={self.m}"
-                )
-            masks.append(mask)
-            keys.append(np.packbits(mask).tobytes())
-        out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(masks)
-        missing: list[int] = []
-        for i, key in enumerate(keys):
-            hit = self._masked_csr_cache.get(key)
-            if hit is not None:
-                self.masked_csr_hits += 1
-                obs.count("graph.masked_csr_hits")
-                out[i] = hit
-            else:
-                missing.append(i)
-        if len(missing) == 1:
-            i = missing[0]
-            out[i] = self._build_masked_csr(keys[i], masks[i][self._adj_edge_id])
-        elif missing:
-            label = np.full(self.m, -1, dtype=np.int32)
-            total = 0
-            for j, i in enumerate(missing):
-                label[masks[i]] = j
-                total += int(masks[i].sum())
-            if int((label >= 0).sum()) != total:
-                raise ValidationError("edge masks must be pairwise disjoint")
-            arc_label = label[self._adj_edge_id]
-            for j, i in enumerate(missing):
-                out[i] = self._build_masked_csr(keys[i], arc_label == j)
-        return out  # type: ignore[return-value]
+        masks = [self._checked_mask(edge_mask) for edge_mask in edge_masks]
+        label = np.full(self.m, -1, dtype=np.int32)
+        total = 0
+        for j, mask in enumerate(masks):
+            label[mask] = j
+            total += int(mask.sum())
+        if int((label >= 0).sum()) != total:
+            raise ValidationError("edge masks must be pairwise disjoint")
+        arc_label = label[self._adj_edge_id]
+        return [self._compress_arcs(arc_label == j) for j in range(len(masks))]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u < v``."""

@@ -8,7 +8,15 @@ of Lemma 2 lives in :mod:`repro.primitives.bfs`.
 
 BFS is the hottest kernel in the library (diameter checks run it from every
 node), so :func:`bfs_distances` is a frontier-vectorized implementation over
-the CSR arrays rather than a per-node Python loop.
+the CSR arrays rather than a per-node Python loop. :func:`all_pairs_distances`
+(PRT's exact APSP on the cluster graph, Theorem 4) goes further and runs
+every source at once as a bit-parallel multi-source BFS (Then et al., "The
+More the Merrier", PVLDB 2014): 64 sources share each ``uint64`` word of a
+node-major frontier plane, so one CSR gather + segmented OR advances all of
+them a layer. Every layer is a full pass over the arcs, so the sweep pays
+off on shallow graphs such as cluster graphs and loses to the per-source
+loop on deep sparse hosts, which is why diameter checks keep
+:func:`bfs_distances`.
 """
 
 from __future__ import annotations
@@ -87,11 +95,58 @@ def bfs_tree(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, dist
 
 
+# Gathered-plane budget of one source block of :func:`all_pairs_distances`:
+# a layer gathers one (arcs × words) uint64 array, so blocks hold at most
+# this many cells (32 MB) whatever the graph size; tests lower it to force
+# several blocks.
+_APSP_MAX_CELLS = 1 << 22
+
+
 def all_pairs_distances(graph: Graph) -> np.ndarray:
-    """Exact unweighted APSP as an ``(n, n)`` matrix (``-1`` = unreachable)."""
-    out = np.empty((graph.n, graph.n), dtype=np.int64)
-    for v in range(graph.n):
-        out[v] = bfs_distances(graph, v)
+    """Exact unweighted APSP as an ``(n, n)`` matrix (``-1`` = unreachable).
+
+    One bit-parallel BFS per block of sources: bit ``j`` of byte ``b`` of a
+    node's frontier row stands for source ``lo + 8b + j`` (addressed through
+    a ``uint8`` view, so the layout does not depend on byte order). A layer
+    is one gather ``frontier[indices]`` and one ``bitwise_or.reduceat`` over
+    the CSR row starts, masked by ``~visited``; the bits it sets get the
+    layer number. Distances are symmetric, so a block's node-major plane is
+    the output's column block as it stands.
+    """
+    n = graph.n
+    indptr, indices = graph._indptr, graph._indices
+    out = np.full((n, n), UNREACHED, dtype=np.int64)
+    total_words = -(-n // 64)
+    block_words = max(1, min(total_words, _APSP_MAX_CELLS // max(indices.size, 1)))
+    # reduceat cannot express an empty segment, so layers reduce over the
+    # rows that have arcs; an isolated row keeps only its own source bit,
+    # which ~visited clears.
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts = indptr[rows]
+    for w0 in range(0, total_words, block_words):
+        words = min(block_words, total_words - w0)
+        lo, hi = 64 * w0, min(n, 64 * (w0 + words))
+        block = out[:, lo:hi]
+        sources = np.arange(lo, hi)
+        block[sources, sources - lo] = 0
+        if indices.size == 0:
+            continue
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        bits = frontier.view(np.uint8)
+        bits[sources, (sources - lo) >> 3] = np.left_shift(1, (sources - lo) & 7)
+        visited = frontier.copy()
+        gathered = np.empty((indices.size, words), dtype=np.uint64)
+        d = 0
+        while True:
+            np.take(frontier, indices, axis=0, out=gathered)
+            frontier[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            frontier &= ~visited
+            if not frontier.any():
+                break
+            d += 1
+            visited |= frontier
+            fresh = np.unpackbits(bits, axis=1, bitorder="little")[:, : hi - lo]
+            np.copyto(block, d, where=fresh.view(bool))
     return out
 
 

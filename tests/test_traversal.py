@@ -3,7 +3,11 @@
 import numpy as np
 
 import networkx as nx
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.apsp import prt_apsp
+from repro.graphs import traversal
 from repro.graphs import (
     Graph,
     all_pairs_distances,
@@ -101,3 +105,56 @@ class TestAggregates:
         assert is_connected(cycle_graph(5))
         assert not is_connected(Graph(3, [(0, 1)]))
         assert is_connected(Graph(1, []))
+
+
+def _stacked_bfs_rows(g: Graph) -> np.ndarray:
+    """Reference APSP: one :func:`bfs_distances` row per source."""
+    return np.stack([bfs_distances(g, v) for v in range(g.n)])
+
+
+@st.composite
+def _apsp_graphs(draw):
+    """Sparse random graphs (often disconnected, with isolated nodes) and
+    randomly relabelled paths, depth up to 159 ≫ 64, whose leftover nodes
+    are isolated."""
+    n = draw(st.integers(1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        length = draw(st.integers(1, n))
+        label = rng.permutation(n)
+        edges = np.stack([label[: length - 1], label[1:length]], axis=1)
+    else:
+        p = draw(st.sampled_from((0.0, 0.01, 0.03, 0.1)))
+        edges = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+    return Graph(n, edges)
+
+
+class TestAllPairsKernel:
+    @given(_apsp_graphs())
+    @example(Graph(1, []))
+    @example(path_graph(150))
+    @example(Graph(5, [(0, 1), (2, 3)]))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_stacked_bfs_rows(self, g):
+        rows = _stacked_bfs_rows(g)
+        assert np.array_equal(all_pairs_distances(g), rows)
+        if is_connected(g):
+            assert np.array_equal(prt_apsp(g).dist, rows)
+
+    def test_multi_block_sweep(self, monkeypatch):
+        # 150 + 50 nodes: a deep path plus a disconnected regular graph,
+        # swept in blocks of one word (64 sources, the last one partial)
+        # and of two words.
+        path = path_graph(150)
+        reg = random_regular(50, 4, seed=3)
+        edges = np.concatenate(
+            [
+                np.stack([path.edge_u, path.edge_v], axis=1),
+                np.stack([reg.edge_u, reg.edge_v], axis=1) + 150,
+            ]
+        )
+        g = Graph(200, edges)
+        rows = _stacked_bfs_rows(g)
+        for cells in (1, 4 * g.m):
+            monkeypatch.setattr(traversal, "_APSP_MAX_CELLS", cells)
+            assert np.array_equal(all_pairs_distances(g), rows)
