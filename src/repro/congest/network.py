@@ -14,9 +14,19 @@ every protocol needs:
 Protocols are free to learn neighbor IDs by exchanging them in round one
 (an O(1)-round, O(log n)-bit-per-edge step), matching standard CONGEST
 conventions.
+
+The lookups read per-arc Python lists built once per network: arc ``a`` of
+node ``v`` is ``arc_start[v] + port``, and ``arc_head``, ``arc_edge`` and
+``arc_back_port`` give its far end, its edge id and the far end's port back
+to ``v``. The simulator routes every message through the same lists, so a
+send costs list reads rather than numpy scalar calls. They live on the
+network, not the graph, so a large host used only by whole-array sweeps
+never holds them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -29,40 +39,49 @@ __all__ = ["Network"]
 class Network:
     """Immutable port-numbered view of a graph."""
 
-    __slots__ = ("graph", "n")
+    __slots__ = ("graph", "n", "arc_start", "arc_head", "arc_edge", "arc_back_port")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.n
+        indptr, indices = graph._indptr, graph._indices
+        self.arc_start: list[int] = indptr.tolist()
+        self.arc_head: list[int] = indices.tolist()
+        self.arc_edge: list[int] = graph._adj_edge_id.tolist()
+        self.arc_back_port: list[int] = (graph.arc_twins() - indptr[indices]).tolist()
+
+    def _check_node(self, v: int) -> None:
+        if not (0 <= v < self.n):
+            raise ValidationError(f"node {v} out of range [0, {self.n})")
+
+    def _arc(self, v: int, port: int) -> int:
+        """Arc index of ``(v, port)``."""
+        self._check_node(v)
+        start = self.arc_start[v]
+        if not (0 <= port < self.arc_start[v + 1] - start):
+            raise ValidationError(f"node {v} has no port {port}")
+        return start + port
 
     def degree(self, v: int) -> int:
-        return self.graph.degree(v)
+        self._check_node(v)
+        return self.arc_start[v + 1] - self.arc_start[v]
 
     def neighbor(self, v: int, port: int) -> int:
         """Node at the far end of ``(v, port)``."""
-        nbrs = self.graph.neighbors(v)
-        if not (0 <= port < len(nbrs)):
-            raise ValidationError(f"node {v} has no port {port}")
-        return int(nbrs[port])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """All neighbors of ``v`` in port order (a view)."""
-        return self.graph.neighbors(v)
+        return self.arc_head[self._arc(v, port)]
 
     def port_to(self, v: int, u: int) -> int:
         """Local port of ``v`` whose edge reaches ``u``."""
-        nbrs = self.graph.neighbors(v)
-        i = int(np.searchsorted(nbrs, u))
-        if i >= len(nbrs) or nbrs[i] != u:
+        self._check_node(v)
+        lo, hi = self.arc_start[v], self.arc_start[v + 1]
+        a = bisect_left(self.arc_head, u, lo, hi)
+        if a == hi or self.arc_head[a] != u:
             raise ValidationError(f"{u} is not a neighbor of {v}")
-        return i
+        return a - lo
 
     def edge_of_port(self, v: int, port: int) -> int:
         """Global edge id behind ``(v, port)``."""
-        eids = self.graph.incident_edge_ids(v)
-        if not (0 <= port < len(eids)):
-            raise ValidationError(f"node {v} has no port {port}")
-        return int(eids[port])
+        return self.arc_edge[self._arc(v, port)]
 
     def ports_for_edges(self, v: int, edge_ids) -> list[int]:
         """Ports of ``v`` whose edges are in ``edge_ids`` (for color classes).
@@ -73,6 +92,7 @@ class Network:
         during parallel-BFS setup, so the old per-port Python loop dominated
         channel construction.
         """
+        self._check_node(v)
         eids = self.graph.incident_edge_ids(v)
         if isinstance(edge_ids, np.ndarray) and edge_ids.dtype == np.bool_:
             if edge_ids.shape != (self.graph.m,):

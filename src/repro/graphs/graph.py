@@ -60,6 +60,7 @@ class Graph:
         "_adj_edge_id",
         "_arc_keys",
         "_arc_sources",
+        "_arc_twins",
         "_masked_csr_cache",
         "masked_csr_hits",
     )
@@ -125,6 +126,7 @@ class Graph:
         self._indptr = indptr
         self._arc_keys = None  # lazy: sorted (u·n + v) keys of directed arcs
         self._arc_sources = None  # lazy: source node of each directed arc
+        self._arc_twins = None  # lazy: index of each arc's reverse arc
         self._masked_csr_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.masked_csr_hits = 0  # cache-hit counter (observable by tests)
 
@@ -191,6 +193,27 @@ class Graph:
             )
         return self._arc_sources
 
+    def _sorted_arc_keys(self) -> np.ndarray:
+        """Memoized ``u·n + v`` key of each directed arc (sorted: CSR order)."""
+        if self._arc_keys is None:
+            self._arc_keys = self.arc_sources() * self.n + self._indices
+        return self._arc_keys
+
+    def arc_twins(self) -> np.ndarray:
+        """Index of each directed arc's reverse arc, aligned with the CSR.
+
+        For the arc at position ``i`` from ``v`` to ``u``, ``arc_twins()[i]``
+        is the position of the arc from ``u`` to ``v``: one searchsorted of
+        the reversed keys ``v + u·n`` into the sorted arc keys. Memoized and
+        built on first use, so whole-array sweeps that never route a single
+        message never pay for it.
+        """
+        if self._arc_twins is None:
+            self._arc_twins = np.searchsorted(
+                self._sorted_arc_keys(), self._indices * self.n + self.arc_sources()
+            )
+        return self._arc_twins
+
     def edge_ids_for_pairs(self, us, vs) -> np.ndarray:
         """Vectorized :meth:`edge_id` over aligned endpoint arrays.
 
@@ -206,12 +229,11 @@ class Graph:
             raise KeyError(f"no edge {{{int(us[0])}, {int(vs[0])}}}")
         if us.min() < 0 or vs.min() < 0 or us.max() >= self.n or vs.max() >= self.n:
             raise KeyError("edge endpoint out of range")
-        if self._arc_keys is None:
-            self._arc_keys = self.arc_sources() * self.n + self._indices
+        arc_keys = self._sorted_arc_keys()
         keys = us * self.n + vs
-        pos = np.searchsorted(self._arc_keys, keys)
-        pos_clipped = np.minimum(pos, self._arc_keys.size - 1)
-        missing = (pos >= self._arc_keys.size) | (self._arc_keys[pos_clipped] != keys)
+        pos = np.searchsorted(arc_keys, keys)
+        pos_clipped = np.minimum(pos, arc_keys.size - 1)
+        missing = (pos >= arc_keys.size) | (arc_keys[pos_clipped] != keys)
         if np.any(missing):
             i = int(np.nonzero(missing)[0][0])
             raise KeyError(f"no edge {{{int(us[i])}, {int(vs[i])}}}")

@@ -6,8 +6,8 @@ Instrumentation sites import this package and write::
 
     with obs.span("tree_packing"):
         ...
-    obs.count("kernels.spmv_layers")                    # sum (default)
-    obs.count("engine.queue_depth_peak", depth, "max")  # keep the peak
+    obs.count("kernels.spmv_layers")                       # sum (default)
+    obs.count("simulate.active_peak", len(active), "max")  # keep the peak
 
 With no tracer installed (the default), :func:`span` returns a shared
 no-op context manager and :func:`count` returns immediately — one

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.congest import Metrics, Network, NodeProgram, Simulator
-from repro.graphs import Graph, complete_graph, cycle_graph, path_graph
-from repro.util.errors import BandwidthExceeded, ProtocolError, ReproError
+from repro.graphs import Graph, complete_graph, cycle_graph, path_graph, random_regular
+from repro.util.errors import BandwidthExceeded, ProtocolError, ReproError, ValidationError
 
 
 class TestNetwork:
@@ -15,12 +15,31 @@ class TestNetwork:
         net = Network(g)
         assert [net.neighbor(0, p) for p in range(3)] == [1, 2, 3]
 
-    def test_port_roundtrip(self):
-        net = Network(complete_graph(5))
-        for v in range(5):
-            for p in range(4):
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            complete_graph(5),
+            Graph(1, []),
+            # The highest-id node has no edges, so its CSR row is empty.
+            Graph(4, [(0, 2), (1, 2)]),
+            random_regular(30, 6, seed=4),
+        ],
+        ids=["complete5", "single-node", "isolated-top-node", "random-regular"],
+    )
+    def test_port_roundtrip(self, graph):
+        net = Network(graph)
+        twins = graph.arc_twins()
+        indptr, indices = graph.masked_csr()
+        for v in range(graph.n):
+            assert net.degree(v) == graph.degree(v)
+            for p in range(graph.degree(v)):
+                a = int(indptr[v]) + p
                 u = net.neighbor(v, p)
+                assert u == int(indices[a])
                 assert net.port_to(v, u) == p
+                assert net.port_to(u, v) == int(twins[a] - indptr[u])
+                assert net.port_to(u, v) == net.arc_back_port[a]
+                assert net.edge_of_port(v, p) == graph.edge_id(v, u)
 
     def test_edge_of_port(self):
         g = cycle_graph(4)
@@ -33,12 +52,27 @@ class TestNetwork:
 
     def test_bad_port_raises(self):
         net = Network(cycle_graph(4))
-        from repro.util.errors import ValidationError
-
         with pytest.raises(ValidationError):
             net.neighbor(0, 5)
         with pytest.raises(ValidationError):
             net.port_to(0, 2)  # not a neighbor on C4
+        with pytest.raises(ValidationError):
+            net.edge_of_port(0, -1)
+        # Node ids outside [0, n): a negative id must not index the CSR from
+        # the end (node -2 of P3 would alias node 1), and an id past n must
+        # not leak a bare IndexError.
+        net = Network(path_graph(3))
+        for v in (-2, -1, 3):
+            with pytest.raises(ValidationError):
+                net.neighbor(v, 0)
+            with pytest.raises(ValidationError):
+                net.degree(v)
+            with pytest.raises(ValidationError):
+                net.edge_of_port(v, 0)
+            with pytest.raises(ValidationError):
+                net.port_to(v, 1)
+            with pytest.raises(ValidationError):
+                net.ports_for_edges(v, {0})
 
     def test_ports_for_edges(self):
         g = cycle_graph(4)
@@ -250,8 +284,22 @@ class TestPayloadBitsCache:
         from repro.util.bits import bits_for_payload
 
         sim = self._sim()
-        for payload in [(0, 1), (False, True), (0, 1), (False, True)]:
-            assert sim._payload_bits(payload) == bits_for_payload(payload)
+        # Each payload next to its type twin, so the all-int fast path and
+        # the type-aware memo see equal-comparing payloads in both orders.
+        pairs = [
+            ((0, 1), (False, True)),
+            ((True, 1), (1, 1)),
+            ((1, True), (1, 1)),
+            ((np.int64(3), 1), (3, 1)),
+            ((), []),
+            ((-5, 0), (-5.0, 0)),
+            ((2**70, 1), (float(2**70), 1)),
+            (((0, 1), 2), ([0, 1], 2)),
+        ]
+        for _ in range(2):
+            for payload, twin in pairs:
+                for p in (payload, twin, payload):
+                    assert sim._payload_bits(p) == bits_for_payload(p), p
         assert sim._payload_bits((0, 1)) == 4       # two signed ints
         assert sim._payload_bits((False, True)) == 2  # two 1-bit flags
 

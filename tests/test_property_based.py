@@ -3,11 +3,12 @@ invariants the theorems rest on."""
 
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apsp import dfs_timestamps
-from repro.congest import Network
+from repro.congest import Network, NodeProgram, Simulator
 from repro.core import (
     num_parts,
     random_partition,
@@ -155,13 +156,23 @@ def test_num_parts_bounds(lam, n, C):
 # ---------------------------------------------------------------------- #
 
 
+@pytest.fixture(scope="module")
+def pricing_sim():
+    """One simulator for every example, so its pricing memo accumulates
+    payloads of mixed types (True next to 1, (0, 1) next to (False, True))."""
+    return Simulator(Network(Graph(2, [(0, 1)])), lambda v: NodeProgram())
+
+
 @given(payloads)
 @settings(max_examples=120, deadline=None)
-def test_bit_size_positive_and_monotone_under_nesting(p):
+def test_bit_size_positive_and_monotone_under_nesting(pricing_sim, p):
     bits = bits_for_payload(p)
     assert bits >= 1
     # Doubling the payload doubles the cost (up to the empty-frame floor).
     assert bits_for_payload((p, p)) == max(1, 2 * bits) or bits_for_payload((p, p)) == 2 * bits
+    # The simulator prices like bits_for_payload, on a cold and a warm memo.
+    for _ in range(2):
+        assert pricing_sim._payload_bits(p) == bits
 
 
 @given(st.integers(2, 2**30))
