@@ -86,37 +86,50 @@ def _assert_separation(g, packing, placement, k, parts, backend="vectorized"):
 
 
 def run_quick():
-    """CI smoke: one fault-grid call per backend, bit-identical reports."""
+    """CI smoke: one fault-grid call per backend, bit-identical reports.
+
+    The cells cover a dead tree at r = 1 and r = 2, a mobile adversary
+    sweeping the dead tree's edges for the whole run (its downcast hits
+    land late too), and i.i.d. loss on the per-round replay.
+    """
     parts, k = 3, 60
     g, packing, placement = _setup(groups=10, size=10, k=k, parts=parts)
     dead = tree_edge_ids(packing, 0)
+    run = redundant_broadcast(
+        g, placement, packing, redundancy=2, backend="vectorized"
+    ).rounds
     cells = [
         FaultCell(redundancy=1, dead_edges=dead),
         FaultCell(redundancy=2, dead_edges=dead),
         FaultCell(redundancy=2, drop_rate=0.02, fault_seed=7),
+        FaultCell(
+            redundancy=2,
+            adversary=MobileAdversary.sweeping(sorted(dead), budget=4, rounds=run),
+        ),
     ]
-    out = {}
+    out, secs = {}, {}
     for backend in ("simulator", "vectorized"):
         t0 = time.perf_counter()
-        reps = evaluate_fault_grid(g, placement, packing, cells, backend=backend)
-        out[backend] = (*reps, time.perf_counter() - t0)
-    r1, r2 = out["vectorized"][0], out["vectorized"][1]
+        out[backend] = evaluate_fault_grid(g, placement, packing, cells, backend=backend)
+        secs[backend] = time.perf_counter() - t0
+    r1, r2, lossy, mobile = out["vectorized"]
     assert r1.fully_delivered == k - k // parts and r1.min_coverage < 1.0
     assert r2.fully_delivered == k and r2.min_coverage == 1.0
-    for i in range(3):
-        assert _report_fields(out["simulator"][i]) == _report_fields(
-            out["vectorized"][i]
-        ), f"backend drift in quick scenario {i}"
+    assert mobile.dropped_messages > 0, "the mobile adversary hit nothing"
+    for i, (sim, vec) in enumerate(zip(out["simulator"], out["vectorized"])):
+        assert _report_fields(sim) == _report_fields(vec), (
+            f"backend drift in quick scenario {i}"
+        )
     assert (
-        out["simulator"][2].fault_rng_state == out["vectorized"][2].fault_rng_state
+        out["simulator"][2].fault_rng_state == lossy.fault_rng_state
     ), "fault RNG streams diverged"
     write_bench_artifact(
         "e16_quick",
         {
             "n": g.n,
             "k": k,
-            "sim_seconds": round(out["simulator"][3], 4),
-            "vec_seconds": round(out["vectorized"][3], 4),
+            "sim_seconds": round(secs["simulator"], 4),
+            "vec_seconds": round(secs["vectorized"], 4),
         },
     )
     return out

@@ -104,11 +104,25 @@ class FaultPlan:
         return self
 
     def merged(self, other: "FaultPlan") -> "FaultPlan":
-        """Union of two plans (loss rates combine as independent coins)."""
+        """Union of two plans (loss rates combine as independent coins).
+
+        A side whose rate is 0 leaves the other side's rate exactly as it
+        is: in floating point ``1 - (1 - 0)(1 - p)`` is not ``p`` for many
+        rates (0.1 becomes 0.09999999999999998), and both backends must
+        compare their coins against the same threshold. Merging with a
+        null plan returns the other plan itself.
+        """
+        if self.is_null:
+            return other
+        if other.is_null:
+            return self
         mobile: dict[int, frozenset[int]] = dict(self.mobile)
         for r, es in other.mobile.items():
             mobile[r] = mobile.get(r, frozenset()) | es
-        rate = 1.0 - (1.0 - self.drop_rate) * (1.0 - other.drop_rate)
+        if self.drop_rate == 0.0 or other.drop_rate == 0.0:
+            rate = self.drop_rate + other.drop_rate
+        else:
+            rate = 1.0 - (1.0 - self.drop_rate) * (1.0 - other.drop_rate)
         return FaultPlan(self.dead_edges | other.dead_edges, rate, mobile)
 
     def to_json(self) -> dict:

@@ -17,7 +17,7 @@ sweeping mobile adversary, i.i.d. loss, targeted-cut attacker), and
 ``backend="vectorized"`` replays the identical execution on the fault-aware
 numpy engine (:mod:`repro.engine.faults`) — bit-identical
 :class:`DeliveryReport`, same fault RNG stream — at n = 10⁵ scale
-(benchmark E16, 600×+ over the simulator at n = 10⁴).
+(benchmark E16: about 550× over the simulator at n = 10⁴, leaf ``e16c``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,11 @@ whole-network numpy batches instead of per-node Python state machines:
   the subtree to adopt later, or never);
 * :func:`vectorized_faulty_broadcast` — the Lemma 1 upcast/downcast queue
   recurrence with drops at delivery time, tracking exact per-node receipt
-  sets for :func:`repro.core.resilient.redundant_broadcast`.
+  sets for :func:`repro.core.resilient.redundant_broadcast`. Its state is
+  arrays throughout: every channel's up-queue lives in one flat
+  :class:`_UpQueue` that all three paths (rate-0 spans, total loss, the
+  per-round replay) read, and the replay draws each round's delivery batch
+  from a slot table numbered once, in the simulator's delivery order.
 
 **Bit-identical contract.** Both kernels replicate the corresponding
 :class:`~repro.congest.faults.FaultySimulator` execution exactly: the same
@@ -33,7 +37,7 @@ which is why :class:`DeliveryReport` drop counts agree with the simulator's
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,7 @@ from repro.congest.adversary import FaultPlan
 from repro.engine.kernels import expand_csr_rows, frontier_sweep
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
+from repro.util.bits import bits_for_int_array
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
 
@@ -562,7 +567,7 @@ class FaultyBroadcastOutcome:
 
 
 class _Channel:
-    """Vectorized state of one broadcast channel (tree + queues)."""
+    """Tree arrays of one broadcast channel and its root's down queue."""
 
     __slots__ = (
         "root",
@@ -572,13 +577,10 @@ class _Channel:
         "cindptr",
         "cind",
         "ceid",
-        "up_q",
         "root_dq",
-        "root_head",
-        "down_mid",
     )
 
-    def __init__(self, graph: Graph, tree: BFSResult, placement: dict[int, list[int]]):
+    def __init__(self, graph: Graph, tree: BFSResult):
         n = graph.n
         self.root = int(tree.root)
         self.parent = np.asarray(tree.parent, dtype=np.int64)
@@ -597,20 +599,72 @@ class _Channel:
             if self.cind.size
             else np.empty(0, dtype=np.int64)
         )
-        # Queues, seeded exactly like _TrackingProgram.__init__: the root's
-        # own items go straight to its down stream (and count as received);
-        # everyone else's own items start in the up queue.
-        self.up_q: dict[int, deque[int]] = {}
+        # Rows of mid_index the root sends down, in order: its own items
+        # first, then every up arrival.
         self.root_dq: list[int] = []
-        self.root_head = 0
-        for v, mids in placement.items():
-            if not mids:
-                continue
-            if int(v) == self.root:
-                self.root_dq.extend(int(m) for m in mids)
-            else:
-                self.up_q[int(v)] = deque(int(m) for m in mids)
-        self.down_mid = np.full(n, -1, dtype=np.int64)
+
+
+class _UpQueue:
+    """Every channel's up-queue in two flat arrays, shared by all paths.
+
+    Item ``i`` waits in queue ``qid[i] = ci·n + v`` (channel ``ci``, node
+    ``v``) and carries row ``row[i]`` of ``mid_index``. Items stay sorted by
+    queue id and FIFO within a queue, so a queue's head is the first item
+    of its run and one mask pops every head. ``to[q]`` is the queue of q's
+    tree parent (a root's queue maps to itself) and ``eid[q]`` the edge
+    between them.
+    """
+
+    __slots__ = ("n", "chans", "to", "eid", "qid", "row")
+
+    def __init__(self, n: int, chans: list[_Channel]):
+        c = len(chans)
+        self.n = n
+        self.chans = chans
+        self.to = (
+            np.array([st.parent for st in chans], dtype=np.int64).reshape(c, n)
+            + n * np.arange(c, dtype=np.int64)[:, None]
+        ).ravel()
+        self.eid = np.array([st.up_eid for st in chans], dtype=np.int64).ravel()
+        self.qid = self.row = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.qid.size)
+
+    def pop_heads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Remove every queue's head; returns ``(queue ids, rows)``, ascending."""
+        head = np.ones(self.qid.size, dtype=bool)
+        head[1:] = self.qid[1:] != self.qid[:-1]
+        heads = self.qid[head], self.row[head]
+        self.qid, self.row = self.qid[~head], self.row[~head]
+        return heads
+
+    def push(self, qid: np.ndarray, row: np.ndarray) -> None:
+        """Queue items behind their queues' items; same-queue items keep
+        their given order (one stable sort by queue id)."""
+        if qid.size:
+            qid = np.concatenate((self.qid, qid))
+            order = np.argsort(qid, kind="stable")
+            self.qid, self.row = qid[order], np.concatenate((self.row, row))[order]
+
+    def arrive(self, qid: np.ndarray, row: np.ndarray, recv: np.ndarray) -> np.ndarray:
+        """Deliver up items, in delivery order, into queues ``qid``.
+
+        An item reaching a root is received there and joins the back of
+        the root's down queue; returns those items' channels, in order.
+        Every other item is pushed.
+        """
+        at_root = self.to[qid] == qid
+        rq, rr = qid[at_root], row[at_root]
+        v = rq % self.n
+        # One round can bring a message to two roots in one receipt byte;
+        # a buffered |= would keep only one of the two bits.
+        np.bitwise_or.at(recv, (rr, v >> 3), (1 << (v & 7)).astype(np.uint8))
+        rc = rq // self.n
+        for ci in np.unique(rc).tolist():
+            self.chans[ci].root_dq.extend(rr[rc == ci].tolist())
+        self.push(qid[~at_root], row[~at_root])
+        return rc
 
 
 def _span_broadcast_viable(n: int, chans: list[_Channel], kmax: list[int]) -> bool:
@@ -638,122 +692,96 @@ def _span_broadcast_viable(n: int, chans: list[_Channel], kmax: list[int]) -> bo
 
 
 def _mobile_down_kills(
-    st: _Channel, plan: FaultPlan, r_emit: np.ndarray, arc_dead: np.ndarray
+    st: _Channel,
+    mob_r: np.ndarray,
+    mob_e: np.ndarray,
+    r_emit: np.ndarray,
+    arc_dead: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mobile-adversary hits on the downcast, as (arc index, emission index).
 
-    The crossing of emission ``i`` on the arc into a depth-``d`` child
-    happens in round ``r_emit[i] + d - 1``, so a mobile fault at round ρ
-    on that arc's edge kills emission ``i = r_emit⁻¹(ρ - d + 1)`` — if
-    that round is an actual emission round and the arc is not already
-    dead (dead edges drop first; the crossing must not double-count).
+    ``(mob_r, mob_e)`` is the plan's mobile schedule flattened into one
+    (round, edge) pair per entry. The crossing of emission ``i`` on the arc
+    into a depth-``d`` child happens in round ``r_emit[i] + d - 1``, so a
+    mobile fault at round ρ on that arc's edge kills emission
+    ``i = r_emit⁻¹(ρ - d + 1)`` — if that round is an actual emission round
+    and the arc is not already dead (dead edges drop first; the crossing
+    must not double-count). Each pair appears once, so the kills are
+    distinct and their order does not matter.
     """
-    empty = np.empty(0, dtype=np.int64)
-    if not plan.mobile or st.ceid.size == 0:
+    if not mob_e.size or not st.ceid.size:
+        empty = np.empty(0, dtype=np.int64)
         return empty, empty
     order = np.argsort(st.ceid, kind="stable")
     sc = st.ceid[order]
-    dep_child = st.dist[st.cind]
-    arcs_l: list[np.ndarray] = []
-    idx_l: list[np.ndarray] = []
-    for rho, edges in plan.mobile.items():
-        if not edges:
-            continue
-        arr = np.fromiter(edges, dtype=np.int64, count=len(edges))
-        pos = np.minimum(np.searchsorted(sc, arr), sc.size - 1)
-        arcs = order[pos[sc[pos] == arr]]  # ≤ one arc per edge per tree
-        if not arcs.size:
-            continue
-        t = rho - dep_child[arcs] + 1
-        i = np.minimum(np.searchsorted(r_emit, t), r_emit.size - 1)
-        ok = (r_emit[i] == t) & (t >= 1) & ~arc_dead[arcs]
-        arcs_l.append(arcs[ok])
-        idx_l.append(i[ok])
-    if not arcs_l:
-        return empty, empty
-    return np.concatenate(arcs_l), np.concatenate(idx_l)
+    pos = np.minimum(np.searchsorted(sc, mob_e), sc.size - 1)
+    hit = sc[pos] == mob_e  # ≤ one arc per edge per tree
+    arcs = order[pos[hit]]
+    t = mob_r[hit] - st.dist[st.cind[arcs]] + 1
+    i = np.minimum(np.searchsorted(r_emit, t), r_emit.size - 1)
+    ok = (r_emit[i] == t) & (t >= 1) & ~arc_dead[arcs]
+    return arcs[ok], i[ok]
 
 
 def _span_faulty_broadcast(
-    graph: Graph,
+    n: int,
     chans: list[_Channel],
+    up: _UpQueue,
     stream: FaultStream,
-    plan: FaultPlan,
-    mid_index: np.ndarray,
-    mid_row: dict[int, int],
-    recv: np.ndarray,
+    price: np.ndarray,
     cid_bits: np.ndarray,
-    nbytes: int,
-) -> FaultyBroadcastOutcome:
+    recv: np.ndarray,
+) -> tuple[int, int, int]:
     """Event-batched twin of the per-round faulty broadcast (rate-0 plans).
 
-    Phase 1 replays only the upcast per round (its total volume is the
-    sum of origin depths — the cheap part), collecting each root's
-    emission availability schedule. Phase 2 is closed-form per channel:
-    the root's emission rounds follow ``r_i = max(avail_i, r_{i-1}+1)``,
-    every emission pipelines down one layer per round, and which
-    emissions reach which node is propagated layer-by-layer through a
-    packed *hole matrix* ``H`` (bit set = emission missing): a live arc
+    Phase 1 runs the upcast on the shared up-queue, all channels at once:
+    each round pops every head, prices it, and drops with one
+    :meth:`FaultStream.deliver_mask` call — exact at rate 0, where no coin
+    is drawn. A root arrival is received and joins the root's down queue
+    (channel order, then sender order), poppable from the next round;
+    every other survivor is pushed behind its parent's queue. Its volume is
+    the sum of origin depths — the cheap part. Phase 2 is closed-form per
+    channel: the root's emission rounds follow ``r_i = max(avail_i,
+    r_{i-1}+1)``, every emission pipelines down one layer per round, and
+    which emissions reach which node is propagated layer-by-layer through
+    a packed *hole matrix* ``H`` (bit set = emission missing): a live arc
     copies the parent's holes, a dead arc keeps the child all-holes
-    (charging one drop per emission the parent forwards), and each
-    mobile hit punches one extra hole. Receipt rows, drop totals,
-    send-time message/bit charges, and the final round all read off
-    ``H`` — with the fault RNG untouched, exactly like the per-round
-    replay at rate 0.
+    (charging one drop per emission the parent forwards), and each mobile
+    hit punches one extra hole. Receipt rows, drop totals, send-time
+    message/bit charges, and the final round all read off ``H`` — with the
+    fault RNG untouched, exactly like the per-round replay at rate 0.
+    Returns ``(rounds, total_messages, total_bits)``.
     """
-    from repro.util.bits import bits_for_int_array
-
-    n = graph.n
     total_messages = 0
     total_bits = 0
-    rounds = 0
-    dropped_down = 0
+    rounds = 0  # the last round with an up-send, until phase 2
 
-    # ---- phase 1: per-round upcast replay ------------------------------- #
+    # ---- phase 1: upcast on the shared queue ----------------------------- #
     avails: list[list[int]] = [[1] * len(st.root_dq) for st in chans]
-    rnd = 0
-    while any(st.up_q for st in chans):
-        rnd += 1
-        rounds = rnd
-        # Splitting the round's batch per channel is exact at rate 0: dead
-        # and mobile lookups are elementwise and the coin RNG is never drawn.
-        for ci, st in enumerate(chans):
-            if not st.up_q:
-                continue
-            uvs = sorted(st.up_q)
-            uarr = np.asarray(uvs, dtype=np.int64)
-            umids = np.fromiter(
-                (st.up_q[v][0] for v in uvs), dtype=np.int64, count=uarr.size
-            )
-            total_messages += uarr.size
-            total_bits += int((2 + cid_bits[ci] + bits_for_int_array(umids)).sum())
-            alive = stream.deliver_mask(rnd, st.up_eid[uarr])
-            for v in uvs:  # pops precede deliveries, as in send_phase()
-                q = st.up_q[v]
-                q.popleft()
-                if not q:
-                    del st.up_q[v]
-            for j, v in enumerate(uvs):
-                if not alive[j]:
-                    continue
-                d = int(st.parent[v])
-                m_ = int(umids[j])
-                if d == st.root:
-                    recv[mid_row[m_], d >> 3] |= np.uint8(1 << (d & 7))
-                    st.root_dq.append(m_)
-                    avails[ci].append(rnd + 1)  # poppable from the next round
-                else:
-                    q = st.up_q.get(d)
-                    if q is None:
-                        q = st.up_q[d] = deque()
-                    q.append(m_)
+    while len(up):
+        rounds += 1
+        hq, hrow = up.pop_heads()
+        total_messages += hq.size
+        total_bits += int((price[hrow] + cid_bits[hq // n]).sum())
+        alive = stream.deliver_mask(rounds, up.eid[hq])
+        rc = up.arrive(up.to[hq[alive]], hrow[alive], recv)
+        for ci, got in enumerate(np.bincount(rc, minlength=len(chans)).tolist()):
+            avails[ci] += [rounds + 1] * got  # poppable from the next round
 
     # ---- phase 2: closed-form downcast per channel ----------------------- #
+    mob = stream.mobile
+    mob_r = np.repeat(
+        np.fromiter(mob, dtype=np.int64, count=len(mob)),
+        [len(es) for es in mob.values()],
+    )
+    mob_e = np.fromiter(
+        itertools.chain.from_iterable(mob.values()), dtype=np.int64, count=mob_r.size
+    )
     for ci, st in enumerate(chans):
         K = len(st.root_dq)
         if K == 0:
             continue
-        dmids = np.asarray(st.root_dq, dtype=np.int64)
+        drows = np.asarray(st.root_dq, dtype=np.int64)
         av = np.asarray(avails[ci], dtype=np.int64)
         ar = np.arange(K, dtype=np.int64)
         r_emit = ar + np.maximum.accumulate(av - ar)  # r_i = max(a_i, r_{i-1}+1)
@@ -763,7 +791,7 @@ def _span_faulty_broadcast(
             # queue keeps the simulator's busy flag up for K - 1 more rounds.
             rounds = max(rounds, K - 1)
             continue
-        bits_w = 2 + int(cid_bits[ci]) + bits_for_int_array(dmids)
+        bits_w = price[drows] + int(cid_bits[ci])
         dep = st.dist
         Kb = (K + 7) // 8
         H = np.full((n, Kb), 0xFF, dtype=np.uint8)  # bit set = emission missing
@@ -778,7 +806,7 @@ def _span_faulty_broadcast(
 
         arc_parent = np.repeat(np.arange(n, dtype=np.int64), nchild)
         arc_dead = stream.dead[st.ceid]
-        kill_arc, kill_i = _mobile_down_kills(st, plan, r_emit, arc_dead)
+        kill_arc, kill_i = _mobile_down_kills(st, mob_r, mob_e, r_emit, arc_dead)
         kill_dep = dep[st.cind[kill_arc]]
         arc_dep = dep[st.cind]
         order = np.argsort(arc_dep, kind="stable")
@@ -791,7 +819,7 @@ def _span_faulty_broadcast(
             if dead.any():
                 # The parent forwards everything it received on dead arcs
                 # too; every one of those crossings is a counted drop.
-                dropped_down += int(R[arc_parent[la[dead]]].sum())
+                stream.dropped += int(R[arc_parent[la[dead]]].sum())
             live = la[~dead]
             if live.size:
                 cs = st.cind[live]
@@ -808,7 +836,7 @@ def _span_faulty_broadcast(
                 # A mobile hit only drops a crossing the parent made.
                 sent = (H[ps, ki >> 3] >> (ki & 7)) & 1 == 0
                 np.bitwise_or.at(H, (cs, ki >> 3), (1 << (ki & 7)).astype(np.uint8))
-                dropped_down += int(sent.sum())
+                stream.dropped += int(sent.sum())
                 np.subtract.at(R, cs[sent], 1)
                 np.subtract.at(B, cs[sent], bits_w[ki[sent]])
         total_messages += int((R * nchild).sum())
@@ -816,14 +844,13 @@ def _span_faulty_broadcast(
 
         # Receipts: transpose ~H into the packed (mid, node) matrix. The
         # OR-accumulate handles duplicate mids within and across channels.
-        rows = np.searchsorted(mid_index, dmids)
-        chanrecv = np.zeros((K, nbytes), dtype=np.uint8)
+        chanrecv = np.zeros((K, recv.shape[1]), dtype=np.uint8)
         for lo in range(0, n, 4096):
             hi = min(lo + 4096, n)
             bits = np.unpackbits(~H[lo:hi], axis=1, bitorder="little")[:, :K]
             pk = np.packbits(bits.T, axis=1, bitorder="little")
             chanrecv[:, lo >> 3 : (lo >> 3) + pk.shape[1]] |= pk
-        np.bitwise_or.at(recv, rows, chanrecv)
+        np.bitwise_or.at(recv, drows, chanrecv)
 
         # Last crossing: every sender forwards its latest-received emission
         # j at round r_emit[j] + depth (crossings on dead arcs included).
@@ -833,28 +860,18 @@ def _span_faulty_broadcast(
             bits = np.unpackbits(~H[vs], axis=1, bitorder="little")[:, :K]
             j = K - 1 - np.argmax(bits[:, ::-1], axis=1)
             rounds = max(rounds, int((r_emit[j] + dep[vs]).max()))
-
-    return FaultyBroadcastOutcome(
-        rounds=rounds,
-        dropped=stream.dropped + dropped_down,
-        mids=mid_index,
-        receipt_counts=_popcount_rows(recv),
-        receipt_bits=recv,
-        n=n,
-        fault_rng_state=stream.rng_state,
-        total_messages=total_messages,
-        total_bits=total_bits,
-    )
+    return rounds, total_messages, total_bits
 
 
 def _span_faulty_broadcast_total_loss(
-    chans: list[_Channel],
-    stream: FaultStream,
-    mid_index: np.ndarray,
-    recv: np.ndarray,
-    cid_bits: np.ndarray,
     n: int,
-) -> FaultyBroadcastOutcome:
+    chans: list[_Channel],
+    up: _UpQueue,
+    stream: FaultStream,
+    price: np.ndarray,
+    cid_bits: np.ndarray,
+    recv: np.ndarray,
+) -> tuple[int, int, int]:
     """Closed-form faulty broadcast under pure uniform total loss (rate 1.0).
 
     Nothing ever crosses an edge, so the queue dynamics collapse: a non-root
@@ -865,58 +882,120 @@ def _span_faulty_broadcast_total_loss(
     ``K - 1`` extra busy rounds with no sends, exactly like the per-round
     replay's wake condition. Receipts stay at the roots' pre-marked own
     items, every crossing is both a counted send and a counted drop, and
-    one batched coin draw per channel consumes the same PCG64 stream the
-    per-round batches would (``random(a)`` then ``random(b)`` equals
-    ``random(a + b)``).
+    one batched coin draw consumes the same PCG64 stream the per-round
+    batches would (``random(a)`` then ``random(b)`` equals
+    ``random(a + b)``). Returns ``(rounds, total_messages, total_bits)``.
 
     Like the BFS twin, only the total-loss boundary admits this: rates in
     (0, 1) make each round's coin count depend on earlier survivals, and
     dead edges / mobile schedules shrink the per-round coin batch. Those
     plans keep the per-round replay (or the rate-0 span path).
     """
-    from repro.util.bits import bits_for_int_array
+    crossings = len(up)
+    total_bits = int((price[up.row] + cid_bits[up.qid // n]).sum())
+    rounds = int(np.unique(up.qid, return_counts=True)[1].max()) if crossings else 0
+    for ci, st in enumerate(chans):
+        K = len(st.root_dq)
+        nchild_root = int(st.cindptr[st.root + 1] - st.cindptr[st.root])
+        if K and nchild_root:
+            crossings += K * nchild_root
+            total_bits += nchild_root * int((price[st.root_dq] + cid_bits[ci]).sum())
+        rounds = max(rounds, K if nchild_root else K - 1)
+    if crossings:
+        stream.rng.random(crossings)
+        stream.dropped += crossings
+    return rounds, crossings, total_bits
+
+
+def _replay_faulty_broadcast(
+    n: int,
+    chans: list[_Channel],
+    up: _UpQueue,
+    stream: FaultStream,
+    price: np.ndarray,
+    cid_bits: np.ndarray,
+    recv: np.ndarray,
+) -> tuple[int, int, int]:
+    """Round-by-round twin of the tracking broadcast.
+
+    Every possible crossing gets a slot, numbered once in the simulator's
+    delivery order: sender node ascending, then channel, the up-send before
+    the down-sends, children in tree order. Each round sets the slots of
+    every up-queue head and every down sender and reads them back with
+    ``flatnonzero`` — the round's delivery batch, already in that order —
+    so the plan drops from it exactly as ``FaultySimulator._deliverable``
+    would, coin for coin. ``down_row[q]`` holds what queue ``q`` (channel,
+    node) sends down next: the row a non-root received this round, or a
+    root's next item. Returns ``(rounds, total_messages, total_bits)``.
+    """
+    c = len(chans)
+    nchild = np.array([np.diff(st.cindptr) for st in chans], dtype=np.int64).ravel()
+    nonroot = up.to != np.arange(c * n)
+    # Sender v's slots hold, per channel, its up slot (non-roots only) and
+    # then one down slot per child; the blocks run in (v, channel) order.
+    width = (nonroot + nchild).reshape(c, n).T.ravel()
+    first = (np.cumsum(width) - width).reshape(n, c).T.ravel()  # per queue id
+    down_first = first + nonroot
+    size = int(width.sum())
+    slot_eid = np.empty(size, dtype=np.int64)
+    slot_to = np.empty(size, dtype=np.int64)  # the receiving queue id
+    slot_up = np.zeros(size, dtype=bool)
+    q = np.flatnonzero(nonroot)
+    slot_eid[first[q]], slot_to[first[q]], slot_up[first[q]] = up.eid[q], up.to[q], True
+    for ci, st in enumerate(chans):
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(st.cindptr))
+        s = down_first[ci * n + src] + np.arange(st.cind.size) - st.cindptr[src]
+        slot_eid[s], slot_to[s] = st.ceid, ci * n + st.cind
+    slot_bits = cid_bits[slot_to // n]
+
+    active = np.zeros(size, dtype=bool)
+    slot_row = np.zeros(size, dtype=np.int64)
+    down_row = np.full(c * n, -1, dtype=np.int64)
+    root_head = [0] * c
+
+    def send_phase() -> tuple[np.ndarray, bool]:
+        """Pump every nonempty queue once: the round's slots, and whether
+        any queue still holds items (the simulator's wake condition — it
+        keeps the clock running when a pop sends nothing, e.g. a
+        single-node root draining its own list)."""
+        hq, hrow = up.pop_heads()
+        busy = len(up) > 0
+        for ci, st in enumerate(chans):
+            if root_head[ci] < len(st.root_dq):
+                down_row[ci * n + st.root] = st.root_dq[root_head[ci]]
+                root_head[ci] += 1
+                busy = busy or root_head[ci] < len(st.root_dq)
+        ds = np.flatnonzero(down_row >= 0)
+        cnt = nchild[ds]
+        s = np.repeat(down_first[ds] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        slot_row[s] = np.repeat(down_row[ds], cnt)
+        active[s] = True
+        down_row[ds] = -1
+        slot_row[first[hq]] = hrow
+        active[first[hq]] = True
+        idx = np.flatnonzero(active)
+        active[idx] = False
+        return idx, busy
 
     total_messages = 0
     total_bits = 0
     rounds = 0
-    for ci, st in enumerate(chans):
-        cb = int(cid_bits[ci])
-        up_mids = [m for q in st.up_q.values() for m in q]
-        if st.up_q:
-            rounds = max(rounds, max(len(q) for q in st.up_q.values()))
-        crossings = len(up_mids)
-        bits = (
-            int((2 + cb + bits_for_int_array(np.asarray(up_mids, dtype=np.int64))).sum())
-            if up_mids
-            else 0
-        )
-        K = len(st.root_dq)
-        if K:
-            nchild_root = int(st.cindptr[st.root + 1] - st.cindptr[st.root])
-            if nchild_root:
-                crossings += K * nchild_root
-                bits += nchild_root * int(
-                    (2 + cb + bits_for_int_array(np.asarray(st.root_dq, dtype=np.int64))).sum()
-                )
-                rounds = max(rounds, K)
-            else:
-                rounds = max(rounds, K - 1)
-        total_messages += crossings
-        total_bits += bits
-        if crossings:
-            stream.rng.random(crossings)
-            stream.dropped += crossings
-    return FaultyBroadcastOutcome(
-        rounds=rounds,
-        dropped=stream.dropped,
-        mids=mid_index,
-        receipt_counts=_popcount_rows(recv),
-        receipt_bits=recv,
-        n=n,
-        fault_rng_state=stream.rng_state,
-        total_messages=total_messages,
-        total_bits=total_bits,
-    )
+    idx, busy = send_phase()
+    while idx.size or busy:
+        rounds += 1
+        rows = slot_row[idx]
+        total_messages += idx.size
+        total_bits += int(price[rows].sum() + slot_bits[idx].sum())
+        alive = stream.deliver_mask(rounds, slot_eid[idx])
+        idx, rows = idx[alive], rows[alive]
+        to, is_up = slot_to[idx], slot_up[idx]
+        up.arrive(to[is_up], rows[is_up], recv)
+        dq, dr = to[~is_up], rows[~is_up]
+        v = dq % n
+        np.bitwise_or.at(recv, (dr, v >> 3), (1 << (v & 7)).astype(np.uint8))
+        down_row[dq] = dr
+        idx, busy = send_phase()
+    return rounds, total_messages, total_bits
 
 
 @obs.traced("faulty_broadcast")
@@ -930,30 +1009,30 @@ def vectorized_faulty_broadcast(
     """Fast-path twin of the tracking broadcast on a faulty simulator.
 
     Replays the pump-while-busy dynamics of
-    :class:`repro.core.resilient._TrackingProgram` as per-round numpy
-    batches: every nonempty up-queue sends its head to the parent, every
-    nonempty down-queue pops one id (forwarded to all tree children), all
-    crossings of a round form one delivery batch in the simulator's
-    canonical order — node ascending, channel ascending, up-send before
-    down-sends, children in ``tree.children`` order — and the fault plan
-    drops from that batch exactly as ``FaultySimulator._deliverable`` would
-    (same drops, same RNG stream). Receipts are tracked in a packed bitset,
-    one row per message id.
+    :class:`repro.core.resilient._TrackingProgram` on array state: every
+    nonempty up-queue sends its head to the parent, every nonempty
+    down-queue pops one id (forwarded to all tree children), and the fault
+    plan drops exactly as ``FaultySimulator._deliverable`` would (same
+    drops, same RNG stream). All channels' up-queues live in one
+    :class:`_UpQueue`, and queues carry rows of the sorted message-id index
+    rather than ids. Receipts are tracked in a packed bitset, one row per
+    message id.
 
     ``trees``/``messages`` take the same shapes as
     :func:`repro.engine.fastpath.vectorized_tree_broadcast`; channels are
     processed in sorted-cid order, which matches any driver that builds its
     per-node channel specs over ``{0: ..., 1: ..., ...}`` in cid order.
 
-    The plan and the trees pick the path. The downcast — the bulk of the
-    work — runs closed-form via :func:`_span_faulty_broadcast` whenever
-    the plan draws no coins (``drop_rate == 0``; dead edges and the mobile
-    adversary are fine), the trees are BFS-layered and the hole matrix
-    fits its memory gate; pure uniform total loss (``drop_rate == 1.0``,
-    no dead edges, no mobile set) runs via
-    :func:`_span_faulty_broadcast_total_loss`. Every other input takes the
-    per-round replay below, the only path for coin rates in (0, 1): how
-    many coins a round draws depends on which earlier sends survived.
+    The plan and the trees pick the path; all three read the same up-queue.
+    The downcast — the bulk of the work — runs closed-form via
+    :func:`_span_faulty_broadcast` whenever the plan draws no coins
+    (``drop_rate == 0``; dead edges and the mobile adversary are fine), the
+    trees are BFS-layered and the hole matrix fits its memory gate; pure
+    uniform total loss (``drop_rate == 1.0``, no dead edges, no mobile set)
+    runs via :func:`_span_faulty_broadcast_total_loss`. Every other input
+    takes the per-round replay (:func:`_replay_faulty_broadcast`), the only
+    path for coin rates in (0, 1): how many coins a round draws depends on
+    which earlier sends survived.
     """
     plan = plan if plan is not None else FaultPlan()
     n = graph.n
@@ -976,163 +1055,45 @@ def vectorized_faulty_broadcast(
                 "double-send)"
             )
 
-    all_mids = sorted(
-        {int(m) for pl in messages.values() for ms in pl.values() for m in ms}
+    mid_index = np.asarray(
+        sorted({int(m) for pl in messages.values() for ms in pl.values() for m in ms}),
+        dtype=np.int64,
     )
-    mid_index = np.asarray(all_mids, dtype=np.int64)
-    mid_row = {m: i for i, m in enumerate(all_mids)}
-    nbytes = max(1, (n + 7) // 8)
-    recv = np.zeros((len(all_mids), nbytes), dtype=np.uint8)
-
-    chans = [_Channel(graph, trees[cid], messages.get(cid, {})) for cid in cids]
+    recv = np.zeros((mid_index.size, max(1, (n + 7) // 8)), dtype=np.uint8)
+    chans = [_Channel(graph, trees[cid]) for cid in cids]
+    up = _UpQueue(n, chans)
     stream = FaultStream(graph, plan, fault_seed)
-    # Send-time bit pricing: bits_for_payload((kind, cid, mid)) with
-    # kind ∈ {0, 1} → 2 bits, plus the cid and mid integer sizes.
-    from repro.util.bits import bits_for_int_array
-
-    cid_bits = (
-        bits_for_int_array(np.asarray(cids, dtype=np.int64))
-        if cids
-        else np.empty(0, dtype=np.int64)
-    )
-    total_messages = 0
-    total_bits = 0
-
-    # Roots know their own messages from the start (per _TrackingProgram).
+    # Seed the queues like _TrackingProgram.__init__: a root's own items go
+    # straight to its down queue (and count as received); every other
+    # node's own items start in its up queue, in placement order.
+    kmax = []
     for ci, cid in enumerate(cids):
+        pl = messages.get(cid, {})
+        vs = np.array([int(v) for v, ms in pl.items() for _ in ms], dtype=np.int64)
+        if vs.size and (vs.min() < 0 or vs.max() >= n):
+            raise ValidationError(f"channel {cid} places messages outside [0, {n})")
+        rows = np.searchsorted(
+            mid_index,
+            np.array([int(m) for ms in pl.values() for m in ms], dtype=np.int64),
+        )
         st = chans[ci]
-        own = messages.get(cid, {}).get(st.root, [])
-        if own:
-            rows = np.searchsorted(mid_index, np.asarray(own, dtype=np.int64))
-            np.bitwise_or.at(
-                recv, (rows, st.root >> 3), np.uint8(1 << (st.root & 7))
-            )
+        own = vs == st.root
+        st.root_dq = rows[own].tolist()
+        np.bitwise_or.at(recv, (rows[own], st.root >> 3), np.uint8(1 << (st.root & 7)))
+        up.push(ci * n + vs[~own], rows[~own])
+        kmax.append(vs.size)
+    # Send-time bit pricing: bits_for_payload((kind, cid, mid)) with
+    # kind ∈ {0, 1} → 2 bits, plus the cid's and the mid's integer sizes.
+    price = 2 + bits_for_int_array(mid_index)
+    cid_bits = bits_for_int_array(np.asarray(cids, dtype=np.int64))
 
-    if plan.drop_rate == 0.0:
-        kmax = [
-            sum(len(ms) for ms in messages.get(cid, {}).values()) for cid in cids
-        ]
-        if _span_broadcast_viable(n, chans, kmax):
-            return _span_faulty_broadcast(
-                graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits, nbytes
-            )
+    if plan.drop_rate == 0.0 and _span_broadcast_viable(n, chans, kmax):
+        path = _span_faulty_broadcast
     elif plan.drop_rate == 1.0 and not plan.mobile and not stream.dead.any():
-        return _span_faulty_broadcast_total_loss(
-            chans, stream, mid_index, recv, cid_bits, n
-        )
-
-    def send_phase():
-        """Pump every nonempty queue once, in canonical order; pop heads.
-
-        Returns ``(batch, busy)``: the ordered crossing arrays (or None) and
-        whether any queue still holds items after the pops (the simulator's
-        wake condition — it keeps the round clock running even when a pop
-        produces no sends, e.g. a single-node root draining its own list).
-        """
-        node_l, chan_l, kind_l, sub_l, dst_l, eid_l, mid_l = (
-            [], [], [], [], [], [], []
-        )
-        busy = False
-        for ci, st in enumerate(chans):
-            if st.up_q:
-                uvs = np.fromiter(sorted(st.up_q), dtype=np.int64, count=len(st.up_q))
-                umids = np.fromiter(
-                    (st.up_q[v][0] for v in uvs.tolist()),
-                    dtype=np.int64,
-                    count=uvs.size,
-                )
-                node_l.append(uvs)
-                chan_l.append(np.full(uvs.size, ci, dtype=np.int64))
-                kind_l.append(np.zeros(uvs.size, dtype=np.int64))
-                sub_l.append(np.zeros(uvs.size, dtype=np.int64))
-                dst_l.append(st.parent[uvs])
-                eid_l.append(st.up_eid[uvs])
-                mid_l.append(umids)
-                for v in uvs.tolist():
-                    q = st.up_q[v]
-                    q.popleft()
-                    if q:
-                        busy = True
-                    else:
-                        del st.up_q[v]
-            dvs = np.nonzero(st.down_mid >= 0)[0]
-            dmids = st.down_mid[dvs]
-            if st.root_head < len(st.root_dq):
-                pos = int(np.searchsorted(dvs, st.root))
-                dvs = np.insert(dvs, pos, st.root)
-                dmids = np.insert(dmids, pos, st.root_dq[st.root_head])
-                st.root_head += 1
-                if st.root_head < len(st.root_dq):
-                    busy = True
-            if dvs.size:
-                st.down_mid[dvs] = -1
-                sel, counts, offs = expand_csr_rows(st.cindptr, dvs)
-                if sel.size:
-                    node_l.append(np.repeat(dvs, counts))
-                    chan_l.append(np.full(sel.size, ci, dtype=np.int64))
-                    kind_l.append(np.ones(sel.size, dtype=np.int64))
-                    sub_l.append(offs)
-                    dst_l.append(st.cind[sel])
-                    eid_l.append(st.ceid[sel])
-                    mid_l.append(np.repeat(dmids, counts))
-        if not node_l:
-            return None, busy
-        node = np.concatenate(node_l)
-        chan = np.concatenate(chan_l)
-        kind = np.concatenate(kind_l)
-        sub = np.concatenate(sub_l)
-        order = np.lexsort((sub, kind, chan, node))
-        return (
-            (
-                chan[order],
-                kind[order],
-                np.concatenate(dst_l)[order],
-                np.concatenate(eid_l)[order],
-                np.concatenate(mid_l)[order],
-            ),
-            busy,
-        )
-
-    batch, busy = send_phase()
-    rnd = 0
-    rounds = 0
-    while batch is not None or busy:
-        rnd += 1
-        rounds = rnd
-        if batch is not None:
-            chan, kind, dst, eid, mid = batch
-            total_messages += int(chan.size)
-            total_bits += int((2 + cid_bits[chan] + bits_for_int_array(mid)).sum())
-            alive = stream.deliver_mask(rnd, eid)
-            # UP deliveries in order (Python loop: volume is only the sum of
-            # origin depths, the sparse-upcast term).
-            for i in np.nonzero(alive & (kind == 0))[0].tolist():
-                st = chans[chan[i]]
-                d = int(dst[i])
-                m_ = int(mid[i])
-                if d == st.root:
-                    recv[mid_row[m_], d >> 3] |= np.uint8(1 << (d & 7))
-                    st.root_dq.append(m_)
-                else:
-                    q = st.up_q.get(d)
-                    if q is None:
-                        q = st.up_q[d] = deque()
-                    q.append(m_)
-            # DOWN deliveries — the bulk — vectorized per channel.
-            down_alive = alive & (kind == 1)
-            for ci, st in enumerate(chans):
-                sel = np.nonzero(down_alive & (chan == ci))[0]
-                if not sel.size:
-                    continue
-                dd = dst[sel]
-                mm = mid[sel]
-                rows = np.searchsorted(mid_index, mm)
-                np.bitwise_or.at(
-                    recv, (rows, dd >> 3), (1 << (dd & 7)).astype(np.uint8)
-                )
-                st.down_mid[dd] = mm
-        batch, busy = send_phase()
-
+        path = _span_faulty_broadcast_total_loss
+    else:
+        path = _replay_faulty_broadcast
+    rounds, total_messages, total_bits = path(n, chans, up, stream, price, cid_bits, recv)
     return FaultyBroadcastOutcome(
         rounds=rounds,
         dropped=stream.dropped,

@@ -544,10 +544,15 @@ def check_cuts_pipeline(
     return out
 
 
-def random_fault_plan(graph: Graph, seed, rate: float | None = None):
+def random_fault_plan(
+    graph: Graph, seed, rate: float | None = None, rounds: int = 7
+):
     """A randomized :class:`~repro.congest.adversary.FaultPlan`: a few dead
-    edges, a couple of mobile rounds, and a drop rate (``rate=None`` picks
-    one of 0 / 0.3 / 1.0 — including the total-loss boundary)."""
+    edges, up to three mobile rounds drawn from ``1..rounds``, and a drop
+    rate (``rate=None`` picks one of 0 / 0.3 / 1.0 — including the
+    total-loss boundary). Pass the length of the run being checked as
+    ``rounds`` so that mobile hits can land anywhere in it, late downcast
+    crossings included."""
     from repro.congest.adversary import FaultPlan
 
     rng = ensure_rng(seed)
@@ -558,11 +563,16 @@ def random_fault_plan(graph: Graph, seed, rate: float | None = None):
             for e in rng.choice(graph.m, size=int(rng.integers(0, min(graph.m, 4))), replace=False)
         }
     mobile = {}
-    for _ in range(int(rng.integers(0, 3))):
+    for _ in range(int(rng.integers(0, 4))):
         if graph.m:
-            mobile[int(rng.integers(1, 8))] = {
+            edges = {
                 int(e) for e in rng.choice(graph.m, size=min(graph.m, 2), replace=False)
             }
+            # Half the time the adversary also holds a dead edge: a hit on
+            # an arc that already drops must not count twice.
+            if dead and rng.random() < 0.5:
+                edges.add(min(dead))
+            mobile[int(rng.integers(1, max(1, rounds) + 1))] = edges
     if rate is None:
         rate = [0.0, 0.3, 1.0][int(rng.integers(3))]
     return FaultPlan(dead_edges=dead, drop_rate=rate, mobile=mobile)
@@ -592,7 +602,8 @@ def check_faulty_bfs(
 
 
 def check_redundant_broadcast(
-    graph: Graph, k: int, seed, parts: int = 2, redundancy: int = 1, plan=None
+    graph: Graph, k: int, seed, parts: int = 2, redundancy: int = 1, plan=None,
+    rate: float | None = None,
 ) -> list[str]:
     """Redundant broadcast under an adversary: the full
     :class:`~repro.core.resilient.DeliveryReport` — exact per-message
@@ -600,7 +611,9 @@ def check_redundant_broadcast(
     must be bit-identical across backends.
 
     Builds a Theorem 2 packing first; if the w.h.p. packing event fails on
-    the tiny random host, the check is vacuous (skipped).
+    the tiny random host, the check is vacuous (skipped). With no ``plan``
+    it draws :func:`random_fault_plan` at ``rate``, its mobile rounds
+    spread over the fault-free run's length.
     """
     from repro.core.broadcast import uniform_random_placement
     from repro.core.resilient import redundant_broadcast
@@ -614,9 +627,13 @@ def check_redundant_broadcast(
     except ValidationError:
         return []
     placement = uniform_random_placement(graph.n, k, seed=seed)
-    if plan is None:
-        plan = random_fault_plan(graph, seed=seed + 13)
     redundancy = min(max(1, redundancy), packing.size)
+    if plan is None:
+        run = redundant_broadcast(
+            graph, placement, packing, redundancy=redundancy, seed=seed,
+            backend="vectorized",
+        ).rounds
+        plan = random_fault_plan(graph, seed=seed + 13, rate=rate, rounds=run)
 
     def attempt(backend):
         return redundant_broadcast(
@@ -1013,22 +1030,27 @@ def check_fault_paths(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
     The vectorized engine picks its path from the plan and the trees: the
     rate-0 closed form (here with dead and mobile edges), the per-round
     replay (rate 0.3), and the total-loss closed form (rate 1, no dead or
-    mobile edges). Each plan runs through :func:`check_faulty_bfs` and
-    :func:`check_redundant_broadcast`.
+    mobile edges). Each rate runs through :func:`check_faulty_bfs` and
+    :func:`check_redundant_broadcast`, the random plans' mobile rounds
+    spread over the length of the flood and of the broadcast respectively.
     """
     from repro.congest.adversary import FaultPlan
+    from repro.primitives.bfs import run_bfs
 
     root = int(ensure_rng(seed).integers(graph.n))
-    plans = [
-        ("rate0", random_fault_plan(graph, seed=seed + 1, rate=0.0)),
-        ("lossy", random_fault_plan(graph, seed=seed + 2, rate=0.3)),
-        ("total-loss", FaultPlan(drop_rate=1.0)),
+    flood = run_bfs(graph, root, backend="vectorized").rounds
+    total_loss = FaultPlan(drop_rate=1.0)
+    plans = [  # (tag, flood plan, broadcast plan: None draws one at that rate)
+        ("rate0", random_fault_plan(graph, seed=seed + 1, rate=0.0, rounds=flood), None),
+        ("lossy", random_fault_plan(graph, seed=seed + 2, rate=0.3, rounds=flood), None),
+        ("total-loss", total_loss, total_loss),
     ]
     out = []
-    for tag, plan in plans:
+    for tag, plan, broadcast_plan in plans:
         mismatches = check_faulty_bfs(graph, root, plan, fault_seed=seed)
         mismatches += check_redundant_broadcast(
-            graph, k, seed, parts=parts, redundancy=2, plan=plan
+            graph, k, seed, parts=parts, redundancy=2, plan=broadcast_plan,
+            rate=plan.drop_rate,
         )
         out.extend(f"fault-paths[{tag}] {m}" for m in mismatches)
     return out
@@ -1174,6 +1196,7 @@ def check_fault_grid(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
     )
     from repro.core.tree_packing import build_packing_with_retry
     from repro.engine.faults import faulty_bfs, faulty_bfs_grid
+    from repro.primitives.bfs import run_bfs
     from repro.util.errors import ValidationError
 
     rng = ensure_rng(seed)
@@ -1181,9 +1204,10 @@ def check_fault_grid(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
     roots[1] = roots[0]  # duplicate (root, ·) queries must share results
     fault_seeds = [int(s) for s in rng.integers(0, 8, size=len(roots))]
     out = []
+    flood = max(run_bfs(graph, r, backend="vectorized").rounds for r in roots)
     plans = [
-        ("rate0", random_fault_plan(graph, seed=seed + 1, rate=0.0)),
-        ("lossy", random_fault_plan(graph, seed=seed + 2, rate=0.3)),
+        ("rate0", random_fault_plan(graph, seed=seed + 1, rate=0.0, rounds=flood)),
+        ("lossy", random_fault_plan(graph, seed=seed + 2, rate=0.3, rounds=flood)),
     ]
     for tag, plan in plans:
         for backend in ("vectorized", "simulator"):
@@ -1302,6 +1326,7 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Randomized sweep of all checks; returns an :class:`EquivalenceReport`."""
     from repro.graphs.generators import random_weights
+    from repro.primitives.bfs import run_bfs
 
     rng = ensure_rng(seed)
     report = EquivalenceReport()
@@ -1316,6 +1341,8 @@ def verify_equivalence(
         parts = int(rng.integers(1, 4))
         masks = random_edge_masks(g, parts, seed=2000 * seed + t)
         k = int(rng.integers(0, 3 * n))
+        flood_mask = masks[0] if t % 2 else None
+        flood = run_bfs(g, root, edge_mask=flood_mask, backend="vectorized").rounds
         for mismatches in (
             check_bfs(g, root),
             check_bfs(g, root, edge_mask=masks[0]),
@@ -1334,9 +1361,9 @@ def verify_equivalence(
             check_faulty_bfs(
                 g,
                 root,
-                random_fault_plan(g, seed=9000 * seed + t),
+                random_fault_plan(g, seed=9000 * seed + t, rounds=flood),
                 fault_seed=t,
-                edge_mask=masks[0] if t % 2 else None,
+                edge_mask=flood_mask,
             ),
             check_kernels(g, seed=14_000 * seed + t),
             check_fault_paths(g, k, seed=15_000 * seed + t, parts=parts),

@@ -463,12 +463,22 @@ class TestFaultEngineEquivalence:
         from repro.core import (
             build_packing_with_retry,
             redundant_broadcast,
+            tree_edge_ids,
             uniform_random_placement,
         )
 
         g = thick_cycle(8, 5)
         packing, _ = build_packing_with_retry(g, 3, seed=1, distributed=False)
         pl = uniform_random_placement(g.n, 30, seed=2)
+        # A mobile adversary over trees 0 and 1 for the whole run hits late
+        # downcast crossings, including arcs of tree 0 that are already dead.
+        run = redundant_broadcast(
+            g, pl, packing, redundancy=2, seed=4, backend="vectorized"
+        ).rounds
+        pool = sorted(tree_edge_ids(packing, 0) | tree_edge_ids(packing, 1))
+        dead_and_mobile = StaticSaboteur(tree_index=0) + MobileAdversary.sweeping(
+            pool, budget=6, rounds=2 * run
+        )
         schedules = [
             None,
             StaticSaboteur(tree_index=0),
@@ -480,6 +490,12 @@ class TestFaultEngineEquivalence:
             compose_schedules(
                 MobileAdversary({2: {0, 1}}), RandomLoss(0.05), StaticSaboteur({5})
             ),
+            dead_and_mobile,
+            dead_and_mobile + RandomLoss(0.2),  # the same, on the replay
+            # Half of tree 0 dead: mobile hits on dead arcs whose parent
+            # holds the emission must not count a second drop.
+            StaticSaboteur(sorted(tree_edge_ids(packing, 0))[::2])
+            + MobileAdversary.sweeping(pool, budget=6, rounds=2 * run),
         ]
         for adv in schedules:
             reports = {
@@ -502,6 +518,50 @@ class TestFaultEngineEquivalence:
             assert sim.per_message_coverage == vec.per_message_coverage, adv
             assert sim.receipts == vec.receipts, adv
             assert sim.fault_rng_state == vec.fault_rng_state, adv
+            assert (sim.total_messages, sim.total_bits) == (
+                vec.total_messages,
+                vec.total_bits,
+            ), adv
+
+    @pytest.mark.parametrize("rate", [0.0, 0.01])
+    def test_one_message_reaches_two_roots_in_one_receipt_byte(self, rate):
+        """Roots 0 and 1 share a byte of the receipt matrix. The message at
+        node 6 (depth 1 in both trees) reaches both roots in round 1, so
+        one receipt write sets two bits of one byte. Killing the arc into
+        each root in the other tree leaves that write as the only way the
+        roots receive it. Rate 0 takes the span path, 0.01 the replay; only
+        the replay has no second record of a root's up arrivals (the span
+        path's downcast marks every emission as received by its root)."""
+        from repro.core import build_packing_with_retry, redundant_broadcast
+        from repro.core.resilient import _bfs_view
+
+        g = thick_cycle(8, 5)
+        packing, _ = build_packing_with_retry(
+            g, 2, seed=1, distributed=False, roots=[0, 1]
+        )
+        views = [_bfs_view(packing, c) for c in (0, 1)]
+        assert [int(t.dist[6]) for t in views] == [1, 1]
+        dead = [g.edge_id(int(views[1 - r].parent[r]), r) for r in (0, 1)]
+        reports = {
+            backend: redundant_broadcast(
+                g,
+                {6: 1},
+                packing,
+                redundancy=2,
+                dead_edges=dead,
+                drop_rate=rate,
+                seed=4,
+                fault_seed=5,
+                backend=backend,
+                collect_receipts=True,
+            )
+            for backend in BACKENDS
+        }
+        sim, vec = reports["simulator"], reports["vectorized"]
+        assert {0, 1} <= next(iter(sim.receipts.values()))
+        assert sim.receipts == vec.receipts
+        assert (sim.rounds, sim.dropped_messages) == (vec.rounds, vec.dropped_messages)
+        assert sim.fault_rng_state == vec.fault_rng_state
 
 
 class TestRobustnessEquivalence:

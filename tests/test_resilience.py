@@ -556,6 +556,13 @@ _PLANS = st.builds(
 _PLAN_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# Non-dyadic rates: 1 - (1 - 0)(1 - p) != p in floating point for these.
+_ANY_RATE_PLANS = st.builds(
+    FaultPlan,
+    dead_edges=_EDGES,
+    drop_rate=st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.25, 0.3, 1.0]),
+    mobile=st.dictionaries(st.integers(1, 8), _EDGES, max_size=3),
+)
 
 
 class TestFaultPlanProperties:
@@ -579,12 +586,26 @@ class TestFaultPlanProperties:
         assert x.drop_rate == y.drop_rate
 
     @_PLAN_SETTINGS
-    @given(p=_PLANS)
-    def test_null_plan_is_identity(self, p):
-        m = FaultPlan().merged(p)
-        assert (m.dead_edges, m.drop_rate, m.mobile) == (
-            p.dead_edges, p.drop_rate, p.mobile
-        )
+    @given(p=_ANY_RATE_PLANS, q=_ANY_RATE_PLANS)
+    def test_null_plan_is_identity(self, p, q):
+        for m in (FaultPlan().merged(p), p.merged(FaultPlan())):
+            assert (m.dead_edges, m.drop_rate, m.mobile) == (
+                p.dead_edges, p.drop_rate, p.mobile
+            )
+        # A rate-0 side (dead or mobile edges only) keeps the rate exact too.
+        rate0 = FaultPlan(q.dead_edges, 0.0, q.mobile)
+        assert p.merged(rate0).drop_rate == p.drop_rate
+        assert rate0.merged(p).drop_rate == p.drop_rate
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.3])
+    def test_both_backends_see_the_plan_rate(self, p):
+        g = cycle_graph(6)
+        sim = FaultySimulator(Network(g), _Flood, plan=FaultPlan(drop_rate=p))
+        assert sim.drop_rate == p
+        composed = (RandomLoss(p) + MobileAdversary({2: {0}})).compile(g)
+        assert composed.drop_rate == p
+        sim = FaultySimulator(Network(g), _Flood, drop_rate=p, plan=composed)
+        assert sim.drop_rate == 1.0 - (1.0 - p) * (1.0 - p)
 
     @_PLAN_SETTINGS
     @given(p=_PLANS, rate=st.sampled_from([0.0, 1.0]))

@@ -9,6 +9,7 @@ and that the kernels match their plain-Python and pure-numpy references.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,24 @@ class TestSpanFaultEquivalence:
         g = Graph(1, [])
         plan = random_fault_plan(g, seed=1, rate=0.0)
         assert check_faulty_bfs(g, 0, plan, fault_seed=2) == []
+
+    def test_placement_outside_the_graph_rejected(self):
+        """Queue ids are channel·n + node, so a node id outside [0, n)
+        would alias another channel's queue instead of failing."""
+        from repro.engine.faults import vectorized_faulty_broadcast
+        from repro.primitives.bfs import run_bfs
+        from repro.util.errors import ValidationError
+
+        paths = [[(0, 1), (1, 2), (2, 3)], [(0, 2), (0, 3), (1, 3)]]
+        g = Graph(4, paths[0] + paths[1])
+        trees = {}
+        for c, edges in enumerate(paths):
+            mask = np.zeros(g.m, dtype=bool)
+            mask[[g.edge_id(u, v) for u, v in edges]] = True
+            trees[c] = run_bfs(g, 0, edge_mask=mask)
+        for v in (-1, 4):
+            with pytest.raises(ValidationError):
+                vectorized_faulty_broadcast(g, trees, {0: {v: [1]}})
 
 
 class TestScipyFallback:
