@@ -1,13 +1,12 @@
 """E18 — multi-query frontier planes: one sweep, thousands of queries.
 
-E16/E17 evaluate (scenario × defense × seed) grids; until now every cell
-re-ran the engine from a cold start — per-call CSR builds and, on deep
-hosts, thousands of tiny per-layer numpy dispatches, repeated once per
-query. The :class:`repro.engine.plane.QueryPlane` packs all queries into
-one bit-packed (queries × nodes) plane so a whole grid shares a single
-layer loop (:func:`repro.engine.faults.faulty_bfs_grid`), with every
-element bit-identical to its standalone call — forest, rounds, drop
-count, and fault RNG state.
+E16/E17 evaluate (scenario × defense × seed) grids; run one query at a
+time, every cell pays per-call CSR builds and, on deep hosts, thousands
+of tiny per-layer numpy dispatches. :func:`repro.engine.plane.plane_sweep`
+runs the distinct roots of a whole grid as one call of the BFS layer loop
+over flat (query, node) keys (:func:`repro.engine.faults.faulty_bfs_grid`),
+with every element bit-identical to its standalone call — forest, rounds,
+drop count, and fault RNG state.
 
 * **E18a — acceptance grid at n = 10⁴**: a 64-root × 4-fault-seed
   E16-style grid (256 queries) under a static dead-edge plan on a *deep*
@@ -15,10 +14,14 @@ count, and fault RNG state.
   the plane amortizes). The batched grid must match the loop of single
   calls element-wise bit-identically and run ≥ 10× faster.
 * **E18b — queries/sec curve at n = 10⁵**: batch sizes 1 → 10⁴ (roots
-  cycling through 256 distinct values, one fault seed per query — the
-  seed axis of a scenario grid). Throughput must grow with batch size;
-  the top-of-curve ``batched_qps`` feeds the ``compare_bench`` throughput
-  floor so a >2× batched-throughput regression fails CI.
+  cycling through at most 256 distinct values, one fault seed per query —
+  the seed axis of a scenario grid). Throughput must grow with batch
+  size; the top-of-curve ``batched_qps`` feeds the ``compare_bench``
+  throughput floor so a >2× batched-throughput regression fails CI.
+  Queries sharing a root share one BFS, so each row also records
+  ``distinct`` roots and ``distinct_sweeps_qps`` (distinct / seconds), the
+  rate of BFS sweeps actually run; the top row's value is gated as
+  ``e18b.distinct_sweeps_qps``.
 
 Bit-identity is certified twice: element-wise in E18a here, and by the
 ``check_bfs_batch`` / ``check_fault_grid`` checks that
@@ -151,22 +154,25 @@ def run_experiment():
     assert gb.n >= 100_000
     plan_b = _dead_plan(gb)
     tb = Table(
-        ["batch", "seconds", "queries/sec"],
+        ["batch", "distinct", "seconds", "queries/sec", "sweeps/sec"],
         title=f"E18b — plane throughput vs batch size (n={gb.n})",
     )
     rows = []
     for batch in (1, 10, 100, 1_000, 10_000):
+        distinct = min(batch, 256)
         roots_b, seeds_b = _grid_queries(
-            gb.n, queries=batch, distinct_roots=min(batch, 256), seed=8
+            gb.n, queries=batch, distinct_roots=distinct, seed=8
         )
         t0 = time.perf_counter()
         res = faulty_bfs_grid(gb, roots_b, plan=plan_b, fault_seeds=seeds_b)
         secs = time.perf_counter() - t0
         assert len(res) == batch
         qps = batch / secs
-        tb.add_row([batch, round(secs, 3), round(qps, 1)])
-        rows.append({"batch": batch, "seconds": round(secs, 3),
-                     "qps": round(qps, 1)})
+        tb.add_row([batch, distinct, round(secs, 3), round(qps, 1),
+                    round(distinct / secs, 1)])
+        rows.append({"batch": batch, "distinct": distinct,
+                     "seconds": round(secs, 3), "qps": round(qps, 1),
+                     "distinct_sweeps_qps": round(distinct / secs, 1)})
         del res
     tb.print()
     # Shape: batching must buy at least an order of magnitude of throughput.
@@ -175,6 +181,7 @@ def run_experiment():
         "n": gb.n,
         "curve": rows,
         "batched_qps": rows[-1]["qps"],
+        "distinct_sweeps_qps": rows[-1]["distinct_sweeps_qps"],
     }
 
     write_bench_artifact("e18", artifact)

@@ -15,10 +15,10 @@ Shape assertions: every sample spans; every diameter is below the bound;
 diameters track n/δ (not n); backend results are bit-identical.
 
 Before the host loop, one untimed BFS per backend runs on the first host's
-full adjacency. The first vectorized call in a process pays the one-time
-``scipy.sparse`` import (about 0.2 s, against well under 1 ms warm), which
-would otherwise be charged to the first host's ``bfs_speedup``; its time is
-printed on a line of its own instead.
+full adjacency. The first call of each backend in a process pays the
+engine's first lazy imports (the backend dispatch and the vectorized
+kernels' modules), which would otherwise be charged to the first host's
+``bfs_speedup``; its time is printed on a line of its own instead.
 """
 
 from __future__ import annotations

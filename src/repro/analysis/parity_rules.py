@@ -13,12 +13,13 @@ silently. This checker closes the loop statically:
   is neither referenced by ``tests/test_engine_equivalence.py`` nor invoked
   by :func:`repro.engine.verify.verify_equivalence` (the sweep CI runs) —
   a check that exists but never executes is as good as absent.
-* ``parity-unverified-kernel`` — a public top-level function of
-  ``engine/kernels.py`` (the shared span/SpMV primitives every batched
-  path is built from) that no ``check_*`` calls and the equivalence test
-  file never references. Kernels have no ``backend=`` parameter, so the
-  first rule cannot see them — yet a drifting kernel corrupts every
-  strategy at once.
+* ``parity-unverified-kernel`` — a public top-level function that
+  ``engine/kernels.py`` defines or re-exports from another ``repro``
+  module (the shared BFS, CSR and span primitives every batched path is
+  built from) that no ``check_*`` calls and the equivalence test file
+  never references. Kernels have no ``backend=`` parameter, so the first
+  rule cannot see them — yet a drifting kernel corrupts every strategy at
+  once.
 
 Coverage is computed syntactically (call/reference names), so the checker
 never imports the code under analysis.
@@ -36,6 +37,20 @@ __all__ = ["check_backend_parity", "backend_entry_points"]
 
 def _top_level_functions(info: ModuleInfo) -> list[ast.FunctionDef]:
     return [n for n in info.tree.body if isinstance(n, ast.FunctionDef)]
+
+
+def _kernel_names(info: ModuleInfo) -> list[tuple[str, ast.AST]]:
+    """``(name, node)`` of every function ``info`` defines, and of every
+    name it imports from a ``repro.*`` module (a re-exported kernel)."""
+    out: list[tuple[str, ast.AST]] = [
+        (f.name, f) for f in _top_level_functions(info)
+    ]
+    for node in info.tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "repro."
+        ):
+            out.extend((alias.asname or alias.name, node) for alias in node.names)
+    return out
 
 
 def backend_entry_points(info: ModuleInfo) -> list[ast.FunctionDef]:
@@ -117,15 +132,15 @@ def check_backend_parity(
     for info in src_modules:
         if not info.path.as_posix().endswith("repro/engine/kernels.py"):
             continue
-        for func in _top_level_functions(info):
-            if func.name.startswith("_"):
+        for name, node in _kernel_names(info):
+            if name.startswith("_"):
                 continue
-            if func.name in check_covered or func.name in test_referenced:
+            if name in check_covered or name in test_referenced:
                 continue
             findings += info.finding(
                 "parity-unverified-kernel",
-                func,
-                f"{func.name}() is a public engine/kernels.py primitive but "
+                node,
+                f"{name}() is a public engine/kernels.py primitive but "
                 "no engine/verify.py check_* calls it and "
                 "tests/test_engine_equivalence.py never references it; add "
                 "a bit-identity check before batched paths may rely on it",

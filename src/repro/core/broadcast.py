@@ -137,6 +137,8 @@ def _number_messages_batch(
     for placement in placements:
         counts = np.zeros(graph.n, dtype=np.int64)
         for v, c in placement.items():
+            if not 0 <= v < graph.n:
+                raise ValidationError(f"placement node {v} out of range [0, {graph.n})")
             if c < 0:
                 raise ValidationError("message counts must be non-negative")
             counts[v] = c

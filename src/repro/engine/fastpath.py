@@ -37,9 +37,9 @@ __all__ = [
 
 
 # BFS sweeps and tree-children construction live in repro.engine.kernels
-# (frontier_sweep / tree_parents / children_lists), shared with
-# repro.engine.faults; expand_csr_rows is re-exported above for callers
-# that imported it from here.
+# (frontier_sweep / children_lists), shared with repro.engine.faults;
+# expand_csr_rows is re-exported above for callers that imported it from
+# here.
 
 
 # --------------------------------------------------------------------------- #

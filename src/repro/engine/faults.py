@@ -44,7 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.congest.adversary import FaultPlan
-from repro.engine.kernels import expand_csr_rows, frontier_sweep
+from repro.engine.kernels import expand_csr_rows
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.util.bits import bits_for_int_array
@@ -140,58 +140,6 @@ _KIND_CHILD = 0  # canonical per-node send order: CHILD notice first,
 _KIND_ANNOUNCE = 1  # then layer announces on the remaining ports ascending
 
 
-def _span_faulty_bfs(
-    graph: Graph,
-    root: int,
-    stream: FaultStream,
-    edge_mask: np.ndarray | None,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-) -> FaultyBFSOutcome:
-    """Closed-form faulty BFS when the only faults are dead edges.
-
-    With no coin drops and no mobile set, the adversary is a static edge
-    deletion: adoption is plain BFS on the masked graph *minus* the dead
-    edges (one :func:`frontier_sweep`, no per-round loop), every surviving
-    child-notice arrives (the notice rides the adoption edge, which is by
-    definition alive), and the drop count is exactly one crossing per
-    (dead masked edge, adopted endpoint) pair — an adopted node sends on
-    *every* masked port exactly once.
-    """
-    n = graph.n
-    if stream.dead.any():
-        base = (
-            np.asarray(edge_mask, dtype=bool)
-            if edge_mask is not None
-            else np.ones(graph.m, dtype=bool)
-        )
-        pindptr, pindices = graph.masked_csr(base & ~stream.dead)
-    else:
-        pindptr, pindices = indptr, indices
-    parent, dist = frontier_sweep(n, pindptr, pindices, root)
-    # The clock runs off the *masked* graph: the root's round-1 batch exists
-    # as soon as it has any usable port, dead or not.
-    rounds = int(dist.max()) + 1 if indptr[root + 1] > indptr[root] else 0
-    dropped = 0
-    if stream.dead.any():
-        de = np.nonzero(stream.dead)[0]
-        if edge_mask is not None:
-            de = de[np.asarray(edge_mask, dtype=bool)[de]]
-        dropped = int(
-            (dist[graph.edge_u[de]] >= 0).sum() + (dist[graph.edge_v[de]] >= 0).sum()
-        )
-    result = BFSResult(
-        root=root,
-        parent=parent,
-        dist=dist,
-        children=None,  # rate-0 plans drop no child-notices: parent-derived
-        rounds=rounds,
-    )
-    return FaultyBFSOutcome(
-        result=result, dropped=dropped, fault_rng_state=stream.rng_state
-    )
-
-
 def _span_faulty_bfs_total_loss(
     graph: Graph,
     root: int,
@@ -256,25 +204,22 @@ def vectorized_faulty_bfs(
     child keeps the parent pointer, exactly like the simulator.
 
     The plan picks the path. With no mobile adversary, a rate-0 plan runs
-    as one closed-form sweep (:func:`_span_faulty_bfs`) and pure total
-    loss without dead edges as :func:`_span_faulty_bfs_total_loss`; every
-    other plan takes the per-round replay below.
+    as a grid of one (:func:`_static_floods`) and pure total loss without
+    dead edges as :func:`_span_faulty_bfs_total_loss`; every other plan
+    takes the per-round replay below.
     """
     if not (0 <= root < graph.n):
         raise ValidationError(f"root {root} out of range")
     plan = plan if plan is not None else FaultPlan()
+    if not plan.mobile and plan.drop_rate == 0.0:
+        return _static_floods(graph, [root], plan, [fault_seed], edge_mask)[0]
     n = graph.n
     stream = FaultStream(graph, plan, fault_seed)
     indptr, indices = graph.masked_csr(
         None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     )
-    if not stream.mobile:
-        if stream.rate == 0.0:
-            return _span_faulty_bfs(
-                graph, root, stream, edge_mask, indptr, indices
-            )
-        if stream.rate == 1.0 and not stream.dead.any():
-            return _span_faulty_bfs_total_loss(graph, root, stream, indptr)
+    if not stream.mobile and stream.rate == 1.0 and not stream.dead.any():
+        return _span_faulty_bfs_total_loss(graph, root, stream, indptr)
     degs = np.diff(indptr)
     arc_eids = (
         graph.edge_ids_for_pairs(np.repeat(np.arange(n), degs), indices)
@@ -436,14 +381,12 @@ def faulty_bfs_grid(
     Element ``i`` is bit-identical to
     ``faulty_bfs(graph, roots[i], plan, fault_seeds[i], ...)`` — same
     forest, rounds, drop count, and fault RNG state. When the plan draws
-    no coins and has no mobile set (the static dead-edge regime the span
-    path already collapses per query), the whole grid reduces to one
-    :func:`repro.engine.plane.plane_sweep` over the distinct roots on the
-    dead-subtracted CSR: the coin RNG is untouched, so outcomes across
-    fault seeds differ only in their (pristine) recorded RNG state, and
-    queries sharing a root share read-only forest rows. Every other plan —
-    positive rates, mobile schedules, the simulator backend — falls back
-    to the per-query loop, which is the contract's definition anyway.
+    no coins and has no mobile set (the static dead-edge regime), the
+    whole grid reduces to one :func:`repro.engine.plane.plane_sweep` over
+    the distinct roots (:func:`_static_floods`, which the solo call runs
+    as a grid of one). Every other plan — positive rates, mobile
+    schedules, the simulator backend — falls back to the per-query loop,
+    which is the contract's definition anyway.
 
     ``fault_seeds`` defaults to all zeros; when given it must match
     ``roots`` in length.
@@ -470,13 +413,31 @@ def faulty_bfs_grid(
             )
             for r, s in zip(root_list, seeds)
         ]
+    return _static_floods(graph, root_list, plan, seeds, edge_mask)
 
+
+def _static_floods(
+    graph: Graph,
+    roots: list[int],
+    plan: FaultPlan,
+    fault_seeds: list,
+    edge_mask: np.ndarray | None,
+) -> list[FaultyBFSOutcome]:
+    """Faulty floods under a coin-free, static plan, as one plane sweep.
+
+    With no coin drops and no mobile set, the adversary is a static edge
+    deletion: adoption is plain BFS on the masked graph *minus* the dead
+    edges (no per-round loop), every surviving child-notice arrives (the
+    notice rides the adoption edge, which is by definition alive), and the
+    drop count is exactly one crossing per (dead masked edge, adopted
+    endpoint) pair — an adopted node sends on *every* masked port exactly
+    once. The coin RNG is untouched, so outcomes across fault seeds
+    differ only in their (pristine) recorded RNG state, and queries
+    sharing a root share read-only forest rows.
+    """
     from repro.engine.plane import plane_sweep
 
     plan.validate_for(graph.m)
-    for r in root_list:
-        if not (0 <= r < graph.n):
-            raise ValidationError(f"root {r} out of range")
     base = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     indptr, indices = graph.masked_csr(base)
     n = graph.n
@@ -493,10 +454,10 @@ def faulty_bfs_grid(
             de = de[base[de]]
     else:
         pindptr, pindices = indptr, indices
-    uniq, inverse = np.unique(np.asarray(root_list, dtype=np.int64), return_inverse=True)
+    uniq, inverse = np.unique(np.asarray(roots, dtype=np.int64), return_inverse=True)
     parent, dist, _ = plane_sweep(n, pindptr, pindices, uniq)
-    # The clock runs off the *masked* graph, exactly like _span_faulty_bfs:
-    # the root's round-1 batch exists as soon as any usable port does.
+    # The clock runs off the *masked* graph: the root's round-1 batch exists
+    # as soon as it has any usable port, dead or not.
     rounds_u = np.where(indptr[uniq + 1] > indptr[uniq], dist.max(axis=1) + 1, 0)
     if de.size:
         dropped_u = (dist[:, graph.edge_u[de]] >= 0).sum(axis=1) + (
@@ -505,7 +466,7 @@ def faulty_bfs_grid(
     else:
         dropped_u = np.zeros(uniq.size, dtype=np.int64)
     out: list[FaultyBFSOutcome] = []
-    for i, (r, s) in enumerate(zip(root_list, seeds)):
+    for i, (r, s) in enumerate(zip(roots, fault_seeds)):
         q = int(inverse[i])
         res = BFSResult(
             root=r,

@@ -1,17 +1,18 @@
 """Shared array kernels for the vectorized backend: CSR builders, the
-boolean SpMV frontier sweep, and the event-batched span algebra.
+BFS layer loop, and the event-batched span algebra.
 
 Two primitives collapse the O(rounds) Python loops of
 :mod:`repro.engine.fastpath` and :mod:`repro.engine.faults` into
 O(events) numpy steps:
 
-* **Frontier sweeps as boolean SpMV** — :func:`frontier_sweep` runs each
-  BFS layer as one ``(1 × n) @ (n × n)`` boolean sparse matvec over the
-  Graph CSR arrays when :mod:`scipy.sparse` is importable (and the
-  subgraph is large enough to amortize matrix construction), falling
-  back to the pure-numpy gather sweep otherwise. Parents are adopted
-  inline as each layer lands; :func:`tree_parents` is the whole-array
-  reference the verify sweep cross-checks.
+* **One BFS layer loop** — :func:`frontier_sweep` (defined in
+  :mod:`repro.graphs.traversal`, so centralized callers reach it without
+  importing the engine) advances every BFS of a call one layer per numpy
+  gather over flat keys ``q·n + v`` and adopts parents inline. A solo
+  sweep, the disjoint-union sweep of a tree packing and the query plane
+  of :mod:`repro.engine.plane` all run it; ``check_kernels`` compares it
+  with :func:`~repro.graphs.traversal.bfs_distances` and a plain-Python
+  adoption rule.
 
 * **Event-batched span stepping** — between queue-drain events the
   pipelined-broadcast recurrence is closed-form, so
@@ -36,11 +37,10 @@ Overlay rates are counts of concurrently-busy children, hence always
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro import obs
+from repro.graphs.traversal import expand_csr_rows, frontier_sweep
 
 __all__ = [
     "children_csr",
@@ -50,58 +50,13 @@ __all__ = [
     "in_sorted",
     "last_send_round_spans",
     "lists_to_csr",
-    "scipy_sparse",
-    "tree_parents",
     "upcast_spans",
 ]
-
-
-_scipy_sparse_mod: object = None  # None = untried, False = unavailable
-
-
-def scipy_sparse():
-    """The :mod:`scipy.sparse` module, or ``None`` when unavailable.
-
-    The import is attempted once and cached; the ``REPRO_NO_SCIPY``
-    environment variable is consulted on *every* call so tests can force
-    the pure-numpy fallback without reloading modules. scipy is an
-    optional accelerator: no engine output depends on its presence.
-    """
-    global _scipy_sparse_mod
-    if os.environ.get("REPRO_NO_SCIPY"):
-        return None
-    if _scipy_sparse_mod is None:
-        try:
-            import scipy.sparse as _sp
-
-            _scipy_sparse_mod = _sp
-        except ImportError:  # pragma: no cover - scipy is in the dev image
-            _scipy_sparse_mod = False
-    return _scipy_sparse_mod or None
 
 
 # --------------------------------------------------------------------------- #
 # CSR builders shared by fastpath / faults / broadcast call sites
 # --------------------------------------------------------------------------- #
-
-def expand_csr_rows(
-    indptr: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat slot indices of all CSR adjacency entries of ``rows``.
-
-    Returns ``(sel, counts, offs)``: ``sel`` indexes the CSR data array with
-    each row's block contiguous in row order, ``counts`` is the per-row
-    block length, and ``offs`` the within-block rank of each entry. Shared
-    by every whole-frontier sweep in the engine.
-    """
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    base = np.repeat(indptr[rows], counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return base + offs, counts, offs
-
 
 def in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Membership of ``values`` in the sorted array ``table``."""
@@ -148,217 +103,6 @@ def lists_to_csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
         (v for block in lists for v in block), dtype=np.int64, count=total
     )
     return indptr, flat
-
-
-# --------------------------------------------------------------------------- #
-# Boolean CSR SpMV frontier kernel
-# --------------------------------------------------------------------------- #
-
-# Below this many CSR arcs the csr_matrix construction dominates the sweep;
-# verify checks drop it to 0 to exercise the SpMV path on tiny graphs.
-_SPMV_MIN_ARCS = 2048
-
-# Per-layer gate: a sparse-sparse matvec costs ~300µs of scipy object
-# construction regardless of size, which a deep narrow graph would pay
-# once per layer; below this many frontier out-arcs the numpy gather wins.
-_SPMV_LAYER_ARCS = 32768
-
-
-def _bfs_layers_spmv(
-    sp,
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    roots: np.ndarray,
-) -> None:
-    """Fill ``dist`` and ``parent`` in place; wide layers advance by
-    boolean sparse matvec.
-
-    Narrow layers (< :data:`_SPMV_LAYER_ARCS` out-arcs) use the same
-    gather step as :func:`_bfs_layers_numpy` — the candidate sets, and
-    therefore the layers, are identical either way; only the wall clock
-    differs. The adjacency matrix is built lazily on the first wide layer.
-
-    Wide layers adopt parents by scanning each *fresh* node's own CSR row
-    for its first (= smallest-id) previous-layer neighbor; the matvec
-    itself only yields the candidate set.
-    """
-    adj = None
-    frontier = roots
-    d = 0
-    while frontier.size:
-        obs.count("kernels.frontier_nodes", frontier.size)
-        obs.count("kernels.frontier_peak", frontier.size, "max")
-        arcs = int((indptr[frontier + 1] - indptr[frontier]).sum())
-        if arcs >= _SPMV_LAYER_ARCS:
-            obs.count("kernels.spmv_layers")
-            if adj is None:
-                adj = sp.csr_matrix(
-                    (np.ones(indices.size, dtype=bool), indices, indptr),
-                    shape=(n, n),
-                )
-            x = sp.csr_matrix(
-                (
-                    np.ones(frontier.size, dtype=bool),
-                    (np.zeros(frontier.size, dtype=np.int64), frontier),
-                ),
-                shape=(1, n),
-            )
-            cand = (x @ adj).indices.astype(np.int64, copy=False)
-            frontier = cand[dist[cand] < 0]  # sorted unique already
-            if not frontier.size:
-                break
-            fsel, fcounts, _offs = expand_csr_rows(indptr, frontier)
-            nb = indices[fsel]
-            good = np.flatnonzero(dist[nb] == d)  # fresh rows still hold -1
-            rows = np.repeat(
-                np.arange(frontier.size, dtype=np.int64), fcounts
-            )[good]
-            first = np.empty(good.size, dtype=bool)
-            first[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=first[1:])
-            parent[frontier[rows[first]]] = nb[good[first]]
-        else:
-            obs.count("kernels.gather_layers")
-            frontier = _advance_layer(indptr, indices, dist, parent, frontier)
-            if not frontier.size:
-                break
-        d += 1
-        dist[frontier] = d
-
-
-def _advance_layer(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    frontier: np.ndarray,
-) -> np.ndarray:
-    """One gather layer step: returns the sorted fresh layer and adopts
-    its parents in place.
-
-    Filtering visited candidates *before* the sort discards most of a
-    layered graph's candidates ahead of the O(c log c) work. The stable
-    argsort keeps arc order within ties, and arcs enumerate the (sorted)
-    frontier in order — so the first occurrence of each fresh node pairs
-    it with its **smallest** previous-layer neighbor, exactly the
-    :func:`tree_parents` adoption rule, with no whole-graph pass.
-    """
-    sel, counts, _offs = expand_csr_rows(indptr, frontier)
-    if sel.size == 0:
-        return np.empty(0, dtype=np.int64)
-    cand = indices[sel]
-    unv = dist[cand] < 0
-    cand = cand[unv]
-    if cand.size == 0:
-        return cand
-    src = np.repeat(frontier, counts)[unv]
-    order = np.argsort(cand, kind="stable")
-    cand = cand[order]
-    first = np.empty(cand.size, dtype=bool)
-    first[0] = True
-    np.not_equal(cand[1:], cand[:-1], out=first[1:])
-    fresh = cand[first]
-    parent[fresh] = src[order[first]]
-    return fresh
-
-
-def _bfs_layers_numpy(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    roots: np.ndarray,
-) -> None:
-    """Pure-numpy twin of :func:`_bfs_layers_spmv` (gather + unique)."""
-    frontier = roots
-    d = 0
-    while frontier.size:
-        obs.count("kernels.frontier_nodes", frontier.size)
-        obs.count("kernels.frontier_peak", frontier.size, "max")
-        obs.count("kernels.gather_layers")
-        frontier = _advance_layer(indptr, indices, dist, parent, frontier)
-        if not frontier.size:
-            break
-        d += 1
-        dist[frontier] = d
-
-
-def tree_parents(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    root: int | np.ndarray,
-) -> np.ndarray:
-    """BFS-tree parents from distances, in one whole-array pass.
-
-    Every reached non-root node adopts its **smallest** neighbor in the
-    previous layer — exactly the simulator's first-port adoption, since
-    ports are numbered in neighbor-id order and all previous-layer
-    neighbors announce in the same round. CSR rows keep neighbors
-    ascending, so the *first* valid arc of each row is that smallest
-    neighbor; one mask + first-occurrence diff finds every adoption
-    without per-row reductions (``minimum.reduceat`` / ``minimum.at``
-    both degrade badly once the row count reaches the hundreds of
-    thousands).
-
-    ``root`` may be a single node or an array of roots — one per
-    connected component, as in the disjoint-union sweep of
-    ``repro.engine.plane.masked_union_bfs``.
-    """
-    deg = np.diff(indptr)
-    rows_all = np.repeat(np.arange(n, dtype=np.int64), deg)
-    dv = dist[rows_all]
-    ok_idx = np.flatnonzero((dv > 0) & (dist[indices] == dv - 1))
-    parent = np.full(n, -1, dtype=np.int64)
-    if ok_idx.size:
-        rows = rows_all[ok_idx]  # non-decreasing: CSR arc order
-        first = np.empty(ok_idx.size, dtype=bool)
-        first[0] = True
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        parent[rows[first]] = indices[ok_idx[first]]
-    parent[root] = root
-    return parent
-
-
-def frontier_sweep(
-    n: int, indptr: np.ndarray, indices: np.ndarray, root: int | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """BFS ``(parent, dist)`` over a CSR subgraph, SpMV-accelerated.
-
-    Layer expansion runs as boolean sparse matvecs when scipy is
-    available and the subgraph clears :data:`_SPMV_MIN_ARCS`; otherwise a
-    pure-numpy gather sweep. Either way the layers — and therefore the
-    parents chosen by :func:`tree_parents` — are identical.
-
-    ``root`` may be a single node or a sorted array of roots lying in
-    pairwise-disconnected components (the disjoint-union batching of
-    :func:`repro.engine.plane.masked_union_bfs`): each component's sweep
-    proceeds exactly as a solo sweep from its root would, on one shared
-    layer clock.
-
-    Parents are adopted inline as each layer lands (the candidate gather
-    the dedup already pays carries the source of every arc), avoiding
-    :func:`tree_parents`'s whole-graph ``dist`` gather — that function
-    stays as the reference the verify sweep cross-checks against.
-    """
-    roots = np.atleast_1d(np.asarray(root, dtype=np.int64))
-    dist = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist[roots] = 0
-    sp = scipy_sparse() if indices.size >= _SPMV_MIN_ARCS else None
-    if sp is not None:
-        obs.count("kernels.spmv_sweeps")
-        _bfs_layers_spmv(sp, n, indptr, indices, dist, parent, roots)
-    else:
-        obs.count("kernels.gather_sweeps")
-        _bfs_layers_numpy(n, indptr, indices, dist, parent, roots)
-    parent[roots] = roots
-    return parent, dist
 
 
 # --------------------------------------------------------------------------- #

@@ -868,64 +868,42 @@ def check_tournament(graph: Graph, k: int, seed) -> list[str]:
 def check_kernels(graph: Graph, seed) -> list[str]:
     """Direct identities of the :mod:`repro.engine.kernels` primitives.
 
-    ``frontier_sweep`` must agree between its scipy SpMV path and the pure
-    numpy fallback; ``tree_parents``, ``last_send_round_spans`` and
-    ``upcast_spans`` must match plain-Python walks (the upcast one round
-    at a time); and the small CSR/membership helpers must match their
-    numpy one-liners. The pipeline built on them is compared with the
-    simulator by :func:`check_tree_broadcast`.
+    ``frontier_sweep`` must give the dists of
+    :func:`~repro.graphs.traversal.bfs_distances`, a separate dist-only
+    loop, and the parents of the plain-Python smallest-previous-layer
+    rule; ``last_send_round_spans`` and ``upcast_spans`` must match
+    plain-Python walks (the upcast one round at a time); and the small
+    CSR/membership helpers must match their numpy one-liners. The
+    pipeline built on them is compared with the simulator by
+    :func:`check_tree_broadcast`.
     """
-    import os
-
     from repro.engine import kernels
+    from repro.graphs.traversal import bfs_distances
 
     out = []
     n = graph.n
     rng = ensure_rng(seed)
 
-    # -- frontier_sweep: scipy SpMV path vs pure-numpy fallback --------- #
+    # -- frontier_sweep vs bfs_distances and the python adoption rule --- #
     root = int(rng.integers(n))
     indptr, indices = graph._indptr, graph._indices
-    saved_min = kernels._SPMV_MIN_ARCS
-    saved_layer = kernels._SPMV_LAYER_ARCS
-    prev_noscipy = os.environ.get("REPRO_NO_SCIPY")
-    try:
-        kernels._SPMV_MIN_ARCS = 0  # force SpMV even on tiny graphs
-        kernels._SPMV_LAYER_ARCS = 0  # ... and matvec steps on tiny layers
-        os.environ.pop("REPRO_NO_SCIPY", None)
-        sp_parent, sp_dist = kernels.frontier_sweep(n, indptr, indices, root)
-        os.environ["REPRO_NO_SCIPY"] = "1"
-        np_parent, np_dist = kernels.frontier_sweep(n, indptr, indices, root)
-    finally:
-        kernels._SPMV_MIN_ARCS = saved_min
-        kernels._SPMV_LAYER_ARCS = saved_layer
-        if prev_noscipy is None:
-            os.environ.pop("REPRO_NO_SCIPY", None)
-        else:
-            os.environ["REPRO_NO_SCIPY"] = prev_noscipy
-    if not np.array_equal(sp_parent, np_parent):
-        out.append("kernels: frontier_sweep parents differ scipy vs fallback")
-    if not np.array_equal(sp_dist, np_dist):
-        out.append("kernels: frontier_sweep dists differ scipy vs fallback")
-    if kernels.scipy_sparse() is not None and os.environ.get("REPRO_NO_SCIPY"):
-        out.append("kernels: scipy_sparse ignores REPRO_NO_SCIPY")
-
-    # -- tree_parents: the python smallest-previous-layer-neighbor rule - #
-    tp = kernels.tree_parents(n, indptr, indices, np_dist, root)
+    sweep_parent, sweep_dist = kernels.frontier_sweep(n, indptr, indices, root)
+    if not np.array_equal(sweep_dist, bfs_distances(graph, root)):
+        out.append("kernels: frontier_sweep dists differ from bfs_distances")
     ref_parent = np.full(n, -1, dtype=np.int64)
     ref_parent[root] = root
     for v in range(n):
-        if v == root or np_dist[v] < 0:
+        if v == root or sweep_dist[v] < 0:
             continue
         prev = [
             int(u)
             for u in indices[indptr[v] : indptr[v + 1]]
-            if np_dist[u] == np_dist[v] - 1
+            if sweep_dist[u] == sweep_dist[v] - 1
         ]
         if prev:
             ref_parent[v] = min(prev)
-    if not (np.array_equal(tp, ref_parent) and np.array_equal(tp, np_parent)):
-        out.append("kernels: tree_parents differs from the python reference")
+    if not np.array_equal(sweep_parent, ref_parent):
+        out.append("kernels: frontier_sweep parents differ from the python rule")
 
     # -- last_send_round_spans vs a per-round queue walk ---------------- #
     widths = rng.integers(1, 4, size=4)
@@ -958,8 +936,7 @@ def check_kernels(graph: Graph, seed) -> list[str]:
         )
 
     # -- CSR builders and membership helpers ---------------------------- #
-    parent = np_parent.copy()
-    parent[root] = root  # tree convention: root is its own parent
+    parent = sweep_parent  # tree convention: the root is its own parent
     lists = kernels.children_lists(parent)
     ref_lists: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
@@ -998,7 +975,7 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     # -- upcast_spans expanded per round == a round-by-round queue walk -- #
     up = rng.integers(0, 4, size=n).astype(np.int64)
     up[root] = 0
-    up[np_dist < 0] = 0  # unreached nodes have no path to the root
+    up[sweep_dist < 0] = 0  # unreached nodes have no path to the root
     queue = up.tolist()
     walk: list[tuple[int, int, int]] = []  # (round, root, items arriving)
     r = 0
@@ -1013,7 +990,7 @@ def check_kernels(graph: Graph, seed) -> list[str]:
                 walk.append((r, u, c))
             else:
                 queue[u] += c  # sendable from the next round on
-    sn, sb, se, sr = kernels.upcast_spans(up, parent, np_dist)
+    sn, sb, se, sr = kernels.upcast_spans(up, parent, sweep_dist)
     spans = sorted(
         (rr, int(v), int(rate))
         for v, b, e, rate in zip(sn, sb, se, sr)
@@ -1059,48 +1036,26 @@ def check_fault_paths(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
 def check_bfs_batch(graph: Graph, roots, edge_mask=None) -> list[str]:
     """run_bfs_batch == loop of run_bfs, element-wise, on both backends.
 
-    The vectorized batch rides the :class:`~repro.engine.plane.QueryPlane`
-    sweep; one pass also forces the plane's SpMV branch (gates zeroed, with
-    and without scipy) so every layer kernel of the plane is certified
-    against the solo kernels.
+    The vectorized batch rides :func:`~repro.engine.plane.plane_sweep`,
+    which runs the same layer loop as the vectorized solo calls, so it is
+    also compared with the simulator's solo runs directly.
     """
-    import os
-
-    from repro.engine import kernels
     from repro.primitives.bfs import run_bfs, run_bfs_batch
 
     out = []
-    solos = {}
+    solos, batches = {}, {}
     for backend in ("simulator", "vectorized"):
         solos[backend] = [
             run_bfs(graph, int(r), edge_mask=edge_mask, backend=backend)
             for r in roots
         ]
-        batch = run_bfs_batch(graph, roots, edge_mask=edge_mask, backend=backend)
-        for i, (a, b) in enumerate(zip(solos[backend], batch)):
+        batches[backend] = run_bfs_batch(
+            graph, roots, edge_mask=edge_mask, backend=backend
+        )
+        for i, (a, b) in enumerate(zip(solos[backend], batches[backend])):
             out.extend(_diff_bfs(a, b, f"bfs-batch[{backend}][{i}]"))
-    saved = (kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS)
-    had = os.environ.get("REPRO_NO_SCIPY")
-    try:
-        kernels._SPMV_MIN_ARCS = 0
-        kernels._SPMV_LAYER_ARCS = 0
-        for noscipy in (False, True):
-            if noscipy:
-                os.environ["REPRO_NO_SCIPY"] = "1"
-            elif had is not None:
-                os.environ.pop("REPRO_NO_SCIPY", None)
-            batch = run_bfs_batch(
-                graph, roots, edge_mask=edge_mask, backend="vectorized"
-            )
-            tag = "spmv-noscipy" if noscipy else "spmv"
-            for i, (a, b) in enumerate(zip(solos["simulator"], batch)):
-                out.extend(_diff_bfs(a, b, f"bfs-batch[{tag}][{i}]"))
-    finally:
-        kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS = saved
-        if had is None:
-            os.environ.pop("REPRO_NO_SCIPY", None)
-        else:
-            os.environ["REPRO_NO_SCIPY"] = had
+    for i, (a, b) in enumerate(zip(solos["simulator"], batches["vectorized"])):
+        out.extend(_diff_bfs(a, b, f"bfs-batch[vectorized vs simulator][{i}]"))
     return out
 
 

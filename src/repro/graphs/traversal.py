@@ -6,24 +6,33 @@ outputs of distributed protocols against ground truth and (b) implement the
 (e.g. every node computing APSP on a received spanner). The distributed BFS
 of Lemma 2 lives in :mod:`repro.primitives.bfs`.
 
-BFS is the hottest kernel in the library (diameter checks run it from every
-node), so :func:`bfs_distances` is a frontier-vectorized implementation over
-the CSR arrays rather than a per-node Python loop. :func:`all_pairs_distances`
-(PRT's exact APSP on the cluster graph, Theorem 4) goes further and runs
-every source at once as a bit-parallel multi-source BFS (Then et al., "The
-More the Merrier", PVLDB 2014): 64 sources share each ``uint64`` word of a
-node-major frontier plane, so one CSR gather + segmented OR advances all of
-them a layer. Every layer is a full pass over the arcs, so the sweep pays
-off on shallow graphs such as cluster graphs and loses to the per-source
-loop on deep sparse hosts, which is why diameter checks keep
-:func:`bfs_distances`.
+Three layer loops cover every BFS in the library:
+
+* :func:`frontier_sweep` — the one loop that adopts parents. It runs over
+  flat keys ``q·n + v`` (query ``q``, node ``v``), so one call serves a
+  solo BFS, many BFS queries over one CSR (``queries > 1``, the query
+  plane of :mod:`repro.engine.plane`) and a disjoint union of channel
+  subgraphs. :func:`bfs_tree` and the vectorized backend's sweeps all run
+  it; :mod:`repro.engine.kernels` re-exports it.
+* :func:`bfs_distances` — the dist-only loop. Without parent bookkeeping
+  it runs in about two thirds of :func:`frontier_sweep`'s time, which
+  matters to diameter checks and leader election that run it many times.
+* :func:`all_pairs_distances` — PRT's exact APSP on the cluster graph
+  (Theorem 4) runs every source at once as a bit-parallel multi-source BFS
+  (Then et al., "The More the Merrier", PVLDB 2014): 64 sources share each
+  ``uint64`` word of a node-major frontier plane, so one CSR gather +
+  segmented OR advances all of them a layer. Every layer is a full pass
+  over the arcs, so the sweep pays off on shallow graphs such as cluster
+  graphs and loses to the per-source loop on deep sparse hosts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.graphs.graph import Graph
+from repro.util.errors import ValidationError
 
 __all__ = [
     "bfs_distances",
@@ -31,32 +40,110 @@ __all__ = [
     "all_pairs_distances",
     "eccentricity",
     "connected_components",
+    "expand_csr_rows",
+    "frontier_sweep",
     "is_connected",
 ]
 
 UNREACHED = -1
 
 
+def expand_csr_rows(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat slot indices of all CSR adjacency entries of ``rows``.
+
+    Returns ``(sel, counts, offs)``: ``sel`` indexes the CSR data array with
+    each row's block contiguous in row order, ``counts`` is the per-row
+    block length, and ``offs`` the within-block rank of each entry. Shared
+    by every whole-frontier sweep in the library.
+    """
+    counts = indptr[rows + 1] - indptr[rows]
+    total = int(counts.sum())
+    base = np.repeat(indptr[rows], counts)
+    offs = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return base + offs, counts, offs
+
+
+def frontier_sweep(
+    n: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    root: int | np.ndarray,
+    queries: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """BFS ``(parent, dist)`` over flat keys ``q·n + v``: the one layer loop.
+
+    ``root`` is one start key or a sorted array of them; ``parent`` and
+    ``dist`` hold ``queries·n`` entries, key ``q·n + v`` being node ``v``
+    of query ``q``, and every query walks the same CSR. A parent is a
+    node id, a root is its own parent, and ``-1`` marks unreached keys.
+    A key outside ``[0, queries·n)`` raises :class:`ValidationError`.
+
+    One layer gathers the arcs of every frontier node ``v = key mod n``;
+    a candidate's key is ``(key − v) + neighbor``. Candidates already
+    reached drop out, the rest are stable-sorted, and the first
+    occurrence of each fresh key adopts its arc's source. Arcs enumerate
+    the sorted frontier in order, so that source is the **smallest**
+    previous-layer neighbor — the simulator's first-port rule, since
+    ports are numbered by neighbor id.
+
+    Several roots of one query must lie in pairwise-disconnected
+    components, as in the disjoint-union sweep of
+    :func:`repro.engine.plane.masked_union_bfs`: each component then
+    proceeds exactly as a solo sweep from its root would.
+    """
+    n = int(n)
+    size = n * int(queries)
+    keys = np.atleast_1d(np.asarray(root, dtype=np.int64))
+    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= size):
+        raise ValidationError(f"BFS start key out of range [0, {size})")
+    parent = np.full(size, UNREACHED, dtype=np.int64)
+    dist = np.full(size, UNREACHED, dtype=np.int64)
+    parent[keys] = keys % n
+    dist[keys] = 0
+    frontier = keys
+    d = 0
+    while frontier.size:
+        obs.count("kernels.frontier_nodes", frontier.size)
+        obs.count("kernels.frontier_peak", frontier.size, "max")
+        obs.count("kernels.gather_layers")
+        v = frontier % n if queries > 1 else frontier
+        sel, counts, _offs = expand_csr_rows(indptr, v)
+        cand = indices[sel]
+        if queries > 1:
+            cand += np.repeat(frontier - v, counts)
+        fresh = dist[cand] < 0
+        cand = cand[fresh]
+        if not cand.size:
+            break
+        src = np.repeat(v, counts)[fresh]
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        first = np.empty(cand.size, dtype=bool)
+        first[0] = True
+        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        frontier = cand[first]
+        parent[frontier] = src[order[first]]
+        d += 1
+        dist[frontier] = d
+    return parent, dist
+
+
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; ``-1`` marks unreachable nodes."""
+    if not 0 <= source < graph.n:
+        raise ValidationError(f"source {source} out of range [0, {graph.n})")
     dist = np.full(graph.n, UNREACHED, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     indptr, indices = graph._indptr, graph._indices
     d = 0
     while frontier.size:
-        # Gather all frontier adjacency blocks in one vectorized sweep:
-        # positions = repeat(starts, counts) + (0,1,2,... within each block).
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        block_off = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        out = indices[base + block_off]
+        sel, _counts, _offs = expand_csr_rows(indptr, frontier)
+        out = indices[sel]
         fresh = out[dist[out] == UNREACHED]
         if fresh.size == 0:
             break
@@ -78,21 +165,10 @@ def bfs_tree(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(parent, dist)``; ``parent[source] == source`` and
     ``parent[v] == -1`` for unreachable ``v``. Parents are chosen as the
     smallest-id neighbor in the previous layer, making the tree deterministic
-    (matching the port-ordered distributed BFS of Lemma 2).
+    (matching the port-ordered distributed BFS of Lemma 2). A ``source``
+    outside ``[0, n)`` raises :class:`ValidationError`.
     """
-    dist = bfs_distances(graph, source)
-    parent = np.full(graph.n, UNREACHED, dtype=np.int64)
-    parent[source] = source
-    order = np.argsort(dist, kind="stable")
-    for v in order:
-        v = int(v)
-        if dist[v] <= 0:
-            continue
-        nbrs = graph.neighbors(v)
-        prev = nbrs[dist[nbrs] == dist[v] - 1]
-        if prev.size:
-            parent[v] = int(prev[0])
-    return parent, dist
+    return frontier_sweep(graph.n, graph._indptr, graph._indices, source)
 
 
 # Gathered-plane budget of one source block of :func:`all_pairs_distances`:

@@ -6,7 +6,7 @@ Instrumentation sites import this package and write::
 
     with obs.span("tree_packing"):
         ...
-    obs.count("kernels.spmv_layers")                       # sum (default)
+    obs.count("kernels.gather_layers")                     # sum (default)
     obs.count("simulate.active_peak", len(active), "max")  # keep the peak
 
 With no tracer installed (the default), :func:`span` returns a shared
@@ -14,7 +14,7 @@ no-op context manager and :func:`count` returns immediately — one
 context-var read each — so instrumented code is bit-identical to, and
 within noise of, uninstrumented code. :func:`use_tracer` installs a
 :class:`Tracer` for a dynamic extent; :func:`enabled` gates computing
-*expensive* counter values (e.g. plane occupancy popcounts).
+*expensive* counter values.
 
 Artifacts and reporting live in :mod:`repro.obs.tracer` (JSONL +
 Chrome-trace writers) and :mod:`repro.obs.report` (``repro trace``).

@@ -9,7 +9,7 @@ One tracer records two kinds of telemetry:
   recoverable by :mod:`repro.obs.report`.
 
 * **Typed counters** — named scalars with an aggregation mode: ``"sum"``
-  accumulates (SpMV passes, frontier populations, memo hits), ``"max"``
+  accumulates (BFS layers, frontier populations, memo hits), ``"max"``
   keeps the peak (queue depths, span-batch peaks). Values may be ints or
   floats; the type is preserved in the emitted artifacts.
 

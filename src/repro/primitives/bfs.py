@@ -285,8 +285,8 @@ def run_bfs_batch(
     Element ``i`` of the returned list is bit-identical to
     ``run_bfs(graph, roots[i], edge_mask=edge_mask, backend=backend)``
     (parents, dists, children, rounds). Under ``backend="vectorized"``
-    all queries share one :func:`~repro.engine.plane.plane_sweep` — a
-    single layer loop over a bit-packed (queries × nodes) plane — so the
+    all queries share one :func:`~repro.engine.plane.plane_sweep` — one
+    call of the BFS layer loop over flat (query, node) keys — so the
     per-call dispatch cost is paid once per batch instead of once per
     root; the simulator backend runs the reference loop of solo calls.
     Duplicate roots are answered by shared (read-only) result rows.
@@ -299,9 +299,6 @@ def run_bfs_batch(
             run_bfs(graph, r, edge_mask=edge_mask, backend=backend)
             for r in root_list
         ]
-    for r in root_list:
-        if not (0 <= r < graph.n):
-            raise ValidationError(f"root {r} out of range")
     from repro.engine.plane import plane_sweep
 
     indptr, indices = graph.masked_csr(edge_mask)

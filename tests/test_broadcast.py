@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    build_packing_with_retry,
     combined_broadcast,
     cut_adversarial_placement,
     fast_broadcast,
@@ -13,8 +14,10 @@ from repro.core import (
     textbook_broadcast,
     uniform_random_placement,
 )
+from repro.core.resilient import redundant_broadcast
 from repro.graphs import (
     barbell,
+    cycle_graph,
     diameter,
     min_cut,
     path_graph,
@@ -50,6 +53,29 @@ class TestPlacements:
         g = barbell(6)
         with pytest.raises(ValidationError):
             cut_adversarial_placement(g, np.zeros(g.n, dtype=bool), 5)
+
+
+class TestPlacementRange:
+    """A placement node outside [0, n) fails on both backends alike; node
+    -1 used to alias node n-1 in the vectorized prologue's count array."""
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    @pytest.mark.parametrize("node", [-1, "n"])
+    def test_entry_points_reject_node(self, backend, node):
+        g, t = cycle_graph(6), thick_cycle(6, 4)
+        packing, _ = build_packing_with_retry(
+            t, 2, seed=1, distributed=False, backend="vectorized"
+        )
+        calls = [
+            (g, lambda pl: textbook_broadcast(g, pl, backend=backend)),
+            (t, lambda pl: fast_broadcast(t, pl, backend=backend)),
+            (t, lambda pl: combined_broadcast(t, pl, backend=backend)),
+            (t, lambda pl: redundant_broadcast(t, pl, packing, backend=backend)),
+        ]
+        for host, call in calls:
+            v = host.n if node == "n" else node
+            with pytest.raises(ValidationError):
+                call({v: 2})
 
 
 class TestTextbookBroadcast:

@@ -416,6 +416,29 @@ class TestBackendParity:
         assert "orphan_kernel" in findings[0].message
         assert findings[0].line == 7  # orphan_kernel()
 
+    def test_uncovered_reexported_kernel(self, tmp_path):
+        """A kernel defined elsewhere and re-exported by engine/kernels.py
+        still needs a check: moving a kernel out must not hide it."""
+        src, verify, tests = self._modules(
+            tmp_path,
+            """\
+            from repro.engine.verify import check_certified, check_orphan
+            from repro.algo import drifting
+            """,
+        )
+        kernels = _parse(
+            tmp_path,
+            """\
+            from repro import obs
+            from repro.graphs.traversal import moved_kernel
+            """,
+            name="src/repro/engine/kernels.py",
+        )
+        findings = check_backend_parity([src, verify, kernels], verify, tests)
+        assert [f.rule for f in findings] == ["parity-unverified-kernel"]
+        assert "moved_kernel" in findings[0].message
+        assert findings[0].line == 2
+
 
 class TestSuppressions:
     def test_line_suppression_silences_named_rule(self, tmp_path):

@@ -1,11 +1,12 @@
 """Property tests for the multi-query frontier plane (ISSUE 9).
 
-:class:`~repro.engine.plane.QueryPlane` packs many (root, channel-set)
-BFS queries into one bit-packed (queries × nodes) plane and answers them in one shared layer loop. These tests pin the bit-identity
-contract on the edges the randomized verify sweep is least likely to hit:
-batch size 1, duplicate queries, single-node graphs, forced SpMV layers,
-chunked planes, and the all-queries-dead-on-round-0 boundary under
-``drop_rate=1.0``.
+:func:`~repro.engine.plane.plane_sweep` answers many BFS queries over one
+CSR in a single call of the BFS layer loop, over flat (query, node) keys.
+The vectorized solo calls run the same loop, so plane rows are compared
+with the simulator's solo runs. These tests pin the bit-identity contract
+on the edges the randomized verify sweep is least likely to hit: batch
+size 1, duplicate queries, single-node graphs, chunked planes, and the
+all-queries-dead-on-round-0 boundary under ``drop_rate=1.0``.
 """
 
 import numpy as np
@@ -14,9 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.adversary import FaultPlan
-from repro.engine import kernels
 from repro.engine.faults import faulty_bfs_grid
-from repro.engine.plane import QueryPlane, masked_union_bfs, plane_sweep
+from repro.engine.plane import masked_union_bfs, plane_sweep
 from repro.engine.verify import (
     check_bfs_batch,
     check_broadcast_batch,
@@ -51,7 +51,7 @@ class TestPlaneVsSolo:
         indptr, indices = g.masked_csr(None)
         parent, dist, rounds = plane_sweep(g.n, indptr, indices, roots)
         for i, r in enumerate(roots):
-            solo = run_bfs(g, int(r), backend="vectorized")
+            solo = run_bfs(g, int(r), backend="simulator")
             assert np.array_equal(parent[i], solo.parent)
             assert np.array_equal(dist[i], solo.dist)
             assert int(rounds[i]) == solo.rounds
@@ -84,7 +84,7 @@ class TestPlaneVsSolo:
         root = int(rng_from_seed(seed).integers(n))
         other = (root + 1) % n
         batch = run_bfs_batch(g, [root, other, root, root], backend="vectorized")
-        solo = run_bfs(g, root, backend="vectorized")
+        solo = run_bfs(g, root, backend="simulator")
         for i in (0, 2, 3):
             assert np.array_equal(batch[i].parent, solo.parent)
             assert np.array_equal(batch[i].dist, solo.dist)
@@ -96,7 +96,7 @@ class TestPlaneVsSolo:
         masks = random_edge_masks(g, 2, seed=7)
         batch = run_bfs_batch(g, [0, 3, 9], edge_mask=masks[0], backend="vectorized")
         for r, res in zip([0, 3, 9], batch):
-            solo = run_bfs(g, r, edge_mask=masks[0], backend="vectorized")
+            solo = run_bfs(g, r, edge_mask=masks[0], backend="simulator")
             assert np.array_equal(res.parent, solo.parent)
             assert np.array_equal(res.dist, solo.dist)
             assert res.rounds == solo.rounds
@@ -108,21 +108,6 @@ class TestPlaneVsSolo:
         full = plane_sweep(g.n, indptr, indices, roots)
         tiny = plane_sweep(g.n, indptr, indices, roots, max_cells=2 * g.n)
         for a, b in zip(full, tiny):
-            assert np.array_equal(a, b)
-
-    def test_forced_spmv_layers_match_gather(self, monkeypatch):
-        g = thick_cycle(8, 4)
-        indptr, indices = g.masked_csr(None)
-        roots = [0, 5, 17, 5]
-        base = plane_sweep(g.n, indptr, indices, roots)
-        monkeypatch.setattr(kernels, "_SPMV_MIN_ARCS", 0)
-        monkeypatch.setattr(kernels, "_SPMV_LAYER_ARCS", 0)
-        forced = plane_sweep(g.n, indptr, indices, roots)
-        for a, b in zip(base, forced):
-            assert np.array_equal(a, b)
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        fallback = plane_sweep(g.n, indptr, indices, roots)
-        for a, b in zip(base, fallback):
             assert np.array_equal(a, b)
 
 
@@ -146,8 +131,9 @@ class TestPlaneEdges:
     def test_root_out_of_range_rejected(self):
         g = thick_cycle(3, 3)
         indptr, indices = g.masked_csr(None)
-        with pytest.raises(ValidationError):
-            QueryPlane(g.n, indptr, indices, [0, g.n])
+        for bad in (-1, g.n):
+            with pytest.raises(ValidationError):
+                plane_sweep(g.n, indptr, indices, [0, bad])
         with pytest.raises(ValidationError):
             run_bfs_batch(g, [0, -1], backend="vectorized")
 

@@ -5,7 +5,7 @@ fault engine one numpy step per *event* instead of per round. These tests
 assert it is **bit-identical** to the round-by-round simulator — receipts,
 rounds, bits, drops, and the fault RNG stream — on randomized graphs and
 fault plans, including the ``drop_rate=1.0`` and single-node boundaries,
-and that the kernels match their plain-Python and pure-numpy references.
+and that the kernels match their plain-Python references.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ _SETTINGS = settings(
 
 
 class TestSpanPipelineEquivalence:
-    """Lemma 1 upcast spans + SpMV frontiers vs the simulator and the
+    """Lemma 1 upcast spans + frontier sweeps vs the simulator and the
     kernels' plain-Python references."""
 
     @_SETTINGS
@@ -140,33 +140,3 @@ class TestSpanFaultEquivalence:
         for v in (-1, 4):
             with pytest.raises(ValidationError):
                 vectorized_faulty_broadcast(g, trees, {0: {v: [1]}})
-
-
-class TestScipyFallback:
-    """The SpMV kernel is an optional accelerator, never a dependency."""
-
-    def test_frontier_sweep_matches_fallback(self, monkeypatch):
-        from repro.engine import kernels
-
-        g = random_connected_graph(30, 40, seed=5)
-        monkeypatch.setattr(kernels, "_SPMV_MIN_ARCS", 0)
-        monkeypatch.setattr(kernels, "_SPMV_LAYER_ARCS", 0)
-        monkeypatch.delenv("REPRO_NO_SCIPY", raising=False)
-        with_scipy = kernels.frontier_sweep(g.n, g._indptr, g._indices, 0)
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        without = kernels.frontier_sweep(g.n, g._indptr, g._indices, 0)
-        assert np.array_equal(with_scipy[0], without[0])
-        assert np.array_equal(with_scipy[1], without[1])
-
-    def test_no_scipy_env_disables_import(self, monkeypatch):
-        from repro.engine import kernels
-
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        assert kernels.scipy_sparse() is None
-
-    def test_engine_usable_without_scipy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        g = thick_cycle(6, 4)
-        masks = random_edge_masks(g, 2, seed=7)
-        assert check_tree_broadcast(g, masks, 12, seed=8) == []
-        assert check_kernels(g, seed=8) == []

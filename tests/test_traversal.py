@@ -1,6 +1,7 @@
 """Tests for the centralized BFS kernels (ground truth for everything else)."""
 
 import numpy as np
+import pytest
 
 import networkx as nx
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +22,7 @@ from repro.graphs import (
     path_graph,
     random_regular,
 )
+from repro.util.errors import ValidationError
 
 
 class TestBFSDistances:
@@ -78,6 +80,23 @@ class TestBFSTree:
         g = Graph(3, [(0, 1)])
         parent, _ = bfs_tree(g, 0)
         assert parent[2] == -1
+
+
+class TestSourceRange:
+    """A source outside [0, n) must fail, not alias a node by negative
+    indexing (-2 on a 5-cycle used to run from node 3)."""
+
+    @pytest.mark.parametrize("fn", [bfs_distances, bfs_tree, eccentricity])
+    @pytest.mark.parametrize("source", [-1, -2, 5])
+    def test_out_of_range_source_rejected(self, fn, source):
+        with pytest.raises(ValidationError):
+            fn(cycle_graph(5), source)
+
+    @pytest.mark.parametrize("key", [-1, 12])
+    def test_frontier_sweep_key_range(self, key):
+        g = cycle_graph(4)
+        with pytest.raises(ValidationError):
+            traversal.frontier_sweep(g.n, g._indptr, g._indices, [key], queries=3)
 
 
 class TestAggregates:
