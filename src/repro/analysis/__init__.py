@@ -11,7 +11,8 @@ equivalence harness (:mod:`repro.engine.verify`) can only spot-check:
 3. **Bit accounting** (:mod:`repro.analysis.bits_rules`) — every sent
    payload has a pricing rule in :func:`repro.util.bits.bits_for_payload`.
 4. **Backend parity** (:mod:`repro.analysis.parity_rules`) — every
-   ``backend=`` entry point is wired into the equivalence harness.
+   ``backend=`` entry point is called by a check that the equivalence
+   harness's ``ROWS`` table runs.
 5. **Observability discipline** (:mod:`repro.analysis.obs_rules`) —
    timing/memory probes in library code route through ``repro.obs``
    spans, never ad-hoc ``time.perf_counter``.
@@ -48,10 +49,8 @@ __all__ = [
     "check_obs_discipline",
 ]
 
-#: Where the parity rule finds its two cross-reference anchors, relative to
-#: the project root.
+#: Where the parity rule finds the ``ROWS`` table it cross-references.
 VERIFY_SUFFIX = "repro/engine/verify.py"
-EQUIVALENCE_TEST = Path("tests") / "test_engine_equivalence.py"
 
 
 def _display(path: Path, root: Path) -> str:
@@ -67,10 +66,9 @@ def run_lint(
 ) -> LintReport:
     """Run every checker over ``paths`` (default: src, benchmarks, examples).
 
-    ``project_root`` anchors display paths and the backend-parity
-    cross-references (``engine/verify.py`` among the scanned files plus
-    ``tests/test_engine_equivalence.py`` under the root); the parity rules
-    are skipped when either anchor is missing.
+    ``project_root`` anchors display paths. The backend-parity rules read
+    the ``ROWS`` table of ``engine/verify.py`` among the scanned files and
+    are skipped when it is not among them.
     """
     root = Path(project_root) if project_root is not None else Path.cwd()
     if paths is None:
@@ -98,13 +96,6 @@ def run_lint(
     verify_module = next(
         (m for m in modules if m.path.as_posix().endswith(VERIFY_SUFFIX)), None
     )
-    test_path = root / EQUIVALENCE_TEST
-    if verify_module is not None and test_path.exists():
-        parsed = parse_module(test_path, display_path=_display(test_path, root))
-        if isinstance(parsed, Finding):
-            report.findings.append(parsed)
-        else:
-            report.findings.extend(
-                check_backend_parity(modules, verify_module, parsed)
-            )
+    if verify_module is not None:
+        report.findings.extend(check_backend_parity(modules, verify_module))
     return report

@@ -59,13 +59,13 @@ RULES: dict[str, str] = {
         "rule in repro.util.bits.bits_for_payload"
     ),
     "parity-unverified-backend": (
-        "public function declares backend= but no engine/verify.py check_* "
-        "exercises it and tests/test_engine_equivalence.py never references "
-        "it (new backend entry points need an equivalence check)"
+        "public function declares backend= but no check_* named in "
+        "engine/verify.py's ROWS table calls it (new backend entry points "
+        "need an equivalence check)"
     ),
     "parity-untested-check": (
-        "engine/verify.py check_* is neither referenced by "
-        "tests/test_engine_equivalence.py nor run by verify_equivalence"
+        "engine/verify.py check_* is not named in its ROWS table, so neither "
+        "the sweep nor the boundary matrix runs it"
     ),
     "obs-discipline": (
         "time.perf_counter / resource / tracemalloc used in library code "
@@ -73,9 +73,8 @@ RULES: dict[str, str] = {
         "obs.span(...) so they land in the trace ledger"
     ),
     "parity-unverified-kernel": (
-        "public engine/kernels.py entry point is neither called by an "
-        "engine/verify.py check_* nor referenced by "
-        "tests/test_engine_equivalence.py (batched kernels need a "
+        "public engine/kernels.py entry point is not called by a check_* "
+        "named in engine/verify.py's ROWS table (batched kernels need a "
         "bit-identity check before the engine may use them)"
     ),
 }

@@ -3,23 +3,23 @@
 The two-backend architecture only stays honest while every function that
 accepts ``backend=`` is cross-checked — a new vectorized twin that nobody
 registered in :mod:`repro.engine.verify` ships uncertified and can drift
-silently. This checker closes the loop statically:
+silently. This checker closes the loop statically. A check counts only if
+the module-level ``ROWS`` table of ``engine/verify.py`` names it: that
+table is what the randomized sweep and the boundary matrix run, so a
+mention anywhere else (a test file, a helper) certifies nothing.
 
 * ``parity-unverified-backend`` — a public module-level function under the
   ``repro`` package declares a ``backend`` parameter, but no ``check_*``
-  function in ``engine/verify.py`` calls it and
-  ``tests/test_engine_equivalence.py`` never references it.
+  that ``ROWS`` names calls it.
 * ``parity-untested-check`` — a public ``check_*`` in ``engine/verify.py``
-  is neither referenced by ``tests/test_engine_equivalence.py`` nor invoked
-  by :func:`repro.engine.verify.verify_equivalence` (the sweep CI runs) —
-  a check that exists but never executes is as good as absent.
+  is not named in ``ROWS`` — a check that exists but never executes is as
+  good as absent.
 * ``parity-unverified-kernel`` — a public top-level function that
   ``engine/kernels.py`` defines or re-exports from another ``repro``
   module (the shared BFS, CSR and span primitives every batched path is
-  built from) that no ``check_*`` calls and the equivalence test file
-  never references. Kernels have no ``backend=`` parameter, so the first
-  rule cannot see them — yet a drifting kernel corrupts every strategy at
-  once.
+  built from) that no ``check_*`` named in ``ROWS`` calls. Kernels have no
+  ``backend=`` parameter, so the first rule cannot see them — yet a
+  drifting kernel corrupts every strategy at once.
 
 Coverage is computed syntactically (call/reference names), so the checker
 never imports the code under analysis.
@@ -96,20 +96,36 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return out
 
 
+def _rows_names(verify_module: ModuleInfo) -> set[str]:
+    """Every identifier under the value of the module-level ``ROWS``."""
+    for node in verify_module.tree.body:
+        if isinstance(node, ast.Assign):
+            targets: list[ast.expr] = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        named = any(isinstance(t, ast.Name) and t.id == "ROWS" for t in targets)
+        if named and node.value is not None:
+            return _referenced_names(node.value)
+    return set()
+
+
 def check_backend_parity(
-    src_modules: list[ModuleInfo],
-    verify_module: ModuleInfo,
-    equivalence_test_module: ModuleInfo,
+    src_modules: list[ModuleInfo], verify_module: ModuleInfo
 ) -> list[Finding]:
-    """Cross-reference ``backend=`` entry points, verify checks, and tests."""
+    """Cross-reference ``backend=`` entry points and kernels with the
+    ``check_*`` functions that ``engine/verify.py``'s ``ROWS`` names."""
     findings: list[Finding] = []
 
-    verify_funcs = _top_level_functions(verify_module)
-    check_funcs = [f for f in verify_funcs if f.name.startswith("check_")]
-    check_covered: set[str] = set()
+    check_funcs = [
+        f for f in _top_level_functions(verify_module) if f.name.startswith("check_")
+    ]
+    rows = _rows_names(verify_module)
+    covered: set[str] = set()
     for func in check_funcs:
-        check_covered |= _called_names(func)
-    test_referenced = _referenced_names(equivalence_test_module.tree)
+        if func.name in rows:
+            covered |= _called_names(func)
 
     verify_path = verify_module.path.resolve()
     for info in src_modules:
@@ -118,46 +134,38 @@ def check_backend_parity(
         if "repro" not in info.path.parts:
             continue
         for func in backend_entry_points(info):
-            if func.name in check_covered or func.name in test_referenced:
+            if func.name in covered:
                 continue
             findings += info.finding(
                 "parity-unverified-backend",
                 func,
-                f"{func.name}() declares backend= but no engine/verify.py "
-                "check_* calls it and tests/test_engine_equivalence.py never "
-                "references it; add an equivalence check before shipping a "
-                "second backend",
+                f"{func.name}() declares backend= but no check_* named in "
+                "engine/verify.py's ROWS calls it; add an equivalence check "
+                "and a row before shipping a second backend",
             )
 
     for info in src_modules:
         if not info.path.as_posix().endswith("repro/engine/kernels.py"):
             continue
         for name, node in _kernel_names(info):
-            if name.startswith("_"):
-                continue
-            if name in check_covered or name in test_referenced:
+            if name.startswith("_") or name in covered:
                 continue
             findings += info.finding(
                 "parity-unverified-kernel",
                 node,
-                f"{name}() is a public engine/kernels.py primitive but "
-                "no engine/verify.py check_* calls it and "
-                "tests/test_engine_equivalence.py never references it; add "
-                "a bit-identity check before batched paths may rely on it",
+                f"{name}() is a public engine/kernels.py primitive but no "
+                "check_* named in engine/verify.py's ROWS calls it; add a "
+                "bit-identity check before batched paths may rely on it",
             )
 
-    sweep = next((f for f in verify_funcs if f.name == "verify_equivalence"), None)
-    sweep_covered = _called_names(sweep) if sweep is not None else set()
     for func in check_funcs:
-        if func.name.startswith("_"):
-            continue
-        if func.name in test_referenced or func.name in sweep_covered:
+        if func.name in rows:
             continue
         findings += verify_module.finding(
             "parity-untested-check",
             func,
-            f"{func.name}() is registered in engine/verify.py but neither "
-            "tests/test_engine_equivalence.py nor the verify_equivalence "
-            "sweep runs it; wire it into both",
+            f"{func.name}() is defined in engine/verify.py but not named in "
+            "its ROWS table, so neither the sweep nor the boundary matrix "
+            "runs it; add a row",
         )
     return findings

@@ -135,13 +135,21 @@ def _number_messages_batch(
     """
     counts_list = []
     for placement in placements:
+        # One numpy conversion each of the nodes and the counts: a float,
+        # string or object entry leaves the array without an integer dtype.
+        nodes = np.array(list(placement))
+        values = np.array(list(placement.values()))
+        if placement and (nodes.dtype.kind not in "biu" or values.dtype.kind not in "biu"):
+            raise ValidationError(
+                "placement node ids and message counts must be integers"
+            )
+        bad = nodes[(nodes < 0) | (nodes >= graph.n)]
+        if bad.size:
+            raise ValidationError(f"placement node {bad[0]} out of range [0, {graph.n})")
+        if (values < 0).any():
+            raise ValidationError("message counts must be non-negative")
         counts = np.zeros(graph.n, dtype=np.int64)
-        for v, c in placement.items():
-            if not 0 <= v < graph.n:
-                raise ValidationError(f"placement node {v} out of range [0, {graph.n})")
-            if c < 0:
-                raise ValidationError("message counts must be non-negative")
-            counts[v] = c
+        counts[nodes.astype(np.int64)] = values
         counts_list.append(counts)
     if backend == "vectorized":
         from repro.engine.fastpath import (
@@ -154,8 +162,6 @@ def _number_messages_batch(
         leader, r_leader = elect(graph)
     with obs.span("global_bfs"):
         tree = run_bfs(graph, leader, backend=backend)
-    if not tree.spans():
-        raise ValidationError("graph must be connected for broadcast")
     out = []
     with obs.span("numbering"):
         for counts in counts_list:

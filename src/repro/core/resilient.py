@@ -22,6 +22,7 @@ numpy engine (:mod:`repro.engine.faults`) — bit-identical
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -159,6 +160,13 @@ class DeliveryReport:
         return min(self.per_message_coverage.values()) if self.k else 1.0
 
 
+def _check_redundancy(redundancy, parts: int) -> None:
+    if not isinstance(redundancy, numbers.Integral) or not 1 <= redundancy <= parts:
+        raise ValidationError(
+            f"redundancy must be an integer in [1, #trees], got {redundancy!r}"
+        )
+
+
 @obs.traced("redundant_broadcast")
 def redundant_broadcast(
     graph: Graph,
@@ -196,8 +204,7 @@ def redundant_broadcast(
 
     validate_backend(backend)
     parts = packing.size
-    if not (1 <= redundancy <= parts):
-        raise ValidationError("redundancy must be in [1, #trees]")
+    _check_redundancy(redundancy, parts)
     plan = FaultPlan(
         dead_edges=frozenset(int(e) for e in (dead_edges or ())),
         drop_rate=float(drop_rate),
@@ -395,9 +402,8 @@ def evaluate_fault_grid(
 
     reports: list[DeliveryReport] = []
     for cell in cells:
-        redundancy = int(cell.redundancy)
-        if not (1 <= redundancy <= parts):
-            raise ValidationError("redundancy must be in [1, #trees]")
+        redundancy = cell.redundancy
+        _check_redundancy(redundancy, parts)
         plan = FaultPlan(
             dead_edges=frozenset(int(e) for e in (cell.dead_edges or ())),
             drop_rate=float(cell.drop_rate),

@@ -40,11 +40,15 @@ count are deterministic functions of the input:
 **Certification relationship.** The vectorized backend inherits the
 simulator's certification *by testing, not by construction*: the
 equivalence harness (:mod:`repro.engine.verify`, exercised by
-``tests/test_engine_equivalence.py``) cross-checks parent arrays, dists,
-round counts, congestion, and message/bit totals against the simulator on
-random graphs, edge masks, and multi-channel configurations — results must
-match bit-for-bit. Anything the fast path cannot reproduce exactly must
-stay on the simulator.
+``tests/test_engine_equivalence.py``) runs every ``backend=`` entry point
+on both backends and compares the two results whole with one structural
+differ — every dataclass field, dict entry, list item and array, the
+``backend`` tag alone exempt — so results must match bit-for-bit, or both
+must raise the same ``ValidationError``. Its ``ROWS`` table runs over
+random graphs, edge masks and multi-channel configurations, and over six
+boundary hosts (n = 1, n = 2, edgeless, disconnected, highest-id node
+isolated, tied weights). Anything the fast path cannot reproduce exactly
+must stay on the simulator.
 
 The loop-bound *application* pipelines have twins too
 (:mod:`repro.engine.pipelines`): cluster growth for Theorem 4, the
@@ -126,10 +130,10 @@ def __getattr__(name):
 BACKENDS = ("simulator", "vectorized")
 
 
-def validate_backend(backend: str) -> str:
+def validate_backend(name: str) -> str:
     """Check a ``backend=`` argument, returning it unchanged if valid."""
-    if backend not in BACKENDS:
+    if name not in BACKENDS:
         raise ValidationError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            f"unknown backend {name!r}; expected one of {BACKENDS}"
         )
-    return backend
+    return name

@@ -22,6 +22,7 @@ from repro.engine.kernels import (
 from repro.engine.plane import masked_union_bfs
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
+from repro.primitives.leader import disconnected_error
 from repro.primitives.pipeline import TreeBroadcastOutcome
 from repro.util.bits import bits_for_int, bits_for_int_array, message_bit_budget
 from repro.util.errors import BandwidthExceeded, ValidationError
@@ -105,8 +106,7 @@ def vectorized_elect_leader(graph: Graph) -> tuple[int, int]:
 
     dist = bfs_distances(graph, 0)
     if np.any(dist < 0):
-        leaders = sorted(set(connected_components(graph).tolist()))
-        raise RuntimeError(f"no unanimous leader: {leaders}")
+        raise disconnected_error(connected_components(graph).tolist())
     rounds = int(dist.max()) + 1 if graph.n > 1 else 0
     return 0, rounds
 

@@ -13,6 +13,7 @@ from repro.congest.network import Network
 from repro.congest.program import Context, NodeProgram
 from repro.congest.simulator import Simulator
 from repro.graphs.graph import Graph
+from repro.util.errors import ValidationError
 
 __all__ = ["MinIDFloodProgram", "elect_leader"]
 
@@ -48,13 +49,22 @@ def elect_leader(graph: Graph) -> tuple[int, int]:
 
     Every node learns the leader; the tests assert unanimity. Rounds are
     O(D) — each round the frontier of "knows the minimum" grows by one hop.
+    A disconnected graph raises :class:`ValidationError` naming the
+    per-component leaders.
     """
     network = Network(graph)
     sim = Simulator(network, lambda v: MinIDFloodProgram(v))
     result = sim.run()
     leaders = {p.best for p in result.programs}
     if len(leaders) != 1:
-        # Disconnected graphs legitimately elect one leader per component;
-        # callers on connected graphs treat this as a failure.
-        raise RuntimeError(f"no unanimous leader: {sorted(leaders)}")
+        raise disconnected_error(leaders)
     return leaders.pop(), result.metrics.rounds
+
+
+def disconnected_error(leaders) -> ValidationError:
+    """What both leader elections raise on a disconnected graph, which
+    elects one leader per component."""
+    return ValidationError(
+        "graph must be connected to elect a leader; component leaders "
+        f"{sorted(set(leaders))}"
+    )

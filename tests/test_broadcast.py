@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    FaultCell,
     build_packing_with_retry,
     combined_broadcast,
     cut_adversarial_placement,
+    evaluate_fault_grid,
     fast_broadcast,
+    fast_broadcast_batch,
     random_partition,
     build_tree_packing,
     single_source_placement,
     textbook_broadcast,
+    textbook_broadcast_batch,
     uniform_random_placement,
 )
 from repro.core.resilient import redundant_broadcast
 from repro.graphs import (
+    Graph,
     barbell,
     cycle_graph,
     diameter,
@@ -76,6 +81,68 @@ class TestPlacementRange:
             v = host.n if node == "n" else node
             with pytest.raises(ValidationError):
                 call({v: 2})
+
+
+class TestDisconnectedHost:
+    """Every broadcast entry point fails a disconnected host with
+    ValidationError on both backends; leader election used to raise
+    RuntimeError before the prologue could say so."""
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_entry_points_raise_validation_error(self, backend):
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        pl = {0: 2, 4: 1}
+        calls = [
+            lambda: textbook_broadcast(g, pl, backend=backend),
+            lambda: fast_broadcast(g, pl, lam=2, backend=backend),
+            lambda: textbook_broadcast_batch(g, [pl], backend=backend),
+            lambda: fast_broadcast_batch(g, [pl], lam=2, backend=backend),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"component leaders \[0, 3\]"):
+                call()
+
+
+class TestIntegerInputs:
+    """Placement node ids, message counts and redundancy must be integers.
+    A fractional count used to be delivered as a fractional k, a float node
+    id raised IndexError, and the vectorized grid truncated a fractional
+    redundancy to an integer."""
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    @pytest.mark.parametrize("placement", [{0: 1.5}, {0: 2.5}, {2.0: 3}])
+    def test_broadcast_entry_points_reject_non_integers(self, backend, placement):
+        g = thick_cycle(6, 4)
+        calls = [
+            lambda: textbook_broadcast(g, placement, backend=backend),
+            lambda: fast_broadcast(g, placement, lam=8, backend=backend),
+            lambda: textbook_broadcast_batch(g, [placement], backend=backend),
+            lambda: fast_broadcast_batch(g, [{0: 1}, placement], lam=8, backend=backend),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="must be integers"):
+                call()
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_fractional_redundancy_rejected(self, backend):
+        g = thick_cycle(6, 4)
+        packing, _ = build_packing_with_retry(g, 2, seed=1, distributed=False)
+        with pytest.raises(ValidationError, match="redundancy must be an integer"):
+            evaluate_fault_grid(
+                g, {0: 2}, packing, [FaultCell(redundancy=1.5)], backend=backend
+            )
+        with pytest.raises(ValidationError, match="redundancy must be an integer"):
+            redundant_broadcast(g, {0: 2}, packing, redundancy=1.5, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_integer_like_inputs_still_accepted(self, backend):
+        g = thick_cycle(6, 4)
+        plain = textbook_broadcast(g, {0: 2, 5: 1}, backend=backend)
+        numpy_keys = textbook_broadcast(
+            g, {np.int64(0): np.int32(2), np.uint8(5): True}, backend=backend
+        )
+        assert (numpy_keys.k, numpy_keys.phases) == (plain.k, plain.phases)
+        assert textbook_broadcast(g, {}, backend=backend).k == 0
 
 
 class TestTextbookBroadcast:

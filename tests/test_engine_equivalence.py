@@ -7,6 +7,9 @@ random graphs, edge masks, and multi-channel configurations. Any divergence
 is a bug in the fast path, never an accepted approximation.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,9 +19,11 @@ from repro.core.broadcast import fast_broadcast, uniform_random_placement
 from repro.core.decomposition import random_partition
 from repro.core.lambda_search import find_packing_unknown_lambda
 from repro.core.tree_packing import build_packing_with_retry, build_tree_packing
-from repro.engine import BACKENDS, validate_backend
+from repro.engine import BACKENDS, validate_backend, verify
 from repro.engine.fastpath import vectorized_tree_broadcast
 from repro.engine.verify import (
+    EXEMPT,
+    ROWS,
     check_apsp_pipeline,
     check_bfs,
     check_broadcast_pipeline,
@@ -40,13 +45,15 @@ from repro.engine.verify import (
     check_tree_broadcast,
     check_unknown_lambda_broadcast,
     check_weighted_apsp,
+    diff,
     random_connected_graph,
     random_edge_masks,
     random_fault_plan,
+    verify_boundaries,
     verify_equivalence,
 )
 from repro.graphs import Graph, path_of_cliques, random_weights, thick_cycle
-from repro.primitives.bfs import run_bfs, run_parallel_bfs
+from repro.primitives.bfs import BFSResult, run_bfs, run_parallel_bfs
 from repro.util.errors import BandwidthExceeded, ValidationError
 
 _SETTINGS = settings(
@@ -275,6 +282,16 @@ class TestPipelineTwins:
         if weighted:
             g = random_weights(g, high=high, seed=seed + 1)
         assert check_sparsifier(g, eps=0.5, seed=seed + 2, tau=2) == []
+
+    def test_clustering_exhaustion_fails_alike(self):
+        # c = 0.05 samples too few centers on this host for any of the 20
+        # attempts: the port and the replay must raise the same message.
+        from repro.apsp.clustering import build_clustering
+
+        g = thick_cycle(6, 8)
+        with pytest.raises(ValidationError, match="clustering failed"):
+            build_clustering(g, c=0.05, seed=1)
+        assert check_clustering(g, seed=1, c=0.05) == []
 
     def test_apsp_pipeline_ledgers_match(self):
         g = thick_cycle(8, 6)
@@ -633,5 +650,243 @@ class TestStepStrategyEquivalence:
 class TestHarnessSweep:
     def test_randomized_sweep_is_clean(self):
         report = verify_equivalence(trials=6, seed=11, max_n=20)
-        assert report.checks == 6 * 25
+        assert report.checks == 6 * len(ROWS)
         assert report.ok, report.mismatches
+
+    def test_boundary_matrix_is_clean(self):
+        assert verify_boundaries() == []
+
+
+class TestStructuralDiff:
+    """:func:`repro.engine.verify.diff`, the one comparison every check uses."""
+
+    def test_type_and_dtype_mismatches(self):
+        assert diff(1, 1.0, "x") == ["x: int != float"]
+        assert diff(np.int64(1), 1, "x") == ["x: int64 != int"]
+        a = np.arange(3, dtype=np.int64)
+        assert diff(a, a.astype(np.int32), "x") == ["x: int64[3] != int32[3]"]
+        assert diff(a, a[:2], "x") == ["x: int64[3] != int64[2]"]
+        assert diff(a, a + (a == 2), "x") == ["x: arrays differ"]
+
+    def test_nan_equals_nan(self):
+        nan = float("nan")
+        assert diff(nan, nan) == []
+        assert diff(np.array([1.0, nan]), np.array([1.0, nan])) == []
+        assert diff([nan, 1.0], [nan, 2.0], "x") == ["x[1]: 1.0 != 2.0"]
+
+    def test_dicts_compare_by_key(self):
+        assert diff({"a": 1, "b": 2}, {"b": 2, "a": 1}) == []
+        assert diff({1: 0, 2: 0}, {1: 0, 3: 0}, "d") == [
+            "d: keys ['2', '3'] on one side only"
+        ]
+
+    def test_nested_paths(self):
+        outer = dataclasses.make_dataclass("Outer", ["ledger", "trees"])
+        a = outer({"pipeline": [1, 2]}, (np.zeros(2), {0: frozenset({1})}))
+        b = outer({"pipeline": [1, 3]}, (np.ones(2), {0: frozenset({2})}))
+        assert diff(a, b, "r") == [
+            "r.ledger['pipeline'][1]: 2 != 3",
+            "r.trees[0]: arrays differ",
+            "r.trees[1][0]: frozenset({1}) != frozenset({2})",
+        ]
+
+    def test_views_of_graph_and_bfs_result(self):
+        g = thick_cycle(4, 3)
+        assert diff(g, random_weights(g, seed=1), "g") == ["g.weights: NoneType != ndarray"]
+        sim = run_bfs(g, 0, backend="simulator")
+        vec = run_bfs(g, 0, backend="vectorized")  # lazy child lists
+        assert diff(sim, vec) == []
+        vec._children = [list(reversed(c)) for c in vec.children]
+        mismatches = diff(sim, vec, "t")
+        assert mismatches and all(m.startswith("t.children[") for m in mismatches)
+
+    def test_only_the_backend_tag_is_exempt(self):
+        assert EXEMPT == {"backend"}
+        tagged = dataclasses.make_dataclass("Tagged", ["backend", "rounds"])
+        assert diff(tagged("simulator", 3), tagged("vectorized", 3)) == []
+        assert diff(tagged("simulator", 3), tagged("vectorized", 4), "r") == [
+            "r.rounds: 3 != 4"
+        ]
+
+    def test_an_added_field_is_compared_without_editing_the_differ(self):
+        base = dataclasses.make_dataclass("Result", ["rounds"])
+        grown = dataclasses.make_dataclass(
+            "Result", ["rounds", ("added", dict, dataclasses.field(default_factory=dict))]
+        )
+        assert diff(base(3), base(3)) == []
+        assert diff(grown(3, {"x": 1}), grown(3, {"x": 2}), "r") == ["r.added['x']: 1 != 2"]
+
+    def test_a_validation_error_is_an_outcome(self):
+        def fail(message):
+            raise ValidationError(message)
+
+        assert verify._pair("p", lambda: fail("no"), lambda: fail("no")) == []
+        assert verify._pair("p", lambda: fail("no"), lambda: fail("nope")) == [
+            "p.message: 'no' != 'nope'"
+        ]
+        assert verify._pair("p", lambda: 1, lambda: fail("no")) == [
+            "p: int != Raised(message='no')"
+        ]
+
+
+def _fields(value):
+    names = verify._VIEWS.get(type(value))
+    if names is None and dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    return None if names is None else [n for n in names if n not in EXEMPT]
+
+
+def _leaves(value, path):
+    """``(path, steps)`` of every leaf :func:`diff` reaches in ``value``."""
+    names = _fields(value)
+    if names is not None:
+        children = [(f".{n}", ("attr", n), getattr(value, n)) for n in names]
+    elif isinstance(value, dict):
+        children = [(f"[{k!r}]", ("item", k), v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        children = [(f"[{i}]", ("item", i), v) for i, v in enumerate(value)]
+    else:
+        yield path, ()
+        return
+    for suffix, step, child in children:
+        for leaf_path, steps in _leaves(child, path + suffix):
+            yield leaf_path, (step, *steps)
+
+
+def _perturbed(leaf):
+    if isinstance(leaf, np.ndarray):
+        if not leaf.size:
+            return np.zeros(1, dtype=leaf.dtype)
+        out = leaf.copy()
+        first = out.flat[0]
+        if out.dtype == bool:
+            out.flat[0] = not first
+        else:
+            out.flat[0] = first + 1 if np.isfinite(first) and first + 1 != first else 0
+        return out
+    if isinstance(leaf, (bool, np.bool_)):
+        return type(leaf)(not leaf)
+    if isinstance(leaf, (int, float, np.number)):
+        return leaf + 1 if leaf == leaf and leaf + 1 != leaf else type(leaf)(0)
+    if isinstance(leaf, str):
+        return leaf + "~"
+    if isinstance(leaf, (set, frozenset)):
+        return leaf ^ {-1}
+    if leaf is None:
+        return 0
+    raise AssertionError(f"no perturbation for a {type(leaf).__name__} leaf")
+
+
+def _with_leaf_perturbed(value, steps):
+    """A copy of ``value`` with the leaf at ``steps`` perturbed; only the
+    containers on the way to it are copied."""
+    if not steps:
+        return _perturbed(value)
+    (kind, key), rest = steps[0], steps[1:]
+    if kind == "attr":
+        new = copy.copy(value)
+        attr = "_children" if isinstance(value, BFSResult) and key == "children" else key
+        object.__setattr__(new, attr, _with_leaf_perturbed(getattr(value, key), rest))
+        return new
+    if isinstance(value, tuple):
+        return tuple(_with_leaf_perturbed(v, rest) if i == key else v for i, v in enumerate(value))
+    new = copy.copy(value)
+    new[key] = _with_leaf_perturbed(value[key], rest)
+    return new
+
+
+def _row_results():
+    """One result of each entry point the rows compare, on a host where
+    packings, repairs, fault grids and tournaments all run."""
+    from repro.apsp import approx_apsp_unweighted, approx_apsp_weighted, baswana_sen_spanner
+    from repro.apsp.clustering import build_clustering
+    from repro.congest.tournament import run_tournament
+    from repro.core.broadcast import (
+        combined_broadcast,
+        fast_broadcast_batch,
+        textbook_broadcast,
+        textbook_broadcast_batch,
+    )
+    from repro.core.lambda_search import broadcast_unknown_lambda
+    from repro.core.resilient import (
+        FaultCell,
+        evaluate_fault_grid,
+        redundant_broadcast,
+        repair_coverage,
+        tree_edge_ids,
+    )
+    from repro.core.tree_packing import resolve_roots
+    from repro.cuts import approx_all_cuts, koutis_xu_sparsifier
+    from repro.engine.faults import faulty_bfs, faulty_bfs_grid
+    from repro.engine.kernels import frontier_sweep
+    from repro.primitives.bfs import run_bfs_batch
+    from repro.primitives.leader import elect_leader
+    from repro.primitives.numbering import assign_item_numbers
+    from repro.primitives.pipeline import run_tree_broadcast
+
+    g = thick_cycle(6, 4)
+    gw = random_weights(g, high=2, seed=1)
+    pl = uniform_random_placement(g.n, 10, seed=1)
+    tree = run_bfs(g, 0, backend="vectorized")
+    masks = random_partition(g, 2, seed=0).masks()
+    packing, _ = build_packing_with_retry(g, 2, seed=1, distributed=False)
+    plan = random_fault_plan(g, seed=2, rate=0.3, rounds=4)
+    lossy = dict(drop_rate=0.3, seed=1, collect_receipts=True, backend="vectorized")
+    return {
+        "run_bfs": tree,
+        "run_parallel_bfs": run_parallel_bfs(g, masks, backend="vectorized"),
+        "elect_leader": elect_leader(g),
+        "assign_item_numbers": assign_item_numbers(g, tree, np.arange(g.n) % 3),
+        "run_tree_broadcast": run_tree_broadcast(g, {0: tree}, {0: {3: [1, 2]}}),
+        "frontier_sweep": frontier_sweep(g.n, g._indptr, g._indices, 0),
+        "textbook_broadcast": textbook_broadcast(g, pl, backend="vectorized"),
+        "fast_broadcast": fast_broadcast(g, pl, lam=8, seed=1, backend="vectorized"),
+        "combined_broadcast": combined_broadcast(g, pl, seed=1, backend="vectorized"),
+        "broadcast_unknown_lambda": broadcast_unknown_lambda(g, pl, seed=1, backend="vectorized"),
+        "find_packing_unknown_lambda": find_packing_unknown_lambda(g, seed=1, backend="vectorized"),
+        "build_clustering": build_clustering(g, seed=1),
+        "baswana_sen_spanner": baswana_sen_spanner(gw, 2, seed=1, backend="vectorized"),
+        "koutis_xu_sparsifier": koutis_xu_sparsifier(gw, 0.5, seed=1, tau=2, backend="vectorized"),
+        "approx_apsp_unweighted": approx_apsp_unweighted(g, lam=8, C=1.5, seed=1, backend="vectorized"),
+        "approx_apsp_weighted": approx_apsp_weighted(gw, 2, seed=1, backend="vectorized"),
+        "approx_all_cuts": approx_all_cuts(g, eps=0.5, lam=8, C=1.5, seed=1, tau=2, backend="vectorized"),
+        "faulty_bfs": faulty_bfs(g, 0, plan=plan, fault_seed=1, backend="vectorized"),
+        "redundant_broadcast": redundant_broadcast(g, pl, packing, redundancy=2, **lossy),
+        "run_bfs_batch": run_bfs_batch(g, [0, 5, 0], backend="vectorized"),
+        "textbook_broadcast_batch": textbook_broadcast_batch(g, [pl], backend="vectorized"),
+        "fast_broadcast_batch": fast_broadcast_batch(g, [pl], seeds=1, backend="vectorized"),
+        "faulty_bfs_grid": faulty_bfs_grid(g, [0, 5], plan=plan, fault_seeds=[1, 2], backend="vectorized"),
+        "evaluate_fault_grid": evaluate_fault_grid(
+            g, pl, packing, [FaultCell(redundancy=2, drop_rate=0.3)], seed=1,
+            backend="vectorized", collect_receipts=True,
+        ),
+        "resolve_roots": resolve_roots(g, 2, roots="spread", backend="vectorized"),
+        "build_packing_with_retry": build_packing_with_retry(g, 2, seed=1, backend="vectorized"),
+        "build_tree_packing": build_tree_packing(random_partition(g, 2, seed=0), backend="vectorized"),
+        "repair_coverage": repair_coverage(
+            g, pl, packing, dead_edges=sorted(tree_edge_ids(packing, 0))[:4], seed=1,
+            backend="vectorized",
+        ),
+        "run_tournament": run_tournament(
+            g, 6, parts=2, adversaries=["dead-tree", "loss"], defenses=["shared-r1"],
+            seed=1, backend="vectorized",
+        ),
+    }
+
+
+class TestLeafPerturbation:
+    """Fail-closed: perturbing any one leaf of any row's result is reported
+    at exactly that leaf's path."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return _row_results()
+
+    def test_every_leaf_is_compared(self, results):
+        for name, result in results.items():
+            assert diff(result, result, name) == []  # also materializes lazy views
+            leaves = list(_leaves(result, name))
+            assert leaves, name
+            for path, steps in leaves:
+                got = diff(result, _with_leaf_perturbed(result, steps), name)
+                assert len(got) == 1 and got[0].startswith(f"{path}: "), (path, got)

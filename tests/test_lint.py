@@ -313,75 +313,98 @@ class TestBitAccounting:
 
 
 class TestBackendParity:
-    def _modules(self, tmp_path, test_source: str):
-        src = _parse(
-            tmp_path,
-            """\
-            def certified(graph, backend="simulator"):
-                return graph
+    """The parity rules read ``engine/verify.py``'s ``ROWS`` table: only a
+    ``check_*`` that a row names covers an entry point or a kernel."""
 
-            def drifting(graph, backend="simulator"):
-                return graph
-            """,
-            name="src/repro/algo.py",
-        )
+    _SRC = """\
+        def certified(graph, backend="simulator"):
+            return graph
+
+        def drifting(graph, backend="simulator"):
+            return graph
+        """
+
+    _VERIFY = """\
+        from repro.algo import certified, drifting
+
+        def check_certified(graph, seed):
+            certified(graph, backend="vectorized")
+
+        def check_orphan(graph, seed):
+            drifting(graph, backend="vectorized")
+
+        ROWS = ({rows},)
+        """
+
+    def _modules(self, tmp_path, rows: str):
+        src = _parse(tmp_path, self._SRC, name="src/repro/algo.py")
         verify = _parse(
             tmp_path,
-            """\
-            from repro.algo import certified
-
-            def check_certified(graph, seed):
-                certified(graph, backend="vectorized")
-
-            def check_orphan(graph, seed):
-                pass
-
-            def verify_equivalence(graphs):
-                for g in graphs:
-                    check_certified(g, 0)
-            """,
+            textwrap.dedent(self._VERIFY).format(rows=rows),
             name="src/repro/engine/verify.py",
         )
-        tests = _parse(tmp_path, test_source, name="tests/test_engine_equivalence.py")
-        return src, verify, tests
+        return src, verify
 
     def test_uncovered_entry_point_and_orphan_check(self, tmp_path):
-        src, verify, tests = self._modules(
-            tmp_path, "from repro.engine.verify import check_certified\n"
-        )
-        findings = check_backend_parity([src, verify], verify, tests)
+        src, verify = self._modules(tmp_path, "lambda tr: check_certified(tr.graph, 0)")
+        findings = check_backend_parity([src, verify], verify)
         by_rule = {f.rule: f for f in findings}
         assert set(by_rule) == {"parity-unverified-backend", "parity-untested-check"}
         assert by_rule["parity-unverified-backend"].line == 4  # drifting()
         assert "drifting" in by_rule["parity-unverified-backend"].message
         assert "check_orphan" in by_rule["parity-untested-check"].message
 
-    def test_test_reference_covers_both(self, tmp_path):
-        src, verify, tests = self._modules(
+    def test_rows_reference_covers_both(self, tmp_path):
+        src, verify = self._modules(
             tmp_path,
-            """\
-            from repro.engine.verify import check_certified, check_orphan
-            from repro.algo import drifting
-            """,
+            "lambda tr: check_certified(tr.graph, 0), "
+            "lambda tr: check_orphan(tr.graph, 1)",
         )
-        assert check_backend_parity([src, verify], verify, tests) == []
+        assert check_backend_parity([src, verify], verify) == []
+
+    def test_equivalence_test_mention_does_not_cover(self, tmp_path):
+        """An entry point that only the equivalence test file names, and a
+        check that only the sweep function calls, are both findings."""
+        files = {
+            "src/repro/algo.py": self._SRC,
+            "src/repro/engine/verify.py": """\
+                from repro.algo import certified
+
+                def check_certified(graph, seed):
+                    certified(graph, backend="vectorized")
+
+                def check_swept(graph, seed):
+                    pass
+
+                def verify_equivalence(graph):
+                    check_swept(graph, 0)
+
+                ROWS = (lambda tr: check_certified(tr.graph, 0),)
+                """,
+            "tests/test_engine_equivalence.py": """\
+                from repro.algo import drifting
+                from repro.engine.verify import check_swept
+
+                def test_drifting():
+                    assert check_swept(drifting(None, "vectorized"), 0) is None
+                """,
+        }
+        for name, text in files.items():
+            _parse(tmp_path, text, name=name)
+        findings = run_lint(project_root=tmp_path).sorted_findings()
+        assert [(f.rule, f.path) for f in findings] == [
+            ("parity-unverified-backend", "src/repro/algo.py"),
+            ("parity-untested-check", "src/repro/engine/verify.py"),
+        ]
+        assert "drifting" in findings[0].message
+        assert "check_swept" in findings[1].message
 
     def test_uncovered_kernel_entry_point(self, tmp_path):
-        src, verify, tests = self._modules(
-            tmp_path,
-            """\
-            from repro.engine.verify import check_certified, check_orphan
-            from repro.algo import drifting
-            from repro.engine.kernels import tested_kernel
-            """,
-        )
+        src = _parse(tmp_path, self._SRC, name="src/repro/algo.py")
         kernels = _parse(
             tmp_path,
             """\
             def covered_kernel(a):
-                return a
-
-            def tested_kernel(a):
                 return a
 
             def orphan_kernel(a):
@@ -392,39 +415,33 @@ class TestBackendParity:
             """,
             name="src/repro/engine/kernels.py",
         )
-        verify2 = _parse(
+        verify = _parse(
             tmp_path,
             """\
-            from repro.algo import certified
-            from repro.engine.kernels import covered_kernel
+            from repro.algo import certified, drifting
+            from repro.engine.kernels import covered_kernel, orphan_kernel
 
             def check_certified(graph, seed):
                 certified(graph, backend="vectorized")
+                drifting(graph, backend="vectorized")
                 covered_kernel(graph)
 
-            def check_orphan(graph, seed):
-                pass
-
-            def verify_equivalence(graphs):
-                for g in graphs:
-                    check_certified(g, 0)
+            ROWS = (lambda tr: check_certified(tr.graph, 0),)
             """,
             name="src/repro/engine/verify.py",
         )
-        findings = check_backend_parity([src, verify2, kernels], verify2, tests)
+        findings = check_backend_parity([src, verify, kernels], verify)
         assert [f.rule for f in findings] == ["parity-unverified-kernel"]
         assert "orphan_kernel" in findings[0].message
-        assert findings[0].line == 7  # orphan_kernel()
+        assert findings[0].line == 4  # orphan_kernel()
 
     def test_uncovered_reexported_kernel(self, tmp_path):
         """A kernel defined elsewhere and re-exported by engine/kernels.py
         still needs a check: moving a kernel out must not hide it."""
-        src, verify, tests = self._modules(
+        src, verify = self._modules(
             tmp_path,
-            """\
-            from repro.engine.verify import check_certified, check_orphan
-            from repro.algo import drifting
-            """,
+            "lambda tr: check_certified(tr.graph, 0), "
+            "lambda tr: check_orphan(tr.graph, 1)",
         )
         kernels = _parse(
             tmp_path,
@@ -434,7 +451,7 @@ class TestBackendParity:
             """,
             name="src/repro/engine/kernels.py",
         )
-        findings = check_backend_parity([src, verify, kernels], verify, tests)
+        findings = check_backend_parity([src, verify, kernels], verify)
         assert [f.rule for f in findings] == ["parity-unverified-kernel"]
         assert "moved_kernel" in findings[0].message
         assert findings[0].line == 2

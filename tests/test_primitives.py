@@ -109,8 +109,12 @@ class TestLeaderElection:
         assert rounds >= 11
 
     def test_disconnected_raises(self):
-        with pytest.raises(RuntimeError):
-            elect_leader(Graph(4, [(0, 1), (2, 3)]))
+        from repro.engine.fastpath import vectorized_elect_leader
+
+        g = Graph(4, [(0, 1), (2, 3)])
+        for elect in (elect_leader, vectorized_elect_leader):
+            with pytest.raises(ValidationError, match=r"component leaders \[0, 2\]"):
+                elect(g)
 
 
 class TestAggregation:
