@@ -32,13 +32,14 @@ keeps the single-coin-per-message delivery semantics of the simulator).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.util.errors import ValidationError
+from repro.util.errors import ValidationError, integer_ids
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -50,6 +51,24 @@ __all__ = [
     "TargetedCutAdversary",
     "compose_schedules",
 ]
+
+
+def _edge_sets(groups: list) -> list[frozenset[int]]:
+    """Each group of edge ids as a frozenset of Python ints.
+
+    Every id is checked in one numpy conversion (:func:`integer_ids`), so a
+    fractional id raises instead of being truncated. Groups that already
+    are frozensets of Python ints are kept as they are: compiled schedules
+    pass through several plans, and a mobile schedule holds 10⁵ ids.
+    """
+    groups = [es if type(es) is frozenset else list(es) for es in groups]
+    flat = list(itertools.chain.from_iterable(groups))
+    ids = integer_ids(flat, "fault plan edge ids")
+    if set(map(type, flat)) <= {int}:
+        return [frozenset(es) for es in groups]
+    values = ids.tolist()
+    bounds = list(itertools.accumulate(map(len, groups), initial=0))
+    return [frozenset(values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -67,18 +86,14 @@ class FaultPlan:
     mobile: Mapping[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "dead_edges", frozenset(int(e) for e in self.dead_edges)
-        )
+        (dead,) = _edge_sets([self.dead_edges])
+        object.__setattr__(self, "dead_edges", dead)
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ValidationError("drop_rate must be in [0, 1]")
+        mobile = dict(self.mobile)
+        rounds = integer_ids(list(mobile), "fault plan rounds").tolist()
         object.__setattr__(
-            self,
-            "mobile",
-            {
-                int(r): frozenset(int(e) for e in es)
-                for r, es in dict(self.mobile).items()
-            },
+            self, "mobile", dict(zip(rounds, _edge_sets(list(mobile.values()))))
         )
 
     @property
@@ -223,7 +238,7 @@ class StaticSaboteur(AdversarySchedule):
     whole color class — the canonical Section 1.2 saboteur."""
 
     def __init__(self, dead_edges: Iterable[int] = (), tree_index: int | None = None):
-        self.dead_edges = frozenset(int(e) for e in dead_edges)
+        self.dead_edges = FaultPlan(dead_edges=dead_edges).dead_edges
         self.tree_index = tree_index
 
     def compile(self, graph: Graph, packing=None) -> FaultPlan:
@@ -250,9 +265,7 @@ class MobileAdversary(AdversarySchedule):
     """Round-scoped control: ``mobile[r]`` edges drop deliveries of round r."""
 
     def __init__(self, mobile: Mapping[int, Iterable[int]]):
-        self.mobile = {
-            int(r): frozenset(int(e) for e in es) for r, es in dict(mobile).items()
-        }
+        self.mobile = FaultPlan(mobile=mobile).mobile
 
     @classmethod
     def sweeping(

@@ -30,17 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.core.decomposition import (
-    Decomposition,
-    num_parts,
-)
-from repro.core.tree_packing import TreePacking, build_tree_packing
+from repro.core.decomposition import num_parts
+from repro.core.tree_packing import TreePacking
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult, run_bfs
 from repro.primitives.leader import elect_leader
 from repro.primitives.numbering import assign_item_numbers
 from repro.primitives.pipeline import run_tree_broadcast
-from repro.util.errors import ValidationError
+from repro.util.errors import ValidationError, integer_ids
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -135,21 +132,15 @@ def _number_messages_batch(
     """
     counts_list = []
     for placement in placements:
-        # One numpy conversion each of the nodes and the counts: a float,
-        # string or object entry leaves the array without an integer dtype.
-        nodes = np.array(list(placement))
-        values = np.array(list(placement.values()))
-        if placement and (nodes.dtype.kind not in "biu" or values.dtype.kind not in "biu"):
-            raise ValidationError(
-                "placement node ids and message counts must be integers"
-            )
+        nodes = integer_ids(list(placement), "placement node ids")
+        values = integer_ids(list(placement.values()), "message counts")
         bad = nodes[(nodes < 0) | (nodes >= graph.n)]
         if bad.size:
             raise ValidationError(f"placement node {bad[0]} out of range [0, {graph.n})")
         if (values < 0).any():
             raise ValidationError("message counts must be non-negative")
         counts = np.zeros(graph.n, dtype=np.int64)
-        counts[nodes.astype(np.int64)] = values
+        counts[nodes] = values
         counts_list.append(counts)
     if backend == "vectorized":
         from repro.engine.fastpath import (
@@ -173,13 +164,6 @@ def _number_messages_batch(
             }
             out.append((leader, tree, starts, phases))
     return out
-
-
-def _number_messages(
-    graph: Graph, placement: dict[int, int], backend: str = "simulator"
-) -> tuple[int, BFSResult, np.ndarray, dict[str, int]]:
-    """Solo prologue — a batch of one (see :func:`_number_messages_batch`)."""
-    return _number_messages_batch(graph, [placement], backend)[0]
 
 
 def _run_pipeline(graph, trees, per_channel, verify, backend):
@@ -277,7 +261,6 @@ def fast_broadcast(
     seed: int = 0,
     verify: bool = True,
     distributed_packing: bool = True,
-    decomposition: Decomposition | None = None,
     packing: TreePacking | None = None,
     backend: str = "simulator",
 ) -> BroadcastResult:
@@ -291,53 +274,31 @@ def fast_broadcast(
         the fully distributed unknown-λ variant).
     C: the constant in λ' = λ/(C log n); smaller C → more trees but a
         larger failure probability for the w.h.p. events.
-    decomposition / packing: pre-built Theorem 2 artifacts to reuse (the
-        decomposition is input-independent, so amortizing it across many
-        broadcast instances is exactly what Section 1 suggests); their
-        construction rounds are then charged as 0 here.
-    distributed_packing: build trees on the simulator (certified rounds) or
-        centrally with equivalent output (fast path for sweeps); only
-        consulted under ``backend="simulator"``.
+    packing: a pre-built Theorem 2 packing to reuse (it is
+        input-independent, so amortizing it across many broadcast instances
+        is exactly what Section 1 suggests); its construction rounds are
+        then charged as 0 here, and λ is not needed.
+    distributed_packing: build the trees on the simulator (certified
+        rounds) or with the packing's certified vectorized twin (the same
+        trees and rounds, fast path for sweeps); only consulted under
+        ``backend="simulator"``.
     backend: ``"simulator"`` executes every phase on the CONGEST simulator;
         ``"vectorized"`` computes the identical phase ledger with the numpy
         engine (see :mod:`repro.engine`).
+
+    A batch of one (:func:`fast_broadcast_batch`).
     """
-    from repro.engine import validate_backend
-    from repro.graphs.connectivity import edge_connectivity
-
-    validate_backend(backend)
-    k = sum(placement.values())
-    with obs.span("fast_broadcast"):
-        if lam is None and decomposition is None and packing is None:
-            with obs.span("connectivity"):
-                lam = edge_connectivity(graph)
-        leader, gtree, starts, phases = _number_messages(graph, placement, backend)
-
-        if packing is None:
-            with obs.span("tree_packing"):
-                if decomposition is not None:
-                    packing = build_tree_packing(
-                        decomposition,
-                        root=leader,
-                        distributed=distributed_packing,
-                        backend=backend,
-                    )
-                else:
-                    from repro.core.tree_packing import build_packing_with_retry
-
-                    parts = num_parts(lam, graph.n, C)
-                    packing, _attempts = build_packing_with_retry(
-                        graph,
-                        parts,
-                        seed,
-                        root=leader,
-                        distributed=distributed_packing,
-                        backend=backend,
-                    )
-            phases["tree_packing"] = packing.construction_rounds
-        else:
-            phases["tree_packing"] = 0
-        return _fast_tail(graph, placement, starts, phases, packing, verify, backend)
+    return fast_broadcast_batch(
+        graph,
+        [placement],
+        lam=lam,
+        C=C,
+        seeds=seed,
+        verify=verify,
+        distributed_packing=distributed_packing,
+        packing=packing,
+        backend=backend,
+    )[0]
 
 
 def _fast_tail(graph, placement, starts, phases, packing, verify, backend):
@@ -402,6 +363,7 @@ def fast_broadcast_batch(
     seeds=0,
     verify: bool = True,
     distributed_packing: bool = True,
+    packing: TreePacking | None = None,
     backend: str = "simulator",
 ) -> list[BroadcastResult]:
     """Many Theorem 1 broadcasts with all placement-independent work shared.
@@ -411,7 +373,8 @@ def fast_broadcast_batch(
     its global tree, and the tree packing of each distinct seed are computed
     once; numbering, the channel split, and the pipeline run per placement.
     ``seeds`` is one integer (any :class:`numbers.Integral`) for all
-    placements or a per-placement list.
+    placements or a per-placement list. A given ``packing`` serves every
+    placement, charged 0 rounds, and λ is then not computed.
     """
     from repro.engine import validate_backend
     from repro.graphs.connectivity import edge_connectivity
@@ -427,35 +390,38 @@ def fast_broadcast_batch(
                 f"seeds length {len(seed_list)} != placements length {len(placements)}"
             )
     with obs.span("fast_broadcast"):
-        if lam is None:
+        if lam is None and packing is None:
             with obs.span("connectivity"):
                 lam = edge_connectivity(graph)
         numbered = _number_messages_batch(graph, placements, backend)
-        parts = num_parts(lam, graph.n, C)
         packings: dict[int, TreePacking] = {}
         results = []
         for placement, seed, (leader, _gtree, starts, phases) in zip(
             placements, seed_list, numbered
         ):
-            packing = packings.get(seed)
-            if packing is None:
+            if packing is not None:
+                phases["tree_packing"] = 0
+                results.append(
+                    _fast_tail(graph, placement, starts, phases, packing, verify, backend)
+                )
+                continue
+            built = packings.get(seed)
+            if built is None:
                 from repro.core.tree_packing import build_packing_with_retry
 
                 with obs.span("tree_packing"):
-                    packing, _attempts = build_packing_with_retry(
+                    built, _attempts = build_packing_with_retry(
                         graph,
-                        parts,
+                        num_parts(lam, graph.n, C),
                         seed,
                         root=leader,
                         distributed=distributed_packing,
                         backend=backend,
                     )
-                packings[seed] = packing
-            phases["tree_packing"] = packing.construction_rounds
+                packings[seed] = built
+            phases["tree_packing"] = built.construction_rounds
             results.append(
-                _fast_tail(
-                    graph, placement, starts, phases, packing, verify, backend
-                )
+                _fast_tail(graph, placement, starts, phases, built, verify, backend)
             )
         return results
 

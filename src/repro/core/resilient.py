@@ -22,19 +22,28 @@ numpy engine (:mod:`repro.engine.faults`) — bit-identical
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from repro import obs
 from repro.congest.adversary import AdversarySchedule, FaultPlan
 from repro.congest.faults import FaultySimulator
 from repro.congest.network import Network
 from repro.congest.program import Context, NodeProgram
-from repro.core.broadcast import _bfs_view, _number_messages, _placement_ids
+from repro.core.broadcast import _bfs_view, _number_messages_batch, _placement_ids
 from repro.core.tree_packing import TreePacking
+from repro.engine.faults import (
+    FaultyBroadcastOutcome,
+    _popcount_rows,
+    vectorized_faulty_broadcast,
+)
 from repro.graphs.graph import Graph
+from repro.primitives.bfs import BFSResult
 from repro.primitives.pipeline import ChannelSpec
 from repro.util.errors import ProtocolError, ValidationError
 
@@ -198,114 +207,21 @@ def redundant_broadcast(
     deliveries fail). ``backend="vectorized"`` runs the whole experiment on
     the fault-aware numpy engine (:mod:`repro.engine.faults`) and returns a
     bit-identical report — same receipts, drops, rounds, and fault RNG
-    stream — at orders of magnitude larger n.
+    stream — at orders of magnitude larger n. A grid of one
+    (:func:`evaluate_fault_grid`).
     """
-    from repro.engine import validate_backend
-
-    validate_backend(backend)
-    parts = packing.size
-    _check_redundancy(redundancy, parts)
-    plan = FaultPlan(
-        dead_edges=frozenset(int(e) for e in (dead_edges or ())),
-        drop_rate=float(drop_rate),
-        mobile=dict(mobile or {}),
-    )
-    if adversary is not None:
-        plan = plan.merged(adversary.compile(graph, packing=packing))
-    if fault_seed is None:
-        fault_seed = seed
-    k = sum(placement.values())
-    leader, _gtree, starts, _phases = _number_messages(graph, placement, backend)
-    ids = _placement_ids(placement, starts)
-
-    import math
-
-    K = max(1, math.ceil(k / parts))
-    per_channel: dict[int, dict[int, list[int]]] = {c: {} for c in range(parts)}
-    for v, mids in ids.items():
-        for j in mids:
-            home = min((j - 1) // K, parts - 1)
-            for i in range(redundancy):
-                c = (home + i) % parts
-                per_channel[c].setdefault(v, []).append(j)
-
-    trees = {c: _bfs_view(packing, c) for c in range(parts)}
-    all_ids = [j for mids in ids.values() for j in mids]
-
-    if backend == "vectorized":
-        from repro.engine.faults import vectorized_faulty_broadcast
-
-        out = vectorized_faulty_broadcast(
-            graph, trees, per_channel, plan=plan, fault_seed=fault_seed
-        )
-        import numpy as np
-
-        rows = np.searchsorted(out.mids, np.asarray(all_ids, dtype=np.int64))
-        coverage = {
-            j: int(out.receipt_counts[r]) / graph.n
-            for j, r in zip(all_ids, rows.tolist())
-        }
-        receipts = out.receipts() if collect_receipts else None
-        return DeliveryReport(
-            k=k,
-            redundancy=redundancy,
-            rounds=out.rounds,
-            dropped_messages=out.dropped,
-            per_message_coverage=coverage,
-            backend=backend,
-            receipts=receipts,
-            fault_rng_state=out.fault_rng_state,
-            total_messages=out.total_messages,
-            total_bits=out.total_bits,
-        )
-
-    network = Network(graph)
-    programs: list[_TrackingProgram] = []
-
-    def factory(v: int) -> _TrackingProgram:
-        specs: dict[int, ChannelSpec] = {}
-        for cid, tree in trees.items():
-            parent = int(tree.parent[v])
-            specs[cid] = ChannelSpec(
-                parent_port=None if parent == v else network.port_to(v, parent),
-                child_ports=[network.port_to(v, c) for c in tree.children[v]],
-                own=list(per_channel.get(cid, {}).get(v, [])),
-                total=0,
-            )
-        prog = _TrackingProgram(v, specs)
-        programs.append(prog)
-        return prog
-
-    sim = FaultySimulator(
-        network,
-        factory,
-        plan=plan,
-        fault_seed=fault_seed,
-        seed=seed,
-    )
-    result = sim.run()
-
-    coverage = {
-        j: sum(1 for p in programs if j in p.received) / graph.n for j in all_ids
-    }
-    receipts = None
-    if collect_receipts:
-        receipts = {
-            j: frozenset(v for v, p in enumerate(programs) if j in p.received)
-            for j in all_ids
-        }
-    return DeliveryReport(
-        k=k,
+    cell = FaultCell(
         redundancy=redundancy,
-        rounds=result.metrics.rounds,
-        dropped_messages=sim.dropped,
-        per_message_coverage=coverage,
-        backend=backend,
-        receipts=receipts,
-        fault_rng_state=sim._fault_rng.bit_generator.state,
-        total_messages=result.metrics.total_messages,
-        total_bits=result.metrics.total_bits,
+        dead_edges=dead_edges or (),
+        drop_rate=drop_rate,
+        mobile=mobile,
+        adversary=adversary,
+        fault_seed=fault_seed,
     )
+    return evaluate_fault_grid(
+        graph, placement, packing, [cell], seed=seed, backend=backend,
+        collect_receipts=collect_receipts,
+    )[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -327,6 +243,65 @@ class FaultCell:
     adversary: AdversarySchedule | None = None
     fault_seed: int | None = None
 
+    def plan(self, graph: Graph, packing: TreePacking) -> FaultPlan:
+        """The cell's scenario as one :class:`FaultPlan`: the explicit
+        triple, merged with the adversary compiled against ``packing``."""
+        plan = FaultPlan(
+            dead_edges=self.dead_edges or (),
+            drop_rate=float(self.drop_rate),
+            mobile=self.mobile or {},
+        )
+        if self.adversary is not None:
+            plan = plan.merged(self.adversary.compile(graph, packing=packing))
+        return plan
+
+
+def _simulate_cell(
+    network: Network,
+    trees: dict[int, BFSResult],
+    split: dict[int, dict[int, list[int]]],
+    mids: np.ndarray,
+    plan: FaultPlan,
+    fault_seed,
+    seed,
+) -> FaultyBroadcastOutcome:
+    """One cell on a :class:`FaultySimulator` running :class:`_TrackingProgram`,
+    its receipts packed like the vectorized engine's."""
+    n = network.n
+    programs: list[_TrackingProgram] = []
+
+    def factory(v: int) -> _TrackingProgram:
+        specs: dict[int, ChannelSpec] = {}
+        for cid, tree in trees.items():
+            parent = int(tree.parent[v])
+            specs[cid] = ChannelSpec(
+                parent_port=None if parent == v else network.port_to(v, parent),
+                child_ports=[network.port_to(v, c) for c in tree.children[v]],
+                own=list(split.get(cid, {}).get(v, [])),
+                total=0,
+            )
+        prog = _TrackingProgram(v, specs)
+        programs.append(prog)
+        return prog
+
+    sim = FaultySimulator(network, factory, plan=plan, fault_seed=fault_seed, seed=seed)
+    metrics = sim.run().metrics
+    recv = np.zeros((mids.size, max(1, (n + 7) // 8)), dtype=np.uint8)
+    for v, prog in enumerate(programs):
+        got = np.fromiter(prog.received, dtype=np.int64, count=len(prog.received))
+        recv[np.searchsorted(mids, got), v >> 3] |= np.uint8(1 << (v & 7))
+    return FaultyBroadcastOutcome(
+        rounds=metrics.rounds,
+        dropped=sim.dropped,
+        mids=mids,
+        receipt_counts=_popcount_rows(recv),
+        receipt_bits=recv,
+        n=n,
+        fault_rng_state=sim._fault_rng.bit_generator.state,
+        total_messages=metrics.total_messages,
+        total_bits=metrics.total_bits,
+    )
+
 
 @obs.traced("fault_grid")
 def evaluate_fault_grid(
@@ -340,51 +315,33 @@ def evaluate_fault_grid(
 ) -> list[DeliveryReport]:
     """Evaluate a whole resilience grid with the broadcast setup paid once.
 
-    Report ``i`` is bit-identical to the corresponding solo
-    :func:`redundant_broadcast` call with ``cells[i]``'s scenario, defense,
-    and fault seed — same coverage, drops, rounds, send totals, and fault
-    RNG state. The per-cell work a naive loop repeats — leader election and
-    message numbering, placement-id assignment, the per-tree BFS views, and
-    the per-redundancy message-to-tree split — is hoisted and shared across
-    every cell that agrees on it; only the faulty broadcast engine itself
-    runs per cell. The simulator backend has no shareable setup (the
-    network is rebuilt per run by construction) and loops the solo calls.
+    Report ``i`` is the :func:`redundant_broadcast` of ``cells[i]``'s
+    scenario, defense, and fault seed — coverage, drops, rounds, send
+    totals, and fault RNG state. The setup is shared by every cell, on
+    both backends: leader election and message numbering, placement-id
+    assignment, the per-tree BFS views, and the message-to-tree split of
+    each redundancy level. Only the faulty broadcast itself runs per cell:
+    on a :class:`~repro.congest.faults.FaultySimulator`, or on the
+    vectorized engine (:func:`~repro.engine.faults.vectorized_faulty_broadcast`).
     """
     from repro.engine import validate_backend
 
+    validate_backend(backend)
     cells = list(cells)
-    if validate_backend(backend) != "vectorized":
-        return [
-            redundant_broadcast(
-                graph,
-                placement,
-                packing,
-                redundancy=c.redundancy,
-                dead_edges=c.dead_edges,
-                drop_rate=c.drop_rate,
-                mobile=c.mobile,
-                seed=seed,
-                fault_seed=c.fault_seed,
-                adversary=c.adversary,
-                backend=backend,
-                collect_receipts=collect_receipts,
-            )
-            for c in cells
-        ]
-
-    import math
-
-    import numpy as np
-
-    from repro.engine.faults import vectorized_faulty_broadcast
-
     parts = packing.size
+    for cell in cells:
+        _check_redundancy(cell.redundancy, parts)
     k = sum(placement.values())
-    leader, _gtree, starts, _phases = _number_messages(graph, placement, backend)
+    _leader, _gtree, starts, _phases = _number_messages_batch(
+        graph, [placement], backend
+    )[0]
     ids = _placement_ids(placement, starts)
     trees = {c: _bfs_view(packing, c) for c in range(parts)}
-    all_ids = [j for mids in ids.values() for j in mids]
+    all_ids = [j for vids in ids.values() for j in vids]
+    mids = np.unique(np.asarray(all_ids, dtype=np.int64))
+    rows = np.searchsorted(mids, np.asarray(all_ids, dtype=np.int64))
     K = max(1, math.ceil(k / parts))
+    network = Network(graph) if backend == "simulator" else None
 
     splits: dict[int, dict[int, dict[int, list[int]]]] = {}
 
@@ -392,8 +349,8 @@ def evaluate_fault_grid(
         pc = splits.get(redundancy)
         if pc is None:
             pc = {c: {} for c in range(parts)}
-            for v, mids in ids.items():
-                for j in mids:
+            for v, vids in ids.items():
+                for j in vids:
                     home = min((j - 1) // K, parts - 1)
                     for i in range(redundancy):
                         pc[(home + i) % parts].setdefault(v, []).append(j)
@@ -402,31 +359,24 @@ def evaluate_fault_grid(
 
     reports: list[DeliveryReport] = []
     for cell in cells:
-        redundancy = cell.redundancy
-        _check_redundancy(redundancy, parts)
-        plan = FaultPlan(
-            dead_edges=frozenset(int(e) for e in (cell.dead_edges or ())),
-            drop_rate=float(cell.drop_rate),
-            mobile=dict(cell.mobile or {}),
-        )
-        if cell.adversary is not None:
-            plan = plan.merged(cell.adversary.compile(graph, packing=packing))
+        plan = cell.plan(graph, packing)
         fault_seed = seed if cell.fault_seed is None else cell.fault_seed
-        out = vectorized_faulty_broadcast(
-            graph, trees, split(redundancy), plan=plan, fault_seed=fault_seed
-        )
-        rows = np.searchsorted(out.mids, np.asarray(all_ids, dtype=np.int64))
-        coverage = {
-            j: int(out.receipt_counts[r]) / graph.n
-            for j, r in zip(all_ids, rows.tolist())
-        }
+        if backend == "vectorized":
+            out = vectorized_faulty_broadcast(
+                graph, trees, split(cell.redundancy), plan=plan, fault_seed=fault_seed
+            )
+        else:
+            out = _simulate_cell(
+                network, trees, split(cell.redundancy), mids, plan, fault_seed, seed
+            )
+        coverage = out.receipt_counts[rows] / graph.n
         reports.append(
             DeliveryReport(
                 k=k,
-                redundancy=redundancy,
+                redundancy=cell.redundancy,
                 rounds=out.rounds,
                 dropped_messages=out.dropped,
-                per_message_coverage=coverage,
+                per_message_coverage=dict(zip(all_ids, coverage.tolist())),
                 backend=backend,
                 receipts=out.receipts() if collect_receipts else None,
                 fault_rng_state=out.fault_rng_state,
@@ -517,8 +467,6 @@ def repair_coverage(
     same (graph, placement, packing, scenario, seeds, backend) tuple, which
     the grid guarantees bit-identically.
     """
-    import numpy as np
-
     from repro.core.tree_packing import (
         SpanningTree,
         _packing_from_trees,
@@ -527,13 +475,10 @@ def repair_coverage(
     from repro.primitives.bfs import run_parallel_bfs
 
     parts = packing.size
-    plan = FaultPlan(
-        dead_edges=frozenset(int(e) for e in (dead_edges or ())),
-        drop_rate=float(drop_rate),
-        mobile=dict(mobile or {}),
-    )
-    if adversary is not None:
-        plan = plan.merged(adversary.compile(graph, packing=packing))
+    plan = FaultCell(
+        dead_edges=dead_edges or (), drop_rate=drop_rate, mobile=mobile,
+        adversary=adversary,
+    ).plan(graph, packing)
 
     def run(pk: TreePacking) -> DeliveryReport:
         return redundant_broadcast(
@@ -562,8 +507,6 @@ def repair_coverage(
         dead_mask[np.fromiter(plan.dead_edges, dtype=np.int64)] = True
 
     # Detect: report-driven suspects ∩ structurally damaged trees.
-    import math
-
     k = initial.k
     K = max(1, math.ceil(k / parts))
     suspects: set[int] = set()

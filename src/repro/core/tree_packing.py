@@ -34,7 +34,7 @@ from repro import obs
 from repro.core.decomposition import Decomposition
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_tree
-from repro.primitives.bfs import BFSResult, run_parallel_bfs
+from repro.primitives.bfs import BFSResult, check_roots, run_parallel_bfs
 from repro.util.errors import ValidationError
 
 __all__ = [
@@ -225,14 +225,11 @@ def resolve_roots(
     if parts < 1:
         raise ValidationError("parts must be >= 1")
     if not isinstance(roots, str):
-        out = [int(r) for r in roots]
+        out = check_roots(graph, roots)
         if len(out) != parts:
             raise ValidationError(
                 f"explicit roots list has {len(out)} entries for {parts} classes"
             )
-        bad = [r for r in out if not (0 <= r < n)]
-        if bad:
-            raise ValidationError(f"root ids {bad[:4]} out of range [0, {n})")
         return out
     if not (0 <= base_root < n):
         raise ValidationError(f"root {base_root} out of range")
@@ -272,18 +269,14 @@ def build_tree_packing(
 ) -> TreePacking:
     """BFS per color class → tree packing (Section 3.1).
 
-    ``backend="simulator"`` (default) honors ``distributed``:
-    ``distributed=True`` runs the Lemma 2 floods concurrently on the CONGEST
-    simulator (certified round count: all classes in parallel, so the cost
-    is the *max* depth, not the sum); ``distributed=False`` uses the
-    centralized BFS kernel and charges the same certified count — bit-for-bit
-    the same trees (both pick the smallest-id parent in the previous layer)
-    and the same max-depth + 1 rounds, two orders of magnitude faster for
-    application pipelines; the tests assert the equivalence.
-
-    ``backend="vectorized"`` computes the distributed semantics — identical
-    trees *and* the simulator's exact round count — with the numpy fast path
-    of :mod:`repro.engine`, ignoring ``distributed``.
+    ``distributed=True`` under ``backend="simulator"`` (the default) runs
+    the Lemma 2 floods concurrently on the CONGEST simulator (certified
+    round count: all classes in parallel, so the cost is the *max* depth,
+    not the sum). Every other combination runs the same parallel BFS on its
+    certified vectorized twin (:func:`~repro.primitives.bfs.run_parallel_bfs`
+    with ``backend="vectorized"``) — identical trees *and* the simulator's
+    exact round count, two orders of magnitude faster for application
+    pipelines — so ``distributed=False`` changes only the speed.
 
     ``roots`` selects the root-assignment policy (see :func:`resolve_roots`;
     ``None`` keeps the historical shared root at ``root``). All policies
@@ -301,29 +294,11 @@ def build_tree_packing(
         base_root=root,
         backend=backend,
     )
-    if validate_backend(backend) == "vectorized":
-        results, rounds = run_parallel_bfs(
-            g, masks, roots=root_list, backend="vectorized"
-        )
-        trees = [_tree_from_bfs(r) for r in results]
-    elif distributed:
-        results, rounds = run_parallel_bfs(g, masks, roots=root_list)
-        trees = [_tree_from_bfs(r) for r in results]
-    else:
-        trees = []
-        for mask, r_c in zip(masks, root_list):
-            sub, orig_ids = g.edge_subgraph_with_map(mask)
-            parent, dist = bfs_tree(sub, r_c)
-            if np.any(dist < 0):
-                raise ValidationError(
-                    "color class is not spanning — the w.h.p. event of "
-                    "Theorem 2 failed; retry with a larger C or another seed"
-                )
-            trees.append(SpanningTree(root=r_c, parent=parent, depth_of=dist))
-        # Charge exactly what the simulator certifies: flood depth + the one
-        # round draining the deepest layer's child notices (0 for n = 1).
-        rounds = max(t.depth for t in trees) + 1 if g.n > 1 else 0
-
+    simulate = validate_backend(backend) == "simulator" and distributed
+    results, rounds = run_parallel_bfs(
+        g, masks, roots=root_list, backend="simulator" if simulate else "vectorized"
+    )
+    trees = [_tree_from_bfs(r) for r in results]
     return _packing_from_trees(g, trees, rounds, class_masks=masks)
 
 

@@ -7,9 +7,10 @@ count are deterministic functions of the input:
   :class:`~repro.congest.program.NodeProgram` state machines on the CONGEST
   simulator. Round counts are *certified by execution*: every message is
   transported, bit-priced, and bandwidth-checked, so a completed run is a
-  genuine CONGEST execution. This is the ground truth — and, per the
-  simulator's own profiling notes, >80% of wall time is spent inside the
-  per-node Python programs, which caps experiments at toy sizes.
+  genuine CONGEST execution. This is the ground truth — and every message
+  costs about 2.7 µs of simulator time, about 30% of it inside the per-node
+  Python programs (measured in :mod:`repro.congest.simulator`), which caps
+  experiments at toy sizes.
 
 * ``backend="vectorized"`` (this package) computes the *same* results with
   whole-frontier numpy sweeps over the :class:`~repro.graphs.graph.Graph`
@@ -23,7 +24,10 @@ count are deterministic functions of the input:
     sweeps; parents take the smallest-id neighbor in the previous layer
     (ports are sorted by neighbor id, so this is exactly the simulator's
     first-announcing-port tie-break); rounds = max channel depth + 1 (the
-    final round delivers the deepest layer's child-notifications).
+    final round delivers the deepest layer's child-notifications). A solo
+    flood is a batch of one: ``run_bfs`` rides
+    :func:`~repro.engine.plane.plane_sweep` and ``run_parallel_bfs``
+    :func:`~repro.engine.plane.masked_union_bfs`.
   - **Leader election (min-ID flood)** — the minimum id (node 0) wins;
     rounds = ecc(0) + 1 (the farthest node's last improvement floods out
     one more round).
@@ -87,10 +91,8 @@ from __future__ import annotations
 
 from repro.engine.kernels import frontier_sweep
 from repro.engine.fastpath import (
-    vectorized_bfs,
     vectorized_elect_leader,
     vectorized_numbering,
-    vectorized_parallel_bfs,
     vectorized_tree_broadcast,
 )
 from repro.engine.pipelines import (
@@ -104,8 +106,6 @@ __all__ = [
     "BACKENDS",
     "frontier_sweep",
     "validate_backend",
-    "vectorized_bfs",
-    "vectorized_parallel_bfs",
     "vectorized_elect_leader",
     "vectorized_numbering",
     "vectorized_tree_broadcast",

@@ -15,11 +15,9 @@ from repro import obs
 from repro.congest.metrics import Metrics
 from repro.engine.kernels import (
     expand_csr_rows,
-    frontier_sweep,
     last_send_round_spans,
     upcast_spans,
 )
-from repro.engine.plane import masked_union_bfs
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.primitives.leader import disconnected_error
@@ -29,66 +27,16 @@ from repro.util.errors import BandwidthExceeded, ValidationError
 
 __all__ = [
     "expand_csr_rows",  # re-exported from repro.engine.kernels
-    "vectorized_bfs",
-    "vectorized_parallel_bfs",
     "vectorized_elect_leader",
     "vectorized_numbering",
     "vectorized_tree_broadcast",
 ]
 
 
-# BFS sweeps and tree-children construction live in repro.engine.kernels
-# (frontier_sweep / children_lists), shared with repro.engine.faults;
-# expand_csr_rows is re-exported above for callers that imported it from
-# here.
-
-
-# --------------------------------------------------------------------------- #
-# Lemma 2 — BFS flood
-# --------------------------------------------------------------------------- #
-
-def vectorized_bfs(
-    graph: Graph, root: int, edge_mask: np.ndarray | None = None
-) -> BFSResult:
-    """Fast-path :func:`repro.primitives.bfs.run_bfs` (single channel).
-
-    Rounds = depth + 1: the deepest layer adopts in round ``depth`` and its
-    child-notifications drain in one further round — or 0 when the root has
-    no usable port and the flood never starts.
-    """
-    if not (0 <= root < graph.n):
-        raise ValidationError(f"root {root} out of range")
-    indptr, indices = graph.masked_csr(edge_mask)
-    parent, dist = frontier_sweep(graph.n, indptr, indices, root)
-    depth = int(dist.max())
-    rounds = depth + 1 if indptr[root + 1] > indptr[root] else 0
-    return BFSResult(
-        root=root,
-        parent=parent,
-        dist=dist,
-        children=None,  # derived lazily from parent — identical lists
-        rounds=rounds,
-    )
-
-
-def vectorized_parallel_bfs(
-    graph: Graph,
-    edge_masks: list[np.ndarray],
-    roots: list[int],
-) -> tuple[list[BFSResult], int]:
-    """Fast-path :func:`repro.primitives.bfs.run_parallel_bfs`, which
-    validates the masks and roots before dispatching here.
-
-    Every channel runs in one :func:`~repro.engine.plane.masked_union_bfs`
-    sweep. All channels share one clock, so the joint execution costs the
-    *max* channel depth + 1 — the Section 3.1 claim that edge-disjoint
-    floods run concurrently for free.
-    """
-    results = masked_union_bfs(graph, edge_masks, roots)
-    rounds = max((r.rounds for r in results), default=0)
-    for r in results:
-        r.rounds = rounds
-    return results, rounds
+# The Lemma 2 flood runs through repro.primitives.bfs itself: run_bfs is a
+# batch of one over repro.engine.plane.plane_sweep, and run_parallel_bfs
+# calls masked_union_bfs. expand_csr_rows is re-exported above for callers
+# that imported it from here.
 
 
 # --------------------------------------------------------------------------- #

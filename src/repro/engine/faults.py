@@ -44,9 +44,10 @@ import numpy as np
 
 from repro import obs
 from repro.congest.adversary import FaultPlan
+from repro.congest.faults import FaultySimulator
 from repro.engine.kernels import expand_csr_rows
 from repro.graphs.graph import Graph
-from repro.primitives.bfs import BFSResult
+from repro.primitives.bfs import BFSResult, check_roots, run_bfs_batch, simulate_floods
 from repro.util.bits import bits_for_int_array
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
@@ -203,16 +204,13 @@ def vectorized_faulty_bfs(
     leaves the child out of its parent's ``children`` list even though the
     child keeps the parent pointer, exactly like the simulator.
 
-    The plan picks the path. With no mobile adversary, a rate-0 plan runs
-    as a grid of one (:func:`_static_floods`) and pure total loss without
-    dead edges as :func:`_span_faulty_bfs_total_loss`; every other plan
-    takes the per-round replay below.
+    Pure total loss without dead edges or a mobile set runs as
+    :func:`_span_faulty_bfs_total_loss`; every other plan takes the
+    per-round replay below. :func:`faulty_bfs_grid`, the one dispatcher,
+    checks the root and sends coin-free static plans to
+    :func:`_static_floods` instead.
     """
-    if not (0 <= root < graph.n):
-        raise ValidationError(f"root {root} out of range")
     plan = plan if plan is not None else FaultPlan()
-    if not plan.mobile and plan.drop_rate == 0.0:
-        return _static_floods(graph, [root], plan, [fault_seed], edge_mask)[0]
     n = graph.n
     stream = FaultStream(graph, plan, fault_seed)
     indptr, indices = graph.masked_csr(
@@ -299,7 +297,7 @@ def vectorized_faulty_bfs(
         for p, c in zip(cd.tolist(), cs.tolist()):
             children[p].append(c)
         for lst in children:
-            lst.sort()  # canonical order, as _collect_results does
+            lst.sort()  # canonical order, as simulate_floods does
     result = BFSResult(
         root=root, parent=parent, dist=dist, children=children, rounds=rounds
     )
@@ -321,50 +319,13 @@ def faulty_bfs(
     ``backend="simulator"`` runs :class:`~repro.primitives.bfs.BFSProgram`
     on a :class:`~repro.congest.faults.FaultySimulator`;
     ``backend="vectorized"`` produces the bit-identical outcome (forest,
-    round count, drop count, fault RNG state) via
-    :func:`vectorized_faulty_bfs`.
+    round count, drop count, fault RNG state). A grid of one
+    (:func:`faulty_bfs_grid`).
     """
-    from repro.engine import validate_backend
-
-    if validate_backend(backend) == "vectorized":
-        return vectorized_faulty_bfs(
-            graph,
-            root,
-            plan=plan,
-            fault_seed=fault_seed,
-            edge_mask=edge_mask,
-        )
-    from repro.congest.faults import FaultySimulator
-    from repro.congest.network import Network
-    from repro.primitives.bfs import BFSProgram, _collect_results
-
-    if not (0 <= root < graph.n):
-        raise ValidationError(f"root {root} out of range")
-    plan = plan if plan is not None else FaultPlan()
-    network = Network(graph)
-    if edge_mask is not None:
-        mask = np.asarray(edge_mask, dtype=bool)
-        ports = {v: network.ports_for_edges(v, mask) for v in range(graph.n)}
-    else:
-        ports = {v: None for v in range(graph.n)}
-
-    programs: list[BFSProgram] = []
-
-    def factory(v: int) -> BFSProgram:
-        prog = BFSProgram(v, {0: root}, {0: ports[v]})
-        programs.append(prog)
-        return prog
-
-    sim = FaultySimulator(network, factory, plan=plan, fault_seed=fault_seed)
-    result = sim.run()
-    for prog in programs:
-        prog.finalize()
-    res = _collect_results(graph, network, programs, {0: root}, result.metrics.rounds)[0]
-    return FaultyBFSOutcome(
-        result=res,
-        dropped=sim.dropped,
-        fault_rng_state=sim._fault_rng.bit_generator.state,
-    )
+    return faulty_bfs_grid(
+        graph, [root], plan=plan, fault_seeds=[fault_seed], edge_mask=edge_mask,
+        backend=backend,
+    )[0]
 
 
 @obs.traced("faulty_bfs_grid")
@@ -376,44 +337,49 @@ def faulty_bfs_grid(
     edge_mask: np.ndarray | None = None,
     backend: str = "vectorized",
 ) -> list[FaultyBFSOutcome]:
-    """A whole (root × fault-seed) grid of faulty floods in one plane sweep.
+    """A whole (root × fault-seed) grid of faulty floods.
 
-    Element ``i`` is bit-identical to
-    ``faulty_bfs(graph, roots[i], plan, fault_seeds[i], ...)`` — same
-    forest, rounds, drop count, and fault RNG state. When the plan draws
-    no coins and has no mobile set (the static dead-edge regime), the
-    whole grid reduces to one :func:`repro.engine.plane.plane_sweep` over
-    the distinct roots (:func:`_static_floods`, which the solo call runs
-    as a grid of one). Every other plan — positive rates, mobile
-    schedules, the simulator backend — falls back to the per-query loop,
-    which is the contract's definition anyway.
+    Element ``i`` is the flood from ``roots[i]`` under ``fault_seeds[i]``
+    alone — forest, rounds, drop count, and fault RNG state. The plan and
+    the backend pick one path for the whole grid: the simulator runs each
+    query on a :class:`~repro.congest.faults.FaultySimulator`; on the
+    vectorized backend, a plan that draws no coins and has no mobile set
+    (the static dead-edge regime) runs as one plane sweep over the distinct
+    roots (:func:`_static_floods`), and every other plan runs
+    :func:`vectorized_faulty_bfs` per query.
 
     ``fault_seeds`` defaults to all zeros; when given it must match
     ``roots`` in length.
     """
     from repro.engine import validate_backend
 
+    validate_backend(backend)
     plan = plan if plan is not None else FaultPlan()
-    root_list = [int(r) for r in roots]
+    root_list = check_roots(graph, roots)
     seeds = list(fault_seeds) if fault_seeds is not None else [0] * len(root_list)
     if len(seeds) != len(root_list):
         raise ValidationError(
             f"fault_seeds length {len(seeds)} != roots length {len(root_list)}"
         )
-    if (
-        validate_backend(backend) != "vectorized"
-        or plan.mobile
-        or plan.drop_rate != 0.0
-        or not root_list
-    ):
-        return [
-            faulty_bfs(
-                graph, r, plan=plan, fault_seed=s, edge_mask=edge_mask,
-                backend=backend,
+    mask = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
+    if backend == "vectorized" and not plan.mobile and plan.drop_rate == 0.0:
+        return _static_floods(graph, root_list, plan, seeds, mask)
+    out = []
+    for r, s in zip(root_list, seeds):
+        if backend == "vectorized":
+            out.append(vectorized_faulty_bfs(graph, r, plan, s, mask))
+            continue
+        (res,), sim = simulate_floods(
+            graph, [r], [mask], FaultySimulator, plan=plan, fault_seed=s
+        )
+        out.append(
+            FaultyBFSOutcome(
+                result=res,
+                dropped=sim.dropped,
+                fault_rng_state=sim._fault_rng.bit_generator.state,
             )
-            for r, s in zip(root_list, seeds)
-        ]
-    return _static_floods(graph, root_list, plan, seeds, edge_mask)
+        )
+    return out
 
 
 def _static_floods(
@@ -423,62 +389,39 @@ def _static_floods(
     fault_seeds: list,
     edge_mask: np.ndarray | None,
 ) -> list[FaultyBFSOutcome]:
-    """Faulty floods under a coin-free, static plan, as one plane sweep.
+    """Faulty floods under a coin-free, static plan, as one BFS batch.
 
     With no coin drops and no mobile set, the adversary is a static edge
     deletion: adoption is plain BFS on the masked graph *minus* the dead
-    edges (no per-round loop), every surviving child-notice arrives (the
-    notice rides the adoption edge, which is by definition alive), and the
-    drop count is exactly one crossing per (dead masked edge, adopted
-    endpoint) pair — an adopted node sends on *every* masked port exactly
-    once. The coin RNG is untouched, so outcomes across fault seeds
-    differ only in their (pristine) recorded RNG state, and queries
-    sharing a root share read-only forest rows.
+    edges (:func:`~repro.primitives.bfs.run_bfs_batch`, no per-round loop),
+    every surviving child-notice arrives (the notice rides the adoption
+    edge, which is by definition alive), and the drop count is exactly one
+    crossing per (dead masked edge, adopted endpoint) pair — an adopted
+    node sends on *every* masked port exactly once. The clock runs off the
+    *masked* graph: a root whose only ports are dead still sends its
+    round-1 batch. The coin RNG is untouched, so outcomes across fault
+    seeds differ only in their (pristine) recorded RNG state.
     """
-    from repro.engine.plane import plane_sweep
-
     plan.validate_for(graph.m)
-    base = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
-    indptr, indices = graph.masked_csr(base)
-    n = graph.n
-    de = np.empty(0, dtype=np.int64)
+    indptr, _ = graph.masked_csr(edge_mask)
+    live = np.ones(graph.m, dtype=bool) if edge_mask is None else edge_mask.copy()
+    dead = np.zeros(graph.m, dtype=bool)
     if plan.dead_edges:
-        dead = np.zeros(graph.m, dtype=bool)
-        dead[
-            np.fromiter(plan.dead_edges, dtype=np.int64, count=len(plan.dead_edges))
-        ] = True
-        full = np.ones(graph.m, dtype=bool) if base is None else base
-        pindptr, pindices = graph.masked_csr(full & ~dead)
-        de = np.nonzero(dead)[0]
-        if base is not None:
-            de = de[base[de]]
-    else:
-        pindptr, pindices = indptr, indices
-    uniq, inverse = np.unique(np.asarray(roots, dtype=np.int64), return_inverse=True)
-    parent, dist, _ = plane_sweep(n, pindptr, pindices, uniq)
-    # The clock runs off the *masked* graph: the root's round-1 batch exists
-    # as soon as it has any usable port, dead or not.
-    rounds_u = np.where(indptr[uniq + 1] > indptr[uniq], dist.max(axis=1) + 1, 0)
-    if de.size:
-        dropped_u = (dist[:, graph.edge_u[de]] >= 0).sum(axis=1) + (
-            dist[:, graph.edge_v[de]] >= 0
-        ).sum(axis=1)
-    else:
-        dropped_u = np.zeros(uniq.size, dtype=np.int64)
+        dead[np.fromiter(plan.dead_edges, dtype=np.int64, count=len(plan.dead_edges))] = True
+        dead &= live
+        live &= ~dead
+    results = run_bfs_batch(
+        graph, roots, edge_mask=live if dead.any() else edge_mask, backend="vectorized"
+    )
+    eu, ev = graph.edge_u[dead], graph.edge_v[dead]
     out: list[FaultyBFSOutcome] = []
-    for i, (r, s) in enumerate(zip(roots, fault_seeds)):
-        q = int(inverse[i])
-        res = BFSResult(
-            root=r,
-            parent=parent[q],
-            dist=dist[q],
-            children=None,  # rate-0 plans drop no child-notices
-            rounds=int(rounds_u[q]),
-        )
+    for res, s in zip(results, fault_seeds):
+        r = res.root
+        res.rounds = res.rounds or int(indptr[r + 1] > indptr[r])
         out.append(
             FaultyBFSOutcome(
                 result=res,
-                dropped=int(dropped_u[q]),
+                dropped=int((res.dist[eu] >= 0).sum() + (res.dist[ev] >= 0).sum()),
                 fault_rng_state=ensure_rng(s).bit_generator.state,
             )
         )

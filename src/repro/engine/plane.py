@@ -70,10 +70,10 @@ def plane_sweep(
 
     ``parent``/``dist`` have shape ``(Q, n)``; row ``i`` is bit-identical
     to ``frontier_sweep(n, indptr, indices, roots[i])``, and ``rounds[i]``
-    is the solo round count of ``vectorized_bfs``: depth + 1 when the root
-    has a usable port, else 0. Query rows are processed in chunks of at
-    most ``max_cells // n`` so the resident working set stays bounded for
-    arbitrarily large batches.
+    is the flood's round count (:func:`~repro.primitives.bfs.run_bfs`):
+    depth + 1 when the root has a usable port, else 0. Query rows are
+    processed in chunks of at most ``max_cells // n`` so the resident
+    working set stays bounded for arbitrarily large batches.
     """
     n = int(n)
     roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))

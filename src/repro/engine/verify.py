@@ -786,13 +786,15 @@ def check_bfs_batch(graph: Graph, roots, edge_mask=None) -> list[str]:
 
 
 def check_broadcast_batch(graph: Graph, k: int, seed) -> list[str]:
-    """textbook/fast broadcast batches == loops of solo calls, both backends."""
+    """textbook/fast broadcast batches == loops of solo calls, both backends,
+    also with one given ``packing`` reused by every placement."""
     rng = ensure_rng(seed)
     placements = [
         uniform_random_placement(graph.n, int(kk), seed=seed + 17 * j)
         for j, kk in enumerate(rng.integers(0, max(1, k) + 1, size=3))
     ]
     seeds = [int(s) for s in rng.integers(0, 3, size=len(placements))]
+    packing = _packing(graph, 2, seed)
     out = []
     for b in ("simulator", "vectorized"):
         out += _pair(
@@ -819,6 +821,17 @@ def check_broadcast_batch(graph: Graph, k: int, seed) -> list[str]:
                 graph, placements[-1:], seeds=np.int64(seeds[-1]), backend=b
             ),
         )
+        if packing is not None:
+            out += _pair(
+                f"fast-batch[{b}][packing]",
+                lambda: [
+                    fast_broadcast(graph, p, packing=packing, backend=b)
+                    for p in placements
+                ],
+                lambda: fast_broadcast_batch(
+                    graph, placements, packing=packing, backend=b
+                ),
+            )
     return out
 
 

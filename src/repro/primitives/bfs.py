@@ -30,9 +30,17 @@ from repro.congest.network import Network
 from repro.congest.program import Context, NodeProgram
 from repro.congest.simulator import Simulator
 from repro.graphs.graph import Graph
-from repro.util.errors import ProtocolError, ValidationError
+from repro.util.errors import ProtocolError, ValidationError, integer_ids
 
-__all__ = ["BFSProgram", "BFSResult", "run_bfs", "run_bfs_batch", "run_parallel_bfs"]
+__all__ = [
+    "BFSProgram",
+    "BFSResult",
+    "check_roots",
+    "run_bfs",
+    "run_bfs_batch",
+    "run_parallel_bfs",
+    "simulate_floods",
+]
 
 _ANNOUNCE = 0  # payload kind tags (ints keep messages small)
 _CHILD = 1
@@ -194,22 +202,53 @@ class BFSProgram(NodeProgram):
                 if p != pport:
                     ctx.send(p, (_ANNOUNCE, channel, d))
 
-    # -- output extraction ------------------------------------------------ #
 
-    def finalize(self) -> None:
-        self.output["dist"] = dict(self.dist)
-        self.output["parent_port"] = dict(self.parent_port)
-        self.output["child_ports"] = {c: list(ps) for c, ps in self.child_ports.items()}
+def check_roots(graph: Graph, roots) -> list[int]:
+    """BFS roots as Python ints in ``[0, n)``, else :class:`ValidationError`.
+
+    Every flood entry point checks its roots here: integers (Python, numpy
+    or bool) only, so a fractional root can neither be truncated nor flood
+    nothing on one backend while it floods node 1 on the other.
+    """
+    arr = integer_ids(list(roots), "BFS roots")
+    bad = arr[(arr < 0) | (arr >= graph.n)]
+    if bad.size:
+        raise ValidationError(f"root {bad[0]} out of range [0, {graph.n})")
+    return arr.tolist()
 
 
-def _collect_results(
+def simulate_floods(
     graph: Graph,
-    network: Network,
-    programs: list[BFSProgram],
-    channel_roots: dict[int, int],
-    rounds: int,
-) -> dict[int, BFSResult]:
-    results = {}
+    roots: list[int],
+    masks: list[np.ndarray | None],
+    simulator=Simulator,
+    **sim_kwargs,
+) -> tuple[list[BFSResult], Simulator]:
+    """The simulator's flood driver: one channel per ``(roots[c], masks[c])``
+    pair in one execution of ``simulator`` (``None`` = every port).
+
+    Returns the per-channel results, which share the run's round count, and
+    the simulator (a :class:`~repro.congest.faults.FaultySimulator` keeps
+    its drop count and fault RNG there).
+    """
+    network = Network(graph)
+    ports = [
+        None if m is None else [network.ports_for_edges(v, m) for v in range(graph.n)]
+        for m in masks
+    ]
+    channel_roots = dict(enumerate(roots))
+    programs: list[BFSProgram] = []
+
+    def factory(v: int) -> BFSProgram:
+        prog = BFSProgram(
+            v, channel_roots, {c: None if p is None else p[v] for c, p in enumerate(ports)}
+        )
+        programs.append(prog)
+        return prog
+
+    sim = simulator(network, factory, **sim_kwargs)
+    rounds = sim.run().metrics.rounds
+    results = []
     for channel, root in channel_roots.items():
         parent = np.full(graph.n, -1, dtype=np.int64)
         dist = np.full(graph.n, -1, dtype=np.int64)
@@ -219,17 +258,17 @@ def _collect_results(
                 dist[v] = prog.dist[channel]
                 pport = prog.parent_port[channel]
                 parent[v] = v if pport is None else network.neighbor(v, pport)
-            for p in prog.child_ports.get(channel, []):
-                children[v].append(network.neighbor(v, p))
             # Canonical child order (ascending id): CHILD notices all land in
             # the same round, so their relative order is an artifact of the
             # delivery loop, not of the protocol; sorting makes the two
             # backends bit-identical.
-            children[v].sort()
-        results[channel] = BFSResult(
-            root=root, parent=parent, dist=dist, children=children, rounds=rounds
+            children[v] = sorted(
+                network.neighbor(v, p) for p in prog.child_ports.get(channel, [])
+            )
+        results.append(
+            BFSResult(root=root, parent=parent, dist=dist, children=children, rounds=rounds)
         )
-    return results
+    return results, sim
 
 
 def run_bfs(
@@ -242,36 +281,10 @@ def run_bfs(
 
     Returns a :class:`BFSResult`; ``result.rounds`` is the exact number of
     CONGEST rounds the flood took (depth + O(1)). ``backend="vectorized"``
-    computes the identical result with numpy frontier sweeps.
+    computes the identical result with numpy frontier sweeps. A batch of
+    one (:func:`run_bfs_batch`).
     """
-    from repro.engine import validate_backend
-
-    if validate_backend(backend) == "vectorized":
-        from repro.engine.fastpath import vectorized_bfs
-
-        return vectorized_bfs(graph, root, edge_mask=edge_mask)
-    if not (0 <= root < graph.n):
-        raise ValidationError(f"root {root} out of range")
-    network = Network(graph)
-    if edge_mask is not None:
-        mask = np.asarray(edge_mask, dtype=bool)
-        ports = {v: network.ports_for_edges(v, mask) for v in range(graph.n)}
-        channel_ports = lambda v: {0: ports[v]}  # noqa: E731
-    else:
-        channel_ports = lambda v: {0: None}  # noqa: E731
-
-    programs: list[BFSProgram] = []
-
-    def factory(v: int) -> BFSProgram:
-        prog = BFSProgram(v, {0: root}, channel_ports(v))
-        programs.append(prog)
-        return prog
-
-    sim = Simulator(network, factory)
-    result = sim.run()
-    for prog in programs:
-        prog.finalize()
-    return _collect_results(graph, network, programs, {0: root}, result.metrics.rounds)[0]
+    return run_bfs_batch(graph, [root], edge_mask=edge_mask, backend=backend)[0]
 
 
 def run_bfs_batch(
@@ -282,37 +295,35 @@ def run_bfs_batch(
 ) -> list[BFSResult]:
     """Answer many single-root BFS queries over one (masked) graph.
 
-    Element ``i`` of the returned list is bit-identical to
-    ``run_bfs(graph, roots[i], edge_mask=edge_mask, backend=backend)``
-    (parents, dists, children, rounds). Under ``backend="vectorized"``
-    all queries share one :func:`~repro.engine.plane.plane_sweep` — one
-    call of the BFS layer loop over flat (query, node) keys — so the
-    per-call dispatch cost is paid once per batch instead of once per
-    root; the simulator backend runs the reference loop of solo calls.
-    Duplicate roots are answered by shared (read-only) result rows.
+    Element ``i`` is the flood from ``roots[i]`` alone (parents, dists,
+    children, rounds). The simulator runs one execution per root. Under
+    ``backend="vectorized"`` all distinct roots share one
+    :func:`~repro.engine.plane.plane_sweep` — one call of the BFS layer
+    loop over flat (query, node) keys — and duplicate roots share
+    read-only result rows. Rounds are depth + 1 (the deepest layer's
+    child notices drain one round later), or 0 when the root has no usable
+    port and the flood never starts.
     """
     from repro.engine import validate_backend
 
-    root_list = [int(r) for r in roots]
+    root_list = check_roots(graph, roots)
+    mask = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     if validate_backend(backend) != "vectorized":
-        return [
-            run_bfs(graph, r, edge_mask=edge_mask, backend=backend)
-            for r in root_list
-        ]
+        return [simulate_floods(graph, [r], [mask])[0][0] for r in root_list]
     from repro.engine.plane import plane_sweep
 
-    indptr, indices = graph.masked_csr(edge_mask)
+    indptr, indices = graph.masked_csr(mask)
     uniq, inverse = np.unique(np.asarray(root_list, dtype=np.int64), return_inverse=True)
     parent, dist, rounds = plane_sweep(graph.n, indptr, indices, uniq)
     return [
         BFSResult(
-            root=root_list[i],
-            parent=parent[inverse[i]],
-            dist=dist[inverse[i]],
-            children=None,
-            rounds=int(rounds[inverse[i]]),
+            root=r,
+            parent=parent[q],
+            dist=dist[q],
+            children=None,  # derived lazily from parent: identical lists
+            rounds=int(rounds[q]),
         )
-        for i in range(len(root_list))
+        for r, q in zip(root_list, inverse.tolist())
     ]
 
 
@@ -330,8 +341,10 @@ def run_parallel_bfs(
 
     Returns ``(results_per_channel, total_rounds)`` — the rounds of the one
     joint execution, i.e. the *max* depth over channels, not the sum.
-    ``backend="vectorized"`` computes identical results and round counts
-    without instantiating the simulator.
+    ``backend="vectorized"`` computes identical results and round counts in
+    one :func:`~repro.engine.plane.masked_union_bfs` sweep: all channels
+    share one clock, the max channel depth + 1 — the Section 3.1 claim that
+    edge-disjoint floods run concurrently for free.
     """
     from repro.engine import validate_backend
 
@@ -340,35 +353,17 @@ def run_parallel_bfs(
     # Any over an empty stack is False: an edgeless host (m = 0) passes.
     if masks and (np.stack(masks).sum(axis=0) > 1).any():
         raise ValidationError("edge masks must be pairwise disjoint")
-    if roots is None:
-        roots = [0] * len(masks)
+    roots = [0] * len(masks) if roots is None else list(roots)
     if len(roots) != len(masks):
         raise ValidationError("need one root per channel")
-    for root in roots:
-        if not (0 <= root < graph.n):
-            raise ValidationError(f"root {root} out of range")
+    root_list = check_roots(graph, roots)
     if backend == "vectorized":
-        from repro.engine.fastpath import vectorized_parallel_bfs
+        from repro.engine.plane import masked_union_bfs
 
-        return vectorized_parallel_bfs(graph, masks, roots)
-
-    network = Network(graph)
-    channel_roots = {c: roots[c] for c in range(len(masks))}
-    programs: list[BFSProgram] = []
-
-    def factory(v: int) -> BFSProgram:
-        ports = {
-            c: network.ports_for_edges(v, masks[c]) for c in range(len(masks))
-        }
-        prog = BFSProgram(v, channel_roots, ports)
-        programs.append(prog)
-        return prog
-
-    sim = Simulator(network, factory)
-    result = sim.run()
-    for prog in programs:
-        prog.finalize()
-    per_channel = _collect_results(
-        graph, network, programs, channel_roots, result.metrics.rounds
-    )
-    return [per_channel[c] for c in range(len(masks))], result.metrics.rounds
+        results = masked_union_bfs(graph, masks, root_list)
+    else:
+        results, _sim = simulate_floods(graph, root_list, masks)
+    rounds = max((r.rounds for r in results), default=0)
+    for r in results:
+        r.rounds = rounds  # one joint execution: one clock
+    return results, rounds

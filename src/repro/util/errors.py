@@ -10,7 +10,10 @@ caller finds out immediately.
 
 from __future__ import annotations
 
-from typing import Any
+import numbers
+from typing import Any, Sequence
+
+import numpy as np
 
 
 class ReproError(Exception):
@@ -44,3 +47,20 @@ class ProtocolError(ReproError):
     Examples: a BFS node receiving a layer announcement from a non-neighbor,
     or a pipelined broadcast receiving an out-of-order packet.
     """
+
+
+def integer_ids(values: Sequence[Any], what: str) -> np.ndarray:
+    """``values`` as an int64 array, or :class:`ValidationError` naming the
+    first one that is not an integer (Python, numpy or bool).
+
+    One numpy conversion checks every value at once: a float, string or
+    object entry leaves the array without an integer dtype. ``np.fromiter``
+    with an integer dtype cannot be the check: it truncates 1.5 to 1.
+    """
+    arr = np.array(values)
+    if arr.size and arr.dtype.kind not in "biu":
+        bad = next(
+            (v for v in values if not isinstance(v, numbers.Integral)), arr.flat[0]
+        )
+        raise ValidationError(f"{what} must be integers, got {bad!r}")
+    return arr.astype(np.int64, copy=False)

@@ -69,6 +69,46 @@ class TestDistributedBFS:
         with pytest.raises(ValidationError):
             run_bfs(c8, 99)
 
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    @pytest.mark.parametrize("root", [1.7, np.float64(2.0)])
+    def test_fractional_root_rejected_by_every_flood(self, backend, root):
+        """A root must be an integer: the simulator used to flood nothing
+        from 1.7 (or node 2 from 2.0) while the vectorized backend raised
+        IndexError, and the batch entry points truncated 1.7 to node 1."""
+        from repro.engine.faults import faulty_bfs, faulty_bfs_grid
+        from repro.primitives.bfs import run_bfs_batch
+
+        g = cycle_graph(6)
+        mask = np.ones(g.m, dtype=bool)
+        calls = [
+            lambda: run_bfs(g, root, backend=backend),
+            lambda: run_bfs_batch(g, [0, root], backend=backend),
+            lambda: run_parallel_bfs(g, [mask], roots=[root], backend=backend),
+            lambda: faulty_bfs(g, root, backend=backend),
+            lambda: faulty_bfs_grid(g, [0, root], backend=backend),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="must be integers"):
+                call()
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_bool_root_is_node_one(self, backend):
+        tree = run_bfs(cycle_graph(6), True, backend=backend)
+        assert tree.root == 1 and type(tree.root) is int
+        assert tree.dist[1] == 0
+
+    def test_numpy_root_results_equal_across_backends(self):
+        from repro.engine.verify import diff
+
+        g = cycle_graph(6)
+        mask = np.ones(g.m, dtype=bool)
+        a, b = (
+            run_parallel_bfs(g, [mask], roots=[np.int64(2)], backend=backend)
+            for backend in ("simulator", "vectorized")
+        )
+        assert diff(a, b) == []
+        assert type(a[0][0].root) is int
+
     def test_parallel_bfs_disjoint_channels(self, reg_dense):
         from repro.core import random_partition
 

@@ -291,6 +291,30 @@ class TestAdversarySchedules:
         with pytest.raises(ValidationError):
             RandomLoss(-0.2)
 
+    def test_fractional_plan_ids_rejected(self):
+        """Fractional edge ids and rounds used to be truncated (1.5 → 1)."""
+        with pytest.raises(ValidationError, match="1.5"):
+            FaultPlan(dead_edges=[1.5, 2.9])
+        with pytest.raises(ValidationError, match="3.7"):
+            FaultPlan(mobile={3.7: [0]})
+        with pytest.raises(ValidationError, match="0.2"):
+            FaultPlan(mobile={3: [0.2]})
+        with pytest.raises(ValidationError, match="1.5"):
+            FaultPlan.from_json({"dead_edges": [1.5], "mobile": {"2": [4]}})
+        with pytest.raises(ValidationError, match="4.5"):
+            FaultPlan.from_json({"mobile": {"2": [4.5]}})
+        with pytest.raises(ValidationError, match="0.5"):
+            MobileAdversary({1: [0.5]})
+
+    def test_integer_plan_ids_kept_as_python_ints(self):
+        plan = FaultPlan(
+            dead_edges=np.array([3, 1]), mobile={np.int64(2): [np.int64(4), True]}
+        )
+        assert plan.dead_edges == frozenset({1, 3})
+        assert plan.mobile == {2: frozenset({1, 4})}
+        ids = [*plan.dead_edges, *plan.mobile, *plan.mobile[2]]
+        assert {type(i) for i in ids} == {int}
+
     def test_static_saboteur_targets_a_tree(self, setup):
         g, packing, pl = setup
         plan = StaticSaboteur(tree_index=0).compile(g, packing=packing)
@@ -385,6 +409,12 @@ class TestRootPolicies:
             resolve_roots(g, 2, roots=[0, g.n])  # out of range
         with pytest.raises(ValidationError):
             resolve_roots(g, 0)
+
+    def test_fractional_explicit_roots_rejected(self):
+        g = thick_cycle(5, 4)
+        with pytest.raises(ValidationError, match="1.7"):
+            resolve_roots(g, 2, roots=[1.7, 4.2])  # used to truncate to [1, 4]
+        assert resolve_roots(g, 2, roots=[np.int64(1), 4]) == [1, 4]
 
     def test_packing_trees_rooted_per_policy(self):
         g = thick_cycle(10, 10)

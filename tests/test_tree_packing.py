@@ -9,6 +9,7 @@ from repro.core import (
     random_partition,
 )
 from repro.core.tree_packing import SpanningTree
+from repro.engine.verify import diff
 from repro.graphs import cycle_graph, path_graph, random_regular
 from repro.util.errors import ValidationError
 
@@ -80,9 +81,9 @@ class TestBuildPacking:
         decomp = random_partition(g, 2, seed=8)
         p_dist = build_tree_packing(decomp, distributed=True)
         p_cent = build_tree_packing(decomp, distributed=False)
-        for a, b in zip(p_dist.trees, p_cent.trees):
-            assert np.array_equal(a.parent, b.parent)
-            assert np.array_equal(a.depth_of, b.depth_of)
+        # The whole packing: trees, construction_rounds, edge_tree_count
+        # and class_masks.
+        assert diff(p_dist, p_cent) == []
 
     def test_fractional_view(self, packed):
         _, packing = packed
