@@ -33,6 +33,7 @@ keeps the single-coin-per-message delivery semantics of the simulator).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -69,6 +70,13 @@ def _edge_sets(groups: list) -> list[frozenset[int]]:
     values = ids.tolist()
     bounds = list(itertools.accumulate(map(len, groups), initial=0))
     return [frozenset(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _round_key(key):
+    """A JSON round key: decimal-integer strings become ints, and every
+    other key is left to :class:`FaultPlan`'s own check, so ``"2.5"`` or
+    ``2.5`` raises :class:`ValidationError` instead of being truncated."""
+    return int(key) if isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key) else key
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ class FaultPlan:
         return cls(
             dead_edges=frozenset(data.get("dead_edges", ())),
             drop_rate=float(data.get("drop_rate", 0.0)),
-            mobile={int(r): frozenset(es) for r, es in data.get("mobile", {}).items()},
+            mobile={_round_key(r): frozenset(es) for r, es in data.get("mobile", {}).items()},
         )
 
 
@@ -187,7 +195,7 @@ class AdversarySchedule:
             )
         if kind == "mobile":
             return MobileAdversary(
-                {int(r): es for r, es in data.get("mobile", {}).items()}
+                {_round_key(r): es for r, es in data.get("mobile", {}).items()}
             )
         if kind == "loss":
             return RandomLoss(float(data["rate"]))

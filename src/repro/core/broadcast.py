@@ -143,16 +143,20 @@ def _number_messages_batch(
         counts[nodes] = values
         counts_list.append(counts)
     if backend == "vectorized":
-        from repro.engine.fastpath import (
-            vectorized_elect_leader as elect,
-            vectorized_numbering as number,
-        )
+        # Node 0 always wins the min-id election, so its one flood serves
+        # as the global BFS and yields the election's rounds as well.
+        from repro.engine.fastpath import elect_from_flood, vectorized_numbering as number
+
+        with obs.span("global_bfs"):
+            tree = run_bfs(graph, 0, backend=backend)
+        with obs.span("elect"):
+            leader, r_leader = elect_from_flood(graph, tree)
     else:
-        elect, number = elect_leader, assign_item_numbers
-    with obs.span("elect"):
-        leader, r_leader = elect(graph)
-    with obs.span("global_bfs"):
-        tree = run_bfs(graph, leader, backend=backend)
+        number = assign_item_numbers
+        with obs.span("elect"):
+            leader, r_leader = elect_leader(graph)
+        with obs.span("global_bfs"):
+            tree = run_bfs(graph, leader, backend=backend)
     out = []
     with obs.span("numbering"):
         for counts in counts_list:
@@ -185,21 +189,33 @@ def _placement_ids(
     }
 
 
+def _flat_ids(
+    placement: dict[int, int], starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every message as aligned ``(origins, ids)`` int64 arrays, ids ascending.
+
+    Lemma 3 gives node v the contiguous ids ``starts[v] ..
+    starts[v] + count − 1``, and the ranges of the holders partition
+    ``1..k``, so listing the holders by start lists every id in ascending
+    order with no per-id Python work.
+    """
+    nodes = np.fromiter(placement.keys(), dtype=np.int64, count=len(placement))
+    counts = np.fromiter(placement.values(), dtype=np.int64, count=len(placement))
+    held = counts > 0
+    nodes, counts = nodes[held], counts[held]
+    order = np.argsort(starts[nodes], kind="stable")
+    nodes, counts = nodes[order], counts[order]
+    base = np.repeat(starts[nodes] - (np.cumsum(counts) - counts), counts)
+    return np.repeat(nodes, counts), base + np.arange(base.size, dtype=np.int64)
+
+
 def _textbook_tail(graph, placement, tree, starts, phases, verify, backend):
     """Per-placement remainder of the textbook algorithm (post-numbering)."""
     k = sum(placement.values())
-    if backend == "vectorized":
-        # Same contiguous ranges as _placement_ids, as numpy arrays: the
-        # engine consumes them array-natively (no per-id Python objects).
-        ids = {
-            v: np.arange(starts[v], starts[v] + c, dtype=np.int64)
-            for v, c in placement.items()
-            if c > 0
-        }
-    else:
-        ids = _placement_ids(placement, starts)
     with obs.span("pipeline"):
-        outcome = _run_pipeline(graph, {0: tree}, {0: ids}, verify, backend)
+        outcome = _run_pipeline(
+            graph, {0: tree}, {0: _flat_ids(placement, starts)}, verify, backend
+        )
     phases["pipeline"] = outcome.rounds
     return BroadcastResult(
         algorithm="textbook",
@@ -307,38 +323,14 @@ def _fast_tail(graph, placement, starts, phases, packing, verify, backend):
     parts = packing.size
 
     # Assign message id j (1-based) to class (j-1) // K, K = ceil(k / parts).
-    # Each node's ids are one contiguous range (Lemma 3), so the split
-    # never materializes id lists: j_arr reconstructs every id from
-    # (node order, counts, starts) arithmetically, and the channel split
-    # is a handful of contiguous chunks grouped in one lexsort instead of
-    # k Python-dict appends. Under the vectorized backend the chunk
-    # values stay numpy views of j_arr (zero-copy); the simulator gets
-    # the plain int lists its payload tuples require.
+    # The ids come ascending, so the class column is sorted and one
+    # searchsorted cuts the flat pair into per-channel views.
     K = max(1, math.ceil(k / parts))
-    per_channel: dict[int, dict[int, list[int] | np.ndarray]] = {
-        c: {} for c in range(parts)
-    }
     with obs.span("channel_split"):
-        pairs = [(v, c) for v, c in placement.items() if c > 0]
-        if pairs:
-            v_arr = np.fromiter((v for v, _ in pairs), dtype=np.int64, count=len(pairs))
-            cnt = np.fromiter((c for _, c in pairs), dtype=np.int64, count=len(pairs))
-            node_arr = np.repeat(v_arr, cnt)
-            base = np.repeat(starts[v_arr] - (np.cumsum(cnt) - cnt), cnt)
-            j_arr = base + np.arange(int(cnt.sum()), dtype=np.int64)
-            c_arr = np.minimum((j_arr - 1) // K, parts - 1)
-            order = np.lexsort((j_arr, node_arr, c_arr))
-            nod = node_arr[order]
-            ch = c_arr[order]
-            sorted_ids = j_arr[order]
-            flat = sorted_ids if backend == "vectorized" else sorted_ids.tolist()
-            brk = np.nonzero((ch[1:] != ch[:-1]) | (nod[1:] != nod[:-1]))[0] + 1
-            bounds = np.concatenate(
-                [[0], brk, [len(flat)]] if brk.size else [[0], [len(flat)]]
-            ).tolist()
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                per_channel[int(ch[a])][int(nod[a])] = flat[a:b]
-
+        origins, ids = _flat_ids(placement, starts)
+        channel = np.minimum((ids - 1) // K, parts - 1)
+        cuts = np.searchsorted(channel, np.arange(1, parts))
+        per_channel = dict(enumerate(zip(np.split(origins, cuts), np.split(ids, cuts))))
         trees = {c: _bfs_view(packing, c) for c in range(parts)}
     with obs.span("pipeline"):
         outcome = _run_pipeline(graph, trees, per_channel, verify, backend)

@@ -19,13 +19,14 @@ from repro.engine.kernels import (
     upcast_spans,
 )
 from repro.graphs.graph import Graph
-from repro.primitives.bfs import BFSResult
+from repro.primitives.bfs import BFSResult, run_bfs
 from repro.primitives.leader import disconnected_error
-from repro.primitives.pipeline import TreeBroadcastOutcome
+from repro.primitives.pipeline import TreeBroadcastOutcome, checked_messages
 from repro.util.bits import bits_for_int, bits_for_int_array, message_bit_budget
 from repro.util.errors import BandwidthExceeded, ValidationError
 
 __all__ = [
+    "elect_from_flood",
     "expand_csr_rows",  # re-exported from repro.engine.kernels
     "vectorized_elect_leader",
     "vectorized_numbering",
@@ -44,19 +45,27 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 
 def vectorized_elect_leader(graph: Graph) -> tuple[int, int]:
-    """Fast-path :func:`repro.primitives.leader.elect_leader`.
+    """Fast-path :func:`repro.primitives.leader.elect_leader`: the election
+    read off node 0's own flood (:func:`elect_from_flood`)."""
+    return elect_from_flood(graph, run_bfs(graph, 0, backend="vectorized"))
+
+
+def elect_from_flood(graph: Graph, flood: BFSResult) -> tuple[int, int]:
+    """The min-id election's ``(leader, rounds)``, read off node 0's BFS.
 
     The global minimum id (node 0) always wins; its value reaches a node at
     distance d in round d, triggering that node's last improvement-and-send,
-    so the final delivery lands in round ecc(0) + 1.
+    so the final delivery lands in round ecc(0) + 1 — the flood's own round
+    count, which is 0 on a single node. The vectorized broadcast prologue
+    therefore floods once, from node 0, and reuses that tree as the global
+    BFS. A flood that does not span raises what the simulated election
+    raises on a disconnected graph.
     """
-    from repro.graphs.traversal import bfs_distances, connected_components
+    from repro.graphs.traversal import connected_components
 
-    dist = bfs_distances(graph, 0)
-    if np.any(dist < 0):
+    if not flood.spans():
         raise disconnected_error(connected_components(graph).tolist())
-    rounds = int(dist.max()) + 1 if graph.n > 1 else 0
-    return 0, rounds
+    return 0, flood.rounds
 
 
 # --------------------------------------------------------------------------- #
@@ -142,11 +151,18 @@ def vectorized_numbering(
 def vectorized_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
-    messages: dict[int, dict[int, list[int] | np.ndarray]],
+    messages: dict,
     verify: bool = True,
     bandwidth_factor: int = 8,
 ) -> TreeBroadcastOutcome:
     """Fast-path :func:`repro.primitives.pipeline.run_tree_broadcast`.
+
+    ``messages`` maps each channel to ``{node: [ids]}`` or to the flat
+    ``(origins, ids)`` pair of int64 arrays, one origin per id — the form
+    the broadcast tails hand over, with no per-node Python object.
+    :func:`~repro.primitives.pipeline.checked_messages` checks either form
+    exactly as the simulator does and flattens a mapping once; every step
+    below reads the flat pair.
 
     The pipeline's round count depends only on per-node queue *lengths*
     (message identity never influences when a queue drains): each round,
@@ -169,54 +185,15 @@ def vectorized_tree_broadcast(
     subtree(v))`` messages in total.
 
     ``verify`` is accepted for signature parity; delivery holds by
-    construction once every tree spans (checked below), which the
+    construction once every tree spans (checked on entry), which the
     equivalence suite cross-validates against the simulator's counters.
     """
     n = graph.n
     cids = sorted(trees)
-    per_channel_k: dict[int, int] = {}
-    # One pass over each channel's placement caches (origin nodes, queue
-    # lengths, flat id array): validation here, the own-matrix fill, and
-    # the bit ledger below all reuse them instead of re-flattening k
-    # Python ints per consumer. Placement values may be lists or int64
-    # arrays (the vectorized broadcast split hands over numpy views).
-    # ids_arr is None only when an id exceeds int64 — those channels are
-    # priced individually through Python ints, as before.
-    chan_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
-    for cid, placement in messages.items():
-        if cid not in trees:
-            raise ValidationError(f"messages given for unknown channel {cid}")
-        node_ids = np.fromiter(placement.keys(), dtype=np.int64, count=len(placement))
-        lens = np.fromiter(
-            (len(msgs) for msgs in placement.values()),
-            dtype=np.int64,
-            count=len(placement),
-        )
-        ids_arr: np.ndarray | None
-        try:
-            ids_arr = (
-                np.concatenate(
-                    [np.asarray(msgs, dtype=np.int64) for msgs in placement.values()]
-                )
-                if placement
-                else np.empty(0, dtype=np.int64)
-            )
-            ids_sorted = np.sort(ids_arr)
-            dup = bool((ids_sorted[1:] == ids_sorted[:-1]).any())
-            k_c = int(ids_arr.size)
-        except OverflowError:  # ids beyond int64: fall back to Python ints
-            ids_arr = None
-            ids = [m for msgs in placement.values() for m in msgs]
-            dup = len(set(ids)) != len(ids)
-            k_c = len(ids)
-        if dup:
-            raise ValidationError(f"duplicate message ids on channel {cid}")
-        per_channel_k[cid] = k_c
-        chan_cache[cid] = (node_ids, lens, ids_arr)
+    flat = checked_messages(n, trees, messages)
+    per_channel_k = {cid: len(ids) for cid, (_origins, ids) in flat.items()}
     for cid in cids:
         per_channel_k.setdefault(cid, 0)
-        if not trees[cid].spans():
-            raise ValidationError(f"channel {cid} tree does not span the graph")
 
     metrics = Metrics(m=graph.m)
     if not cids:
@@ -234,9 +211,8 @@ def vectorized_tree_broadcast(
         parents[ci] = tree.parent
         dists[ci] = tree.dist
         nonroot[ci] = tree.parent != np.arange(n)
-        cached = chan_cache.get(cid)
-        if cached is not None and cached[0].size:
-            own[ci, cached[0]] = cached[1]
+        if cid in flat:
+            own[ci] = np.bincount(flat[cid][0], minlength=n)
 
     # Tree-edge ids, computed once in a single batched query (one
     # searchsorted over all channels' tree edges): the disjointness gate
@@ -265,39 +241,29 @@ def vectorized_tree_broadcast(
                 "double-send)"
             )
 
-    # Per-channel message-id arrays, one pass each: they feed both the
-    # bandwidth gate here and the closed-form bit totals below. Every id is
+    # Per-channel message bits, one pass each: they feed both the bandwidth
+    # gate here and the closed-form bit totals below. Every id is
     # eventually sent (the downcast reaches every tree edge), priced as the
     # (kind, channel, id) tuple the simulator transports.
     budget = message_bit_budget(n, bandwidth_factor)
-    chan_origins: list[np.ndarray] = []
     chan_bits: list[np.ndarray] = []
     for cid in cids:
-        k_c = per_channel_k[cid]
-        if not k_c:
-            chan_origins.append(np.empty(0, dtype=np.int64))
+        if not per_channel_k[cid]:
             chan_bits.append(np.empty(0, dtype=np.int64))
             continue
-        node_ids, lens, ids_arr = chan_cache[cid]
-        if ids_arr is not None:
-            bits = 2 + bits_for_int(cid) + bits_for_int_array(ids_arr)
+        ids = flat[cid][1]
+        if isinstance(ids, np.ndarray):
+            bits = 2 + bits_for_int(cid) + bits_for_int_array(ids)
         else:  # ids beyond int64: price individually
-            ids_list = [m for msgs in messages[cid].values() for m in msgs]
             bits = np.array(
-                [2 + bits_for_int(cid) + bits_for_int(m) for m in ids_list],
-                dtype=np.int64,
+                [2 + bits_for_int(cid) + bits_for_int(m) for m in ids], dtype=np.int64
             )
         if n > 1 and int(bits.max()) > budget:
-            worst = (
-                int(ids_arr[int(np.argmax(bits))])
-                if ids_arr is not None
-                else ids_list[int(np.argmax(bits))]
-            )
+            worst = int(ids[int(np.argmax(bits))])
             raise BandwidthExceeded(
                 f"payload of {int(bits.max())} bits exceeds budget {budget} "
                 f"(payload={(1, cid, worst)!r})"
             )
-        chan_origins.append(np.repeat(node_ids, lens))
         chan_bits.append(bits)
 
     # ---- exact round count: batched upcast + closed-form downcast -------- #
@@ -363,7 +329,7 @@ def vectorized_tree_broadcast(
             metrics.edge_messages[tree_eids[ci]] += k_c + sub[vs]
             # bits: each id crosses (n-1) tree edges down + its origin depth up
             if chan_bits[ci].size:
-                traversals = dists[ci][chan_origins[ci]] + (n - 1)
+                traversals = dists[ci][flat[cid][0]] + (n - 1)
                 total_bits += int((chan_bits[ci] * traversals).sum())
         metrics.rounds = rounds
         metrics.total_messages = int(metrics.edge_messages.sum())

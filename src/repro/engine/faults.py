@@ -207,9 +207,10 @@ def vectorized_faulty_bfs(
     Pure total loss without dead edges or a mobile set runs as
     :func:`_span_faulty_bfs_total_loss`; every other plan takes the
     per-round replay below. :func:`faulty_bfs_grid`, the one dispatcher,
-    checks the root and sends coin-free static plans to
-    :func:`_static_floods` instead.
+    sends coin-free static plans to :func:`_static_floods` instead. A root
+    that is not an integer in ``[0, n)`` raises :class:`ValidationError`.
     """
+    (root,) = check_roots(graph, [root])
     plan = plan if plan is not None else FaultPlan()
     n = graph.n
     stream = FaultStream(graph, plan, fault_seed)

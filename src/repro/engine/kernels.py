@@ -8,11 +8,14 @@ O(events) numpy steps:
 * **One BFS layer loop** — :func:`frontier_sweep` (defined in
   :mod:`repro.graphs.traversal`, so centralized callers reach it without
   importing the engine) advances every BFS of a call one layer per numpy
-  gather over flat keys ``q·n + v`` and adopts parents inline. A solo
-  sweep, the disjoint-union sweep of a tree packing and the query plane
-  of :mod:`repro.engine.plane` all run it; ``check_kernels`` compares it
-  with :func:`~repro.graphs.traversal.bfs_distances` and a plain-Python
-  adoption rule.
+  gather over flat keys ``q·n + v`` and adopts parents inline: one value
+  sort of ``candidate·n + source`` puts each fresh candidate's smallest
+  previous-layer neighbor first, and a simple graph's keys are distinct,
+  so the unstable sort is exact. A solo sweep, the disjoint-union sweep
+  of a tree packing and the query plane of :mod:`repro.engine.plane` all
+  run it; ``check_kernels`` compares it with
+  :func:`~repro.graphs.traversal.bfs_distances` and the plain-Python
+  first-port rule (:func:`repro.engine.verify.first_port_parents`).
 
 * **Event-batched span stepping** — between queue-drain events the
   pipelined-broadcast recurrence is closed-form, so

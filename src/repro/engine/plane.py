@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.kernels import frontier_sweep
-from repro.util.errors import ValidationError
+from repro.util.errors import ValidationError, integer_ids
 
 __all__ = ["masked_union_bfs", "plane_sweep"]
 
@@ -76,7 +76,7 @@ def plane_sweep(
     working set stays bounded for arbitrarily large batches.
     """
     n = int(n)
-    roots = np.atleast_1d(np.asarray(roots, dtype=np.int64))
+    roots = integer_ids(np.atleast_1d(roots), "plane roots")
     if roots.size and (int(roots.min()) < 0 or int(roots.max()) >= n):
         raise ValidationError(f"plane root out of range [0, {n})")
     q = int(roots.size)
@@ -121,7 +121,7 @@ def masked_union_bfs(graph, masks, roots) -> list:
     if len(roots) != c:
         raise ValidationError("masked_union_bfs: one root per mask required")
     n = graph.n
-    roots_local = np.asarray(roots, dtype=np.int64)
+    roots_local = integer_ids(list(roots), "masked_union_bfs roots")
     if c and (int(roots_local.min()) < 0 or int(roots_local.max()) >= n):
         raise ValidationError("masked_union_bfs: root out of range")
     csrs = graph.disjoint_masked_csrs(list(masks))

@@ -122,6 +122,8 @@ __all__ = [
     "check_coverage_repair",
     "check_tournament",
     "check_trace_transparency",
+    "first_port_parents",
+    "boundary_hosts",
     "Trial",
     "ROWS",
     "EquivalenceReport",
@@ -334,7 +336,9 @@ def check_tree_broadcast(
     graph: Graph, masks, k: int, seed, roots=None
 ) -> list[str]:
     """Lemma 1 pipeline over edge-disjoint trees: the whole outcome (rounds,
-    per-edge and total messages and bits, per-channel k).
+    per-edge and total messages and bits, per-channel k). The vectorized
+    side runs twice, on the ``{node: [ids]}`` mapping and on the flat
+    ``(origins, ids)`` pair, and both must equal the simulator.
 
     Channels whose mask does not induce a spanning subgraph are dropped
     (both backends require spanning trees).
@@ -346,14 +350,28 @@ def check_tree_broadcast(
     rng = ensure_rng(seed)
     cids = sorted(trees)
     messages: dict[int, dict[int, list[int]]] = {c: {} for c in cids}
+    pairs: dict[int, tuple[list[int], list[int]]] = {c: ([], []) for c in cids}
     for j in range(1, k + 1):
         c = cids[int(rng.integers(len(cids)))]
         v = int(rng.integers(graph.n))
         messages[c].setdefault(v, []).append(j)
-    return _pair(
+        pairs[c][0].append(v)
+        pairs[c][1].append(j)
+    # The same messages as flat (origins, ids) arrays in id order, the
+    # form the broadcast tails hand over: it must not change the outcome.
+    flat = {
+        c: (np.array(o, dtype=np.int64), np.array(i, dtype=np.int64))
+        for c, (o, i) in pairs.items()
+    }
+    reference = _outcome(lambda: run_tree_broadcast(graph, trees, messages))
+    return diff(
+        reference,
+        _outcome(lambda: vectorized_tree_broadcast(graph, trees, messages)),
         "pipeline",
-        lambda: run_tree_broadcast(graph, trees, messages),
-        lambda: vectorized_tree_broadcast(graph, trees, messages),
+    ) + diff(
+        reference,
+        _outcome(lambda: vectorized_tree_broadcast(graph, trees, flat)),
+        "pipeline-flat",
     )
 
 
@@ -609,6 +627,24 @@ def check_tournament(graph: Graph, k: int, seed) -> list[str]:
     )
 
 
+def first_port_parents(
+    indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
+    """The simulator's adoption rule in plain Python, given a BFS layering
+    of the CSR: a root (dist 0) is its own parent, a reached node adopts
+    its smallest neighbor one layer up, and ``-1`` stays unreached."""
+    parent = np.full(dist.size, -1, dtype=np.int64)
+    for v in range(dist.size):
+        if dist[v] == 0:
+            parent[v] = v
+        elif dist[v] > 0:
+            arcs = indices[indptr[v] : indptr[v + 1]]
+            parent[v] = min(
+                (int(u) for u in arcs if dist[u] == dist[v] - 1), default=-1
+            )
+    return parent
+
+
 def check_kernels(graph: Graph, seed) -> list[str]:
     """Direct identities of the :mod:`repro.engine.kernels` primitives.
 
@@ -629,19 +665,11 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     indptr, indices = graph._indptr, graph._indices
     sweep_parent, sweep_dist = kernels.frontier_sweep(n, indptr, indices, root)
     out = diff(sweep_dist, bfs_distances(graph, root), "kernels.frontier_sweep.dist")
-    ref_parent = np.full(n, -1, dtype=np.int64)
-    ref_parent[root] = root
-    for v in range(n):
-        if v == root or sweep_dist[v] < 0:
-            continue
-        prev = [
-            int(u)
-            for u in indices[indptr[v] : indptr[v + 1]]
-            if sweep_dist[u] == sweep_dist[v] - 1
-        ]
-        if prev:
-            ref_parent[v] = min(prev)
-    out += diff(sweep_parent, ref_parent, "kernels.frontier_sweep.parent")
+    out += diff(
+        sweep_parent,
+        first_port_parents(indptr, indices, sweep_dist),
+        "kernels.frontier_sweep.parent",
+    )
 
     # -- last_send_round_spans vs a per-round queue walk ---------------- #
     widths = rng.integers(1, 4, size=4)
@@ -1091,11 +1119,10 @@ def _boundary_trial(name: str, host: Graph) -> Trial:
     )
 
 
-def verify_boundaries() -> list[str]:
-    """Every row of :data:`ROWS` on six fixed boundary hosts, each flood
-    under a plan with every edge dead; returns the mismatches."""
+def boundary_hosts() -> dict[str, Graph]:
+    """The six fixed hosts of :func:`verify_boundaries`, by name."""
     ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4)]
-    hosts = {
+    return {
         "n=1": Graph(1, []),
         "n=2": Graph(2, [(0, 1)]),
         "edgeless": Graph(4, []),
@@ -1103,6 +1130,12 @@ def verify_boundaries() -> list[str]:
         "highest id isolated": Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)]),
         "tied weights": Graph(6, ring, weights=[2.0] * len(ring)),
     }
+
+
+def verify_boundaries() -> list[str]:
+    """Every row of :data:`ROWS` on the six :func:`boundary_hosts`, each
+    flood under a plan with every edge dead; returns the mismatches."""
+    hosts = boundary_hosts()
     return _run(_boundary_trial(name, g) for name, g in hosts.items()).mismatches
 
 

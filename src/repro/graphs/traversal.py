@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro.graphs.graph import Graph
-from repro.util.errors import ValidationError
+from repro.util.errors import ValidationError, integer_ids
 
 __all__ = [
     "bfs_distances",
@@ -80,15 +80,18 @@ def frontier_sweep(
     ``dist`` hold ``queries·n`` entries, key ``q·n + v`` being node ``v``
     of query ``q``, and every query walks the same CSR. A parent is a
     node id, a root is its own parent, and ``-1`` marks unreached keys.
-    A key outside ``[0, queries·n)`` raises :class:`ValidationError`.
+    A start key that is not an integer, or lies outside
+    ``[0, queries·n)``, raises :class:`ValidationError`.
 
     One layer gathers the arcs of every frontier node ``v = key mod n``;
     a candidate's key is ``(key − v) + neighbor``. Candidates already
-    reached drop out, the rest are stable-sorted, and the first
-    occurrence of each fresh key adopts its arc's source. Arcs enumerate
-    the sorted frontier in order, so that source is the **smallest**
-    previous-layer neighbor — the simulator's first-port rule, since
-    ports are numbered by neighbor id.
+    reached drop out, and the rest are value-sorted as
+    ``candidate·n + source``. The first entry of each candidate adopts
+    the source it carries, which is its **smallest** previous-layer
+    neighbor — the simulator's first-port rule, since ports are numbered
+    by neighbor id. The sort is exact although it is not stable: a simple
+    graph has one arc per (source, neighbor) pair, so no two entries are
+    equal.
 
     Several roots of one query must lie in pairwise-disconnected
     components, as in the disjoint-union sweep of
@@ -97,7 +100,7 @@ def frontier_sweep(
     """
     n = int(n)
     size = n * int(queries)
-    keys = np.atleast_1d(np.asarray(root, dtype=np.int64))
+    keys = integer_ids(np.atleast_1d(root), "BFS start keys")
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= size):
         raise ValidationError(f"BFS start key out of range [0, {size})")
     parent = np.full(size, UNREACHED, dtype=np.int64)
@@ -119,14 +122,17 @@ def frontier_sweep(
         cand = cand[fresh]
         if not cand.size:
             break
-        src = np.repeat(v, counts)[fresh]
-        order = np.argsort(cand, kind="stable")
-        cand = cand[order]
+        # key = candidate·n + source < queries·n², computed in int64: far
+        # below 2⁶³ for any graph whose parent array fits in memory.
+        key = np.multiply(cand, n, dtype=np.int64)
+        key += np.repeat(v, counts)[fresh]
+        key.sort()
+        cand = key // n
         first = np.empty(cand.size, dtype=bool)
         first[0] = True
         np.not_equal(cand[1:], cand[:-1], out=first[1:])
         frontier = cand[first]
-        parent[frontier] = src[order[first]]
+        parent[frontier] = key[first] - frontier * n
         d += 1
         dist[frontier] = d
     return parent, dist

@@ -28,8 +28,11 @@ known contiguous range (from Lemma 3 numbering).
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.congest.metrics import Metrics
 from repro.congest.network import Network
@@ -37,12 +40,13 @@ from repro.congest.program import Context, NodeProgram
 from repro.congest.simulator import Simulator
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
-from repro.util.errors import ProtocolError, ValidationError
+from repro.util.errors import ProtocolError, ValidationError, integer_ids
 
 __all__ = [
     "ChannelSpec",
     "PipelinedBroadcastProgram",
     "TreeBroadcastOutcome",
+    "checked_messages",
     "run_tree_broadcast",
 ]
 
@@ -173,10 +177,66 @@ class TreeBroadcastOutcome:
         return self.metrics.max_congestion
 
 
+def _message_ids(ids) -> np.ndarray | list[int]:
+    """Message ids as int64, or as Python ints when one lies beyond int64:
+    those are priced one by one, so an oversized id still raises
+    :class:`~repro.util.errors.BandwidthExceeded` on either backend."""
+    try:
+        return integer_ids(ids, "message ids")
+    except ValidationError:
+        if not all(isinstance(m, numbers.Integral) for m in ids):
+            raise
+        return [int(m) for m in ids]
+
+
+def checked_messages(
+    n: int, trees: dict[int, BFSResult], messages: dict
+) -> dict[int, tuple[np.ndarray, np.ndarray | list[int]]]:
+    """Every channel's messages as aligned ``(origins, ids)``, checked the
+    same way before either backend runs the pipeline.
+
+    A channel's messages are ``{node: [ids]}`` or already the flat pair of
+    one origin per id. Raises :class:`ValidationError` on a channel without
+    a tree, an origin that is not an integer in ``[0, n)``, an id that is
+    not an integer, a duplicate id within a channel, and a tree that does
+    not span.
+    """
+    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]] = {}
+    for cid, placement in messages.items():
+        if cid not in trees:
+            raise ValidationError(f"messages given for unknown channel {cid}")
+        if isinstance(placement, tuple):
+            nodes, ids, lens = placement[0], placement[1], None
+        else:
+            nodes, lens = list(placement), [len(msgs) for msgs in placement.values()]
+            ids = [m for msgs in placement.values() for m in msgs]
+        origins = integer_ids(nodes, "message origins")
+        bad = origins[(origins < 0) | (origins >= n)]
+        if bad.size:
+            raise ValidationError(f"message origin {bad[0]} out of range [0, {n})")
+        ids = _message_ids(ids)
+        if lens is not None:
+            origins = np.repeat(origins, lens)
+        if origins.shape != (len(ids),):
+            raise ValidationError(f"channel {cid}: need one origin per message id")
+        if isinstance(ids, np.ndarray):
+            ids_sorted = np.sort(ids)
+            dup = bool((ids_sorted[1:] == ids_sorted[:-1]).any())
+        else:
+            dup = len(set(ids)) != len(ids)
+        if dup:
+            raise ValidationError(f"duplicate message ids on channel {cid}")
+        flat[cid] = (origins, ids)
+    for cid, tree in trees.items():
+        if not tree.spans():
+            raise ValidationError(f"channel {cid} tree does not span the graph")
+    return flat
+
+
 def run_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
-    messages: dict[int, dict[int, list[int]]],
+    messages: dict,
     verify: bool = True,
 ) -> TreeBroadcastOutcome:
     """Broadcast messages over one or more edge-disjoint rooted trees.
@@ -187,7 +247,9 @@ def run_tree_broadcast(
     trees: ``channel -> BFSResult`` spanning trees (edge-disjoint across
         channels; the per-edge CONGEST constraint is enforced by the
         simulator, so overlapping trees fail loudly rather than silently).
-    messages: ``channel -> {node -> [message ids]}`` initial placement.
+    messages: ``channel -> {node -> [message ids]}`` initial placement, or
+        per channel the flat ``(origins, ids)`` pair; both are checked by
+        :func:`checked_messages`.
     verify: check that every node received every channel's full id multiset
         (via count and sum, exact for distinct ids).
 
@@ -197,19 +259,16 @@ def run_tree_broadcast(
     network = Network(graph)
     per_channel_k: dict[int, int] = {}
     expected_sum: dict[int, int] = {}
-    for cid, placement in messages.items():
-        if cid not in trees:
-            raise ValidationError(f"messages given for unknown channel {cid}")
-        ids = [m for msgs in placement.values() for m in msgs]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate message ids on channel {cid}")
+    own: dict[int, dict[int, list[int]]] = {}
+    for cid, (origins, ids) in checked_messages(graph.n, trees, messages).items():
+        own[cid] = {}
+        for v, m in zip(origins.tolist(), map(int, ids)):
+            own[cid].setdefault(v, []).append(m)
         per_channel_k[cid] = len(ids)
-        expected_sum[cid] = sum(ids)
+        expected_sum[cid] = sum(map(int, ids))
     for cid in trees:
         per_channel_k.setdefault(cid, 0)
         expected_sum.setdefault(cid, 0)
-        if not trees[cid].spans():
-            raise ValidationError(f"channel {cid} tree does not span the graph")
 
     programs: list[PipelinedBroadcastProgram] = []
 
@@ -220,7 +279,7 @@ def run_tree_broadcast(
             specs[cid] = ChannelSpec(
                 parent_port=None if parent == v else network.port_to(v, parent),
                 child_ports=[network.port_to(v, c) for c in tree.children[v]],
-                own=list(messages.get(cid, {}).get(v, [])),
+                own=own.get(cid, {}).get(v, []),
                 total=per_channel_k[cid],
             )
         prog = PipelinedBroadcastProgram(v, specs)

@@ -235,12 +235,36 @@ class TestFastBroadcast:
         # The vectorized packing twin certifies the simulator's exact rounds.
         assert diff(a, b) == []
 
-    def test_messages_partitioned_by_contiguous_ranges(self, host):
-        # k = parts * 10 exactly: each tree must carry exactly 10 messages.
+    def test_messages_partitioned_by_contiguous_ranges(self, host, monkeypatch):
+        """Message j goes to class min((j-1)//K, parts-1), K = ceil(k/parts),
+        from the node whose Lemma 3 range holds it: at k = 30 each of the
+        three trees carries exactly 10 messages. Both backends share this
+        split, so the parity sweep cannot see a wrong one."""
+        import repro.core.broadcast as bc
+
+        split = {}
+        run_pipeline = bc._run_pipeline
+
+        def spy(graph, trees, per_channel, verify, backend):
+            split.update(per_channel)
+            return run_pipeline(graph, trees, per_channel, verify, backend)
+
+        monkeypatch.setattr(bc, "_run_pipeline", spy)
         decomp = random_partition(host, 3, seed=11)
         packing = build_tree_packing(decomp, distributed=False)
-        res = fast_broadcast(host, {0: 30}, packing=packing)
-        assert res.k == 30 and res.parts == 3
+        for k in (30, 47):
+            pl = uniform_random_placement(host.n, k, seed=12)
+            starts = bc._number_messages_batch(host, [pl], "vectorized")[0][2]
+            K = -(-k // 3)
+            for backend in ("simulator", "vectorized"):
+                split.clear()
+                res = fast_broadcast(host, pl, packing=packing, backend=backend)
+                assert res.k == k and res.parts == 3
+                for c in range(3):
+                    origins, ids = split[c]
+                    assert ids.tolist() == list(range(c * K + 1, min((c + 1) * K, k) + 1))
+                    for v, j in zip(origins.tolist(), ids.tolist()):
+                        assert starts[v] <= j < starts[v] + pl[v]
 
 
 class TestCombinedBroadcast:

@@ -15,7 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.broadcast import fast_broadcast, uniform_random_placement
+from repro.core.broadcast import (
+    _bfs_view,
+    _number_messages_batch,
+    fast_broadcast,
+    uniform_random_placement,
+)
 from repro.core.decomposition import random_partition
 from repro.core.lambda_search import find_packing_unknown_lambda
 from repro.core.tree_packing import build_packing_with_retry, build_tree_packing
@@ -24,6 +29,7 @@ from repro.engine.fastpath import vectorized_tree_broadcast
 from repro.engine.verify import (
     EXEMPT,
     ROWS,
+    boundary_hosts,
     check_apsp_pipeline,
     check_bfs,
     check_broadcast_pipeline,
@@ -46,14 +52,20 @@ from repro.engine.verify import (
     check_unknown_lambda_broadcast,
     check_weighted_apsp,
     diff,
+    first_port_parents,
     random_connected_graph,
     random_edge_masks,
     random_fault_plan,
     verify_boundaries,
     verify_equivalence,
 )
-from repro.graphs import Graph, path_of_cliques, random_weights, thick_cycle
+from repro.engine.kernels import frontier_sweep
+from repro.engine.plane import masked_union_bfs, plane_sweep
+from repro.graphs import Graph, cycle_graph, path_of_cliques, random_weights, thick_cycle
+from repro.graphs.traversal import bfs_distances
 from repro.primitives.bfs import BFSResult, run_bfs, run_parallel_bfs
+from repro.primitives.leader import elect_leader
+from repro.primitives.pipeline import run_tree_broadcast
 from repro.util.errors import BandwidthExceeded, ValidationError
 
 _SETTINGS = settings(
@@ -166,6 +178,127 @@ class TestPipelineEquivalence:
         tree.dist = tree.dist + (tree.dist > 0)  # non-roots one layer too deep
         with pytest.raises(ValidationError):
             vectorized_tree_broadcast(g, {0: tree}, {0: {0: [1]}})
+
+    @pytest.mark.parametrize(
+        "messages, named",
+        [
+            ({-1: [5]}, "-1"),
+            ({6: [5]}, "6"),
+            ({2.5: [5]}, "2.5"),
+            ({2: [1.5]}, "1.5"),
+            ((np.array([-1]), np.array([5])), "-1"),
+            ((np.array([6]), np.array([5])), "6"),
+            ((np.array([2.5]), np.array([5])), "2.5"),
+            ((np.array([2]), np.array([1.5])), "1.5"),
+        ],
+    )
+    def test_malformed_messages_raise_alike(self, messages, named):
+        """An origin outside [0, n), a fractional origin and a fractional
+        id raise the same ValidationError on both backends. Before, the
+        simulator missed the message or priced a float payload, while the
+        vectorized side wrapped -1 to node 5, crashed on 6, ran 2.5 from
+        node 2 and priced the id 1.5 as 1."""
+        g = cycle_graph(6)
+        tree = run_bfs(g, 0, backend="vectorized")
+        texts = []
+        for run in (run_tree_broadcast, vectorized_tree_broadcast):
+            with pytest.raises(ValidationError) as err:
+                run(g, {0: tree}, {0: messages})
+            texts.append(str(err.value))
+        assert texts[0] == texts[1] and named in texts[0]
+
+    @pytest.mark.parametrize(
+        "messages",
+        [{0: [1 << 63]}, (np.array([0]), np.array([1 << 63], dtype=np.uint64))],
+    )
+    def test_ids_beyond_int64_priced_as_they_are(self, messages):
+        """2⁶³ converts to uint64, not int64: it must be priced as itself,
+        not wrapped to -2⁶³."""
+        g = thick_cycle(4, 3)
+        tree = run_bfs(g, 0, backend="vectorized")
+        with pytest.raises(BandwidthExceeded):
+            run_tree_broadcast(g, {0: tree}, {0: messages})
+        with pytest.raises(BandwidthExceeded, match=r"\(1, 0, 9223372036854775808\)"):
+            vectorized_tree_broadcast(g, {0: tree}, {0: messages})
+
+
+class TestFlatHandOff:
+    """The broadcast tails hand Lemma 1 one flat ``(origins, ids)`` pair per
+    channel; it must be the same input as the ``{node: [ids]}`` mapping."""
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_flat_form_matches_mapping(self, parts):
+        g = thick_cycle(10, 6)
+        packing, _ = build_packing_with_retry(g, parts, seed=1, distributed=False)
+        trees = {c: _bfs_view(packing, c) for c in range(parts)}
+        rng = np.random.default_rng(parts)
+        origins = rng.integers(g.n, size=40)
+        origins[:6] = trees[0].root  # messages held at the root
+        ids = rng.permutation(40) + 1
+        channel = ids % (parts - 1)  # the last channel carries nothing
+        flat, mapping = {}, {}
+        for c in range(parts):
+            sel = channel == c
+            flat[c] = (origins[sel], ids[sel])
+            mapping[c] = {}
+            for v, j in zip(origins[sel].tolist(), ids[sel].tolist()):
+                mapping[c].setdefault(v, []).append(j)
+        assert flat[parts - 1][1].size == 0
+        want = run_tree_broadcast(g, trees, mapping)
+        assert diff(vectorized_tree_broadcast(g, trees, mapping), want, "mapping") == []
+        assert diff(vectorized_tree_broadcast(g, trees, flat), want, "flat") == []
+        assert diff(run_tree_broadcast(g, trees, flat), want, "simulator-flat") == []
+
+
+class TestPrologueElection:
+    """The vectorized prologue floods once, from node 0, and reads the
+    election off that tree: it must elect what the simulated min-id flood
+    elects, in the same rounds, and fail with the same text."""
+
+    @pytest.mark.parametrize("name", list(boundary_hosts()))
+    def test_election_matches_simulator(self, name):
+        host = boundary_hosts()[name]
+
+        def prologue():
+            leader, _tree, _starts, phases = _number_messages_batch(
+                host, [{}], "vectorized"
+            )[0]
+            return leader, phases["leader_election"]
+
+        assert diff(
+            verify._outcome(prologue), verify._outcome(lambda: elect_leader(host)), name
+        ) == []
+
+
+class TestFrontierSweepTies:
+    """On ``thick_cycle(12, 4)`` every node beyond the root's group has
+    several tied previous-layer neighbors, so the adoption rule decides
+    almost every parent: the value sort must pick the first port."""
+
+    def test_solo_plane_and_union_adopt_first_port(self):
+        g = thick_cycle(12, 4)
+        indptr, indices = g._indptr, g._indices
+        parent, dist = frontier_sweep(g.n, indptr, indices, 5)
+        assert diff(dist, bfs_distances(g, 5), "solo.dist") == []
+        assert diff(parent, first_port_parents(indptr, indices, dist), "solo") == []
+
+        roots = [0, 5, 17, 30, 47]
+        parents, dists, _rounds = plane_sweep(g.n, indptr, indices, roots)
+        for q, r in enumerate(roots):
+            assert diff(dists[q], bfs_distances(g, r), f"plane[{q}].dist") == []
+            assert diff(
+                parents[q], first_port_parents(indptr, indices, dists[q]), f"plane[{q}]"
+            ) == []
+
+        masks = [np.arange(g.m) % 3 == c for c in range(3)]
+        for c, res in enumerate(masked_union_bfs(g, masks, [0, 13, 40])):
+            sub = g.edge_subgraph(masks[c])
+            assert diff(res.dist, bfs_distances(sub, res.root), f"union[{c}].dist") == []
+            assert diff(
+                res.parent,
+                first_port_parents(sub._indptr, sub._indices, res.dist),
+                f"union[{c}]",
+            ) == []
 
 
 class TestPackingEquivalence:

@@ -24,7 +24,8 @@ from repro.engine.verify import (
     random_connected_graph,
     random_edge_masks,
 )
-from repro.graphs import Graph, thick_cycle
+from repro.engine.kernels import frontier_sweep
+from repro.graphs import Graph, cycle_graph, thick_cycle
 from repro.primitives.bfs import run_bfs, run_bfs_batch
 from repro.util.errors import ValidationError
 from repro.util.rng import rng_from_seed
@@ -178,6 +179,35 @@ class TestMaskedUnionPlane:
             masked_union_bfs(g, masks, [0])
         with pytest.raises(ValidationError):
             masked_union_bfs(g, masks, [0, g.n])
+
+
+class TestKernelRoots:
+    """The three BFS kernels take integer roots only: a fractional root
+    used to be truncated (1.7 flooded from node 1, 2.5 rooted the union
+    channel at node 2)."""
+
+    @pytest.mark.parametrize("root", [1.7, np.float64(2.0)])
+    def test_fractional_root_rejected(self, root):
+        g = cycle_graph(6)
+        indptr, indices = g.masked_csr(None)
+        with pytest.raises(ValidationError):
+            frontier_sweep(g.n, indptr, indices, root)
+        with pytest.raises(ValidationError):
+            plane_sweep(g.n, indptr, indices, [root])
+        with pytest.raises(ValidationError):
+            masked_union_bfs(g, [np.ones(g.m, dtype=bool)], [root])
+
+    @pytest.mark.parametrize("root", [np.int64(2), np.int32(2), True])
+    def test_numpy_and_bool_roots_accepted(self, root):
+        g = cycle_graph(6)
+        indptr, indices = g.masked_csr(None)
+        node = int(root)
+        parent, dist = frontier_sweep(g.n, indptr, indices, root)
+        assert dist[node] == 0 and parent[node] == node
+        planes = plane_sweep(g.n, indptr, indices, [root])
+        assert planes[1][0, node] == 0
+        (res,) = masked_union_bfs(g, [np.ones(g.m, dtype=bool)], [root])
+        assert res.root == node and res.dist[node] == 0
 
 
 class TestBatchChecksDeterministic:

@@ -572,6 +572,30 @@ class TestAdversaryJSON:
         with pytest.raises(ValidationError):
             AdversarySchedule.from_json({"type": "quantum"})
 
+    @pytest.mark.parametrize("key", ["2.5", 2.5])
+    def test_fractional_round_key_rejected(self, key):
+        """Only decimal-integer strings are converted: "2.5" used to raise
+        ValueError from int(), and 2.5 was truncated to round 2."""
+        with pytest.raises(ValidationError, match="2.5"):
+            FaultPlan.from_json({"mobile": {key: [1]}})
+        with pytest.raises(ValidationError, match="2.5"):
+            AdversarySchedule.from_json({"type": "mobile", "mobile": {key: [1]}})
+
+    def test_decimal_round_keys_converted(self):
+        plan = FaultPlan.from_json({"mobile": {"12": [1], "3": [2]}})
+        assert plan.mobile == {12: frozenset({1}), 3: frozenset({2})}
+
+
+class TestFaultyBFSRoot:
+    def test_vectorized_faulty_bfs_checks_its_root(self):
+        """A root outside [0, n) used to reach numpy and raise its
+        "negative dimensions" ValueError under a lossy plan."""
+        from repro.engine import vectorized_faulty_bfs
+
+        for root in (-1, 6, 1.5):
+            with pytest.raises(ValidationError):
+                vectorized_faulty_bfs(cycle_graph(6), root, plan=FaultPlan(drop_rate=0.3))
+
 
 # Dyadic rates: exact under the independent-coins combination, so the
 # algebraic properties below hold with == rather than approx.
