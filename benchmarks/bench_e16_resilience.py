@@ -47,6 +47,9 @@ from repro.core import (
     tree_edge_ids,
     uniform_random_placement,
 )
+from repro.core.broadcast import _bfs_view, _number_messages_batch, _placement_ids
+from repro.core.resilient import split_messages
+from repro.engine.fastpath import vectorized_tree_broadcast
 from repro.graphs import thick_cycle
 from repro.util.tables import Table
 
@@ -85,12 +88,31 @@ def _assert_separation(g, packing, placement, k, parts, backend="vectorized"):
     return r1, r2
 
 
+def _null_plan_matches_lemma1(g, packing, placement, report):
+    """The null-plan cell is the fault-free Lemma 1 pipeline: the same
+    rounds, messages and bits as ``vectorized_tree_broadcast`` over the
+    same trees and message split, full coverage, and no drops."""
+    starts = _number_messages_batch(g, [placement], "vectorized")[0][2]
+    split = split_messages(
+        _placement_ids(placement, starts), packing.size, report.redundancy
+    )
+    trees = {c: _bfs_view(packing, c) for c in range(packing.size)}
+    lemma1 = vectorized_tree_broadcast(g, trees, split)
+    assert (report.rounds, report.total_messages, report.total_bits) == (
+        lemma1.rounds,
+        lemma1.metrics.total_messages,
+        lemma1.metrics.total_bits,
+    ), "the null plan drifted from the Lemma 1 closed form"
+    assert report.dropped_messages == 0 and report.min_coverage == 1.0
+
+
 def run_quick():
     """CI smoke: one fault-grid call per backend, bit-identical reports.
 
     The cells cover a dead tree at r = 1 and r = 2, a mobile adversary
     sweeping the dead tree's edges for the whole run (its downcast hits
-    land late too), and i.i.d. loss on the per-round replay.
+    land late too), i.i.d. loss on the per-round replay, and the null plan,
+    which must be the fault-free Lemma 1 pipeline.
     """
     parts, k = 3, 60
     g, packing, placement = _setup(groups=10, size=10, k=k, parts=parts)
@@ -106,16 +128,18 @@ def run_quick():
             redundancy=2,
             adversary=MobileAdversary.sweeping(sorted(dead), budget=4, rounds=run),
         ),
+        FaultCell(redundancy=2),
     ]
     out, secs = {}, {}
     for backend in ("simulator", "vectorized"):
         t0 = time.perf_counter()
         out[backend] = evaluate_fault_grid(g, placement, packing, cells, backend=backend)
         secs[backend] = time.perf_counter() - t0
-    r1, r2, lossy, mobile = out["vectorized"]
+    r1, r2, lossy, mobile, null = out["vectorized"]
     assert r1.fully_delivered == k - k // parts and r1.min_coverage < 1.0
     assert r2.fully_delivered == k and r2.min_coverage == 1.0
     assert mobile.dropped_messages > 0, "the mobile adversary hit nothing"
+    _null_plan_matches_lemma1(g, packing, placement, null)
     for i, (sim, vec) in enumerate(zip(out["simulator"], out["vectorized"])):
         assert _report_fields(sim) == _report_fields(vec), (
             f"backend drift in quick scenario {i}"

@@ -17,7 +17,7 @@ sweeping mobile adversary, i.i.d. loss, targeted-cut attacker), and
 ``backend="vectorized"`` replays the identical execution on the fault-aware
 numpy engine (:mod:`repro.engine.faults`) — bit-identical
 :class:`DeliveryReport`, same fault RNG stream — at n = 10⁵ scale
-(benchmark E16: about 550× over the simulator at n = 10⁴, leaf ``e16c``).
+(benchmark E16: about 650× over the simulator at n = 10⁴, leaf ``e16c``).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "evaluate_fault_grid",
     "redundant_broadcast",
     "repair_coverage",
+    "split_messages",
     "tree_edge_ids",
 ]
 
@@ -303,6 +304,22 @@ def _simulate_cell(
     )
 
 
+def split_messages(
+    ids: dict[int, list[int]], parts: int, redundancy: int
+) -> dict[int, dict[int, list[int]]]:
+    """Each message on its home tree and the ``redundancy - 1`` trees after
+    it, as ``{tree: {node: [ids]}}``: the ids ``1..k`` fill the trees in
+    blocks of ⌈k / parts⌉, the last tree taking any remainder."""
+    K = max(1, math.ceil(sum(map(len, ids.values())) / parts))
+    pc: dict[int, dict[int, list[int]]] = {c: {} for c in range(parts)}
+    for v, vids in ids.items():
+        for j in vids:
+            home = min((j - 1) // K, parts - 1)
+            for i in range(redundancy):
+                pc[(home + i) % parts].setdefault(v, []).append(j)
+    return pc
+
+
 @obs.traced("fault_grid")
 def evaluate_fault_grid(
     graph: Graph,
@@ -340,22 +357,14 @@ def evaluate_fault_grid(
     all_ids = [j for vids in ids.values() for j in vids]
     mids = np.unique(np.asarray(all_ids, dtype=np.int64))
     rows = np.searchsorted(mids, np.asarray(all_ids, dtype=np.int64))
-    K = max(1, math.ceil(k / parts))
     network = Network(graph) if backend == "simulator" else None
 
     splits: dict[int, dict[int, dict[int, list[int]]]] = {}
 
     def split(redundancy: int) -> dict[int, dict[int, list[int]]]:
-        pc = splits.get(redundancy)
-        if pc is None:
-            pc = {c: {} for c in range(parts)}
-            for v, vids in ids.items():
-                for j in vids:
-                    home = min((j - 1) // K, parts - 1)
-                    for i in range(redundancy):
-                        pc[(home + i) % parts].setdefault(v, []).append(j)
-            splits[redundancy] = pc
-        return pc
+        if redundancy not in splits:
+            splits[redundancy] = split_messages(ids, parts, redundancy)
+        return splits[redundancy]
 
     reports: list[DeliveryReport] = []
     for cell in cells:

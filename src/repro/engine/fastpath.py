@@ -9,6 +9,8 @@ see the package docstring for the round-count derivations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro import obs
@@ -26,8 +28,11 @@ from repro.util.bits import bits_for_int, bits_for_int_array, message_bit_budget
 from repro.util.errors import BandwidthExceeded, ValidationError
 
 __all__ = [
+    "PipelineChannels",
     "elect_from_flood",
     "expand_csr_rows",  # re-exported from repro.engine.kernels
+    "pipeline_channels",
+    "pipeline_closed_form",
     "vectorized_elect_leader",
     "vectorized_numbering",
     "vectorized_tree_broadcast",
@@ -148,91 +153,72 @@ def vectorized_numbering(
 # Lemma 1 / Theorem 1 step 4 — pipelined tree broadcast
 # --------------------------------------------------------------------------- #
 
-def vectorized_tree_broadcast(
-    graph: Graph,
-    trees: dict[int, BFSResult],
-    messages: dict,
-    verify: bool = True,
-    bandwidth_factor: int = 8,
-) -> TreeBroadcastOutcome:
-    """Fast-path :func:`repro.primitives.pipeline.run_tree_broadcast`.
+@dataclass
+class PipelineChannels:
+    """Lemma 1's input after every check the vectorized entry points share.
 
-    ``messages`` maps each channel to ``{node: [ids]}`` or to the flat
-    ``(origins, ids)`` pair of int64 arrays, one origin per id — the form
-    the broadcast tails hand over, with no per-node Python object.
-    :func:`~repro.primitives.pipeline.checked_messages` checks either form
-    exactly as the simulator does and flattens a mapping once; every step
-    below reads the flat pair.
+    Rows follow the sorted channel ids. ``flat`` is what
+    :func:`~repro.primitives.pipeline.checked_messages` returned, ``own``
+    counts the messages each node holds, and ``tree_eids[c]`` holds the
+    edge ``(parent(v), v)`` of every non-root ``v`` of channel ``c``,
+    ascending in ``v``. ``bits[c]`` prices each of the channel's ids as the
+    ``(kind, channel, id)`` tuple the simulator transports.
+    """
 
-    The pipeline's round count depends only on per-node queue *lengths*
-    (message identity never influences when a queue drains): each round,
-    every nonempty up-queue sends one message to its parent and every
-    nonempty down-queue pops one (forwarded to children, if any); arrivals
-    land one round after sends. The count is reproduced exactly without
-    pumping every queue every round: the layer-batched span algebra
-    (:func:`~repro.engine.kernels.upcast_spans`) yields the root's arrival
-    stream, the root's service is the closed-form
-    :func:`~repro.engine.kernels.last_send_round_spans`, and the downcast
-    is a pure pipeline (non-root down-queues never exceed one item),
-    finishing ``depth(T)`` rounds after the root's last send. Every tree
-    must be BFS-layered (``dist`` is the depth layering of ``parent``), as
-    every tree producer in the library guarantees; anything else raises
-    :class:`~repro.util.errors.ValidationError`.
+    n: int
+    cids: list[int]
+    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]]
+    parents: np.ndarray  # (C, n)
+    dists: np.ndarray  # (C, n)
+    nonroot: np.ndarray  # (C, n)
+    own: np.ndarray  # (C, n)
+    tree_eids: list[np.ndarray]
+    bits: list[np.ndarray]
 
-    Metrics are closed-form: each message crosses every tree edge once on the
-    downcast and its origin-to-root path once on the upcast, so the edge
-    ``(parent(v), v)`` in channel c carries ``k_c + (messages originating in
-    subtree(v))`` messages in total.
+    def origins(self, ci: int) -> np.ndarray:
+        pair = self.flat.get(self.cids[ci])
+        return pair[0] if pair is not None else np.empty(0, dtype=np.int64)
 
-    ``verify`` is accepted for signature parity; delivery holds by
-    construction once every tree spans (checked on entry), which the
-    equivalence suite cross-validates against the simulator's counters.
+    def layered(self) -> np.ndarray:
+        """Per channel: whether ``dist`` is the BFS layering of ``parent``."""
+        parent_dist = np.take_along_axis(self.dists, self.parents, axis=1)
+        return np.where(self.nonroot, self.dists == parent_dist + 1, self.dists == 0).all(
+            axis=1
+        )
+
+
+def pipeline_channels(
+    graph: Graph, trees: dict[int, BFSResult], messages: dict, bandwidth_factor: int = 8
+) -> PipelineChannels:
+    """Check a Lemma 1 input the way the simulator would refuse it.
+
+    Messages go through :func:`~repro.primitives.pipeline.checked_messages`.
+    Then the trees must be edge-disjoint and every id must fit the bandwidth
+    budget: the simulator raises
+    :class:`~repro.util.errors.BandwidthExceeded` on the first double-send
+    over a shared edge or on the first oversized payload.
     """
     n = graph.n
     cids = sorted(trees)
     flat = checked_messages(n, trees, messages)
-    per_channel_k = {cid: len(ids) for cid, (_origins, ids) in flat.items()}
-    for cid in cids:
-        per_channel_k.setdefault(cid, 0)
-
-    metrics = Metrics(m=graph.m)
-    if not cids:
-        return TreeBroadcastOutcome(
-            rounds=0, metrics=metrics, k_total=0, per_channel_k=per_channel_k
-        )
-
     C = len(cids)
     parents = np.empty((C, n), dtype=np.int64)
     dists = np.empty((C, n), dtype=np.int64)
     own = np.zeros((C, n), dtype=np.int64)
-    nonroot = np.empty((C, n), dtype=bool)
     for ci, cid in enumerate(cids):
-        tree = trees[cid]
-        parents[ci] = tree.parent
-        dists[ci] = tree.dist
-        nonroot[ci] = tree.parent != np.arange(n)
+        parents[ci] = trees[cid].parent
+        dists[ci] = trees[cid].dist
         if cid in flat:
             own[ci] = np.bincount(flat[cid][0], minlength=n)
+    nonroot = parents != np.arange(n)
 
     # Tree-edge ids, computed once in a single batched query (one
-    # searchsorted over all channels' tree edges): the disjointness gate
-    # and the congestion ledger below both consume them.
-    tree_vs = [np.nonzero(nonroot[ci])[0] for ci in range(C)]
-    eids_flat = graph.edge_ids_for_pairs(
-        np.concatenate([parents[ci][tree_vs[ci]] for ci in range(C)]),
-        np.concatenate(tree_vs),
-    )
-    eid_bounds = np.zeros(C + 1, dtype=np.int64)
-    np.cumsum([vs.size for vs in tree_vs], out=eid_bounds[1:])
-    tree_eids = [
-        eids_flat[eid_bounds[ci] : eid_bounds[ci + 1]] for ci in range(C)
-    ]
-
-    # The simulator would raise BandwidthExceeded on the first double-send
-    # over a shared edge; the fast path rejects overlap up front. Any edge
-    # used twice — across channels or within one malformed tree — is a
-    # duplicate in the flat id array, so sorting the O(Σ|V|) tree edges
-    # replaces the old O(m) per-edge counting pass.
+    # searchsorted over all channels' tree edges). Any edge used twice —
+    # across channels or within one malformed tree — is a duplicate in the
+    # flat id array, so one sort of the O(Σ|V|) tree edges finds overlap.
+    eids_flat = graph.edge_ids_for_pairs(parents[nonroot], np.nonzero(nonroot)[1])
+    sizes = nonroot.sum(axis=1)
+    tree_eids = np.split(eids_flat, np.cumsum(sizes)[:-1]) if C else []
     if n > 1 and C > 1 and eids_flat.size:
         eids_sorted = np.sort(eids_flat)
         if bool((eids_sorted[1:] == eids_sorted[:-1]).any()):
@@ -241,17 +227,15 @@ def vectorized_tree_broadcast(
                 "double-send)"
             )
 
-    # Per-channel message bits, one pass each: they feed both the bandwidth
-    # gate here and the closed-form bit totals below. Every id is
-    # eventually sent (the downcast reaches every tree edge), priced as the
-    # (kind, channel, id) tuple the simulator transports.
+    # Every id is eventually sent (the downcast reaches every tree edge), so
+    # the largest price decides the bandwidth gate.
     budget = message_bit_budget(n, bandwidth_factor)
     chan_bits: list[np.ndarray] = []
     for cid in cids:
-        if not per_channel_k[cid]:
+        ids = flat[cid][1] if cid in flat else ()
+        if not len(ids):
             chan_bits.append(np.empty(0, dtype=np.int64))
             continue
-        ids = flat[cid][1]
         if isinstance(ids, np.ndarray):
             bits = 2 + bits_for_int(cid) + bits_for_int_array(ids)
         else:  # ids beyond int64: price individually
@@ -265,74 +249,136 @@ def vectorized_tree_broadcast(
                 f"(payload={(1, cid, worst)!r})"
             )
         chan_bits.append(bits)
+    return PipelineChannels(n, cids, flat, parents, dists, nonroot, own, tree_eids, chan_bits)
 
-    # ---- exact round count: batched upcast + closed-form downcast -------- #
-    # The dense (channel, node) queue recurrence this replaces cost
-    # O(rounds · n · C) — it pumped every queue every round. Three structural
-    # facts collapse it while keeping the count bit-identical:
-    #   1. channels never interact (queues are per (channel, node); the
-    #      shared clock is just the max of the per-channel finish times);
-    #   2. a non-root DOWN queue never exceeds one item (arrivals ≤ 1/round
-    #      from the parent, service 1/round), so the downcast is a pure
-    #      pipeline: the root's last down-send at round t_last drains at the
-    #      deepest leaf in round t_last + depth(T), which is the round the
-    #      simulator goes quiet;
-    #   3. the upcast therefore only needs the *root's arrival stream*,
-    #      which kernels.upcast_spans batches whole tree layers through the
-    #      event-span algebra (no per-round Python iteration at all).
+
+def pipeline_closed_form(ch: PipelineChannels, sel) -> tuple[int, int, int]:
+    """Rounds, messages and bits of the fault-free pipelines of channels ``sel``.
+
+    ``sel`` picks rows of ``ch`` (a slice or an index array), and their
+    trees must be BFS-layered. The pipeline's round count
+    depends only on per-node queue *lengths* (message identity never
+    influences when a queue drains): each round, every nonempty up-queue
+    sends one message to its parent and every nonempty down-queue pops one
+    (forwarded to children, if any); arrivals land one round after sends.
+    Three structural facts give the count without pumping every queue every
+    round, which cost O(rounds · n · C):
+
+    1. channels never interact (queues are per (channel, node); the shared
+       clock is just the max of the per-channel finish times);
+    2. a non-root DOWN queue never exceeds one item (arrivals ≤ 1/round
+       from the parent, service 1/round), so the downcast is a pure
+       pipeline: the root's last down-send at round t_last drains at the
+       deepest leaf in round t_last + depth(T), which is the round the
+       simulator goes quiet;
+    3. the upcast therefore only needs the *root's arrival stream*, which
+       :func:`~repro.engine.kernels.upcast_spans` batches whole tree layers
+       through the event-span algebra, and the root's service is the closed
+       form :func:`~repro.engine.kernels.last_send_round_spans`.
+
+    Each message crosses its origin-to-root path once on the upcast and
+    every one of the ``n - 1`` tree edges once on the downcast; every
+    crossing is charged the message's price.
+    """
+    n = ch.n
+    rows = np.arange(len(ch.cids))[sel].tolist()
+    total_messages = total_bits = 0
+    for ci in rows:
+        origins = ch.origins(ci)
+        traversals = ch.dists[ci][origins] + (n - 1)
+        total_messages += int(traversals.sum())
+        total_bits += int((ch.bits[ci] * traversals).sum())
+
+    own = ch.own[sel]
+    nonroot = ch.nonroot[sel]
     up = np.where(nonroot, own, 0).ravel()
-    flat_parents = (parents + (np.arange(C) * n)[:, None]).ravel()
-    flat_dist = dists.ravel()
-    nr = nonroot.ravel()
-    if not (
-        np.all(flat_dist[~nr] == 0)
-        and np.all(flat_dist[nr] == flat_dist[flat_parents[nr]] + 1)
-    ):
-        raise ValidationError("tree dist is not the BFS layering of its parents")
-
-    root_own = own[~nonroot]  # one entry per channel, in channel order
+    flat_parents = (ch.parents[sel] + (np.arange(len(rows)) * n)[:, None]).ravel()
+    root_own = own[~nonroot]  # one entry per channel, in selection order
     rounds = 0
     with obs.span("upcast"):
-        sn, sb, se, sr = upcast_spans(up, flat_parents, flat_dist)
+        sn, sb, se, sr = upcast_spans(up, flat_parents, ch.dists[sel].ravel())
         span_chan = sn // n
-        for ci, cid in enumerate(cids):
-            if per_channel_k[cid] == 0:
+        for i, ci in enumerate(rows):
+            if not len(ch.bits[ci]):
                 continue  # no sends on this channel at all
-            sel = span_chan == ci
-            starts = sb[sel]  # disjoint spans, sorted by start
-            ends = se[sel]
-            rates = sr[sel]
-            if root_own[ci]:
+            pick = span_chan == i
+            starts = sb[pick]  # disjoint spans, sorted by start
+            ends = se[pick]
+            rates = sr[pick]
+            if root_own[i]:
                 zero = np.zeros(1, dtype=np.int64)
                 starts = np.concatenate([zero, starts])
                 ends = np.concatenate([zero, ends])
-                rates = np.concatenate([[int(root_own[ci])], rates])
+                rates = np.concatenate([[int(root_own[i])], rates])
             t_last = last_send_round_spans(starts, ends, rates)
-            rounds = max(rounds, t_last + int(dists[ci].max()))
+            rounds = max(rounds, t_last + int(ch.dists[ci].max()))
+    return rounds, total_messages, total_bits
 
-    # ---- exact metrics: closed-form congestion and totals ---------------- #
+
+def vectorized_tree_broadcast(
+    graph: Graph,
+    trees: dict[int, BFSResult],
+    messages: dict,
+    verify: bool = True,
+    bandwidth_factor: int = 8,
+) -> TreeBroadcastOutcome:
+    """Fast-path :func:`repro.primitives.pipeline.run_tree_broadcast`.
+
+    ``messages`` maps each channel to ``{node: [ids]}`` or to the flat
+    ``(origins, ids)`` pair of int64 arrays, one origin per id — the form
+    the broadcast tails hand over, with no per-node Python object.
+    :func:`pipeline_channels` checks either form exactly as the simulator
+    does and flattens a mapping once; every step below reads the flat pair.
+
+    Rounds, message and bit totals are :func:`pipeline_closed_form`. Every
+    tree must be BFS-layered (``dist`` is the depth layering of
+    ``parent``), as every tree producer in the library guarantees; anything
+    else raises :class:`~repro.util.errors.ValidationError`.
+
+    Per-edge metrics are closed-form too: each message crosses every tree
+    edge once on the downcast and its origin-to-root path once on the
+    upcast, so the edge ``(parent(v), v)`` in channel c carries ``k_c +
+    (messages originating in subtree(v))`` messages in total.
+
+    ``verify`` is accepted for signature parity; delivery holds by
+    construction once every tree spans (checked on entry), which the
+    equivalence suite cross-validates against the simulator's counters.
+    """
+    n = graph.n
+    ch = pipeline_channels(graph, trees, messages, bandwidth_factor)
+    per_channel_k = {cid: len(ids) for cid, (_origins, ids) in ch.flat.items()}
+    for cid in ch.cids:
+        per_channel_k.setdefault(cid, 0)
+
+    metrics = Metrics(m=graph.m)
+    if not ch.cids:
+        return TreeBroadcastOutcome(
+            rounds=0, metrics=metrics, k_total=0, per_channel_k=per_channel_k
+        )
+    if not ch.layered().all():
+        raise ValidationError("tree dist is not the BFS layering of its parents")
+
+    C = len(ch.cids)
+    rounds, total_messages, total_bits = pipeline_closed_form(ch, slice(None))
+
+    # ---- exact per-edge congestion --------------------------------------- #
     # One flattened convergecast covers every channel at once (channel
     # blocks are disjoint in flat space), replacing C per-channel layer
     # loops — at depth ~10³ and C trees those Python loops were the
     # dominant metrics cost.
     with obs.span("downcast_metrics"):
-        sub_flat = _subtree_sums(flat_parents, flat_dist, own.ravel())
-        total_bits = 0
-        for ci, cid in enumerate(cids):
-            k_c = per_channel_k[cid]
-            vs = tree_vs[ci]
+        flat_parents = (ch.parents + (np.arange(C) * n)[:, None]).ravel()
+        sub_flat = _subtree_sums(flat_parents, ch.dists.ravel(), ch.own.ravel())
+        for ci, cid in enumerate(ch.cids):
+            vs = np.nonzero(ch.nonroot[ci])[0]
             if vs.size == 0:
                 continue
             sub = sub_flat[ci * n : (ci + 1) * n]
             # A tree visits each edge once, so the ids are distinct and a plain
             # fancy-indexed add lands every update (no unbuffered ufunc.at).
-            metrics.edge_messages[tree_eids[ci]] += k_c + sub[vs]
-            # bits: each id crosses (n-1) tree edges down + its origin depth up
-            if chan_bits[ci].size:
-                traversals = dists[ci][flat[cid][0]] + (n - 1)
-                total_bits += int((chan_bits[ci] * traversals).sum())
+            metrics.edge_messages[ch.tree_eids[ci]] += per_channel_k[cid] + sub[vs]
         metrics.rounds = rounds
-        metrics.total_messages = int(metrics.edge_messages.sum())
+        metrics.total_messages = total_messages
         metrics.total_bits = total_bits
 
     return TreeBroadcastOutcome(

@@ -12,8 +12,12 @@ whole-network numpy batches instead of per-node Python state machines:
   the subtree to adopt later, or never);
 * :func:`vectorized_faulty_broadcast` — the Lemma 1 upcast/downcast queue
   recurrence with drops at delivery time, tracking exact per-node receipt
-  sets for :func:`repro.core.resilient.redundant_broadcast`. Its state is
-  arrays throughout: every channel's up-queue lives in one flat
+  sets for :func:`repro.core.resilient.redundant_broadcast`. A plan that
+  draws no coins pays only for the trees it touches: an edge-disjoint tree
+  with no dead or mobile edge delivers exactly as the fault-free pipeline
+  does, so it takes the closed form of
+  :func:`repro.engine.fastpath.pipeline_closed_form`. The other channels'
+  state is arrays throughout: their up-queues live in one flat
   :class:`_UpQueue` that all three paths (rate-0 spans, total loss, the
   per-round replay) read, and the replay draws each round's delivery batch
   from a slot table numbered once, in the simulator's delivery order.
@@ -27,7 +31,8 @@ the final RNG state matches bit for bit. This works because the simulator
 activates nodes in canonical ascending order and NumPy's ``Generator.random``
 consumes the PCG64 stream identically whether drawn one-by-one or batched.
 The contract is enforced by :mod:`repro.engine.verify` checks
-(``check_faulty_bfs``, ``check_redundant_broadcast``) in the CI sweep.
+(``check_faulty_bfs``, ``check_redundant_broadcast``, ``check_fault_paths``)
+in the CI sweep.
 
 Like the fault-free engine, sends are still "bit-priced" in the sense that
 faults act at delivery time only — a dropped message spent its bandwidth,
@@ -39,12 +44,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro import obs
 from repro.congest.adversary import FaultPlan
 from repro.congest.faults import FaultySimulator
+from repro.engine.fastpath import pipeline_channels, pipeline_closed_form
 from repro.engine.kernels import expand_csr_rows
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult, check_roots, run_bfs_batch, simulate_floods
@@ -109,6 +116,20 @@ class FaultStream:
     @property
     def rng_state(self) -> dict:
         return self.rng.bit_generator.state
+
+    @cached_property
+    def mobile_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mobile schedule flattened into one ``(round, edge)`` pair per
+        entry, as two aligned arrays."""
+        mob = self.mobile
+        rounds = np.repeat(
+            np.fromiter(mob, dtype=np.int64, count=len(mob)),
+            [len(es) for es in mob.values()],
+        )
+        edges = np.fromiter(
+            itertools.chain.from_iterable(mob.values()), dtype=np.int64, count=rounds.size
+        )
+        return rounds, edges
 
 
 def _popcount_rows(bits: np.ndarray) -> np.ndarray:
@@ -485,24 +506,22 @@ class _Channel:
         "root_dq",
     )
 
-    def __init__(self, graph: Graph, tree: BFSResult):
+    def __init__(
+        self,
+        graph: Graph,
+        tree: BFSResult,
+        tree_eids: np.ndarray,
+        children: tuple[np.ndarray, np.ndarray],
+    ):
         n = graph.n
         self.root = int(tree.root)
         self.parent = np.asarray(tree.parent, dtype=np.int64)
         self.dist = np.asarray(tree.dist, dtype=np.int64)
-        ids = np.arange(n)
-        nonroot = self.parent != ids
         self.up_eid = np.full(n, -1, dtype=np.int64)
-        vs = np.nonzero(nonroot)[0]
-        if vs.size:
-            self.up_eid[vs] = graph.edge_ids_for_pairs(self.parent[vs], vs)
-        self.cindptr, self.cind = tree.children_as_csr()
-        self.ceid = (
-            graph.edge_ids_for_pairs(
-                np.repeat(ids, np.diff(self.cindptr)), self.cind
-            )
-            if self.cind.size
-            else np.empty(0, dtype=np.int64)
+        self.up_eid[self.parent != np.arange(n)] = tree_eids
+        self.cindptr, self.cind = children
+        self.ceid = graph.edge_ids_for_pairs(
+            np.repeat(np.arange(n), np.diff(self.cindptr)), self.cind
         )
         # Rows of mid_index the root sends down, in order: its own items
         # first, then every up arrival.
@@ -639,7 +658,9 @@ def _span_faulty_broadcast(
 ) -> tuple[int, int, int]:
     """Event-batched twin of the per-round faulty broadcast (rate-0 plans).
 
-    Phase 1 runs the upcast on the shared up-queue, all channels at once:
+    It runs the channels the plan touches; the others take the fault-free
+    closed form beside it. Phase 1 runs the upcast on the shared up-queue,
+    all of its channels at once:
     each round pops every head, prices it, and drops with one
     :meth:`FaultStream.deliver_mask` call — exact at rate 0, where no coin
     is drawn. A root arrival is received and joins the root's down queue
@@ -674,14 +695,7 @@ def _span_faulty_broadcast(
             avails[ci] += [rounds + 1] * got  # poppable from the next round
 
     # ---- phase 2: closed-form downcast per channel ----------------------- #
-    mob = stream.mobile
-    mob_r = np.repeat(
-        np.fromiter(mob, dtype=np.int64, count=len(mob)),
-        [len(es) for es in mob.values()],
-    )
-    mob_e = np.fromiter(
-        itertools.chain.from_iterable(mob.values()), dtype=np.int64, count=mob_r.size
-    )
+    mob_r, mob_e = stream.mobile_pairs
     for ci, st in enumerate(chans):
         K = len(st.root_dq)
         if K == 0:
@@ -903,11 +917,29 @@ def _replay_faulty_broadcast(
     return rounds, total_messages, total_bits
 
 
+def _children_follow_parents(children: tuple[np.ndarray, np.ndarray], parent: np.ndarray) -> bool:
+    """Whether a spanning tree's child lists hold exactly the arcs its
+    parent array implies.
+
+    The simulator sends down the child lists, while the closed form reads
+    ``parent``. They differ only for lists collected under faults, where a
+    dropped child notice leaves a child out.
+    """
+    cindptr, cind = children
+    nonroot = parent != np.arange(parent.size)
+    return bool(
+        cind.size == nonroot.sum()
+        and nonroot[cind].all()
+        and np.array_equal(parent[cind], np.repeat(np.arange(parent.size), np.diff(cindptr)))
+        and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
+    )
+
+
 @obs.traced("faulty_broadcast")
 def vectorized_faulty_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
-    messages: dict[int, dict[int, list[int]]],
+    messages: dict,
     plan: FaultPlan | None = None,
     fault_seed=0,
 ) -> FaultyBroadcastOutcome:
@@ -918,79 +950,96 @@ def vectorized_faulty_broadcast(
     nonempty up-queue sends its head to the parent, every nonempty
     down-queue pops one id (forwarded to all tree children), and the fault
     plan drops exactly as ``FaultySimulator._deliverable`` would (same
-    drops, same RNG stream). All channels' up-queues live in one
-    :class:`_UpQueue`, and queues carry rows of the sorted message-id index
-    rather than ids. Receipts are tracked in a packed bitset, one row per
-    message id.
+    drops, same RNG stream). Queues carry rows of the sorted message-id
+    index rather than ids. Receipts are tracked in a packed bitset, one row
+    per message id.
 
     ``trees``/``messages`` take the same shapes as
-    :func:`repro.engine.fastpath.vectorized_tree_broadcast`; channels are
-    processed in sorted-cid order, which matches any driver that builds its
-    per-node channel specs over ``{0: ..., 1: ..., ...}`` in cid order.
+    :func:`repro.engine.fastpath.vectorized_tree_broadcast` and are checked
+    by the same :func:`~repro.engine.fastpath.pipeline_channels`: messages
+    as :func:`~repro.primitives.pipeline.checked_messages` checks them,
+    edge-disjoint trees, and the bandwidth budget. Message ids must also
+    fit in int64. Channels are processed in sorted-cid order, which matches
+    any driver that builds its per-node channel specs over ``{0: ..., 1:
+    ..., ...}`` in cid order.
 
-    The plan and the trees pick the path; all three read the same up-queue.
-    The downcast — the bulk of the work — runs closed-form via
-    :func:`_span_faulty_broadcast` whenever the plan draws no coins
-    (``drop_rate == 0``; dead edges and the mobile adversary are fine), the
-    trees are BFS-layered and the hole matrix fits its memory gate; pure
-    uniform total loss (``drop_rate == 1.0``, no dead edges, no mobile set)
-    runs via :func:`_span_faulty_broadcast_total_loss`. Every other input
-    takes the per-round replay (:func:`_replay_faulty_broadcast`), the only
-    path for coin rates in (0, 1): how many coins a round draws depends on
-    which earlier sends survived.
+    The plan and the trees pick the path. When the plan draws no coins
+    (``drop_rate == 0``), the channels split in two. A channel is
+    *untouched* when its tree is BFS-layered, its child lists are the ones
+    its parents imply, and none of its tree edges is dead or in any mobile
+    round: channels never interact and no coin is drawn, so it runs exactly
+    the fault-free Lemma 1 pipeline and takes its closed form
+    (:func:`~repro.engine.fastpath.pipeline_closed_form`) with full receipt
+    rows and no drops. Only the touched channels get up-queues, on one
+    shared :class:`_UpQueue`. They run :func:`_span_faulty_broadcast`'s
+    per-round upcast and closed-form downcast when their trees are
+    BFS-layered and the hole matrix fits its memory gate, and the per-round
+    replay otherwise; the call's rounds are the later of the two groups'.
+    Pure uniform total loss (``drop_rate == 1.0``, no dead edges, no mobile
+    set) runs every channel via :func:`_span_faulty_broadcast_total_loss`.
+    Every other plan runs every channel on the per-round replay
+    (:func:`_replay_faulty_broadcast`), the only path for coin rates in
+    (0, 1): how many coins a round draws depends on which earlier sends
+    survived.
     """
     plan = plan if plan is not None else FaultPlan()
     n = graph.n
-    cids = sorted(trees)
-    for cid in messages:
-        if cid not in trees:
-            raise ValidationError(f"messages given for unknown channel {cid}")
-    for cid in cids:
-        if not trees[cid].spans():
-            raise ValidationError(f"channel {cid} tree does not span the graph")
-    if n > 1 and len(cids) > 1:
-        use = np.zeros(graph.m, dtype=np.int64)
-        for cid in cids:
-            t = trees[cid]
-            vs = np.nonzero(t.parent != np.arange(n))[0]
-            use[graph.edge_ids_for_pairs(t.parent[vs], vs)] += 1
-        if use.max() > 1:
-            raise ValidationError(
-                "trees must be edge-disjoint (the simulator would refuse the "
-                "double-send)"
-            )
-
-    mid_index = np.asarray(
-        sorted({int(m) for pl in messages.values() for ms in pl.values() for m in ms}),
-        dtype=np.int64,
-    )
-    recv = np.zeros((mid_index.size, max(1, (n + 7) // 8)), dtype=np.uint8)
-    chans = [_Channel(graph, trees[cid]) for cid in cids]
-    up = _UpQueue(n, chans)
+    ch = pipeline_channels(graph, trees, messages)
+    ids = []
+    for cid in ch.cids:
+        chan_ids = ch.flat[cid][1] if cid in ch.flat else np.empty(0, dtype=np.int64)
+        if not isinstance(chan_ids, np.ndarray):
+            raise ValidationError(f"channel {cid}: message ids must fit in int64")
+        ids.append(chan_ids)
     stream = FaultStream(graph, plan, fault_seed)
+    mid_index = np.unique(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
+    rows = [np.searchsorted(mid_index, x) for x in ids]
+    recv = np.zeros((mid_index.size, max(1, (n + 7) // 8)), dtype=np.uint8)
+    children = [trees[cid].children_as_csr() for cid in ch.cids]
+
+    closed = np.zeros(len(ch.cids), dtype=bool)
+    if plan.drop_rate == 0.0:
+        hit = stream.dead.copy()
+        hit[stream.mobile_pairs[1]] = True
+        layered = ch.layered()
+        for ci, eids in enumerate(ch.tree_eids):
+            closed[ci] = (
+                layered[ci]
+                and not hit[eids].any()
+                and _children_follow_parents(children[ci], ch.parents[ci])
+            )
+        obs.count("faults.closed_form_channels", int(closed.sum()))
+    rounds = total_messages = total_bits = 0
+    if closed.any():
+        rounds, total_messages, total_bits = pipeline_closed_form(ch, np.flatnonzero(closed))
+        full = np.packbits(np.ones(n, dtype=bool), bitorder="little")
+        for ci in np.flatnonzero(closed).tolist():
+            recv[rows[ci]] = full
+
+    touched = np.flatnonzero(~closed).tolist()
+    chans = [
+        _Channel(graph, trees[ch.cids[ci]], ch.tree_eids[ci], children[ci])
+        for ci in touched
+    ]
+    up = _UpQueue(n, chans)
     # Seed the queues like _TrackingProgram.__init__: a root's own items go
     # straight to its down queue (and count as received); every other
     # node's own items start in its up queue, in placement order.
-    kmax = []
-    for ci, cid in enumerate(cids):
-        pl = messages.get(cid, {})
-        vs = np.array([int(v) for v, ms in pl.items() for _ in ms], dtype=np.int64)
-        if vs.size and (vs.min() < 0 or vs.max() >= n):
-            raise ValidationError(f"channel {cid} places messages outside [0, {n})")
-        rows = np.searchsorted(
-            mid_index,
-            np.array([int(m) for ms in pl.values() for m in ms], dtype=np.int64),
-        )
-        st = chans[ci]
-        own = vs == st.root
-        st.root_dq = rows[own].tolist()
-        np.bitwise_or.at(recv, (rows[own], st.root >> 3), np.uint8(1 << (st.root & 7)))
-        up.push(ci * n + vs[~own], rows[~own])
-        kmax.append(vs.size)
+    qids, qrows = [], []
+    for ti, ci in enumerate(touched):
+        st, origins, r = chans[ti], ch.origins(ci), rows[ci]
+        own = origins == st.root
+        st.root_dq = r[own].tolist()
+        np.bitwise_or.at(recv, (r[own], st.root >> 3), np.uint8(1 << (st.root & 7)))
+        qids.append(ti * n + origins[~own])
+        qrows.append(r[~own])
+    if qids:
+        up.push(np.concatenate(qids), np.concatenate(qrows))
+    kmax = [ch.origins(ci).size for ci in touched]
     # Send-time bit pricing: bits_for_payload((kind, cid, mid)) with
     # kind ∈ {0, 1} → 2 bits, plus the cid's and the mid's integer sizes.
     price = 2 + bits_for_int_array(mid_index)
-    cid_bits = bits_for_int_array(np.asarray(cids, dtype=np.int64))
+    cid_bits = bits_for_int_array(np.asarray([ch.cids[ci] for ci in touched], dtype=np.int64))
 
     if plan.drop_rate == 0.0 and _span_broadcast_viable(n, chans, kmax):
         path = _span_faulty_broadcast
@@ -998,15 +1047,17 @@ def vectorized_faulty_broadcast(
         path = _span_faulty_broadcast_total_loss
     else:
         path = _replay_faulty_broadcast
-    rounds, total_messages, total_bits = path(n, chans, up, stream, price, cid_bits, recv)
+    path_rounds, path_messages, path_bits = path(
+        n, chans, up, stream, price, cid_bits, recv
+    )
     return FaultyBroadcastOutcome(
-        rounds=rounds,
+        rounds=max(rounds, path_rounds),
         dropped=stream.dropped,
         mids=mid_index,
         receipt_counts=_popcount_rows(recv),
         receipt_bits=recv,
         n=n,
         fault_rng_state=stream.rng_state,
-        total_messages=total_messages,
-        total_bits=total_bits,
+        total_messages=total_messages + path_messages,
+        total_bits=total_bits + path_bits,
     )

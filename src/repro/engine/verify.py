@@ -42,7 +42,7 @@ from repro.apsp.clustering import (
 from repro.apsp.spanner import baswana_sen_spanner
 from repro.apsp.unweighted import approx_apsp_unweighted
 from repro.apsp.weighted import approx_apsp_weighted
-from repro.congest.adversary import FaultPlan
+from repro.congest.adversary import FaultPlan, MobileAdversary
 from repro.congest.tournament import run_tournament
 from repro.core.broadcast import (
     combined_broadcast,
@@ -80,7 +80,7 @@ from repro.engine.fastpath import (
 )
 from repro.engine.faults import faulty_bfs, faulty_bfs_grid
 from repro.graphs.connectivity import edge_connectivity
-from repro.graphs.generators import random_weights
+from repro.graphs.generators import random_weights, thick_cycle
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 from repro.primitives.bfs import BFSResult, run_bfs, run_bfs_batch, run_parallel_bfs
@@ -194,6 +194,18 @@ def _rate0_and_lossy(graph: Graph, seed, rounds: int) -> list[tuple[str, FaultPl
         ("rate0", random_fault_plan(graph, seed=seed + 1, rate=0.0, rounds=rounds)),
         ("lossy", random_fault_plan(graph, seed=seed + 2, rate=0.3, rounds=rounds)),
     ]
+
+
+def one_tree_plan(packing, rounds: int) -> FaultPlan:
+    """A rate-0 plan on tree 0's edges alone: the first half dead, the rest
+    under a two-edge sweep for ``rounds`` rounds. Every other tree is left
+    untouched, so the fault engine splits its channels."""
+    edges = sorted(tree_edge_ids(packing, 0))
+    half = len(edges) // 2
+    mobile = {}
+    if edges[half:]:
+        mobile = MobileAdversary.sweeping(edges[half:], budget=2, rounds=rounds).mobile
+    return FaultPlan(dead_edges=edges[:half], mobile=mobile)
 
 
 # --------------------------------------------------------------------------- #
@@ -531,19 +543,24 @@ def check_redundant_broadcast(
     Builds a Theorem 2 packing first; if the w.h.p. packing event fails on
     the tiny random host, the check is vacuous (skipped). With no ``plan``
     it draws :func:`random_fault_plan` at ``rate``, its mobile rounds
-    spread over the fault-free run's length.
+    spread over the fault-free run's length. ``plan`` may also be a
+    function of the packing and that run length, such as
+    :func:`one_tree_plan`.
     """
     packing = _packing(graph, parts, seed)
     if packing is None:
         return []
     placement = uniform_random_placement(graph.n, k, seed=seed)
     redundancy = min(max(1, redundancy), packing.size)
-    if plan is None:
+    if plan is None or callable(plan):
         run = redundant_broadcast(
             graph, placement, packing, redundancy=redundancy, seed=seed,
             backend="vectorized",
         ).rounds
-        plan = random_fault_plan(graph, seed=seed + 13, rate=rate, rounds=run)
+        if plan is None:
+            plan = random_fault_plan(graph, seed=seed + 13, rate=rate, rounds=run)
+        else:
+            plan = plan(packing, run)
     return _both(
         "redundant",
         lambda b: redundant_broadcast(
@@ -769,6 +786,11 @@ def check_fault_paths(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
     mobile edges). Each rate runs through :func:`check_faulty_bfs` and
     :func:`check_redundant_broadcast`, the random plans' mobile rounds
     spread over the length of the flood and of the broadcast respectively.
+    Random plans on tiny hosts hit every tree, and the sparse random hosts
+    rarely hold a packing of two trees. So one more broadcast runs
+    :func:`one_tree_plan` over a two- or three-tree packing of a small
+    thick cycle drawn from ``seed``: at rate 0 the untouched trees take the
+    fault-free closed form beside the attacked one.
     """
     root = int(ensure_rng(seed).integers(graph.n))
     flood = run_bfs(graph, root, backend="vectorized").rounds
@@ -784,6 +806,11 @@ def check_fault_paths(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
             rate=plan.drop_rate,
         )
         out.extend(f"fault-paths[{tag}] {m}" for m in mismatches)
+    host = thick_cycle(3 + seed % 4, 6)
+    mismatches = check_redundant_broadcast(
+        host, max(1, k), seed, parts=2 + seed % 2, redundancy=2, plan=one_tree_plan
+    )
+    out.extend(f"fault-paths[one-tree] {m}" for m in mismatches)
     return out
 
 

@@ -241,13 +241,30 @@ def eccentricity(graph: Graph, source: int) -> int:
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component label per node (labels are the component's smallest node)."""
+    """Component label per node (labels are the component's smallest node).
+
+    One pass over the nodes in id order, in O(n + m): isolated nodes are
+    labeled all at once, and every other node not yet labeled starts a
+    frontier sweep that touches only its own component.
+    """
+    indptr, indices = graph._indptr, graph._indices
     label = np.full(graph.n, UNREACHED, dtype=np.int64)
-    for v in range(graph.n):
+    lone = indptr[1:] == indptr[:-1]
+    label[lone] = np.flatnonzero(lone)
+    left = graph.n - int(lone.sum())
+    for v in np.flatnonzero(~lone).tolist():
+        if not left:
+            break
         if label[v] != UNREACHED:
             continue
-        dist = bfs_distances(graph, v)
-        label[dist != UNREACHED] = v
+        label[v] = v
+        frontier = np.array([v], dtype=np.int64)
+        while frontier.size:
+            left -= frontier.size
+            sel, _counts, _offs = expand_csr_rows(indptr, frontier)
+            out = indices[sel]
+            frontier = np.unique(out[label[out] == UNREACHED])
+            label[frontier] = v
     return label
 
 

@@ -61,10 +61,19 @@ def elect_leader(graph: Graph) -> tuple[int, int]:
     return leaders.pop(), result.metrics.rounds
 
 
+#: How many component leaders a disconnected-graph error names.
+_NAMED_LEADERS = 8
+
+
 def disconnected_error(leaders) -> ValidationError:
     """What both leader elections raise on a disconnected graph, which
-    elects one leader per component."""
+    elects one leader per component. A long list is cut to its first
+    :data:`_NAMED_LEADERS` leaders and the component count."""
+    leaders = sorted(set(leaders))
+    named = str(leaders)
+    if len(leaders) > _NAMED_LEADERS:
+        head = ", ".join(map(str, leaders[:_NAMED_LEADERS]))
+        named = f"[{head}, ...] ({len(leaders)} components)"
     return ValidationError(
-        "graph must be connected to elect a leader; component leaders "
-        f"{sorted(set(leaders))}"
+        f"graph must be connected to elect a leader; component leaders {named}"
     )

@@ -102,6 +102,17 @@ class TestDisconnectedHost:
             with pytest.raises(ValidationError, match=r"component leaders \[0, 3\]"):
                 call()
 
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_many_components_named_briefly(self, backend):
+        """8,000 isolated nodes: the message used to list every leader
+        (46,951 characters), and the vectorized side labeled the components
+        with one n-array per component."""
+        with pytest.raises(ValidationError) as err:
+            textbook_broadcast(Graph(8000, []), {}, backend=backend)
+        text = str(err.value)
+        assert len(text) < 200
+        assert "component leaders [0, 1, 2, 3, 4, 5, 6, 7, ...] (8000 components)" in text
+
 
 class TestIntegerInputs:
     """Placement node ids, message counts and redundancy must be integers.

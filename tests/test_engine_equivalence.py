@@ -25,7 +25,9 @@ from repro.core.decomposition import random_partition
 from repro.core.lambda_search import find_packing_unknown_lambda
 from repro.core.tree_packing import build_packing_with_retry, build_tree_packing
 from repro.engine import BACKENDS, validate_backend, verify
+from repro.congest.adversary import FaultPlan
 from repro.engine.fastpath import vectorized_tree_broadcast
+from repro.engine.faults import vectorized_faulty_broadcast
 from repro.engine.verify import (
     EXEMPT,
     ROWS,
@@ -190,22 +192,26 @@ class TestPipelineEquivalence:
             ((np.array([6]), np.array([5])), "6"),
             ((np.array([2.5]), np.array([5])), "2.5"),
             ((np.array([2]), np.array([1.5])), "1.5"),
+            ({0: [3, 3]}, "duplicate message ids"),
+            ((np.array([0, 4]), np.array([3, 3])), "duplicate message ids"),
         ],
     )
     def test_malformed_messages_raise_alike(self, messages, named):
-        """An origin outside [0, n), a fractional origin and a fractional
-        id raise the same ValidationError on both backends. Before, the
-        simulator missed the message or priced a float payload, while the
-        vectorized side wrapped -1 to node 5, crashed on 6, ran 2.5 from
-        node 2 and priced the id 1.5 as 1."""
+        """An origin outside [0, n), a fractional origin, a fractional id
+        and an id placed twice on one channel raise the same
+        ValidationError on both backends and on the faulty engine. Before,
+        the simulator missed the message or priced a float payload, while
+        the vectorized side wrapped -1 to node 5, crashed on 6, ran 2.5 from
+        node 2 and priced the id 1.5 as 1; the faulty engine also merged
+        the duplicate into one message."""
         g = cycle_graph(6)
         tree = run_bfs(g, 0, backend="vectorized")
         texts = []
-        for run in (run_tree_broadcast, vectorized_tree_broadcast):
+        for run in (run_tree_broadcast, vectorized_tree_broadcast, vectorized_faulty_broadcast):
             with pytest.raises(ValidationError) as err:
                 run(g, {0: tree}, {0: messages})
             texts.append(str(err.value))
-        assert texts[0] == texts[1] and named in texts[0]
+        assert texts[0] == texts[1] == texts[2] and named in texts[0]
 
     @pytest.mark.parametrize(
         "messages",
@@ -213,13 +219,39 @@ class TestPipelineEquivalence:
     )
     def test_ids_beyond_int64_priced_as_they_are(self, messages):
         """2⁶³ converts to uint64, not int64: it must be priced as itself,
-        not wrapped to -2⁶³."""
+        not wrapped to -2⁶³. The faulty engine raised OverflowError."""
         g = thick_cycle(4, 3)
         tree = run_bfs(g, 0, backend="vectorized")
         with pytest.raises(BandwidthExceeded):
             run_tree_broadcast(g, {0: tree}, {0: messages})
-        with pytest.raises(BandwidthExceeded, match=r"\(1, 0, 9223372036854775808\)"):
-            vectorized_tree_broadcast(g, {0: tree}, {0: messages})
+        for run in (vectorized_tree_broadcast, vectorized_faulty_broadcast):
+            with pytest.raises(BandwidthExceeded, match=r"\(1, 0, 9223372036854775808\)"):
+                run(g, {0: tree}, {0: messages})
+
+    def test_faulty_engine_keeps_the_bandwidth_budget(self):
+        """Id 2⁴⁰ costs 46 bits against a budget of 32 on six nodes: the
+        faulty simulator raises on the root's first down-send, and so must
+        the faulty engine, which used to run it."""
+        from repro.congest.network import Network
+        from repro.core.resilient import _simulate_cell
+
+        g = cycle_graph(6)
+        tree = run_bfs(g, 0, backend="vectorized")
+        messages = {0: {0: [1 << 40]}}
+        with pytest.raises(BandwidthExceeded):
+            _simulate_cell(
+                Network(g), {0: tree}, messages, np.array([1 << 40]), FaultPlan(), 0, 0
+            )
+        with pytest.raises(BandwidthExceeded, match="46 bits exceeds budget 32"):
+            vectorized_faulty_broadcast(g, {0: tree}, messages)
+
+    def test_faulty_engine_needs_int64_ids(self):
+        """On one node nothing is sent, so no budget applies; the faulty
+        engine indexes receipts by int64 id and says so."""
+        g = Graph(1, [])
+        tree = run_bfs(g, 0, backend="vectorized")
+        with pytest.raises(ValidationError, match="int64"):
+            vectorized_faulty_broadcast(g, {0: tree}, {0: {0: [1 << 70]}})
 
 
 class TestFlatHandOff:
@@ -672,6 +704,98 @@ class TestFaultEngineEquivalence:
                 vec.total_messages,
                 vec.total_bits,
             ), adv
+
+    def test_untouched_channels_take_the_closed_form(self, monkeypatch):
+        """At rate 0 only the trees the plan touches run the span path; the
+        others take Lemma 1's closed form. A spy on the span path sees the
+        touched trees of each cell, and the whole reports, receipts
+        included, equal the simulator's."""
+        from repro.congest.adversary import MobileAdversary
+        from repro.core import FaultCell, evaluate_fault_grid, tree_edge_ids
+        from repro.engine import faults
+
+        g = thick_cycle(10, 6)
+        packing, _ = build_packing_with_retry(g, 3, seed=1, distributed=False)
+        edges = [tree_edge_ids(packing, c) for c in range(3)]
+        placement = uniform_random_placement(g.n, 30, seed=2)
+        run = evaluate_fault_grid(
+            g, placement, packing, [FaultCell(redundancy=2)], seed=4
+        )[0].rounds
+        prefix = sorted(edges[0])[: len(edges[0]) // 2]
+
+        def sweep(c):
+            return MobileAdversary.sweeping(sorted(edges[c]), budget=4, rounds=run)
+
+        cells = [
+            FaultCell(redundancy=2),
+            FaultCell(redundancy=1, dead_edges=prefix),
+            FaultCell(redundancy=2, dead_edges=prefix),
+            FaultCell(redundancy=2, adversary=sweep(1)),
+            FaultCell(redundancy=2, dead_edges=sorted(edges[0]), adversary=sweep(2)),
+        ]
+        seen = []
+        span = faults._span_faulty_broadcast
+
+        def spy(n, chans, *rest):
+            trees = [set(st.up_eid[st.up_eid >= 0].tolist()) for st in chans]
+            seen.append([edges.index(t) for t in trees])
+            return span(n, chans, *rest)
+
+        monkeypatch.setattr(faults, "_span_faulty_broadcast", spy)
+        reports = {
+            b: evaluate_fault_grid(
+                g, placement, packing, cells, seed=4, backend=b, collect_receipts=True
+            )
+            for b in BACKENDS
+        }
+        assert seen == [[], [0], [0], [1], [0, 2]]
+        assert diff(reports["vectorized"], reports["simulator"], "grid") == []
+        assert reports["vectorized"][3].dropped_messages > 0
+
+    def test_child_lists_short_of_the_parents_are_touched(self):
+        """Under faults a dropped child notice leaves a child off its
+        parent's list, and the simulator never sends down that arc. Such a
+        tree cannot take the closed form, which reads ``parent``."""
+        from repro.congest.network import Network
+        from repro.core.resilient import _simulate_cell
+
+        g = cycle_graph(6)
+        full = run_bfs(g, 0, backend="vectorized")
+        children = [list(c) for c in full.children]
+        children[1].remove(2)
+        tree = BFSResult(0, full.parent, full.dist, children, full.rounds)
+        messages = {0: {0: [1], 3: [2]}}
+        vec = vectorized_faulty_broadcast(g, {0: tree}, messages)
+        sim = _simulate_cell(
+            Network(g), {0: tree}, messages, np.array([1, 2]), FaultPlan(), 0, 0
+        )
+        assert diff(vec, sim, "tree") == []
+        assert vec.receipt_counts.tolist() == [4, 4]
+
+    @pytest.mark.parametrize("shape", [(10, 6), (8, 5)])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_null_plan_is_the_lemma1_pipeline(self, shape, parts):
+        """Under ``FaultPlan()`` the faulty engine is the fault-free Lemma 1
+        pipeline: its rounds, messages and bits equal both Lemma 1 entry
+        points', it drops nothing, and every receipt row is full."""
+        g = thick_cycle(*shape)
+        packing, _ = build_packing_with_retry(g, parts, seed=1, distributed=False)
+        trees = {c: _bfs_view(packing, c) for c in range(parts)}
+        rng = np.random.default_rng(parts)
+        k = 3 * g.n
+        origins = rng.integers(g.n, size=k)
+        ids = rng.permutation(k) + 1
+        messages = {c: (origins[ids % parts == c], ids[ids % parts == c]) for c in range(parts)}
+        fault = vectorized_faulty_broadcast(g, trees, messages, plan=FaultPlan())
+        for lemma1 in (vectorized_tree_broadcast, run_tree_broadcast):
+            out = lemma1(g, trees, messages)
+            assert (fault.rounds, fault.total_messages, fault.total_bits) == (
+                out.rounds,
+                out.metrics.total_messages,
+                out.metrics.total_bits,
+            )
+        assert fault.dropped == 0
+        assert fault.receipt_counts.tolist() == [g.n] * k
 
     @pytest.mark.parametrize("rate", [0.0, 0.01])
     def test_one_message_reaches_two_roots_in_one_receipt_byte(self, rate):

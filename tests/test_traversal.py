@@ -120,6 +120,17 @@ class TestAggregates:
         assert labels[2] == labels[3] == 2
         assert labels[4] == 4
 
+    def test_connected_components_matches_bfs_labels(self):
+        """Every label is the smallest node its BFS reaches, on components
+        of every shape: isolated nodes, paths, cliques, a cycle."""
+        edges = [(1, 4), (4, 9), (9, 12)]  # a path, out of id order
+        edges += [(2, 3), (2, 6), (3, 6)]  # a triangle
+        edges += [(v, v + 1) for v in range(13, 19)] + [(19, 13)]  # a cycle
+        g = Graph(21, edges)
+        want = np.array([int(np.flatnonzero(bfs_distances(g, v) >= 0)[0]) for v in range(g.n)])
+        assert np.array_equal(connected_components(g), want)
+        assert np.array_equal(connected_components(cycle_graph(7)), np.zeros(7, dtype=np.int64))
+
     def test_is_connected(self):
         assert is_connected(cycle_graph(5))
         assert not is_connected(Graph(3, [(0, 1)]))
