@@ -29,6 +29,7 @@ backends, ledger equality asserted, no timing assertions.
 from __future__ import annotations
 
 import os
+import resource
 import time
 
 from benchmarks.conftest import run_once, trace_artifact_path, write_bench_artifact
@@ -188,9 +189,12 @@ def run_experiment():
     # so the artifact also records the steady-state time with the packing
     # prebuilt, which is what a long-running system would pay per
     # broadcast.
+    # Each row records the process's peak RSS (ru_maxrss, KiB on Linux).
+    # The rows ascend in size and each row's objects are freed before the
+    # next host is built, so that high-water mark is the row's own peak.
     t4 = Table(
         ["n", "lam", "k", "textbook", "fast", "ratio", "text_s", "fast_s",
-         "pack_s", "steady_s"],
+         "pack_s", "steady_s", "peak_mb"],
         title="E13d — vectorized-only scale-up (k=2n, λ=2·size)",
     )
     series4 = []
@@ -230,10 +234,11 @@ def run_experiment():
         )
         t_steady = time.perf_counter() - t0
         assert steady.phases["pipeline"] == fast.phases["pipeline"]
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         t4.add_row([g.n, lam, k, text.rounds, fast.rounds,
                     round(text.rounds / fast.rounds, 2),
                     round(t_text, 2), round(t_fast, 2),
-                    round(t_pack, 2), round(t_steady, 2)])
+                    round(t_pack, 2), round(t_steady, 2), round(peak_mb)])
         series4.append((g.n, text.rounds, fast.rounds))
         artifact.append({
             "n": g.n, "lam": lam, "k": k,
@@ -244,6 +249,7 @@ def run_experiment():
             "packing_seconds": round(t_pack, 3),
             "fast_steady_seconds": round(t_steady, 3),
             "fast_phases": fast_phases,
+            "peak_rss_mb": round(peak_mb, 1),
         })
         # The inversion gates: the old per-round engine took 16.0 s for
         # fast at n = 10⁵ (and would blow far past these bounds at 10⁶);
@@ -272,6 +278,9 @@ def run_experiment():
                 f"n=1e6 fast took {t_fast:.1f}s, over the 2x-of-old-1e5 "
                 "budget (32s)"
             )
+        # The next host is built with this row's host, packing and
+        # results already freed.
+        del g, pl, text, fast, tracer, packing, steady
     t4.print()
     assert all(t / f >= 2.0 for _, t, f in series4)
     assert series4[-1][0] >= 1_000_000, "scale-up series must reach n >= 1e6"

@@ -9,15 +9,18 @@ Usage::
 Walks both artifacts, collects every numeric leaf whose key ends in
 ``seconds`` (the wall clocks E6/E8/E13/E16/E17 record), and fails (exit 1)
 when the current value exceeds ``threshold ×`` the previous one for any
-pipeline measured in both files. Leaves whose key ends in ``qps``
-(queries/sec — the E18 batched-throughput floor) gate in the opposite
-direction: the build fails when the current throughput drops below
-``old / threshold``. Timings under ``--min-seconds`` in the old
-artifact are skipped — at the sub-50 ms scale a 2× "regression" is scheduler
-noise, not a pipeline change. Metrics present in only one artifact are
-one-sided: sections the previous PR didn't measure are "new", sections this
-PR no longer measures are "retired" — both are notices, never gate failures,
-so the first PR adding (or removing) a bench surface passes the gate.
+pipeline measured in both files. Leaves whose key ends in ``_mb`` (peak
+memory, such as E13d's per-row ``peak_rss_mb``) gate the same way: the
+build fails when the current figure exceeds ``threshold ×`` the previous
+one. Leaves whose key ends in ``qps`` (queries/sec — the E18
+batched-throughput floor) gate in the opposite direction: the build fails
+when the current throughput drops below ``old / threshold``. Timings
+under ``--min-seconds`` in the old artifact are skipped — at the sub-50 ms
+scale a 2× "regression" is scheduler noise, not a pipeline change.
+Metrics present in only one artifact are one-sided: sections the previous
+PR didn't measure are "new", sections this PR no longer measures are
+"retired" — both are notices, never gate failures, so the first PR adding
+(or removing) a bench surface passes the gate.
 
 A missing ``--old`` file exits 0 with a notice: the first PR after the gate
 lands, and any PR whose CI cannot fetch the previous artifact, should not
@@ -76,6 +79,11 @@ def walk_seconds(node, prefix: str = "") -> dict[str, float]:
 def walk_qps(node, prefix: str = "") -> dict[str, float]:
     """Flatten ``{path: value}`` for every numeric leaf keyed ``*qps``."""
     return _walk_suffix(node, "qps", prefix)
+
+
+def walk_mb(node, prefix: str = "") -> dict[str, float]:
+    """Flatten ``{path: value}`` for every numeric leaf keyed ``*_mb``."""
+    return _walk_suffix(node, "_mb", prefix)
 
 
 def walk_phases(node, prefix: str = "") -> dict[str, dict[str, float]]:
@@ -181,22 +189,33 @@ def compare(
         notes.append(f"new: {path} = {new_secs[path]:.3f}s")
     # Throughput floor: *qps leaves gate downward — batching machinery that
     # silently degrades to per-query speed is exactly what this catches.
-    old_qps = walk_qps(old)
-    new_qps = walk_qps(new)
-    for path, before in sorted(old_qps.items()):
-        after = new_qps.get(path)
-        if after is None:
-            notes.append(f"retired: {path} (was {before:.1f} q/s)")
-            continue
+    for path, before, after in _paired(walk_qps(old), walk_qps(new), "q/s", notes):
         if after * threshold < before:
             regressions.append(
                 f"{path}: {before:.1f} q/s -> {after:.1f} q/s "
                 f"({before / max(after, 1e-9):.1f}x slower > "
                 f"{threshold:.1f}x gate)"
             )
-    for path in sorted(set(new_qps) - set(old_qps)):
-        notes.append(f"new: {path} = {new_qps[path]:.1f} q/s")
+    # Peak memory: *_mb leaves gate upward, like the wall clocks.
+    for path, before, after in _paired(walk_mb(old), walk_mb(new), "MB", notes):
+        if after > threshold * max(before, 1e-9):
+            regressions.append(
+                f"{path}: {before:.1f} MB -> {after:.1f} MB "
+                f"({after / max(before, 1e-9):.1f}x > {threshold:.1f}x gate)"
+            )
     return regressions, notes
+
+
+def _paired(old: dict[str, float], new: dict[str, float], unit: str, notes: list[str]):
+    """Yield ``(path, before, after)`` for each leaf in both artifacts; a
+    leaf in only one becomes a "retired" or "new" note."""
+    for path, before in sorted(old.items()):
+        if path in new:
+            yield path, before, new[path]
+        else:
+            notes.append(f"retired: {path} (was {before:.1f} {unit})")
+    for path in sorted(set(new) - set(old)):
+        notes.append(f"new: {path} = {new[path]:.1f} {unit}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,14 +251,15 @@ def main(argv: list[str] | None = None) -> int:
     for note in notes:
         print(f"  note  {note}")
     if regressions:
-        print(f"compare_bench: {len(regressions)} wall-clock regression(s):")
+        print(f"compare_bench: {len(regressions)} regression(s):")
         for reg in regressions:
             print(f"  FAIL  {reg}")
         return 1
     print(
-        f"compare_bench: ok — {len(walk_seconds(new))} timings and "
-        f"{len(walk_qps(new))} throughputs, none beyond "
-        f"{args.threshold:.1f}x of the previous artifact"
+        f"compare_bench: ok — {len(walk_seconds(new))} timings, "
+        f"{len(walk_qps(new))} throughputs and {len(walk_mb(new))} peak "
+        f"memory figures, none beyond {args.threshold:.1f}x of the previous "
+        "artifact"
     )
     return 0
 

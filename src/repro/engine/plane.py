@@ -102,13 +102,13 @@ def masked_union_bfs(graph, masks, roots) -> list:
     """BFS every ``(edge_mask, root)`` channel in one disjoint-union sweep.
 
     ``masks`` must be pairwise disjoint, as the channels of a Theorem 2
-    decomposition are: their CSRs come from the fused one-gather build in
-    :meth:`~repro.graphs.graph.Graph.disjoint_masked_csrs`. Channel ``c``'s
-    subgraph is laid out on nodes ``[c·n, (c+1)·n)`` of one big CSR, the
-    blocks never touch, and a single :func:`frontier_sweep` advances every
-    channel on a shared layer clock — one layer loop in total instead of
-    one per channel. Within a block the parent offsets cancel, so each
-    channel's slice equals its solo sweep.
+    decomposition are. :meth:`~repro.graphs.graph.Graph.disjoint_masked_csrs`
+    builds their union CSR, with channel ``c``'s subgraph on nodes
+    ``[c·n, (c+1)·n)``, and checks the disjointness. The blocks never
+    touch, so a single :func:`frontier_sweep` advances every channel on a
+    shared layer clock — one layer loop in total instead of one per
+    channel. Within a block the parent offsets cancel, so each channel's
+    slice equals its solo sweep.
 
     Returns one :class:`~repro.primitives.bfs.BFSResult` per mask,
     bit-identical to ``run_bfs(graph, root, edge_mask=mask,
@@ -124,27 +124,17 @@ def masked_union_bfs(graph, masks, roots) -> list:
     roots_local = integer_ids(list(roots), "masked_union_bfs roots")
     if c and (int(roots_local.min()) < 0 or int(roots_local.max()) >= n):
         raise ValidationError("masked_union_bfs: root out of range")
-    csrs = graph.disjoint_masked_csrs(list(masks))
-    total = sum(int(ind.size) for _iptr, ind in csrs)
-    big_indptr = np.zeros(c * n + 1, dtype=np.int64)
-    big_indices = np.empty(total, dtype=np.int64)
-    pos = 0
-    for ci, (iptr, ind) in enumerate(csrs):
-        big_indptr[ci * n + 1 : (ci + 1) * n + 1] = iptr[1:] + pos
-        # Shift neighbor ids into the channel's block in place: at n = 10⁶
-        # per-channel temporaries were hundreds of MB of throwaway arrays.
-        np.add(ind, ci * n, out=big_indices[pos : pos + ind.size])
-        pos += int(ind.size)
+    indptr, indices = graph.disjoint_masked_csrs(list(masks))
     roots_arr = roots_local + np.arange(c, dtype=np.int64) * n
-    parent, dist = frontier_sweep(c * n, big_indptr, big_indices, roots_arr)
+    parent, dist = frontier_sweep(c * n, indptr, indices, roots_arr)
     results = []
-    for ci, (iptr, _ind) in enumerate(csrs):
+    for ci in range(c):
         off = ci * n
         pb = parent[off : off + n]
         pc = np.where(pb >= 0, pb - off, pb)
         dc = dist[off : off + n]
         rt = int(roots_local[ci])
-        rnd = int(dc.max()) + 1 if int(iptr[rt + 1]) > int(iptr[rt]) else 0
+        rnd = int(dc.max()) + 1 if indptr[off + rt + 1] > indptr[off + rt] else 0
         results.append(
             BFSResult(root=rt, parent=pc, dist=dc, children=None, rounds=rnd)
         )

@@ -224,21 +224,24 @@ def thick_cycle(groups: int, group_size: int) -> Graph:
     if group_size < 1:
         raise ValidationError("group_size must be >= 1")
     n = groups * group_size
-    # One vectorized sweep builds all groups·size² inter-group pairs; the
-    # canonical (min, max) + lexsort reproduces the edge order (and hence the
-    # edge ids) of the original sorted(set(...)) Python loop exactly.
-    gidx = np.arange(groups, dtype=np.int64)
-    a, b = np.meshgrid(
-        np.arange(group_size, dtype=np.int64),
-        np.arange(group_size, dtype=np.int64),
-        indexing="ij",
-    )
-    raw_u = (gidx[:, None, None] * group_size + a[None]).ravel()
-    raw_v = (((gidx + 1) % groups)[:, None, None] * group_size + b[None]).ravel()
-    u = np.minimum(raw_u, raw_v)
-    v = np.maximum(raw_u, raw_v)
-    order = np.lexsort((v, u))
-    return Graph(n, np.stack([u[order], v[order]], axis=1))
+    s = group_size
+    # The groups·s² edges are written straight into one array, already in
+    # sorted (u, v) order — the edge ids of the original sorted(set(...))
+    # Python loop — so no temporary outlives this function's set-up. Each
+    # node of group 0 joins all of group 1 and then all of group G−1 (the
+    # ring closes there); each node of group g in 1..G−2 joins all of group
+    # g+1; group G−1 has no larger neighbor.
+    node = np.arange(s, dtype=np.int64)
+    edges = np.empty((groups * s * s, 2), dtype=np.int64)
+    first = edges[: 2 * s * s].reshape(s, 2, s, 2)
+    first[..., 0] = node[:, None, None]
+    first[:, 0, :, 1] = s + node
+    first[:, 1, :, 1] = (groups - 1) * s + node
+    rest = edges[2 * s * s :].reshape(groups - 2, s, s, 2)
+    g = np.arange(1, groups - 1, dtype=np.int64)[:, None, None]
+    rest[..., 0] = g * s + node[None, :, None]
+    rest[..., 1] = (g + 1) * s + node[None, None, :]
+    return Graph(n, edges)
 
 
 def barbell(clique_size: int, bridge_len: int = 1) -> Graph:

@@ -17,6 +17,12 @@ Design points:
   exactly the object Theorem 2's color classes are.
 * **Weights** are optional (`None` for unweighted); weighted graphs are used
   by the spanner/sparsifier applications.
+* **One sort** builds the CSR: a single argsort of the 2m directed-arc keys
+  ``u·n + v`` gives the neighbor order, the edge ids and the parallel-edge
+  check, and the sorted keys are kept for edge lookups. An int64 graph
+  holds 64 bytes per edge: ``edge_u`` and ``edge_v`` (8 each), and the
+  2m-long ``_indices``, ``_adj_edge_id`` and sorted arc keys (16 each).
+  Construction peaks at about that much beyond its input.
 """
 
 from __future__ import annotations
@@ -47,6 +53,16 @@ class Graph:
         graphs — footnote 1 of Lemma 5 breaks for multigraphs).
     weights:
         Optional per-edge positive weights, aligned with ``edges``.
+
+    The constructor validates in a fixed order and reports the first fault
+    it meets: node count, edge shape, endpoint range, self-loops, parallel
+    edges, then the weights' shape and sign. It sorts once: arc ``i < m``
+    runs ``u_i → v_i`` and arc ``m + i`` runs back, and one argsort of
+    their keys ``row·n + col`` yields the CSR. The sorted keys are stored
+    (``key mod n`` is ``_indices``), the sort order folded mod ``m`` is
+    ``_adj_edge_id``, and ``_indptr`` comes from endpoint counts. No
+    temporary outlives its last use, so the peak stays near the 64 bytes
+    per edge the graph keeps.
     """
 
     __slots__ = (
@@ -73,6 +89,7 @@ class Graph:
     ):
         if n < 1:
             raise ValidationError(f"graph needs at least one node, got n={n}")
+        n = int(n)
         if isinstance(edges, np.ndarray):
             edge_arr = edges.astype(np.int64, copy=False)
         else:
@@ -83,17 +100,29 @@ class Graph:
             raise ValidationError("edges must be (u, v) pairs")
         u = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
         v = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-        if edge_arr.size and (u.min() < 0 or v.max() >= n):
+        del edge_arr  # an int64 copy of a converted input dies here
+        m = len(u)
+        if m and (u.min() < 0 or v.max() >= n):
             raise ValidationError("edge endpoint out of range")
         if np.any(u == v):
             raise ValidationError("self-loops are not allowed in a simple graph")
-        key = u * n + v
-        key_sorted = np.sort(key)
-        if np.any(key_sorted[1:] == key_sorted[:-1]):
+        # Arc keys row·n + col are unique exactly when the graph is simple,
+        # so the one argsort orders every CSR block by neighbor id (the
+        # CONGEST layer's port numbering), and adjacent equal sorted keys
+        # are the parallel-edge check.
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(u, n, out=keys[:m])
+        keys[:m] += v
+        np.multiply(v, n, out=keys[m:])
+        keys[m:] += u
+        order = np.argsort(keys)
+        arc_keys = keys[order]
+        del keys
+        if np.any(arc_keys[1:] == arc_keys[:-1]):
             raise ValidationError("parallel edges are not allowed in a simple graph")
 
-        self.n = int(n)
-        self.m = int(len(u))
+        self.n = n
+        self.m = m
         self.edge_u = u
         self.edge_v = v
 
@@ -109,22 +138,17 @@ class Graph:
         else:
             self.weights = None
 
-        # Build CSR adjacency, fully vectorized: one lexsort of the 2m
-        # directed arcs yields per-node blocks already sorted by neighbor id
-        # (deterministic port numbering for the CONGEST layer).
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-        # Arc keys row·n + col are unique (simple graph), so one flat argsort
-        # equals the (rows, cols) lexsort at roughly half the cost.
-        order = np.argsort(rows * np.int64(n) + cols)
-        self._indices = cols[order]
-        self._adj_edge_id = eids[order]
-        deg = np.bincount(rows, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        # Folded in place, the sort order becomes _adj_edge_id.
+        if m:
+            np.remainder(order, m, out=order)
+        self._adj_edge_id = order
+        self._indices = arc_keys % n
+        self._arc_keys = arc_keys
+        deg = np.bincount(u, minlength=n)
+        deg += np.bincount(v, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         self._indptr = indptr
-        self._arc_keys = None  # lazy: sorted (u·n + v) keys of directed arcs
         self._arc_sources = None  # lazy: source node of each directed arc
         self._arc_twins = None  # lazy: index of each arc's reverse arc
         self._masked_csr_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
@@ -194,9 +218,10 @@ class Graph:
         return self._arc_sources
 
     def _sorted_arc_keys(self) -> np.ndarray:
-        """Memoized ``u·n + v`` key of each directed arc (sorted: CSR order)."""
-        if self._arc_keys is None:
-            self._arc_keys = self.arc_sources() * self.n + self._indices
+        """The ``u·n + v`` key of each directed arc, sorted: CSR order.
+
+        These are the keys the constructor sorted, kept as they came out.
+        """
         return self._arc_keys
 
     def arc_twins(self) -> np.ndarray:
@@ -217,9 +242,9 @@ class Graph:
     def edge_ids_for_pairs(self, us, vs) -> np.ndarray:
         """Vectorized :meth:`edge_id` over aligned endpoint arrays.
 
-        The CSR layout is one lexsort of the 2m directed arcs, so the keys
-        ``u·n + v`` are already sorted and every lookup is one searchsorted
-        over them. Raises ``KeyError`` if any pair is not an edge.
+        The constructor kept the sorted arc keys ``u·n + v``, so every
+        lookup is one searchsorted over them. Raises ``KeyError`` if any
+        pair is not an edge.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -253,7 +278,7 @@ class Graph:
         sweep over it. Keys are bit-packed (m/8 bytes) and the cache holds
         the most recent ``_MASKED_CSR_CACHE_LIMIT`` masks, so one-shot masks
         cannot pin memory forever. ``masked_csr_hits`` counts cache hits.
-        The fused multi-mask builder :meth:`disjoint_masked_csrs` does not
+        The disjoint-union builder :meth:`disjoint_masked_csrs` does not
         memoize. ``edge_mask=None`` returns the full adjacency (never
         copied).
         """
@@ -305,32 +330,69 @@ class Graph:
             np.cumsum(counts, out=indptr[1:])
         return indptr, indices
 
-    def disjoint_masked_csrs(
-        self, edge_masks: list[np.ndarray]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Fresh CSRs for pairwise-disjoint masks, one arc pass total.
+    def mask_labels(self, edge_masks: list[np.ndarray]) -> np.ndarray:
+        """Each edge's class among pairwise-disjoint masks: ``c + 1`` for
+        an edge of ``edge_masks[c]``, 0 for an edge in none.
 
-        Building C channel CSRs one at a time costs C full gathers of the
-        2m-long ``mask[arc_edge_id]`` array; for the disjoint masks of a
-        decomposition one shared label gather serves every build. Each
-        array equals what :meth:`masked_csr` returns for that mask, but
-        nothing is memoized: the caller, parallel BFS over one packing
-        attempt's colour classes, sweeps each decomposition once, so a
-        cached entry would only hold memory. Each CSR built counts one
-        ``graph.masked_csr_misses``. Raises if the masks overlap (the label
-        scatter cannot represent an overlap, so the Theorem 2 invariant is
-        checked rather than assumed).
+        One pass of small-int arithmetic per mask adds its label where the
+        mask holds, and the same pass counts the mask's edges. An edge in
+        two masks is counted twice there but once among the nonzero labels
+        (a sum of positive labels that wraps to 0 only lowers that count),
+        so one comparison raises ``ValidationError`` on any overlap: the
+        Theorem 2 invariant is checked rather than assumed. The dtype is
+        the smallest unsigned one that holds the class count.
         """
         masks = [self._checked_mask(edge_mask) for edge_mask in edge_masks]
-        label = np.full(self.m, -1, dtype=np.int32)
+        dtype = np.min_scalar_type(len(masks))
+        label = np.zeros(self.m, dtype=dtype)
         total = 0
-        for j, mask in enumerate(masks):
-            label[mask] = j
-            total += int(mask.sum())
-        if int((label >= 0).sum()) != total:
+        for c, mask in enumerate(masks, start=1):
+            label += mask * dtype.type(c)
+            total += np.count_nonzero(mask)
+        if np.count_nonzero(label) != total:
             raise ValidationError("edge masks must be pairwise disjoint")
+        return label
+
+    def disjoint_masked_csrs(
+        self, edge_masks: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the disjoint union of masked copies.
+
+        Class ``c`` (the edges of ``edge_masks[c]``, which must be pairwise
+        disjoint) takes nodes ``[c·n, (c+1)·n)``, so block ``c`` equals
+        :meth:`masked_csr` of that mask with every index shifted by
+        ``c·n``. The union is built straight into its own arrays: the
+        labels of :meth:`mask_labels` (which raises on an overlap), one
+        gather of them onto the arcs, then per class one ``flatnonzero``
+        of its arcs, one ``searchsorted`` of those positions into the host
+        ``indptr`` (the block's row boundaries) and one shifted ``take`` of
+        their neighbors. Nothing is memoized: the caller, the parallel BFS
+        of one packing attempt's colour classes, sweeps each decomposition
+        once, so a cached entry would only hold memory. Each class block
+        counts one ``graph.masked_csr_misses``.
+        """
+        edge_masks = list(edge_masks)
+        n = self.n
+        label = self.mask_labels(edge_masks)
         arc_label = label[self._adj_edge_id]
-        return [self._compress_arcs(arc_label == j) for j in range(len(masks))]
+        indptr = np.zeros(len(edge_masks) * n + 1, dtype=np.int64)
+        indices = np.empty(2 * np.count_nonzero(label), dtype=np.int64)
+        pos = 0
+        for c in range(len(edge_masks)):
+            obs.count("graph.masked_csr_misses")
+            arcs = np.flatnonzero(arc_label == c + 1)
+            block = indices[pos : pos + arcs.size]
+            np.add(
+                np.searchsorted(arcs, self._indptr[1:]),
+                pos,
+                out=indptr[c * n + 1 : (c + 1) * n + 1],
+            )
+            # mode="clip": the positions are in range, and the default
+            # mode would stage the output in a temporary copy.
+            np.take(self._indices, arcs, out=block, mode="clip")
+            block += c * n
+            pos += arcs.size
+        return indptr, indices
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u < v``."""
@@ -444,6 +506,9 @@ class Graph:
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             return False
+        if (self.weights is None) != (other.weights is None):
+            return False
+        a = b = slice(None)
         if not (
             np.array_equal(self.edge_u, other.edge_u)
             and np.array_equal(self.edge_v, other.edge_v)
@@ -456,9 +521,10 @@ class Graph:
                 and np.array_equal(self.edge_v[a], other.edge_v[b])
             ):
                 return False
-        if (self.weights is None) != (other.weights is None):
-            return False
-        return True
+        # Weights compare edge by edge in that same canonical order.
+        return self.weights is None or np.array_equal(
+            self.weights[a], other.weights[b], equal_nan=True
+        )
 
     def __hash__(self):
         return hash((self.n, self.m))

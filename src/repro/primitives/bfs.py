@@ -350,18 +350,18 @@ def run_parallel_bfs(
 
     validate_backend(backend)
     masks = [np.asarray(m, dtype=bool) for m in edge_masks]
-    # Any over an empty stack is False: an edgeless host (m = 0) passes.
-    if masks and (np.stack(masks).sum(axis=0) > 1).any():
-        raise ValidationError("edge masks must be pairwise disjoint")
     roots = [0] * len(masks) if roots is None else list(roots)
     if len(roots) != len(masks):
         raise ValidationError("need one root per channel")
     root_list = check_roots(graph, roots)
+    # Each backend checks disjointness once: the union-CSR build labels
+    # the edges anyway, and the simulator asks for the same labels.
     if backend == "vectorized":
         from repro.engine.plane import masked_union_bfs
 
         results = masked_union_bfs(graph, masks, root_list)
     else:
+        graph.mask_labels(masks)
         results, _sim = simulate_floods(graph, root_list, masks)
     rounds = max((r.rounds for r in results), default=0)
     for r in results:

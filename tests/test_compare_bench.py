@@ -18,6 +18,7 @@ from compare_bench import (  # noqa: E402
     attribute,
     compare,
     main,
+    walk_mb,
     walk_phases,
     walk_qps,
     walk_seconds,
@@ -135,6 +136,50 @@ class TestThroughputFloor:
         old.write_text(json.dumps({"grid_qps": 100.0}))
         new = tmp_path / "new.json"
         new.write_text(json.dumps({"grid_qps": 10.0}))
+        assert main(["--old", str(old), "--new", str(new)]) == 1
+
+
+class TestPeakMemoryGate:
+    """*_mb leaves (E13d's per-row peak RSS) gate upward, like wall clocks."""
+
+    OLD = {"e13d": [{"n": 1000, "peak_rss_mb": 100.0, "fast_seconds": 1.0}]}
+
+    @staticmethod
+    def _with_peak(mb):
+        return {"e13d": [{"n": 1000, "peak_rss_mb": mb, "fast_seconds": 1.0}]}
+
+    def test_walk_mb_flattens_with_identity_labels(self):
+        assert walk_mb(self.OLD) == {"e13d[n=1000].peak_rss_mb": 100.0}
+        assert walk_seconds(self.OLD) == {"e13d[n=1000].fast_seconds": 1.0}
+
+    def test_memory_regression_fails(self):
+        regressions, _ = compare(
+            self.OLD, self._with_peak(250.0), threshold=2.0, min_seconds=0.05
+        )
+        assert len(regressions) == 1
+        assert "peak_rss_mb: 100.0 MB -> 250.0 MB" in regressions[0]
+
+    def test_memory_within_threshold_or_gain_passes(self):
+        for mb in (190.0, 40.0):
+            regressions, _ = compare(
+                self.OLD, self._with_peak(mb), threshold=2.0, min_seconds=0.05
+            )
+            assert regressions == []
+
+    def test_new_memory_leaf_is_a_notice(self):
+        old = {"e13d": [{"n": 1000, "fast_seconds": 1.0}]}
+        regressions, notes = compare(old, self.OLD, threshold=2.0, min_seconds=0.05)
+        assert regressions == []
+        assert "new: e13d[n=1000].peak_rss_mb = 100.0 MB" in notes
+        regressions, notes = compare(self.OLD, old, threshold=2.0, min_seconds=0.05)
+        assert regressions == []
+        assert any(n.startswith("retired: e13d[n=1000].peak_rss_mb") for n in notes)
+
+    def test_memory_gate_exit_code(self, tmp_path):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"peak_rss_mb": 100.0}))
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps({"peak_rss_mb": 300.0}))
         assert main(["--old", str(old), "--new", str(new)]) == 1
 
 

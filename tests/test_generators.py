@@ -115,6 +115,22 @@ class TestStructuredFamilies:
         assert edge_connectivity(g) == 6
         assert diameter(g) == 5
 
+    @pytest.mark.parametrize("groups, size", [(3, 1), (3, 4), (4, 2), (7, 3)])
+    def test_thick_cycle_edge_order(self, groups, size):
+        # Edge ids are the rank of (u, v) among the sorted edge set, as in
+        # the original sorted(set(...)) loop.
+        pairs = set()
+        for grp in range(groups):
+            nxt = (grp + 1) % groups
+            for a in range(size):
+                for b in range(size):
+                    u, v = grp * size + a, nxt * size + b
+                    pairs.add((min(u, v), max(u, v)))
+        want = np.array(sorted(pairs), dtype=np.int64)
+        g = thick_cycle(groups, size)
+        assert np.array_equal(g.edge_u, want[:, 0])
+        assert np.array_equal(g.edge_v, want[:, 1])
+
     def test_barbell_lambda_one(self):
         g = barbell(6, bridge_len=4)
         assert edge_connectivity(g) == 1

@@ -1,9 +1,14 @@
 """Unit tests for the Graph container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.graphs import Graph, complete_graph
+from repro.core.decomposition import random_partition
+from repro.engine.verify import random_connected_graph
+from repro.graphs import Graph, complete_graph, thick_cycle
+from repro.primitives.bfs import run_parallel_bfs
 from repro.util.errors import ValidationError
 
 
@@ -46,6 +51,160 @@ class TestConstruction:
             Graph(3, [(0, 1)], weights=[0.0])
         with pytest.raises(ValidationError):
             Graph(3, [(0, 1)], weights=[1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "n, edges, weights, message",
+        [
+            (0, [(0, 1, 2)], None, "at least one node"),
+            (3, [(0, 1, 2), (3, 3, 3)], None, r"\(u, v\) pairs"),
+            (3, [(1, 1), (0, 3)], None, "out of range"),
+            (3, [(0, 1), (1, 0), (2, 2)], None, "self-loops"),
+            (3, [(0, 1), (1, 0)], [1.0, -1.0], "parallel edges"),
+            (3, [(0, 1), (1, 0)], [1.0], "parallel edges"),
+            (3, [(0, 1), (1, 2)], [0.0, 0.0, 0.0], "weights shape"),
+        ],
+    )
+    def test_first_fault_reported(self, n, edges, weights, message):
+        # Each input has two faults; the earlier check in the constructor
+        # names its own.
+        with pytest.raises(ValidationError, match=message):
+            Graph(n, edges, weights=weights)
+
+
+def _reference_csr(g: Graph) -> dict[str, np.ndarray]:
+    """The CSR built from the concatenated arcs with an argsort of
+    ``rows·n + cols``, and the views derived from it."""
+    m, n = g.m, g.n
+    rows = np.concatenate([g.edge_u, g.edge_v])
+    cols = np.concatenate([g.edge_v, g.edge_u])
+    eids = np.concatenate([np.arange(m), np.arange(m)])
+    order = np.argsort(rows * np.int64(n) + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[order]
+    sources = rows[order]
+    keys = sources * n + indices
+    return {
+        "_indptr": indptr,
+        "_indices": indices,
+        "_adj_edge_id": eids[order],
+        "_sorted_arc_keys": keys,
+        "arc_sources": sources,
+        "arc_twins": np.searchsorted(keys, indices * n + sources),
+    }
+
+
+_CSR_HOSTS = {
+    **{
+        f"random{s}": (lambda s=s: random_connected_graph(6 + 5 * s, 3 * s, seed=s))
+        for s in range(5)
+    },
+    "thick_cycle(5, 3)": lambda: thick_cycle(5, 3),
+    "single node": lambda: Graph(1, []),
+    "edgeless": lambda: Graph(5, []),
+    "isolated last node": lambda: Graph(6, [(0, 2), (1, 2), (2, 4), (3, 4)]),
+    "reversed, unsorted": lambda: Graph(6, [(5, 0), (3, 1), (4, 2), (1, 0), (5, 4), (2, 1)]),
+    "int32 array": lambda: Graph(
+        6, np.array([(5, 0), (3, 1), (4, 2), (1, 0), (5, 4)], dtype=np.int32)
+    ),
+}
+
+
+class TestOneSortCSR:
+    """The constructor's one argsort builds the same CSR, views and
+    dtypes as the concatenated-arc build it replaced."""
+
+    @pytest.mark.parametrize("host", sorted(_CSR_HOSTS))
+    def test_csr_equals_reference(self, host):
+        g = _CSR_HOSTS[host]()
+        for name, want in _reference_csr(g).items():
+            got = getattr(g, name)
+            got = got() if callable(got) else got
+            assert got.dtype == want.dtype == np.int64, name
+            assert np.array_equal(got, want), name
+        assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+
+
+class TestDisjointUnionCSR:
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4])
+    def test_blocks_equal_shifted_masked_csrs(self, classes):
+        g = thick_cycle(6, 4)
+        colors = np.random.default_rng(classes).integers(classes + 1, size=g.m)
+        # Colour `classes` is left uncovered, and the last class is empty.
+        masks = [colors == c for c in range(classes - 1)]
+        masks.append(np.zeros(g.m, dtype=bool))
+        indptr, indices = g.disjoint_masked_csrs(masks)
+        n = g.n
+        assert indptr.shape == (classes * n + 1,)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indices.size == indptr[-1]
+        for c, mask in enumerate(masks):
+            want_ptr, want_idx = g.masked_csr(mask)
+            block = indptr[c * n : (c + 1) * n + 1]
+            assert np.array_equal(block - block[0], want_ptr)
+            assert np.array_equal(indices[block[0] : block[-1]] - c * n, want_idx)
+
+    def test_wide_labels(self):
+        # 300 classes need a label wider than one byte.
+        g = thick_cycle(10, 6)
+        masks = [np.arange(g.m) % 300 == c for c in range(300)]
+        indptr, indices = g.disjoint_masked_csrs(masks)
+        assert g.mask_labels(masks).dtype == np.uint16
+        for c in (0, 1, 255, 299):
+            want_ptr, want_idx = g.masked_csr(masks[c])
+            block = indptr[c * g.n : (c + 1) * g.n + 1]
+            assert np.array_equal(block - block[0], want_ptr)
+            assert np.array_equal(indices[block[0] : block[-1]] - c * g.n, want_idx)
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_overlap_raises(self, backend):
+        g = thick_cycle(4, 2)
+        a = np.arange(g.m) % 2 == 0
+        b = a.copy()
+        b[1] = True
+        b[0] = False
+        with pytest.raises(ValidationError, match="edge masks must be pairwise disjoint"):
+            run_parallel_bfs(g, [a, ~a, b], roots=[0, 0, 0], backend=backend)
+        # 255 + 1 wraps a one-byte label to 0; the count still sees it.
+        masks = [np.zeros(g.m, dtype=bool) for _ in range(255)]
+        masks[0][3] = masks[254][3] = True
+        with pytest.raises(ValidationError, match="edge masks must be pairwise disjoint"):
+            run_parallel_bfs(g, masks, backend=backend)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn`` allocates at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudgets:
+    """Peak construction memory on ``thick_cycle(250, 40)`` (m = 4·10⁵),
+    in bytes per edge. ``tracemalloc`` sees numpy's allocations, so the
+    figures repeat exactly. What stays resident is 64 B/edge: ``edge_u``,
+    ``edge_v``, ``_indices``, ``_adj_edge_id`` and the sorted arc keys."""
+
+    @pytest.fixture(scope="class")
+    def host(self):
+        return thick_cycle(250, 40)
+
+    def test_graph_constructor(self, host):
+        edges = np.stack([host.edge_u, host.edge_v], axis=1)
+        assert _traced_peak(lambda: Graph(host.n, edges)) <= 72 * host.m
+
+    def test_thick_cycle(self, host):
+        assert _traced_peak(lambda: thick_cycle(250, 40)) <= 96 * host.m
+
+    def test_parallel_bfs_union(self, host):
+        masks = random_partition(host, 3, seed=1).masks()
+        peak = _traced_peak(lambda: run_parallel_bfs(host, masks, backend="vectorized"))
+        assert peak <= 40 * host.m
 
 
 class TestQueries:
@@ -144,6 +303,15 @@ class TestInterop:
         g1 = Graph(3, [(0, 1), (1, 2)])
         g2 = Graph(3, [(1, 2), (0, 1)])
         assert g1 == g2
+
+    def test_equality_compares_weights(self):
+        g = Graph(3, [(0, 1), (1, 2)], weights=[1.0, 5.0])
+        assert g != Graph(3, [(0, 1), (1, 2)], weights=[2.0, 7.0])
+        assert g != Graph(3, [(0, 1), (1, 2)], weights=[5.0, 1.0])
+        assert g != Graph(3, [(0, 1), (1, 2)])
+        # Weights follow their edges when the edge order differs.
+        assert g == Graph(3, [(1, 2), (0, 1)], weights=[5.0, 1.0])
+        assert g != Graph(3, [(1, 2), (0, 1)], weights=[1.0, 5.0])
 
     def test_inequality(self):
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
