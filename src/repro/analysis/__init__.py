@@ -34,7 +34,12 @@ from repro.analysis.model import RULES, Finding, LintReport
 from repro.analysis.obs_rules import check_obs_discipline
 from repro.analysis.parity_rules import check_backend_parity
 from repro.analysis.rng_rules import check_rng_discipline
-from repro.analysis.walker import ModuleInfo, iter_python_files, parse_module
+from repro.analysis.walker import (
+    ModuleInfo,
+    close_program_classes,
+    iter_python_files,
+    parse_module,
+)
 
 __all__ = [
     "RULES",
@@ -86,6 +91,7 @@ def run_lint(
             continue
         modules.append(parsed)
     report.files_scanned = len(modules)
+    close_program_classes(modules)
 
     for info in modules:
         report.findings.extend(check_congest_legality(info))

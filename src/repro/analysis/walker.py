@@ -14,7 +14,8 @@ tree plus the derived facts every checker needs:
   tell a constant lookup from a read of driver state;
 * the :class:`~repro.congest.program.NodeProgram` subclasses defined in the
   module (matched syntactically by base-class name, so the checkers never
-  import the code under analysis).
+  import the code under analysis); :func:`close_program_classes` adds the
+  classes derived from a program of any scanned module.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from repro.analysis.model import RULES, Finding
 
-__all__ = ["ModuleInfo", "parse_module", "iter_python_files"]
+__all__ = ["ModuleInfo", "close_program_classes", "parse_module", "iter_python_files"]
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable(?P<file>-file)?\s*=\s*(?P<rules>[\w,\- ]+)")
 
@@ -134,7 +135,11 @@ def _collect_module_bindings(info: ModuleInfo) -> None:
                     bindings.setdefault(sub.id, kind)
 
 
-def _collect_program_classes(info: ModuleInfo) -> None:
+def _collect_program_classes(
+    info: ModuleInfo, bases: set[str] | frozenset[str] = PROGRAM_BASES
+) -> None:
+    """The module's classes with a base named in ``bases``."""
+    info.program_classes = []
     for node in ast.walk(info.tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -142,9 +147,22 @@ def _collect_program_classes(info: ModuleInfo) -> None:
             name = base.attr if isinstance(base, ast.Attribute) else (
                 base.id if isinstance(base, ast.Name) else ""
             )
-            if name in PROGRAM_BASES:
+            if name in bases:
                 info.program_classes.append(node)
                 break
+
+
+def close_program_classes(modules: list[ModuleInfo]) -> None:
+    """Extend every module's ``program_classes`` to programs derived from a
+    program of any module, at any depth (still matched by class name)."""
+    bases = set(PROGRAM_BASES)
+    while True:
+        found = bases | {c.name for info in modules for c in info.program_classes}
+        if found == bases:
+            return
+        bases = found
+        for info in modules:
+            _collect_program_classes(info, bases)
 
 
 def parse_module(path: Path, display_path: str | None = None) -> ModuleInfo | Finding:

@@ -8,9 +8,11 @@ trees makes it survive the total loss of any ``r − 1`` color classes, at an
 r× pipeline cost — rounds ≈ 2·depth + 2·r·k/λ'.
 
 :func:`redundant_broadcast` runs exactly that on the (optionally faulty)
-simulator and reports per-message delivery coverage, so experiments can
-show the full redundancy/resilience trade-off: r = 1 loses precisely the
-sabotaged tree's messages; r = 2 delivers everything through a dead class.
+simulator, with the one Lemma 1 node program
+(:class:`~repro.primitives.pipeline.PipelinedBroadcastProgram`), and
+reports per-message delivery coverage, so experiments can show the full
+redundancy/resilience trade-off: r = 1 loses precisely the sabotaged
+tree's messages; r = 2 delivers everything through a dead class.
 
 Scenarios come from :mod:`repro.congest.adversary` (static saboteur,
 sweeping mobile adversary, i.i.d. loss, targeted-cut attacker), and
@@ -22,9 +24,9 @@ numpy engine (:mod:`repro.engine.faults`) — bit-identical
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -34,7 +36,6 @@ from repro import obs
 from repro.congest.adversary import AdversarySchedule, FaultPlan
 from repro.congest.faults import FaultySimulator
 from repro.congest.network import Network
-from repro.congest.program import Context, NodeProgram
 from repro.core.broadcast import _bfs_view, _number_messages_batch, _placement_ids
 from repro.core.tree_packing import TreePacking
 from repro.engine.faults import (
@@ -44,8 +45,8 @@ from repro.engine.faults import (
 )
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
-from repro.primitives.pipeline import ChannelSpec
-from repro.util.errors import ProtocolError, ValidationError
+from repro.primitives.pipeline import checked_messages, simulate_pipelines
+from repro.util.errors import ValidationError
 
 __all__ = [
     "DeliveryReport",
@@ -58,9 +59,6 @@ __all__ = [
     "tree_edge_ids",
 ]
 
-_UP = 0
-_DOWN = 1
-
 
 def tree_edge_ids(packing: TreePacking, index: int) -> set[int]:
     """Edge ids (in the host graph) of one packed tree — a sabotage target."""
@@ -68,71 +66,6 @@ def tree_edge_ids(packing: TreePacking, index: int) -> set[int]:
     return {
         packing.graph.edge_id(u, v) for u, v in tree.edges()
     }
-
-
-class _TrackingProgram(NodeProgram):
-    """Pipelined broadcast that records the exact id set each node received.
-
-    A fault-tolerant variant of
-    :class:`repro.primitives.pipeline.PipelinedBroadcastProgram`: receipts
-    are sets (idempotent under the duplicate deliveries redundancy causes),
-    and the node keeps pumping as long as any queue is non-empty, so drops
-    upstream cannot wedge it.
-    """
-
-    def __init__(self, node: int, channels: dict[int, ChannelSpec]):
-        super().__init__()
-        self.node = node
-        self.specs = channels
-        self.up_queue: dict[int, deque[int]] = {}
-        self.down_queue: dict[int, deque[int]] = {}
-        self.received: set[int] = set()
-        for cid, spec in channels.items():
-            if spec.parent_port is None:
-                self.up_queue[cid] = deque()
-                self.down_queue[cid] = deque(spec.own)
-                self.received.update(spec.own)
-            else:
-                self.up_queue[cid] = deque(spec.own)
-                self.down_queue[cid] = deque()
-
-    def _pump(self, ctx: Context) -> None:
-        busy = False
-        for cid, spec in self.specs.items():
-            uq, dq = self.up_queue[cid], self.down_queue[cid]
-            if uq and spec.parent_port is not None:
-                ctx.send(spec.parent_port, (_UP, cid, uq.popleft()))
-                busy = busy or bool(uq)
-            if dq:
-                mid = dq.popleft()
-                for p in spec.child_ports:
-                    ctx.send(p, (_DOWN, cid, mid))
-                busy = busy or bool(dq)
-        if busy:
-            ctx.wake()
-
-    def on_start(self, ctx: Context) -> None:
-        self._pump(ctx)
-
-    def on_round(self, ctx: Context) -> None:
-        for _port, payload in ctx.inbox:
-            kind, cid, mid = payload
-            spec = self.specs.get(cid)
-            if spec is None:
-                raise ProtocolError(f"unknown channel {cid}")
-            if kind == _UP:
-                if spec.parent_port is None:
-                    if mid not in self.received:
-                        self.received.add(mid)
-                    self.down_queue[cid].append(mid)
-                else:
-                    self.up_queue[cid].append(mid)
-            elif kind == _DOWN:
-                self.received.add(mid)
-                self.down_queue[cid].append(mid)
-            else:
-                raise ProtocolError(f"unknown payload kind {kind}")
-        self._pump(ctx)
 
 
 @dataclass
@@ -266,31 +199,21 @@ def _simulate_cell(
     fault_seed,
     seed,
 ) -> FaultyBroadcastOutcome:
-    """One cell on a :class:`FaultySimulator` running :class:`_TrackingProgram`,
-    its receipts packed like the vectorized engine's."""
+    """One cell: the Lemma 1 pipeline on a :class:`FaultySimulator`, each
+    node's receipts ORed into a matrix packed like the vectorized engine's."""
     n = network.n
-    programs: list[_TrackingProgram] = []
-
-    def factory(v: int) -> _TrackingProgram:
-        specs: dict[int, ChannelSpec] = {}
-        for cid, tree in trees.items():
-            parent = int(tree.parent[v])
-            specs[cid] = ChannelSpec(
-                parent_port=None if parent == v else network.port_to(v, parent),
-                child_ports=[network.port_to(v, c) for c in tree.children[v]],
-                own=list(split.get(cid, {}).get(v, [])),
-                total=0,
-            )
-        prog = _TrackingProgram(v, specs)
-        programs.append(prog)
-        return prog
-
-    sim = FaultySimulator(network, factory, plan=plan, fault_seed=fault_seed, seed=seed)
-    metrics = sim.run().metrics
+    result, sim = simulate_pipelines(
+        network, trees, checked_messages(n, trees, split),
+        simulator=FaultySimulator, plan=plan, fault_seed=fault_seed, seed=seed,
+    )
     recv = np.zeros((mids.size, max(1, (n + 7) // 8)), dtype=np.uint8)
-    for v, prog in enumerate(programs):
-        got = np.fromiter(prog.received, dtype=np.int64, count=len(prog.received))
+    for v, prog in enumerate(result.programs):
+        got = np.fromiter(
+            itertools.chain.from_iterable(st.received for st in prog.ch.values()),
+            dtype=np.int64,
+        )
         recv[np.searchsorted(mids, got), v >> 3] |= np.uint8(1 << (v & 7))
+    metrics = result.metrics
     return FaultyBroadcastOutcome(
         rounds=metrics.rounds,
         dropped=sim.dropped,

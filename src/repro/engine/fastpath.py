@@ -23,7 +23,12 @@ from repro.engine.kernels import (
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult, run_bfs
 from repro.primitives.leader import disconnected_error
-from repro.primitives.pipeline import TreeBroadcastOutcome, checked_messages
+from repro.primitives.pipeline import (
+    TreeBroadcastOutcome,
+    channel_sizes,
+    check_child_lists,
+    checked_messages,
+)
 from repro.util.bits import bits_for_int, bits_for_int_array, message_bit_budget
 from repro.util.errors import BandwidthExceeded, ValidationError
 
@@ -332,8 +337,10 @@ def vectorized_tree_broadcast(
 
     Rounds, message and bit totals are :func:`pipeline_closed_form`. Every
     tree must be BFS-layered (``dist`` is the depth layering of
-    ``parent``), as every tree producer in the library guarantees; anything
-    else raises :class:`~repro.util.errors.ValidationError`.
+    ``parent``), as every tree producer in the library guarantees, and its
+    child lists must be the ones its parents imply
+    (:func:`~repro.primitives.pipeline.check_child_lists`); anything else
+    raises :class:`~repro.util.errors.ValidationError`.
 
     Per-edge metrics are closed-form too: each message crosses every tree
     edge once on the downcast and its origin-to-root path once on the
@@ -345,10 +352,9 @@ def vectorized_tree_broadcast(
     equivalence suite cross-validates against the simulator's counters.
     """
     n = graph.n
+    check_child_lists(trees)
     ch = pipeline_channels(graph, trees, messages, bandwidth_factor)
-    per_channel_k = {cid: len(ids) for cid, (_origins, ids) in ch.flat.items()}
-    for cid in ch.cids:
-        per_channel_k.setdefault(cid, 0)
+    per_channel_k = channel_sizes(trees, ch.flat)
 
     metrics = Metrics(m=graph.m)
     if not ch.cids:

@@ -162,51 +162,6 @@ _KIND_CHILD = 0  # canonical per-node send order: CHILD notice first,
 _KIND_ANNOUNCE = 1  # then layer announces on the remaining ports ascending
 
 
-def _span_faulty_bfs_total_loss(
-    graph: Graph,
-    root: int,
-    stream: FaultStream,
-    indptr: np.ndarray,
-) -> FaultyBFSOutcome:
-    """Closed-form faulty BFS under pure uniform total loss (rate 1.0).
-
-    ``random() < 1.0`` always holds, so the root's round-1 announce batch
-    is drawn and dropped wholesale and the flood dies immediately: the
-    forest is the bare root, rounds is 1 when the root has any usable port
-    (else 0), and exactly one coin per masked root port is consumed — one
-    batched draw leaves the PCG64 stream where the per-round replay does.
-
-    Only the *total*-loss boundary admits this pre-drawn plane: for rates
-    in (0, 1) the number of coins drawn each round depends on which
-    earlier sends survived (drops change who adopts, hence who sends), so
-    any fixed-shape pre-draw would desynchronize the fault RNG stream the
-    equivalence contract certifies. Those plans stay on the per-round replay.
-    Dead edges and mobile schedules also stay there: they shrink the coin
-    batch per round, which this closed form does not model.
-    """
-    n = graph.n
-    parent = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, -1, dtype=np.int64)
-    parent[root] = root
-    dist[root] = 0
-    deg = int(indptr[root + 1] - indptr[root])
-    rounds = 0
-    if deg:
-        stream.rng.random(deg)  # the round-1 coin batch — every send drops
-        stream.dropped += deg
-        rounds = 1
-    result = BFSResult(
-        root=root,
-        parent=parent,
-        dist=dist,
-        children=None,  # nothing delivered: parent-derived lists are empty
-        rounds=rounds,
-    )
-    return FaultyBFSOutcome(
-        result=result, dropped=stream.dropped, fault_rng_state=stream.rng_state
-    )
-
-
 @obs.traced("faulty_bfs")
 def vectorized_faulty_bfs(
     graph: Graph,
@@ -225,11 +180,11 @@ def vectorized_faulty_bfs(
     leaves the child out of its parent's ``children`` list even though the
     child keeps the parent pointer, exactly like the simulator.
 
-    Pure total loss without dead edges or a mobile set runs as
-    :func:`_span_faulty_bfs_total_loss`; every other plan takes the
-    per-round replay below. :func:`faulty_bfs_grid`, the one dispatcher,
-    sends coin-free static plans to :func:`_static_floods` instead. A root
-    that is not an integer in ``[0, n)`` raises :class:`ValidationError`.
+    Every plan takes the per-round replay below; under pure total loss it
+    ends after one round, the root's announces drawn and dropped.
+    :func:`faulty_bfs_grid`, the one dispatcher, sends coin-free static
+    plans to :func:`_static_floods` instead. A root that is not an integer
+    in ``[0, n)`` raises :class:`ValidationError`.
     """
     (root,) = check_roots(graph, [root])
     plan = plan if plan is not None else FaultPlan()
@@ -238,8 +193,6 @@ def vectorized_faulty_bfs(
     indptr, indices = graph.masked_csr(
         None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     )
-    if not stream.mobile and stream.rate == 1.0 and not stream.dead.any():
-        return _span_faulty_bfs_total_loss(graph, root, stream, indptr)
     degs = np.diff(indptr)
     arc_eids = (
         graph.edge_ids_for_pairs(np.repeat(np.arange(n), degs), indices)
@@ -461,8 +414,9 @@ class FaultyBroadcastOutcome:
     ``total_messages``/``total_bits`` charge every *send* (drops included —
     a dropped message spent its bandwidth) with the simulator's exact
     :func:`~repro.util.bits.bits_for_payload` price of the ``(kind, cid,
-    mid)`` tuples ``_TrackingProgram`` puts on the wire, so they equal the
-    ``Metrics`` totals of the twin simulator run bit for bit.
+    mid)`` tuples :class:`~repro.primitives.pipeline.PipelinedBroadcastProgram`
+    puts on the wire, so they equal the ``Metrics`` totals of the twin
+    simulator run bit for bit.
     """
 
     rounds: int
@@ -506,20 +460,14 @@ class _Channel:
         "root_dq",
     )
 
-    def __init__(
-        self,
-        graph: Graph,
-        tree: BFSResult,
-        tree_eids: np.ndarray,
-        children: tuple[np.ndarray, np.ndarray],
-    ):
+    def __init__(self, graph: Graph, tree: BFSResult, tree_eids: np.ndarray):
         n = graph.n
         self.root = int(tree.root)
         self.parent = np.asarray(tree.parent, dtype=np.int64)
         self.dist = np.asarray(tree.dist, dtype=np.int64)
         self.up_eid = np.full(n, -1, dtype=np.int64)
         self.up_eid[self.parent != np.arange(n)] = tree_eids
-        self.cindptr, self.cind = children
+        self.cindptr, self.cind = tree.children_as_csr()
         self.ceid = graph.edge_ids_for_pairs(
             np.repeat(np.arange(n), np.diff(self.cindptr)), self.cind
         )
@@ -805,7 +753,7 @@ def _span_faulty_broadcast_total_loss(
     batches would (``random(a)`` then ``random(b)`` equals
     ``random(a + b)``). Returns ``(rounds, total_messages, total_bits)``.
 
-    Like the BFS twin, only the total-loss boundary admits this: rates in
+    Only the total-loss boundary admits this: rates in
     (0, 1) make each round's coin count depend on earlier survivals, and
     dead edges / mobile schedules shrink the per-round coin batch. Those
     plans keep the per-round replay (or the rate-0 span path).
@@ -835,7 +783,7 @@ def _replay_faulty_broadcast(
     cid_bits: np.ndarray,
     recv: np.ndarray,
 ) -> tuple[int, int, int]:
-    """Round-by-round twin of the tracking broadcast.
+    """Round-by-round twin of the Lemma 1 pipeline on a faulty simulator.
 
     Every possible crossing gets a slot, numbered once in the simulator's
     delivery order: sender node ascending, then channel, the up-send before
@@ -917,24 +865,6 @@ def _replay_faulty_broadcast(
     return rounds, total_messages, total_bits
 
 
-def _children_follow_parents(children: tuple[np.ndarray, np.ndarray], parent: np.ndarray) -> bool:
-    """Whether a spanning tree's child lists hold exactly the arcs its
-    parent array implies.
-
-    The simulator sends down the child lists, while the closed form reads
-    ``parent``. They differ only for lists collected under faults, where a
-    dropped child notice leaves a child out.
-    """
-    cindptr, cind = children
-    nonroot = parent != np.arange(parent.size)
-    return bool(
-        cind.size == nonroot.sum()
-        and nonroot[cind].all()
-        and np.array_equal(parent[cind], np.repeat(np.arange(parent.size), np.diff(cindptr)))
-        and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
-    )
-
-
 @obs.traced("faulty_broadcast")
 def vectorized_faulty_broadcast(
     graph: Graph,
@@ -943,10 +873,11 @@ def vectorized_faulty_broadcast(
     plan: FaultPlan | None = None,
     fault_seed=0,
 ) -> FaultyBroadcastOutcome:
-    """Fast-path twin of the tracking broadcast on a faulty simulator.
+    """Fast-path twin of the Lemma 1 pipeline on a faulty simulator.
 
     Replays the pump-while-busy dynamics of
-    :class:`repro.core.resilient._TrackingProgram` on array state: every
+    :class:`repro.primitives.pipeline.PipelinedBroadcastProgram` on array
+    state, as the redundant broadcast's grid cells run it: every
     nonempty up-queue sends its head to the parent, every nonempty
     down-queue pops one id (forwarded to all tree children), and the fault
     plan drops exactly as ``FaultySimulator._deliverable`` would (same
@@ -995,7 +926,6 @@ def vectorized_faulty_broadcast(
     mid_index = np.unique(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
     rows = [np.searchsorted(mid_index, x) for x in ids]
     recv = np.zeros((mid_index.size, max(1, (n + 7) // 8)), dtype=np.uint8)
-    children = [trees[cid].children_as_csr() for cid in ch.cids]
 
     closed = np.zeros(len(ch.cids), dtype=bool)
     if plan.drop_rate == 0.0:
@@ -1006,7 +936,7 @@ def vectorized_faulty_broadcast(
             closed[ci] = (
                 layered[ci]
                 and not hit[eids].any()
-                and _children_follow_parents(children[ci], ch.parents[ci])
+                and trees[ch.cids[ci]].children_follow_parents()
             )
         obs.count("faults.closed_form_channels", int(closed.sum()))
     rounds = total_messages = total_bits = 0
@@ -1017,12 +947,9 @@ def vectorized_faulty_broadcast(
             recv[rows[ci]] = full
 
     touched = np.flatnonzero(~closed).tolist()
-    chans = [
-        _Channel(graph, trees[ch.cids[ci]], ch.tree_eids[ci], children[ci])
-        for ci in touched
-    ]
+    chans = [_Channel(graph, trees[ch.cids[ci]], ch.tree_eids[ci]) for ci in touched]
     up = _UpQueue(n, chans)
-    # Seed the queues like _TrackingProgram.__init__: a root's own items go
+    # Seed the queues like the node program does: a root's own items go
     # straight to its down queue (and count as received); every other
     # node's own items start in its up queue, in placement order.
     qids, qrows = [], []

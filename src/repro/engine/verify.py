@@ -1014,6 +1014,9 @@ class Trial:
     flood_mask: np.ndarray | None
     flood_plan: FaultPlan
     batch_roots: list[int]
+    #: A host that holds a packing of two or three trees, which the sparse
+    #: random hosts almost never do.
+    packing_host: Graph
 
     def seed_for(self, base: int) -> int:
         """A row's own seed: ``base · seed + t``."""
@@ -1047,6 +1050,9 @@ ROWS: tuple[Callable[[Trial], list[str]], ...] = (
     lambda tr: check_bfs_batch(tr.graph, tr.batch_roots, edge_mask=tr.flood_mask),
     lambda tr: check_broadcast_batch(tr.graph, tr.k, seed=tr.seed_for(16_000)),
     lambda tr: check_fault_grid(tr.graph, tr.k, seed=tr.seed_for(18_000), parts=tr.parts),
+    lambda tr: check_fault_grid(
+        tr.packing_host, max(1, tr.k), seed=tr.seed_for(20_000), parts=2 + tr.t % 2
+    ),
     lambda tr: check_redundant_broadcast(
         tr.graph, tr.k, seed=tr.seed_for(10_000), parts=tr.parts, redundancy=1 + tr.t % 2
     ),
@@ -1114,6 +1120,7 @@ def _random_trial(rng, seed: int, t: int, max_n: int) -> Trial:
         flood_mask=flood_mask,
         flood_plan=random_fault_plan(g, seed=9000 * seed + t, rounds=flood),
         batch_roots=[root, root, int(rng.integers(n))],
+        packing_host=thick_cycle(3 + t % 4, 6),
     )
 
 
@@ -1143,6 +1150,7 @@ def _boundary_trial(name: str, host: Graph) -> Trial:
         flood_mask=None,
         flood_plan=FaultPlan(dead_edges=frozenset(range(m))),
         batch_roots=[n - 1, n - 1, 0],
+        packing_host=thick_cycle(3, 6),
     )
 
 

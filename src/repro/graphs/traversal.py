@@ -220,7 +220,9 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
         gathered = np.empty((indices.size, words), dtype=np.uint64)
         d = 0
         while True:
-            np.take(frontier, indices, axis=0, out=gathered)
+            # mode="clip": CSR neighbors are in range, and the default mode
+            # would stage the output in a temporary copy.
+            np.take(frontier, indices, axis=0, out=gathered, mode="clip")
             frontier[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
             frontier &= ~visited
             if not frontier.any():

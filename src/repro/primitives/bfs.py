@@ -113,6 +113,28 @@ class BFSResult:
             return children_csr(np.asarray(self.parent, dtype=np.int64))
         return lists_to_csr(self._children)
 
+    def children_follow_parents(self) -> bool:
+        """Whether the child lists hold exactly the arcs ``parent`` implies.
+
+        Lists derived from ``parent`` always do, so lazy ones are not built.
+        Collected lists differ only under faults, where a dropped child
+        notice leaves a child out: the simulator then never sends down
+        that arc, while a closed form that reads ``parent`` would.
+        """
+        if self._children is None:
+            return True
+        cindptr, cind = self.children_as_csr()
+        parent = np.asarray(self.parent, dtype=np.int64)
+        nodes = np.arange(parent.size)
+        child = (parent >= 0) & (parent != nodes)
+        return bool(
+            cind.size == child.sum()
+            and ((cind >= 0) & (cind < parent.size)).all()
+            and child[cind].all()
+            and np.array_equal(parent[cind], np.repeat(nodes, np.diff(cindptr)))
+            and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
+        )
+
     @property
     def depth(self) -> int:
         reached = self.dist[self.dist >= 0]

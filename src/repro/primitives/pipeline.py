@@ -21,9 +21,13 @@ way :class:`~repro.primitives.bfs.BFSProgram` does; edge-disjointness keeps
 the per-edge one-message-per-round constraint intact, which the simulator
 enforces.
 
-Delivery verification uses a (count, sum-of-ids) accumulator per node per
-channel — exact set equality given that channel ``c``'s message ids are a
-known contiguous range (from Lemma 3 numbering).
+:func:`simulate_pipelines` runs the program on any simulator class for the
+three drivers: :func:`run_tree_broadcast`, the faulty grid cells of
+:mod:`repro.core.resilient` and Theorem 12's scheduler
+(:mod:`repro.primitives.scheduling`, which changes only the send step).
+Each node keeps the ids it received per channel: the delivery check reads
+their count and sum (exact for distinct ids), and the grid ORs them into
+its receipt matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from repro.congest.metrics import Metrics
 from repro.congest.network import Network
 from repro.congest.program import Context, NodeProgram
-from repro.congest.simulator import Simulator
+from repro.congest.simulator import SimulationResult, Simulator
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.util.errors import ProtocolError, ValidationError, integer_ids
@@ -46,8 +50,12 @@ __all__ = [
     "ChannelSpec",
     "PipelinedBroadcastProgram",
     "TreeBroadcastOutcome",
+    "channel_sizes",
+    "check_child_lists",
+    "check_delivery",
     "checked_messages",
     "run_tree_broadcast",
+    "simulate_pipelines",
 ]
 
 _UP = 0
@@ -63,104 +71,82 @@ class ChannelSpec:
     parent_port: port toward the tree parent (``None`` at the root).
     child_ports: ports toward tree children.
     own: message ids this node initially holds on this channel.
-    total: k_i — total messages on this channel (common knowledge after the
-        Lemma 3 numbering step).
     """
 
     parent_port: int | None
     child_ports: list[int]
     own: list[int]
-    total: int
 
 
 class _ChannelState:
-    __slots__ = ("spec", "up_queue", "down_queue", "recv_count", "recv_sum", "down_sent")
+    __slots__ = ("spec", "up_queue", "down_queue", "received")
 
     def __init__(self, spec: ChannelSpec):
         self.spec = spec
-        self.up_queue: deque[int] = deque(spec.own)
-        self.down_queue: deque[int] = deque()
-        # Every message reaches a non-root node exactly once *via DOWN*
-        # (its own items included — they echo back from the root), so
-        # non-root receive counters start at zero. The root never gets a
-        # DOWN, so it counts its own items up front plus UP arrivals.
-        is_root = spec.parent_port is None
-        self.recv_count = len(spec.own) if is_root else 0
-        self.recv_sum = sum(spec.own) if is_root else 0
-        self.down_sent = 0
+        # A root streams its own items down at once. A non-root sends them
+        # up and, like every id, receives them once via DOWN.
+        root = spec.parent_port is None
+        self.up_queue: deque[int] = deque(() if root else spec.own)
+        self.down_queue: deque[int] = deque(spec.own if root else ())
+        self.received: list[int] = list(spec.own) if root else []
 
 
 class PipelinedBroadcastProgram(NodeProgram):
-    """Per-node pipelined upcast/downcast over any number of channels."""
+    """Per-node pipelined upcast/downcast over any number of channels.
+
+    Each round the node takes in its inbox, then runs the send step
+    :meth:`_send`: per channel in channel order, the up-queue's head goes to
+    the parent and the down-queue's head to every child, and the node asks
+    to wake while any queue holds items — so drops upstream cannot wedge
+    it.
+    """
 
     def __init__(self, node: int, channels: dict[int, ChannelSpec]):
         super().__init__()
         self.node = node
-        self.ch: dict[int, _ChannelState] = {}
-        for cid, spec in channels.items():
-            st = _ChannelState(spec)
-            if spec.parent_port is None:
-                # Root: own messages go straight to the down stream.
-                st.down_queue.extend(st.up_queue)
-                st.up_queue.clear()
-            self.ch[cid] = st
+        self.ch = {cid: _ChannelState(spec) for cid, spec in channels.items()}
 
-    # -- helpers ---------------------------------------------------------- #
-
-    def _pump(self, ctx: Context) -> None:
+    def _send(self, ctx: Context) -> None:
         """Send one queued message per tree edge per channel; wake if busy."""
         busy = False
         for cid, st in self.ch.items():
-            spec = st.spec
-            if st.up_queue and spec.parent_port is not None:
-                ctx.send(spec.parent_port, (_UP, cid, st.up_queue.popleft()))
+            if st.up_queue:  # a root never queues up: UP arrivals go down
+                ctx.send(st.spec.parent_port, (_UP, cid, st.up_queue.popleft()))
                 busy = busy or bool(st.up_queue)
             if st.down_queue:
                 mid = st.down_queue.popleft()
-                for p in spec.child_ports:
+                for p in st.spec.child_ports:
                     ctx.send(p, (_DOWN, cid, mid))
-                st.down_sent += 1
                 busy = busy or bool(st.down_queue)
         if busy:
             ctx.wake()
 
     def on_start(self, ctx: Context) -> None:
-        self._pump(ctx)
+        self._send(ctx)
 
     def on_round(self, ctx: Context) -> None:
-        for port, payload in ctx.inbox:
-            kind, cid, mid = payload
+        for port, (kind, cid, mid) in ctx.inbox:
             st = self.ch.get(cid)
             if st is None:
                 raise ProtocolError(f"node {self.node}: unknown channel {cid}")
-            spec = st.spec
             if kind == _UP:
-                if port not in spec.child_ports:
-                    raise ProtocolError(
-                        f"node {self.node}: UP on non-child port {port} (ch {cid})"
-                    )
-                if spec.parent_port is None:
-                    st.down_queue.append(mid)  # root bounces into the stream
-                    st.recv_count += 1
-                    st.recv_sum += mid
+                # No port check: under faults a dropped CHILD notice leaves
+                # a sender off its parent's child list, and it still sends.
+                if st.spec.parent_port is None:
+                    st.received.append(mid)  # the root bounces into the stream
+                    st.down_queue.append(mid)
                 else:
                     st.up_queue.append(mid)
             elif kind == _DOWN:
-                if port != spec.parent_port:
+                if port != st.spec.parent_port:
                     raise ProtocolError(
                         f"node {self.node}: DOWN on non-parent port {port} (ch {cid})"
                     )
-                st.recv_count += 1
-                st.recv_sum += mid
+                st.received.append(mid)
                 st.down_queue.append(mid)
             else:
                 raise ProtocolError(f"unknown pipeline payload kind {kind}")
-        self._pump(ctx)
-
-    def finalize(self) -> None:
-        self.output["recv"] = {
-            cid: (st.recv_count, st.recv_sum) for cid, st in self.ch.items()
-        }
+        self._send(ctx)
 
 
 @dataclass
@@ -233,6 +219,86 @@ def checked_messages(
     return flat
 
 
+def check_child_lists(trees: dict[int, BFSResult]) -> None:
+    """Raise :class:`ValidationError` naming the first channel whose child
+    lists are not the ones its ``parent`` array implies.
+
+    The fault-free Lemma 1 entry points need this: the simulator sends
+    down the child lists, and the closed form reads ``parent``. Only
+    faulty BFS collects such lists, and the faulty broadcast takes them.
+    """
+    for cid, tree in trees.items():
+        if not tree.children_follow_parents():
+            raise ValidationError(
+                f"channel {cid}: tree child lists differ from the ones its parents imply"
+            )
+
+
+def simulate_pipelines(
+    network: Network,
+    trees: dict[int, BFSResult],
+    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]],
+    program=PipelinedBroadcastProgram,
+    simulator=Simulator,
+    **sim_kwargs,
+) -> tuple[SimulationResult, Simulator]:
+    """The simulator's Lemma 1 driver: one execution of ``simulator`` with
+    ``program(v, specs)`` at every node ``v``.
+
+    Every node's channel specs (:class:`ChannelSpec`) are built here, once,
+    in the channel order of ``trees``: the ports toward the tree parent and
+    the listed children, and the ids the node holds in ``flat`` (what
+    :func:`checked_messages` returned; a channel without an entry carries
+    nothing). Returns the run and the simulator, which keeps a
+    :class:`~repro.congest.faults.FaultySimulator`'s drops and fault RNG.
+    """
+    n = network.n
+    specs: list[dict[int, ChannelSpec]] = [{} for _ in range(n)]
+    for cid, tree in trees.items():
+        own: dict[int, list[int]] = {}
+        if cid in flat:
+            origins, ids = flat[cid]
+            for v, m in zip(origins.tolist(), map(int, ids)):
+                own.setdefault(v, []).append(m)
+        for v, parent in enumerate(np.asarray(tree.parent).tolist()):
+            specs[v][cid] = ChannelSpec(
+                parent_port=None if parent == v else network.port_to(v, parent),
+                child_ports=[network.port_to(v, c) for c in tree.children[v]],
+                own=own.get(v, []),
+            )
+    sim = simulator(network, lambda v: program(v, specs[v]), **sim_kwargs)
+    return sim.run(), sim
+
+
+def channel_sizes(
+    trees: dict[int, BFSResult], flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]]
+) -> dict[int, int]:
+    """Each channel's message count k_c, zero for a tree without messages."""
+    sizes = {cid: len(ids) for cid, (_origins, ids) in flat.items()}
+    for cid in trees:
+        sizes.setdefault(cid, 0)
+    return sizes
+
+
+def check_delivery(
+    programs: list[PipelinedBroadcastProgram],
+    trees: dict[int, BFSResult],
+    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]],
+) -> None:
+    """Raise :class:`ProtocolError` at the first node (in id order) that
+    missed a message of some channel: its receipts must match the channel's
+    ids in count and in sum, which is exact for distinct ids."""
+    expected = {cid: (len(ids), sum(map(int, ids))) for cid, (_o, ids) in flat.items()}
+    for v, prog in enumerate(programs):
+        for cid in trees:
+            k, total = expected.get(cid, (0, 0))
+            got = prog.ch[cid].received
+            if len(got) != k or sum(got) != total:
+                raise ProtocolError(
+                    f"node {v} missed messages on channel {cid}: got {len(got)}/{k}"
+                )
+
+
 def run_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
@@ -246,61 +312,24 @@ def run_tree_broadcast(
     graph: the communication graph.
     trees: ``channel -> BFSResult`` spanning trees (edge-disjoint across
         channels; the per-edge CONGEST constraint is enforced by the
-        simulator, so overlapping trees fail loudly rather than silently).
+        simulator, so overlapping trees fail loudly rather than silently),
+        whose child lists are the ones their parents imply
+        (:func:`check_child_lists`).
     messages: ``channel -> {node -> [message ids]}`` initial placement, or
         per channel the flat ``(origins, ids)`` pair; both are checked by
         :func:`checked_messages`.
     verify: check that every node received every channel's full id multiset
-        (via count and sum, exact for distinct ids).
+        (:func:`check_delivery`).
 
     Returns a :class:`TreeBroadcastOutcome` with certified round/congestion
     counts.
     """
-    network = Network(graph)
-    per_channel_k: dict[int, int] = {}
-    expected_sum: dict[int, int] = {}
-    own: dict[int, dict[int, list[int]]] = {}
-    for cid, (origins, ids) in checked_messages(graph.n, trees, messages).items():
-        own[cid] = {}
-        for v, m in zip(origins.tolist(), map(int, ids)):
-            own[cid].setdefault(v, []).append(m)
-        per_channel_k[cid] = len(ids)
-        expected_sum[cid] = sum(map(int, ids))
-    for cid in trees:
-        per_channel_k.setdefault(cid, 0)
-        expected_sum.setdefault(cid, 0)
-
-    programs: list[PipelinedBroadcastProgram] = []
-
-    def factory(v: int) -> PipelinedBroadcastProgram:
-        specs: dict[int, ChannelSpec] = {}
-        for cid, tree in trees.items():
-            parent = int(tree.parent[v])
-            specs[cid] = ChannelSpec(
-                parent_port=None if parent == v else network.port_to(v, parent),
-                child_ports=[network.port_to(v, c) for c in tree.children[v]],
-                own=own.get(cid, {}).get(v, []),
-                total=per_channel_k[cid],
-            )
-        prog = PipelinedBroadcastProgram(v, specs)
-        programs.append(prog)
-        return prog
-
-    sim = Simulator(network, factory)
-    result = sim.run()
-    for prog in programs:
-        prog.finalize()
-
+    check_child_lists(trees)
+    flat = checked_messages(graph.n, trees, messages)
+    result, _sim = simulate_pipelines(Network(graph), trees, flat)
     if verify:
-        for v, prog in enumerate(programs):
-            for cid in trees:
-                count, total = prog.ch[cid].recv_count, prog.ch[cid].recv_sum
-                if count != per_channel_k[cid] or total != expected_sum[cid]:
-                    raise ProtocolError(
-                        f"node {v} missed messages on channel {cid}: "
-                        f"got {count}/{per_channel_k[cid]}"
-                    )
-
+        check_delivery(result.programs, trees, flat)
+    per_channel_k = channel_sizes(trees, flat)
     return TreeBroadcastOutcome(
         rounds=result.metrics.rounds,
         metrics=result.metrics,

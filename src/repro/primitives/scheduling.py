@@ -26,102 +26,66 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
+from functools import partial
 
 from repro.congest.metrics import Metrics
 from repro.congest.network import Network
-from repro.congest.program import Context, NodeProgram
-from repro.congest.simulator import Simulator
+from repro.congest.program import Context
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
-from repro.primitives.pipeline import ChannelSpec
-from repro.util.errors import ProtocolError, ValidationError
+from repro.primitives.pipeline import (
+    _DOWN,
+    _UP,
+    ChannelSpec,
+    PipelinedBroadcastProgram,
+    channel_sizes,
+    check_child_lists,
+    check_delivery,
+    checked_messages,
+    simulate_pipelines,
+)
 from repro.util.rng import ensure_rng
 
 __all__ = ["ScheduledBroadcastProgram", "ScheduleOutcome", "run_scheduled_broadcast"]
 
-_UP = 0
-_DOWN = 1
 
+class ScheduledBroadcastProgram(PipelinedBroadcastProgram):
+    """Host several tree-broadcast jobs behind per-port FIFO queues.
 
-class _JobState:
-    __slots__ = ("spec", "delay", "up_queue", "down_queue", "recv_count", "recv_sum")
-
-    def __init__(self, spec: ChannelSpec, delay: int):
-        self.spec = spec
-        self.delay = delay
-        self.up_queue: deque[int] = deque(spec.own)
-        self.down_queue: deque[int] = deque()
-        is_root = spec.parent_port is None
-        if is_root:
-            self.down_queue.extend(self.up_queue)
-            self.up_queue.clear()
-        self.recv_count = len(spec.own) if is_root else 0
-        self.recv_sum = sum(spec.own) if is_root else 0
-
-
-class ScheduledBroadcastProgram(NodeProgram):
-    """Host several tree-broadcast jobs behind per-port FIFO queues."""
+    The Lemma 1 program with Theorem 12's send step: a job pumps nothing
+    before its start delay; once started, its up- and down-sends are
+    deposited in per-port FIFOs, and each port then sends at most one
+    message per round, the oldest first.
+    """
 
     def __init__(self, node: int, jobs: dict[int, ChannelSpec], delays: dict[int, int]):
-        super().__init__()
-        self.node = node
-        self.jobs = {cid: _JobState(spec, delays[cid]) for cid, spec in jobs.items()}
+        super().__init__(node, jobs)
+        self.delays = delays
         self.port_fifo: dict[int, deque[tuple[int, int, int]]] = {}
 
-    def _enqueue(self, port: int, payload: tuple[int, int, int]) -> None:
-        self.port_fifo.setdefault(port, deque()).append(payload)
-
-    def _pump(self, ctx: Context) -> None:
-        for cid, job in self.jobs.items():
-            if ctx.round < job.delay:
+    def _send(self, ctx: Context) -> None:
+        fifo = self.port_fifo
+        for cid, st in self.ch.items():
+            if ctx.round < self.delays[cid]:
                 continue
-            spec = job.spec
-            if job.up_queue and spec.parent_port is not None:
-                self._enqueue(spec.parent_port, (_UP, cid, job.up_queue.popleft()))
-            if job.down_queue:
-                mid = job.down_queue.popleft()
-                for p in spec.child_ports:
-                    self._enqueue(p, (_DOWN, cid, mid))
-
-    def _flush(self, ctx: Context) -> None:
+            if st.up_queue:
+                fifo.setdefault(st.spec.parent_port, deque()).append(
+                    (_UP, cid, st.up_queue.popleft())
+                )
+            if st.down_queue:
+                mid = st.down_queue.popleft()
+                for p in st.spec.child_ports:
+                    fifo.setdefault(p, deque()).append((_DOWN, cid, mid))
         busy = False
-        for port, fifo in self.port_fifo.items():
-            if fifo:
-                ctx.send(port, fifo.popleft())
-                busy = busy or bool(fifo)
+        for port, queue in fifo.items():
+            if queue:
+                ctx.send(port, queue.popleft())
+                busy = busy or bool(queue)
         if busy or any(
-            j.up_queue or j.down_queue or ctx.round < j.delay
-            for j in self.jobs.values()
+            st.up_queue or st.down_queue or ctx.round < self.delays[cid]
+            for cid, st in self.ch.items()
         ):
             ctx.wake()
-
-    def on_start(self, ctx: Context) -> None:
-        self._pump(ctx)
-        self._flush(ctx)
-
-    def on_round(self, ctx: Context) -> None:
-        for port, payload in ctx.inbox:
-            kind, cid, mid = payload
-            job = self.jobs.get(cid)
-            if job is None:
-                raise ProtocolError(f"node {self.node}: unknown job {cid}")
-            spec = job.spec
-            if kind == _UP:
-                if spec.parent_port is None:
-                    job.down_queue.append(mid)
-                    job.recv_count += 1
-                    job.recv_sum += mid
-                else:
-                    job.up_queue.append(mid)
-            elif kind == _DOWN:
-                job.recv_count += 1
-                job.recv_sum += mid
-                job.down_queue.append(mid)
-            else:
-                raise ProtocolError(f"unknown scheduled payload kind {kind}")
-        self._pump(ctx)
-        self._flush(ctx)
 
 
 @dataclass
@@ -141,72 +105,36 @@ class ScheduleOutcome:
 def run_scheduled_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
-    messages: dict[int, dict[int, list[int]]],
+    messages: dict,
     max_delay: int | None = None,
     seed=None,
     verify: bool = True,
 ) -> ScheduleOutcome:
     """Run possibly-overlapping tree broadcasts with random start delays.
 
-    ``max_delay`` defaults to a congestion-proportional window: the sum over
-    jobs of their message counts divided by the number of jobs — the scale
-    Theorem 12's analysis smooths load over. Pass ``0`` to get the
-    no-delay baseline the E11 bench compares against.
+    ``trees`` and ``messages`` are checked as
+    :func:`~repro.primitives.pipeline.run_tree_broadcast` checks them, except
+    that trees may share edges. ``max_delay`` defaults to a
+    congestion-proportional window: the sum over jobs of their message
+    counts divided by the number of jobs — the scale Theorem 12's analysis
+    smooths load over. Pass ``0`` to get the no-delay baseline the E11
+    bench compares against.
     """
     rng = ensure_rng(seed)
-    network = Network(graph)
-
-    per_job_k: dict[int, int] = {}
-    expected_sum: dict[int, int] = {}
-    for cid, placement in messages.items():
-        ids = [m for msgs in placement.values() for m in msgs]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate message ids in job {cid}")
-        per_job_k[cid] = len(ids)
-        expected_sum[cid] = sum(ids)
-    for cid, tree in trees.items():
-        per_job_k.setdefault(cid, 0)
-        expected_sum.setdefault(cid, 0)
-        if not tree.spans():
-            raise ValidationError(f"job {cid} tree does not span the graph")
-
+    check_child_lists(trees)
+    flat = checked_messages(graph.n, trees, messages)
+    per_job_k = channel_sizes(trees, flat)
     if max_delay is None:
-        total_msgs = sum(per_job_k.values())
-        max_delay = max(1, total_msgs // max(1, len(trees)))
+        max_delay = max(1, sum(per_job_k.values()) // max(1, len(trees)))
     delays = {
         cid: (0 if max_delay == 0 else int(rng.integers(max_delay)))
         for cid in trees
     }
-
-    programs: list[ScheduledBroadcastProgram] = []
-
-    def factory(v: int) -> ScheduledBroadcastProgram:
-        specs: dict[int, ChannelSpec] = {}
-        for cid, tree in trees.items():
-            parent = int(tree.parent[v])
-            specs[cid] = ChannelSpec(
-                parent_port=None if parent == v else network.port_to(v, parent),
-                child_ports=[network.port_to(v, c) for c in tree.children[v]],
-                own=list(messages.get(cid, {}).get(v, [])),
-                total=per_job_k[cid],
-            )
-        prog = ScheduledBroadcastProgram(v, specs, delays)
-        programs.append(prog)
-        return prog
-
-    sim = Simulator(network, factory)
-    result = sim.run()
-
+    result, _sim = simulate_pipelines(
+        Network(graph), trees, flat, partial(ScheduledBroadcastProgram, delays=delays)
+    )
     if verify:
-        for v, prog in enumerate(programs):
-            for cid in trees:
-                job = prog.jobs[cid]
-                if job.recv_count != per_job_k[cid] or job.recv_sum != expected_sum[cid]:
-                    raise ProtocolError(
-                        f"node {v} missed messages in job {cid}: "
-                        f"got {job.recv_count}/{per_job_k[cid]}"
-                    )
-
+        check_delivery(result.programs, trees, flat)
     return ScheduleOutcome(
         makespan=result.metrics.rounds,
         metrics=result.metrics,

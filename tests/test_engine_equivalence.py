@@ -9,6 +9,7 @@ is a bug in the fast path, never an accepted approximation.
 
 import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ from repro.graphs.traversal import bfs_distances
 from repro.primitives.bfs import BFSResult, run_bfs, run_parallel_bfs
 from repro.primitives.leader import elect_leader
 from repro.primitives.pipeline import run_tree_broadcast
+from repro.primitives.scheduling import run_scheduled_broadcast
 from repro.util.errors import BandwidthExceeded, ValidationError
 
 _SETTINGS = settings(
@@ -173,6 +175,49 @@ class TestPipelineEquivalence:
         tree = run_bfs(g, 0, backend="vectorized")
         with pytest.raises(ValidationError):
             vectorized_tree_broadcast(g, {0: tree, 1: tree}, {0: {0: [1]}, 1: {0: [2]}})
+
+    @pytest.mark.parametrize(
+        "node, edit",
+        [
+            (1, lambda kids: kids.remove(2)),
+            (1, lambda kids: kids.append(0)),
+            (4, lambda kids: kids.append(9)),
+        ],
+        ids=["short", "root listed", "out of range"],
+    )
+    def test_child_lists_unlike_the_parents_rejected(self, node, edit):
+        """A tree whose child lists are not the ones its parents imply (a
+        faulty flood collects lists short of a child) is refused before
+        anything runs by both fault-free Lemma 1 entry points and by the
+        scheduler, with one error naming the channel. Before, on the short
+        lists, the simulator raised ProtocolError mid-run on the left-out
+        child's UP, while the vectorized side ran the tree from ``parent``
+        (6 rounds, 13 messages). The faulty engine still takes short lists
+        (test_child_lists_short_of_the_parents_are_touched)."""
+        g = cycle_graph(6)
+        full = run_bfs(g, 0, backend="vectorized")
+        children = [list(c) for c in full.children]
+        edit(children[node])
+        tree = BFSResult(0, full.parent, full.dist, children, full.rounds)
+        texts = []
+        for run in (
+            run_tree_broadcast,
+            functools.partial(run_tree_broadcast, verify=False),
+            vectorized_tree_broadcast,
+            run_scheduled_broadcast,
+        ):
+            with pytest.raises(ValidationError) as err:
+                run(g, {7: tree}, {7: {0: [1], 3: [2]}})
+            texts.append(str(err.value))
+        assert len(set(texts)) == 1 and "channel 7" in texts[0]
+
+    def test_lazy_child_lists_pass_unbuilt(self):
+        """Child lists derived from ``parent`` follow it by construction, so
+        the check never builds them."""
+        g = thick_cycle(4, 3)
+        tree = run_bfs(g, 0, backend="vectorized")
+        out = vectorized_tree_broadcast(g, {0: tree}, {0: {5: [1, 2]}})
+        assert out.k_total == 2 and tree._children is None
 
     def test_non_bfs_layered_tree_rejected(self):
         g = thick_cycle(4, 3)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.decomposition import random_partition
 from repro.engine.verify import random_connected_graph
-from repro.graphs import Graph, complete_graph, thick_cycle
+from repro.graphs import Graph, complete_graph, random_regular, thick_cycle
+from repro.graphs.traversal import all_pairs_distances
 from repro.primitives.bfs import run_parallel_bfs
 from repro.util.errors import ValidationError
 
@@ -205,6 +206,16 @@ class TestMemoryBudgets:
         masks = random_partition(host, 3, seed=1).masks()
         peak = _traced_peak(lambda: run_parallel_bfs(host, masks, backend="vectorized"))
         assert peak <= 40 * host.m
+
+    def test_all_pairs_gather_writes_in_place(self):
+        """PRT's bit-parallel APSP gathers each layer into one preallocated
+        plane. It peaks at the (n, n) output plus 1.46 planes here; the
+        default ``np.take`` mode staged every gather in a temporary copy,
+        2.26 planes."""
+        g = random_regular(600, 40, seed=1)
+        plane = 2 * g.m * -(-g.n // 64) * 8  # arcs × uint64 words
+        peak = _traced_peak(lambda: all_pairs_distances(g))
+        assert peak <= g.n * g.n * 8 + 1.75 * plane
 
 
 class TestQueries:

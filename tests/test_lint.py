@@ -136,6 +136,40 @@ class TestCongestLegality:
         )
         assert check_congest_legality(info) == []
 
+    def test_program_subclassed_in_another_module_is_checked(self, tmp_path):
+        """A program derived from another module's program, at any depth,
+        is a program too; before, only a base literally named NodeProgram
+        made one, so the subclass escaped every congest rule."""
+        _parse(
+            tmp_path,
+            """\
+            from repro.congest import NodeProgram
+
+            class Pipeline(NodeProgram):
+                def on_round(self, ctx):
+                    ctx.wake()
+            """,
+            name="src/pipeline.py",
+        )
+        _parse(
+            tmp_path,
+            """\
+            from pipeline import Pipeline
+
+            class Scheduled(Pipeline):
+                pass
+
+            class Delayed(Scheduled):
+                def on_round(self, ctx):
+                    ctx.send_all(self.graph.n)
+            """,
+            name="src/scheduled.py",
+        )
+        findings = run_lint([tmp_path / "src"], project_root=tmp_path).sorted_findings()
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("congest-graph-state", "src/scheduled.py", 8)
+        ]
+
     def test_non_program_classes_are_ignored(self, tmp_path):
         info = _parse(
             tmp_path,

@@ -343,6 +343,28 @@ class TestScheduling:
         with pytest.raises(ValidationError):
             run_scheduled_broadcast(c8, {0: tree}, {0: {1: [5], 2: [5]}})
 
+    @pytest.mark.parametrize(
+        "messages",
+        [
+            {0: {1: [1]}, 5: {2: [7]}},  # job 5 has no tree
+            {0: {-1: [1]}},
+            {0: {8: [1]}},
+            {0: {2.5: [1]}},
+            {0: {1: [1.5]}},
+        ],
+    )
+    def test_bad_input_fails_loud(self, c8, messages):
+        """Each input raises the ValidationError the Lemma 1 pipeline
+        raises. Before, job 5's messages were dropped without a word, a bad
+        origin raised ProtocolError after the run, and the id 1.5 went on
+        the wire as a 68-bit float payload."""
+        tree = run_bfs(c8, 0)
+        with pytest.raises(ValidationError) as lemma1:
+            run_tree_broadcast(c8, {0: tree}, messages)
+        with pytest.raises(ValidationError) as scheduled:
+            run_scheduled_broadcast(c8, {0: tree}, messages)
+        assert str(scheduled.value) == str(lemma1.value)
+
     def test_congestion_counts_both_jobs(self, c8):
         tree = run_bfs(c8, 0)
         msgs = {0: {4: [1, 2, 3]}, 1: {4: [11, 12, 13]}}
