@@ -20,6 +20,13 @@ hosts (n = 1, n = 2, edgeless, disconnected, highest-id node isolated, all
 weights tied). ``tests/test_engine_equivalence.py`` drives both in CI;
 ``python -m repro.engine.verify`` runs the sweep and the matrix.
 
+Parity cannot see a change made to both backends alike, so the outcomes
+themselves are pinned too: :func:`golden_digests` hashes every
+:func:`_pair` outcome of the tier-1 sweep and the boundary matrix with
+:func:`digest`, and a tier-1 test compares the hashes with the committed
+:data:`GOLDEN_PATH`. ``python -m repro.engine.verify --update-golden``
+rewrites that file after an intended change of an output or an RNG stream.
+
 Every check returns a list of mismatch strings (empty = equivalent), each
 naming the path of the field that diverged.
 """
@@ -27,7 +34,11 @@ naming the path of the field that diverged.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -97,6 +108,11 @@ __all__ = [
     "EXEMPT",
     "Raised",
     "diff",
+    "digest",
+    "GOLDEN_PATH",
+    "golden_digests",
+    "golden_mismatches",
+    "write_golden",
     "check_bfs",
     "check_parallel_bfs",
     "check_leader",
@@ -279,6 +295,54 @@ def diff(a, b, path: str = "result") -> list[str]:
     return [f"{path}: {a!r} != {b!r}"]
 
 
+def _feed(h, value) -> None:
+    """Hash ``value`` into ``h``, walked as :func:`diff` walks it."""
+    cls = type(value)
+    h.update(f"<{cls.__qualname__}".encode())
+    names = _VIEWS.get(cls)
+    if names is None and dataclasses.is_dataclass(value):
+        names = tuple(f.name for f in dataclasses.fields(value))
+    if names is not None:
+        for name in names:
+            if name not in EXEMPT:
+                h.update(f" {name}=".encode())
+                _feed(h, getattr(value, name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _feed(h, key)
+            _feed(h, item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, (set, frozenset)):
+        for text in sorted(map(repr, value)):
+            h.update(f" {len(text)}:{text}".encode())
+    elif isinstance(value, np.ndarray) and not value.dtype.hasobject:
+        h.update(f" {value.dtype.str}{list(value.shape)} ".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, np.ndarray):
+        _feed(h, value.tolist())
+    else:
+        text = repr(value)
+        h.update(f" {len(text)}:{text}".encode())
+    h.update(b">")
+
+
+def digest(value) -> str:
+    """SHA-256 of ``value`` (first 16 hex digits), over what :func:`diff`
+    compares: the same :data:`_VIEWS`, minus the same :data:`EXEMPT`
+    fields, with :class:`Raised` outcomes as dataclasses. Arrays go in by
+    dtype, shape and bytes; any other leaf by type and ``repr``."""
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()[:16]
+
+
+#: While :func:`_run` records digests: the current trial's :func:`_pair`
+#: calls as ``(label, digest of both outcomes)``, in call order.
+_recorded: list[tuple[str, str]] | None = None
+
+
 def _outcome(call: Callable[[], Any]) -> Any:
     """``call()``, or :class:`Raised` if it raises :class:`ValidationError`."""
     try:
@@ -289,7 +353,10 @@ def _outcome(call: Callable[[], Any]) -> Any:
 
 def _pair(label: str, first: Callable[[], Any], second: Callable[[], Any]) -> list[str]:
     """Diff the outcomes of two zero-argument calls, paths under ``label``."""
-    return diff(_outcome(first), _outcome(second), label)
+    a, b = _outcome(first), _outcome(second)
+    if _recorded is not None:
+        _recorded.append((label, digest((a, b))))
+    return diff(a, b, label)
 
 
 def _both(label: str, call: Callable[[str], Any]) -> list[str]:
@@ -376,14 +443,14 @@ def check_tree_broadcast(
         for c, (o, i) in pairs.items()
     }
     reference = _outcome(lambda: run_tree_broadcast(graph, trees, messages))
-    return diff(
-        reference,
-        _outcome(lambda: vectorized_tree_broadcast(graph, trees, messages)),
+    return _pair(
         "pipeline",
-    ) + diff(
-        reference,
-        _outcome(lambda: vectorized_tree_broadcast(graph, trees, flat)),
+        lambda: reference,
+        lambda: vectorized_tree_broadcast(graph, trees, messages),
+    ) + _pair(
         "pipeline-flat",
+        lambda: reference,
+        lambda: vectorized_tree_broadcast(graph, trees, flat),
     )
 
 
@@ -1083,12 +1150,27 @@ class EquivalenceReport:
         return not self.mismatches
 
 
-def _run(trials) -> EquivalenceReport:
+def _run(trials, digests: dict[str, str] | None = None) -> EquivalenceReport:
+    """Every row of :data:`ROWS` over ``trials``. With ``digests``, also
+    record there the :func:`digest` of both outcomes of every :func:`_pair`
+    call, keyed ``[trial] label``; a label's second and later calls within
+    one trial get `` #2``, `` #3``, ..."""
+    global _recorded
     report = EquivalenceReport()
     for trial in trials:
-        for row in ROWS:
-            report.checks += 1
-            report.mismatches.extend(f"[{trial.name}] {m}" for m in row(trial))
+        calls: list[tuple[str, str]] = []
+        _recorded = None if digests is None else calls
+        try:
+            for row in ROWS:
+                report.checks += 1
+                report.mismatches.extend(f"[{trial.name}] {m}" for m in row(trial))
+        finally:
+            _recorded = None
+        seen: Counter[str] = Counter()
+        for label, value in calls:
+            seen[label] += 1
+            nth = f" #{seen[label]}" if seen[label] > 1 else ""
+            digests[f"[{trial.name}] {label}{nth}"] = value
         report.trials += 1
     return report
 
@@ -1125,11 +1207,12 @@ def _random_trial(rng, seed: int, t: int, max_n: int) -> Trial:
 
 
 def verify_equivalence(
-    trials: int = 10, seed: int = 0, max_n: int = 24
+    trials: int = 10, seed: int = 0, max_n: int = 24, digests: dict[str, str] | None = None
 ) -> EquivalenceReport:
-    """Every row of :data:`ROWS` over ``trials`` random connected hosts."""
+    """Every row of :data:`ROWS` over ``trials`` random connected hosts
+    (``digests``: see :func:`_run`)."""
     rng = ensure_rng(seed)
-    return _run(_random_trial(rng, seed, t, max_n) for t in range(trials))
+    return _run((_random_trial(rng, seed, t, max_n) for t in range(trials)), digests)
 
 
 def _boundary_trial(name: str, host: Graph) -> Trial:
@@ -1167,14 +1250,55 @@ def boundary_hosts() -> dict[str, Graph]:
     }
 
 
-def verify_boundaries() -> list[str]:
+def verify_boundaries(digests: dict[str, str] | None = None) -> list[str]:
     """Every row of :data:`ROWS` on the six :func:`boundary_hosts`, each
-    flood under a plan with every edge dead; returns the mismatches."""
+    flood under a plan with every edge dead; returns the mismatches
+    (``digests``: see :func:`_run`)."""
     hosts = boundary_hosts()
-    return _run(_boundary_trial(name, g) for name, g in hosts.items()).mismatches
+    return _run((_boundary_trial(name, g) for name, g in hosts.items()), digests).mismatches
 
 
-def main() -> int:  # pragma: no cover - thin CLI wrapper
+#: The committed digests of :func:`golden_digests`, with the numpy version
+#: they were recorded under.
+GOLDEN_PATH = Path(__file__).with_name("verify_golden.json")
+
+
+def golden_digests() -> dict[str, str]:
+    """The digests of the tier-1 sweep (``verify_equivalence(trials=6,
+    seed=11, max_n=20)``) and of :func:`verify_boundaries`."""
+    digests: dict[str, str] = {}
+    verify_equivalence(trials=6, seed=11, max_n=20, digests=digests)
+    verify_boundaries(digests)
+    return digests
+
+
+def write_golden(path: Path = GOLDEN_PATH) -> int:
+    """Record :func:`golden_digests` in ``path``; returns how many."""
+    digests = golden_digests()
+    record = {"numpy": np.__version__, "digests": digests}
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    return len(digests)
+
+
+def golden_mismatches(
+    digests: dict[str, str], path: Path = GOLDEN_PATH
+) -> tuple[list[str], str]:
+    """The labels whose digest in ``digests`` (what :func:`golden_digests`
+    returns) differs from ``path`` or is on one side only, and the numpy
+    version the file was recorded under."""
+    record = json.loads(path.read_text())
+    old, new = record["digests"], digests
+    moved = [key for key in old.keys() | new.keys() if old.get(key) != new.get(key)]
+    return sorted(moved), record["numpy"]
+
+
+def main(args: list[str]) -> int:  # pragma: no cover - thin CLI wrapper
+    if args == ["--update-golden"]:
+        print(f"wrote {write_golden()} digests to {GOLDEN_PATH}")
+        return 0
+    if args:
+        print("usage: python -m repro.engine.verify [--update-golden]")
+        return 2
     report = verify_equivalence(trials=25, seed=7, max_n=32)
     mismatches = report.mismatches + verify_boundaries()
     print(f"trials={report.trials} checks={report.checks}, then the boundary matrix")
@@ -1187,4 +1311,4 @@ def main() -> int:  # pragma: no cover - thin CLI wrapper
 if __name__ == "__main__":  # pragma: no cover
     import sys
 
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

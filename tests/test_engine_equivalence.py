@@ -32,6 +32,7 @@ from repro.engine.faults import vectorized_faulty_broadcast
 from repro.engine.verify import (
     EXEMPT,
     ROWS,
+    Raised,
     boundary_hosts,
     check_apsp_pipeline,
     check_bfs,
@@ -951,14 +952,23 @@ class TestStepStrategyEquivalence:
         assert check_fault_paths(g, 20, seed=5, parts=2) == []
 
 
+@functools.lru_cache(maxsize=None)
+def _tier1_sweep():
+    """The tier-1 sweep and the boundary matrix, run once for the tests that
+    read their mismatches and their golden digests."""
+    digests: dict[str, str] = {}
+    report = verify_equivalence(trials=6, seed=11, max_n=20, digests=digests)
+    return report, verify_boundaries(digests), digests
+
+
 class TestHarnessSweep:
     def test_randomized_sweep_is_clean(self):
-        report = verify_equivalence(trials=6, seed=11, max_n=20)
+        report = _tier1_sweep()[0]
         assert report.checks == 6 * len(ROWS)
         assert report.ok, report.mismatches
 
     def test_boundary_matrix_is_clean(self):
-        assert verify_boundaries() == []
+        assert _tier1_sweep()[1] == []
 
 
 class TestStructuralDiff:
@@ -1031,6 +1041,37 @@ class TestStructuralDiff:
         assert verify._pair("p", lambda: 1, lambda: fail("no")) == [
             "p: int != Raised(message='no')"
         ]
+
+
+class TestGoldenDigests:
+    """Committed digests pin every sweep outcome, so a change that moves
+    both backends alike fails tier-1 too (update with ``python -m
+    repro.engine.verify --update-golden``)."""
+
+    def test_sweep_outcomes_match_the_golden_file(self):
+        moved, numpy_version = verify.golden_mismatches(_tier1_sweep()[2])
+        if moved and numpy_version != np.__version__:
+            pytest.skip(
+                f"golden digests were recorded under numpy {numpy_version} and "
+                f"this is numpy {np.__version__}: {len(moved)} differ"
+            )
+        assert not moved, f"{len(moved)} golden digests moved: {moved}"
+
+    def test_digest_reads_what_diff_reads(self):
+        tagged = dataclasses.make_dataclass("Tagged", ["backend", "rounds"])
+        assert verify.digest(tagged("simulator", 3)) == verify.digest(tagged("vectorized", 3))
+        assert verify.digest(tagged("simulator", 3)) != verify.digest(tagged("simulator", 4))
+        g = thick_cycle(4, 3)
+        sim = run_bfs(g, 0, backend="simulator")
+        assert verify.digest(sim) == verify.digest(run_bfs(g, 0, backend="vectorized"))
+        assert verify.digest(Raised("no")) != verify.digest(Raised("nope"))
+
+    def test_digest_separates_types_dtypes_and_shapes(self):
+        a = np.arange(4, dtype=np.int64)
+        distinct = [1, 1.0, True, np.int64(1), "1", (1,), [1], {1: 1},
+                    a, a.astype(np.int32), a.reshape(2, 2), frozenset({1})]
+        assert len({verify.digest(x) for x in distinct}) == len(distinct)
+        assert verify.digest(frozenset({"a", "b"})) == verify.digest(frozenset({"b", "a"}))
 
 
 def _fields(value):
