@@ -338,9 +338,10 @@ def vectorized_tree_broadcast(
     Rounds, message and bit totals are :func:`pipeline_closed_form`. Every
     tree must be BFS-layered (``dist`` is the depth layering of
     ``parent``), as every tree producer in the library guarantees, and its
-    child lists must be the ones its parents imply
-    (:func:`~repro.primitives.pipeline.check_child_lists`); anything else
-    raises :class:`~repro.util.errors.ValidationError`.
+    child lists must be the ones its parents imply; anything else raises
+    the :class:`~repro.util.errors.ValidationError` of
+    :func:`~repro.primitives.pipeline.check_child_lists`, as on the
+    simulator.
 
     Per-edge metrics are closed-form too: each message crosses every tree
     edge once on the downcast and its origin-to-root path once on the
@@ -361,8 +362,6 @@ def vectorized_tree_broadcast(
         return TreeBroadcastOutcome(
             rounds=0, metrics=metrics, k_total=0, per_channel_k=per_channel_k
         )
-    if not ch.layered().all():
-        raise ValidationError("tree dist is not the BFS layering of its parents")
 
     C = len(ch.cids)
     rounds, total_messages, total_bits = pipeline_closed_form(ch, slice(None))

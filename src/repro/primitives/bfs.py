@@ -135,6 +135,15 @@ class BFSResult:
             and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
         )
 
+    def layered(self) -> bool:
+        """Whether ``dist`` is the BFS layering of ``parent``: 0 at a root,
+        its parent's plus one at every other node ``parent`` reaches."""
+        parent = np.asarray(self.parent, dtype=np.int64)
+        dist = np.asarray(self.dist, dtype=np.int64)
+        v = np.flatnonzero((parent >= 0) & (parent < parent.size))
+        expected = np.where(parent[v] == v, 0, dist[parent[v]] + 1)
+        return bool((dist[v] == expected).all())
+
     @property
     def depth(self) -> int:
         reached = self.dist[self.dist >= 0]

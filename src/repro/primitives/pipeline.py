@@ -221,16 +221,22 @@ def checked_messages(
 
 def check_child_lists(trees: dict[int, BFSResult]) -> None:
     """Raise :class:`ValidationError` naming the first channel whose child
-    lists are not the ones its ``parent`` array implies.
+    lists are not the ones its ``parent`` array implies, or whose ``dist``
+    is not the BFS layering of ``parent`` (:meth:`BFSResult.layered`).
 
     The fault-free Lemma 1 entry points need this: the simulator sends
-    down the child lists, and the closed form reads ``parent``. Only
-    faulty BFS collects such lists, and the faulty broadcast takes them.
+    down the child lists, and the closed form reads ``parent`` and
+    ``dist``. Only faulty BFS collects such lists, and the faulty
+    broadcast takes them, as it takes trees that are not layered.
     """
     for cid, tree in trees.items():
         if not tree.children_follow_parents():
             raise ValidationError(
                 f"channel {cid}: tree child lists differ from the ones its parents imply"
+            )
+        if not tree.layered():
+            raise ValidationError(
+                f"channel {cid}: tree dist is not the BFS layering of its parents"
             )
 
 
@@ -313,7 +319,7 @@ def run_tree_broadcast(
     trees: ``channel -> BFSResult`` spanning trees (edge-disjoint across
         channels; the per-edge CONGEST constraint is enforced by the
         simulator, so overlapping trees fail loudly rather than silently),
-        whose child lists are the ones their parents imply
+        BFS-layered and with the child lists their parents imply
         (:func:`check_child_lists`).
     messages: ``channel -> {node -> [message ids]}`` initial placement, or
         per channel the flat ``(origins, ids)`` pair; both are checked by

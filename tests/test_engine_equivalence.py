@@ -221,11 +221,20 @@ class TestPipelineEquivalence:
         assert out.k_total == 2 and tree._children is None
 
     def test_non_bfs_layered_tree_rejected(self):
-        g = thick_cycle(4, 3)
+        """A tree whose ``dist`` is not the layering of its parents is refused
+        by both fault-free Lemma 1 entry points and by the scheduler, with
+        one error naming the channel. Before, the simulator ran this
+        instance (7 rounds, 16 messages) while the vectorized side raised
+        an error that named no channel."""
+        g = cycle_graph(6)
         tree = run_bfs(g, 0, backend="vectorized")
         tree.dist = tree.dist + (tree.dist > 0)  # non-roots one layer too deep
-        with pytest.raises(ValidationError):
-            vectorized_tree_broadcast(g, {0: tree}, {0: {0: [1]}})
+        texts = []
+        for run in (run_tree_broadcast, vectorized_tree_broadcast, run_scheduled_broadcast):
+            with pytest.raises(ValidationError) as err:
+                run(g, {0: tree}, {0: {3: [1, 2]}})
+            texts.append(str(err.value))
+        assert len(set(texts)) == 1 and "channel 0" in texts[0] and "layering" in texts[0]
 
     @pytest.mark.parametrize(
         "messages, named",
