@@ -27,6 +27,7 @@ stream, drawn in delivery order — bit for bit.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Mapping
 
 from repro import obs
@@ -40,6 +41,11 @@ __all__ = ["FaultySimulator"]
 
 class FaultySimulator(Simulator):
     """A :class:`Simulator` whose deliveries can fail.
+
+    Each round's delivery batch, in delivery order, loses its messages on
+    dead edges, then those on the round's mobile edges; the survivors then
+    draw one fault coin each, all in one call on the fault RNG, in
+    delivery order, and a coin below ``drop_rate`` drops its message.
 
     Parameters (beyond the base class):
 
@@ -88,20 +94,23 @@ class FaultySimulator(Simulator):
         self._fault_rng = ensure_rng(fault_seed)
         self.dropped = 0
 
-    def _deliverable(self, rnd: int, eid: int) -> bool:
-        if eid in self.dead_edges:
-            self.dropped += 1
-            obs.count("faults.dropped")
-            return False
-        spot = self._mobile.get(rnd)
-        if spot is not None and eid in spot:
-            self.dropped += 1
-            obs.count("faults.dropped")
-            return False
-        if self.drop_rate > 0.0:
-            obs.count("rng.fault_coins")
-            if self._fault_rng.random() < self.drop_rate:
-                self.dropped += 1
-                obs.count("faults.dropped")
-                return False
-        return True
+    def _deliver(self, rnd: int, batch: list) -> list:
+        """Drop the round's messages on dead edges, then those on the
+        round's mobile edges, then each survivor whose coin falls below
+        the drop rate; one call draws every coin of the round."""
+        dead, spot = self.dead_edges, self._mobile.get(rnd)
+        if spot:
+            kept = [msg for msg in batch if msg[1] not in dead and msg[1] not in spot]
+        elif dead:
+            kept = [msg for msg in batch if msg[1] not in dead]
+        else:
+            kept = batch
+        if self.drop_rate > 0.0 and kept:
+            obs.count("rng.fault_coins", len(kept))
+            coins = self._fault_rng.random(len(kept))
+            kept = list(compress(kept, (coins >= self.drop_rate).tolist()))
+        dropped = len(batch) - len(kept)
+        if dropped:
+            self.dropped += dropped
+            obs.count("faults.dropped", dropped)
+        return kept

@@ -21,7 +21,10 @@ activation, pricing, routing and the per-edge counts share the rest.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from array import array
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.congest.metrics import Metrics
@@ -32,6 +35,9 @@ from repro.util.errors import BandwidthExceeded, ReproError
 from repro.util.rng import ensure_rng, spawn_rngs
 
 __all__ = ["Simulator", "SimulationResult"]
+
+#: Stands for "no payload priced yet" while a node's sends are drained.
+_UNPRICED = object()
 
 
 def _typed_cache_key(payload):
@@ -159,52 +165,94 @@ class Simulator:
         Raises :class:`ReproError` if ``max_rounds`` is hit (a protocol that
         should have terminated didn't — always a bug, never swallowed).
         """
-        net = self.network
-        graph = net.graph
-        metrics = Metrics(m=graph.m)
-        budget = self.budget
-
         with obs.span("simulate.run"):
-            result = self._run_rounds(max_rounds, metrics, budget)
+            result = self._run_rounds(max_rounds)
+        metrics = result.metrics
         obs.count("simulate.rounds", metrics.rounds)
         obs.count("simulate.messages", metrics.total_messages)
         obs.count("simulate.bits", metrics.total_bits)
         return result
 
-    def _run_rounds(
-        self, max_rounds: int, metrics: Metrics, budget: int
-    ) -> SimulationResult:
-        # round 0: on_start everywhere
-        pending: list[tuple[int, int, object, int]] = []  # (dst, port, payload, eid)
-        for v in range(self.n):
-            ctx = self.contexts[v]
-            ctx.round = 0
-            self.programs[v].on_start(ctx)
-            pending.extend(self._drain_outbox(v, ctx, metrics, budget))
-        metrics.rounds = 0
+    def _run_rounds(self, max_rounds: int) -> SimulationResult:
+        net = self.network
+        arc_start, heads, edges, back_ports = (
+            net.arc_start, net.arc_head, net.arc_edge, net.arc_back_port
+        )
+        programs, contexts = self.programs, self.contexts
+        price, budget = self._payload_bits, self.budget
+        # The run's totals, written into Metrics once at the end.
+        edge_messages = array("q", [0]) * net.graph.m
+        total_messages = total_bits = activations = active_peak = 0
 
-        wake_set = {
-            v for v in range(self.n) if self.contexts[v]._wake and not self.contexts[v]._halted
-        }
-        for ctx in self.contexts:
-            ctx._wake = False
-
+        # Round 0 runs on_start everywhere; round r > 0 runs on_round at
+        # the nodes that received a message or asked to wake.
         rnd = 0
-        while pending or wake_set:
+        active: Iterable[int] = range(self.n)
+        inboxes: dict[int, list[tuple[int, object]]] = {}
+        wake_set: set[int] = set()
+        pending: list[tuple[int, int, tuple[int, object]]] = []
+        while True:
+            for v in active:
+                ctx = contexts[v]
+                if ctx._halted:
+                    # Messages to halted nodes are dropped (they produced
+                    # their output already); this matches the convention
+                    # that a terminated node ignores its links.
+                    continue
+                ctx.round = rnd
+                if rnd:
+                    ctx.inbox = inboxes.get(v, [])
+                    programs[v].on_round(ctx)
+                    ctx.inbox = []
+                else:
+                    programs[v].on_start(ctx)
+                outbox = ctx._outbox
+                if outbox:
+                    # Price and route the sends into the round's batch.
+                    # Context.send has checked each port, so arc
+                    # arc_start[v] + port exists. A payload object sent on
+                    # several ports is priced (and budget-checked) once.
+                    ctx._outbox = {}
+                    start = arc_start[v]
+                    last = _UNPRICED
+                    bits = 0
+                    for port, payload in outbox.items():
+                        if payload is not last:
+                            bits = price(payload)
+                            if bits > budget:
+                                raise BandwidthExceeded(
+                                    f"node {v} round {rnd}: payload of {bits} bits "
+                                    f"exceeds budget {budget} (payload={payload!r})"
+                                )
+                            last = payload
+                        total_bits += bits
+                        a = start + port
+                        eid = edges[a]
+                        edge_messages[eid] += 1
+                        pending.append((heads[a], eid, (back_ports[a], payload)))
+                    total_messages += len(outbox)
+                if ctx._wake:
+                    if not ctx._halted:
+                        wake_set.add(v)
+                    ctx._wake = False
+            if not (pending or wake_set):
+                break
             rnd += 1
             if rnd > max_rounds:
                 raise ReproError(
                     f"simulation exceeded max_rounds={max_rounds}; "
                     "protocol failed to terminate"
                 )
-            # Deliver round (rnd-1) messages; the fault hook may drop some
-            # (base implementation delivers everything).
-            inboxes: dict[int, list[tuple[int, object]]] = {}
-            for dst, dst_port, payload, eid in pending:
-                if self._deliverable(rnd, eid):
-                    inboxes.setdefault(dst, []).append((dst_port, payload))
+            # Deliver the previous round's sends that the fault hook keeps
+            # (the base simulator keeps all of them), in send order.
+            inboxes = {}
+            for dst, _eid, item in self._deliver(rnd, pending):
+                box = inboxes.get(dst)
+                if box is None:
+                    inboxes[dst] = [item]
+                else:
+                    box.append(item)
             pending = []
-
             # Canonical activation order (ascending node id). Protocol
             # outputs never depend on it (per-node state is isolated), but
             # the order of the sends it produces fixes next round's delivery
@@ -212,56 +260,34 @@ class Simulator:
             # :class:`repro.congest.faults.FaultySimulator` — so it must be
             # deterministic for the vectorized fault engine
             # (:mod:`repro.engine.faults`) to replicate it bit for bit.
-            active = sorted(set(inboxes) | wake_set)
-            obs.count("simulate.activations", len(active))
-            obs.count("simulate.active_peak", len(active), "max")
+            active = sorted(inboxes.keys() | wake_set)
             wake_set = set()
-            for v in active:
-                ctx = self.contexts[v]
-                if ctx._halted:
-                    # Messages to halted nodes are dropped (they produced
-                    # their output already); this matches the convention
-                    # that a terminated node ignores its links.
-                    continue
-                ctx.round = rnd
-                ctx.inbox = inboxes.get(v, [])
-                self.programs[v].on_round(ctx)
-                pending.extend(self._drain_outbox(v, ctx, metrics, budget))
-                if ctx._wake and not ctx._halted:
-                    wake_set.add(v)
-                ctx._wake = False
-                ctx.inbox = []
-            metrics.rounds = rnd
+            activations += len(active)
+            active_peak = max(active_peak, len(active))
 
-        halted = all(ctx._halted for ctx in self.contexts)
-        return SimulationResult(self.programs, metrics, halted)
+        if rnd:
+            obs.count("simulate.activations", activations)
+            obs.count("simulate.active_peak", active_peak, "max")
+        metrics = Metrics(
+            m=net.graph.m,
+            rounds=rnd,
+            total_messages=total_messages,
+            total_bits=total_bits,
+            edge_messages=np.frombuffer(edge_messages, dtype=np.int64),
+        )
+        halted = all(ctx._halted for ctx in contexts)
+        return SimulationResult(programs, metrics, halted)
 
-    def _drain_outbox(self, v: int, ctx: Context, metrics: Metrics, budget: int):
-        """Price and route node ``v``'s sends; returns delivery quadruples.
+    def _deliver(
+        self, rnd: int, batch: list[tuple[int, int, tuple[int, object]]]
+    ) -> list[tuple[int, int, tuple[int, object]]]:
+        """Fault hook: the messages of ``batch`` that arrive in round
+        ``rnd``, in batch order.
 
-        ``Context.send`` has already checked each port, so arc
-        ``arc_start[v] + port`` exists and three list reads route it.
+        ``batch`` holds every message sent in round ``rnd - 1``, in send
+        order (sender ascending, then the sender's send order), each as
+        ``(receiver, edge id, (receiver's port, payload))``. The base
+        simulator is fault-free and delivers the whole batch; see
+        :class:`repro.congest.faults.FaultySimulator`.
         """
-        net = self.network
-        start = net.arc_start[v]
-        heads, edges, back_ports = net.arc_head, net.arc_edge, net.arc_back_port
-        out = []
-        for port, payload in ctx._outbox.items():
-            bits = self._payload_bits(payload)
-            if bits > budget:
-                raise BandwidthExceeded(
-                    f"node {v} round {ctx.round}: payload of {bits} bits exceeds "
-                    f"budget {budget} (payload={payload!r})"
-                )
-            a = start + port
-            eid = edges[a]
-            metrics.record_message(eid, bits)
-            out.append((heads[a], back_ports[a], payload, eid))
-        ctx._outbox = {}
-        return out
-
-    def _deliverable(self, rnd: int, eid: int) -> bool:
-        """Fault hook: return False to drop a message on edge ``eid`` at
-        delivery time. The base simulator is fault-free; see
-        :class:`repro.congest.faults.FaultySimulator`."""
-        return True
+        return batch

@@ -74,8 +74,9 @@ class ConvergecastProgram(NodeProgram):
         if self.is_root:
             self.result = self.acc
             self.output["result"] = self.result
+            msg = (_DOWN, self.result)
             for p in self.child_ports:
-                ctx.send(p, (_DOWN, self.result))
+                ctx.send(p, msg)
             ctx.halt()
         else:
             ctx.send(self.parent_port, (_UP, self.acc))
@@ -97,8 +98,9 @@ class ConvergecastProgram(NodeProgram):
             elif kind == _DOWN:
                 self.result = value
                 self.output["result"] = value
+                msg = (_DOWN, value)
                 for p in self.child_ports:
-                    ctx.send(p, (_DOWN, value))
+                    ctx.send(p, msg)
                 ctx.halt()
             else:
                 raise ProtocolError(f"unknown convergecast payload kind {kind}")

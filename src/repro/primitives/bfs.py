@@ -197,8 +197,9 @@ class BFSProgram(NodeProgram):
             if root == self.node:
                 self.dist[channel] = 0
                 self.parent_port[channel] = None
+                msg = (_ANNOUNCE, channel, 0)
                 for p in self._ports(ctx, channel):
-                    ctx.send(p, (_ANNOUNCE, channel, 0))
+                    ctx.send(p, msg)
 
     def on_round(self, ctx: Context) -> None:
         # Gather this round's announcements per channel first, then adopt the
@@ -229,9 +230,10 @@ class BFSProgram(NodeProgram):
         for channel, d in adopted:
             pport = self.parent_port[channel]
             ctx.send(pport, (_CHILD, channel))
+            msg = (_ANNOUNCE, channel, d)
             for p in self._ports(ctx, channel):
                 if p != pport:
-                    ctx.send(p, (_ANNOUNCE, channel, d))
+                    ctx.send(p, msg)
 
 
 def check_roots(graph: Graph, roots) -> list[int]:

@@ -114,9 +114,9 @@ class PipelinedBroadcastProgram(NodeProgram):
                 ctx.send(st.spec.parent_port, (_UP, cid, st.up_queue.popleft()))
                 busy = busy or bool(st.up_queue)
             if st.down_queue:
-                mid = st.down_queue.popleft()
+                msg = (_DOWN, cid, st.down_queue.popleft())
                 for p in st.spec.child_ports:
-                    ctx.send(p, (_DOWN, cid, mid))
+                    ctx.send(p, msg)
                 busy = busy or bool(st.down_queue)
         if busy:
             ctx.wake()

@@ -73,9 +73,9 @@ class ScheduledBroadcastProgram(PipelinedBroadcastProgram):
                     (_UP, cid, st.up_queue.popleft())
                 )
             if st.down_queue:
-                mid = st.down_queue.popleft()
+                msg = (_DOWN, cid, st.down_queue.popleft())
                 for p in st.spec.child_ports:
-                    fifo.setdefault(p, deque()).append((_DOWN, cid, mid))
+                    fifo.setdefault(p, deque()).append(msg)
         busy = False
         for port, queue in fifo.items():
             if queue:
