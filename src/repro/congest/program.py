@@ -18,8 +18,9 @@ zero-communication partition) is exposed read-only via ``ctx.shared``.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
+import numpy as np
 
 from repro.util.errors import BandwidthExceeded, ProtocolError
 
@@ -37,7 +38,7 @@ class Context:
     round: current round number (0-based).
     inbox: list of ``(port, payload)`` delivered this round.
     shared: read-only mapping of common knowledge.
-    rng: per-node independent random stream.
+    rng: per-node independent random stream, built on first use.
     """
 
     __slots__ = (
@@ -47,23 +48,38 @@ class Context:
         "round",
         "inbox",
         "shared",
-        "rng",
+        "_rng",
+        "_new_rng",
         "_outbox",
         "_wake",
         "_halted",
     )
 
-    def __init__(self, node: int, n: int, degree: int, shared: dict, rng):
+    def __init__(
+        self,
+        node: int,
+        n: int,
+        degree: int,
+        shared: dict,
+        new_rng: Callable[[], np.random.Generator],
+    ):
         self.node = node
         self.n = n
         self.degree = degree
         self.round = 0
         self.inbox: list[tuple[int, Any]] = []
         self.shared = shared
-        self.rng = rng
+        self._rng: np.random.Generator | None = None
+        self._new_rng = new_rng
         self._outbox: dict[int, Any] = {}
         self._wake = False
         self._halted = False
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = self._new_rng()
+        return self._rng
 
     # -- actions ------------------------------------------------------- #
 

@@ -22,6 +22,7 @@ activation, pricing, routing and the per-edge counts share the rest.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.congest.network import Network
 from repro.congest.program import Context, NodeProgram
 from repro.util.bits import bits_for_payload, message_bit_budget
 from repro.util.errors import BandwidthExceeded, ReproError
-from repro.util.rng import ensure_rng, spawn_rngs
+from repro.util.rng import child_rng, ensure_rng, spawn_seeds
 
 __all__ = ["Simulator", "SimulationResult"]
 
@@ -90,7 +91,9 @@ class Simulator:
         Hidden constant of the O(log n) bandwidth; see
         :func:`repro.util.bits.message_bit_budget`.
     seed:
-        Root seed for the per-node independent random streams.
+        Root seed for the per-node independent random streams: node ``v``
+        draws what ``spawn_rngs(ensure_rng(seed), n)[v]`` would, from a
+        generator built when its program first reads ``ctx.rng``.
     """
 
     def __init__(
@@ -109,7 +112,7 @@ class Simulator:
         self.shared = shared
 
         rng = ensure_rng(seed)
-        node_rngs = spawn_rngs(rng, self.n)
+        node_seeds = spawn_seeds(rng, self.n)
         self.programs: list[NodeProgram] = []
         self.contexts: list[Context] = []
         for v in range(self.n):
@@ -121,7 +124,13 @@ class Simulator:
                 )
             self.programs.append(prog)
             self.contexts.append(
-                Context(v, self.n, network.degree(v), self.shared, node_rngs[v])
+                Context(
+                    v,
+                    self.n,
+                    network.degree(v),
+                    self.shared,
+                    partial(child_rng, rng, node_seeds[v]),
+                )
             )
         self._bitsize_cache: dict = {}
 

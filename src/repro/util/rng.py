@@ -20,7 +20,14 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["ensure_rng", "rng_from_seed", "spawn_rngs", "derive_seed"]
+__all__ = [
+    "ensure_rng",
+    "rng_from_seed",
+    "spawn_rngs",
+    "spawn_seeds",
+    "child_rng",
+    "derive_seed",
+]
 
 
 def rng_from_seed(seed: int | None) -> np.random.Generator:
@@ -49,6 +56,29 @@ def spawn_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return list(rng.spawn(count))
+
+
+def spawn_seeds(rng: np.random.Generator, count: int) -> list[np.random.SeedSequence]:
+    """The seeds of the ``count`` children :func:`spawn_rngs` derives, spawned
+    as it spawns them, so ``rng``'s spawn counter advances alike.
+
+    ``child_rng(rng, spawn_seeds(rng, count)[i])`` draws what
+    ``spawn_rngs(rng, count)[i]`` draws; a caller that may never draw from
+    a child builds it only on first use and skips the generator
+    construction.
+    """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    seq = rng.bit_generator.seed_seq
+    if not isinstance(seq, np.random.SeedSequence):
+        raise TypeError(f"{type(seq).__name__} cannot spawn child streams")
+    return seq.spawn(count)
+
+
+def child_rng(parent: np.random.Generator, seed: np.random.SeedSequence) -> np.random.Generator:
+    """The child generator of ``parent`` seeded by ``seed`` (one of
+    :func:`spawn_seeds`), of ``parent``'s generator and bit-generator types."""
+    return type(parent)(type(parent.bit_generator)(seed))
 
 
 def derive_seed(root_seed: int, *key: int | str) -> int:

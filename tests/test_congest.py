@@ -244,6 +244,40 @@ class TestSimulator:
         Simulator(Network(cycle_graph(4)), Roller, seed=5).run()
         assert len(set(draws.values())) == 4
 
+    @pytest.mark.parametrize("seed", [5, "generator"])
+    def test_node_rngs_are_spawn_rngs_children_built_on_first_use(self, seed):
+        """Node v draws what ``spawn_rngs(ensure_rng(seed), n)[v]`` draws, a
+        generator passed as ``seed`` spawns n children as before, and a node
+        that never reads ``ctx.rng`` never builds its generator."""
+        from repro.util.rng import ensure_rng, spawn_rngs
+
+        n = 5
+        draws = {}
+
+        class OddRoller(NodeProgram):
+            def __init__(self, node):
+                super().__init__()
+                self.node = node
+
+            def on_start(self, ctx):
+                if self.node % 2:
+                    draws[self.node] = ctx.rng.random(3).tolist()
+
+            def on_round(self, ctx):
+                pass
+
+        def root():
+            return np.random.default_rng(11) if seed == "generator" else seed
+
+        given = root()
+        sim = Simulator(Network(cycle_graph(n)), OddRoller, seed=given)
+        sim.run()
+        reference = spawn_rngs(ensure_rng(root()), n)
+        assert draws == {v: reference[v].random(3).tolist() for v in (1, 3)}
+        assert [ctx._rng is None for ctx in sim.contexts] == [True, False, True, False, True]
+        if seed == "generator":
+            assert given.bit_generator.seed_seq.n_children_spawned == n
+
 
 class TestMetrics:
     def test_bits_across(self):

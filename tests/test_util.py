@@ -17,6 +17,7 @@ from repro.util import (
     rng_from_seed,
     spawn_rngs,
 )
+from repro.util.rng import child_rng, spawn_seeds
 
 
 class TestBits:
@@ -95,6 +96,16 @@ class TestRng:
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(rng_from_seed(0), -1)
+        with pytest.raises(ValueError):
+            spawn_seeds(rng_from_seed(0), -1)
+
+    def test_child_rng_of_spawn_seeds_is_the_spawn_rngs_child(self):
+        a, b = rng_from_seed(7), rng_from_seed(7)
+        kids = spawn_rngs(a, 3)
+        seeds = spawn_seeds(b, 3)
+        assert b.bit_generator.seed_seq.n_children_spawned == 3
+        for kid, seed in zip(kids, seeds):
+            assert child_rng(b, seed).random(4).tolist() == kid.random(4).tolist()
 
     def test_derive_seed_stable(self):
         assert derive_seed(5, "edge", 1, 2) == derive_seed(5, "edge", 1, 2)
