@@ -384,3 +384,139 @@ class TestPortsForEdgesVectorized:
         net = Network(cycle_graph(4))
         assert net.ports_for_edges(0, set()) == []
         assert net.ports_for_edges(0, np.zeros(4, dtype=bool)) == []
+
+
+def _recording(base):
+    """``base`` with a fault hook that also keeps every round's batch."""
+
+    class Recording(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.batches = []
+
+        def _deliver(self, rnd, batch):
+            self.batches.append(list(batch))
+            return super()._deliver(rnd, batch)
+
+    return Recording
+
+
+class TestRoundTransport:
+    """The transport hands each round's sends to one fault-hook call,
+    prices a payload object fanned out to several ports once, and writes
+    the run's totals into Metrics at the end."""
+
+    def test_faulty_hook_draws_one_coin_per_survivor_in_batch_order(self):
+        from repro import obs
+        from repro.congest.faults import FaultySimulator
+        from repro.util.rng import ensure_rng
+
+        g = cycle_graph(6)
+        dead, mobile, rate = {0}, {3: {2}}, 0.5
+        sim = FaultySimulator(
+            Network(g), lambda v: NodeProgram(), dead_edges=dead, mobile=mobile,
+            drop_rate=rate, fault_seed=9,
+        )
+        eids = [1, 0, 2, 3, 2, 4, 5, 0, 1, 3, 4, 5, 2, 2, 0, 1, 3, 4, 5, 1]
+        batch = [(i % 6, eid, (0, (i,))) for i, eid in enumerate(eids)]
+        rng = ensure_rng(9)
+        kept, dropped, coins = [], 0, 0
+        for rnd in (3, 4):
+            for msg in batch:
+                if msg[1] in dead or msg[1] in mobile.get(rnd, ()):
+                    dropped += 1
+                    continue
+                coins += 1
+                if rng.random() < rate:
+                    dropped += 1
+                else:
+                    kept.append(msg)
+        with obs.use_tracer() as tracer:
+            got = sim._deliver(3, batch) + sim._deliver(4, batch)
+        assert got == kept and 0 < len(kept) < 2 * len(batch)
+        assert sim.dropped == dropped
+        assert sim._fault_rng.bit_generator.state == rng.bit_generator.state
+        counters = tracer.counter_values()
+        assert counters["rng.fault_coins"] == coins
+        assert counters["faults.dropped"] == dropped
+        # A batch that dies on dead and mobile edges draws no coin.
+        state = sim._fault_rng.bit_generator.state
+        assert sim._deliver(3, [m for m in batch if m[1] in (0, 2)]) == []
+        assert sim._fault_rng.bit_generator.state == state
+
+    @staticmethod
+    def _fan_out(graph, sends, received=None):
+        """Node 0 sends ``sends[i]`` (one object per group of ports) in
+        round 0; every receipt lands in ``received``."""
+
+        class FanOut(NodeProgram):
+            def __init__(self, node):
+                super().__init__()
+                self.node = node
+
+            def on_start(self, ctx):
+                if self.node == 0:
+                    for port in range(ctx.degree):
+                        ctx.send(port, sends[port * len(sends) // ctx.degree])
+
+            def on_round(self, ctx):
+                if received is not None:
+                    received.extend(ctx.inbox)
+
+        return Simulator(Network(graph), FanOut).run().metrics
+
+    def test_fanned_out_payload_is_charged_per_port(self):
+        from repro.util.bits import bits_for_payload
+
+        g = complete_graph(7)
+        payload = (3, 250, 1)
+        m = self._fan_out(g, [payload])
+        assert m.total_messages == 6
+        assert m.total_bits == 6 * bits_for_payload(payload)
+        star = np.flatnonzero((g.edge_u == 0) | (g.edge_v == 0))
+        assert m.edge_messages[star].tolist() == [1] * 6
+        assert m.edge_messages.sum() == 6
+
+    def test_fanned_out_equal_payloads_of_other_types_are_priced_apart(self):
+        """``(False, True) == (0, 1)``, but the flags cost 2 bits and the
+        ints 4: only the same object skips pricing."""
+        g = complete_graph(7)
+        m = self._fan_out(g, [(False, True), (0, 1)])
+        assert m.total_bits == 3 * 2 + 3 * 4
+        m = self._fan_out(g, [(0, 1), (False, True)])
+        assert m.total_bits == 3 * 4 + 3 * 2
+
+    def test_oversized_fanned_out_payload_raises_before_delivery(self):
+        received = []
+        with pytest.raises(BandwidthExceeded, match="node 0 round 0"):
+            self._fan_out(complete_graph(7), [(1, 2**200)], received)
+        assert received == []
+
+    @pytest.mark.parametrize("case", ["bfs", "pipeline", "lossy"])
+    def test_metrics_equal_a_recount_of_every_send(self, case):
+        from repro.congest.faults import FaultySimulator
+        from repro.graphs import thick_cycle
+        from repro.primitives.bfs import BFSProgram, run_bfs
+        from repro.primitives.pipeline import checked_messages, simulate_pipelines
+        from repro.util.bits import bits_for_payload
+
+        g = thick_cycle(5, 4)
+        net = Network(g)
+        if case == "bfs":
+            sim = _recording(Simulator)(net, lambda v: BFSProgram(v, {0: 3}, {0: None}))
+            metrics = sim.run().metrics
+        else:
+            trees = {0: run_bfs(g, 0, backend="vectorized")}
+            flat = checked_messages(g.n, trees, {0: {v: [v + 1] for v in range(g.n)}})
+            kwargs = {"drop_rate": 0.3, "fault_seed": 5} if case == "lossy" else {}
+            base = FaultySimulator if case == "lossy" else Simulator
+            result, sim = simulate_pipelines(net, trees, flat, simulator=_recording(base), **kwargs)
+            metrics = result.metrics
+            assert getattr(sim, "dropped", 0) > 0 or case != "lossy"
+        sent = [msg for batch in sim.batches for msg in batch]
+        assert len(sim.batches) == metrics.rounds
+        assert metrics.total_messages == len(sent)
+        assert metrics.total_bits == sum(bits_for_payload(msg[2][1]) for msg in sent)
+        recount = np.bincount([msg[1] for msg in sent], minlength=g.m)
+        assert metrics.edge_messages.dtype == np.int64
+        assert metrics.edge_messages.tolist() == recount.tolist()
