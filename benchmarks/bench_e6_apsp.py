@@ -13,7 +13,10 @@ ledgers, certified by ``tests/test_engine_equivalence.py``). A dedicated
 cross-check then executes the full pipeline on *both* backends at the
 largest simulator-feasible host: estimates, cluster assignments, and both
 round ledgers must match bit-for-bit, and the vectorized path must be
-≥ 20× faster wall-clock; the timing lands in ``BENCH_E13.json``.
+≥ 15× faster wall-clock; the timing lands in ``BENCH_E13.json``. (The
+floor was 20× until the simulator's per-round transport cut its side to
+about 0.10 s, leaving a median near 20× with the vectorized side
+unchanged at about 0.005 s.)
 
 Set ``E6_QUICK=1`` for the CI smoke: smallest host, both backends, ledger
 equality asserted, no timing assertions.
@@ -101,7 +104,7 @@ def run_experiment():
         f"E6 backend cross-check (n={g.n}): sim {out['simulator'][1]:.2f}s, "
         f"vec {out['vectorized'][1]:.3f}s, speedup {speedup:.1f}x"
     )
-    assert speedup >= 20.0, f"vectorized APSP speedup only {speedup:.1f}x"
+    assert speedup >= 15.0, f"vectorized APSP speedup only {speedup:.1f}x"
     write_bench_artifact(
         "e6",
         {"n": g.n, "lam": 36,
