@@ -8,7 +8,7 @@ count are deterministic functions of the input:
   simulator. Round counts are *certified by execution*: every message is
   transported, bit-priced, and bandwidth-checked, so a completed run is a
   genuine CONGEST execution. This is the ground truth — and every message
-  costs about 2.7 µs of simulator time, about 30% of it inside the per-node
+  costs about 1.8 µs of simulator time, about 43% of it inside the per-node
   Python programs (measured in :mod:`repro.congest.simulator`), which caps
   experiments at toy sizes.
 

@@ -73,9 +73,10 @@ __all__ = [
 class FaultStream:
     """Applies a :class:`FaultPlan` to one round's ordered delivery batch.
 
-    Mirrors ``FaultySimulator._deliverable`` exactly: dead edges first, then
-    the round's mobile set, then one fault-RNG coin per *surviving* message,
-    drawn in delivery order (batched — PCG64 draws are identical either way).
+    Mirrors ``FaultySimulator._deliver`` exactly, as an independent
+    implementation: dead edges first, then the round's mobile set, then one
+    fault-RNG coin per *surviving* message, drawn in delivery order in one
+    batch, as the simulator draws them.
     """
 
     def __init__(self, graph: Graph, plan: FaultPlan, fault_seed=0):
@@ -790,7 +791,7 @@ def _replay_faulty_broadcast(
     the down-sends, children in tree order. Each round sets the slots of
     every up-queue head and every down sender and reads them back with
     ``flatnonzero`` — the round's delivery batch, already in that order —
-    so the plan drops from it exactly as ``FaultySimulator._deliverable``
+    so the plan drops from it exactly as ``FaultySimulator._deliver``
     would, coin for coin. ``down_row[q]`` holds what queue ``q`` (channel,
     node) sends down next: the row a non-root received this round, or a
     root's next item. Returns ``(rounds, total_messages, total_bits)``.
@@ -880,7 +881,7 @@ def vectorized_faulty_broadcast(
     state, as the redundant broadcast's grid cells run it: every
     nonempty up-queue sends its head to the parent, every nonempty
     down-queue pops one id (forwarded to all tree children), and the fault
-    plan drops exactly as ``FaultySimulator._deliverable`` would (same
+    plan drops exactly as ``FaultySimulator._deliver`` would (same
     drops, same RNG stream). Queues carry rows of the sorted message-id
     index rather than ids. Receipts are tracked in a packed bitset, one row
     per message id.

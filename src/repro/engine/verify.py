@@ -37,6 +37,7 @@ import dataclasses
 import hashlib
 import json
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -340,7 +341,9 @@ def digest(value) -> str:
 
 #: While :func:`_run` records digests: the current trial's :func:`_pair`
 #: calls as ``(label, digest of both outcomes)``, in call order.
-_recorded: list[tuple[str, str]] | None = None
+_RECORDED: ContextVar[list[tuple[str, str]] | None] = ContextVar(
+    "verify_recorded", default=None
+)
 
 
 def _outcome(call: Callable[[], Any]) -> Any:
@@ -354,8 +357,9 @@ def _outcome(call: Callable[[], Any]) -> Any:
 def _pair(label: str, first: Callable[[], Any], second: Callable[[], Any]) -> list[str]:
     """Diff the outcomes of two zero-argument calls, paths under ``label``."""
     a, b = _outcome(first), _outcome(second)
-    if _recorded is not None:
-        _recorded.append((label, digest((a, b))))
+    calls = _RECORDED.get()
+    if calls is not None:
+        calls.append((label, digest((a, b))))
     return diff(a, b, label)
 
 
@@ -1155,17 +1159,16 @@ def _run(trials, digests: dict[str, str] | None = None) -> EquivalenceReport:
     record there the :func:`digest` of both outcomes of every :func:`_pair`
     call, keyed ``[trial] label``; a label's second and later calls within
     one trial get `` #2``, `` #3``, ..."""
-    global _recorded
     report = EquivalenceReport()
     for trial in trials:
         calls: list[tuple[str, str]] = []
-        _recorded = None if digests is None else calls
+        token = _RECORDED.set(None if digests is None else calls)
         try:
             for row in ROWS:
                 report.checks += 1
                 report.mismatches.extend(f"[{trial.name}] {m}" for m in row(trial))
         finally:
-            _recorded = None
+            _RECORDED.reset(token)
         seen: Counter[str] = Counter()
         for label, value in calls:
             seen[label] += 1
