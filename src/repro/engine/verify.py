@@ -318,11 +318,9 @@ def _feed(h, value) -> None:
     elif isinstance(value, (set, frozenset)):
         for text in sorted(map(repr, value)):
             h.update(f" {len(text)}:{text}".encode())
-    elif isinstance(value, np.ndarray) and not value.dtype.hasobject:
+    elif isinstance(value, np.ndarray):
         h.update(f" {value.dtype.str}{list(value.shape)} ".encode())
         h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, np.ndarray):
-        _feed(h, value.tolist())
     else:
         text = repr(value)
         h.update(f" {len(text)}:{text}".encode())
@@ -1275,21 +1273,20 @@ def golden_digests() -> dict[str, str]:
     return digests
 
 
-def write_golden(path: Path = GOLDEN_PATH) -> int:
-    """Record :func:`golden_digests` in ``path``; returns how many."""
+def write_golden() -> int:
+    """Record :func:`golden_digests` in :data:`GOLDEN_PATH`; returns how
+    many."""
     digests = golden_digests()
     record = {"numpy": np.__version__, "digests": digests}
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    GOLDEN_PATH.write_text(json.dumps(record, indent=1) + "\n")
     return len(digests)
 
 
-def golden_mismatches(
-    digests: dict[str, str], path: Path = GOLDEN_PATH
-) -> tuple[list[str], str]:
+def golden_mismatches(digests: dict[str, str]) -> tuple[list[str], str]:
     """The labels whose digest in ``digests`` (what :func:`golden_digests`
-    returns) differs from ``path`` or is on one side only, and the numpy
-    version the file was recorded under."""
-    record = json.loads(path.read_text())
+    returns) differs from :data:`GOLDEN_PATH` or is on one side only, and
+    the numpy version the file was recorded under."""
+    record = json.loads(GOLDEN_PATH.read_text())
     old, new = record["digests"], digests
     moved = [key for key in old.keys() | new.keys() if old.get(key) != new.get(key)]
     return sorted(moved), record["numpy"]
