@@ -14,7 +14,9 @@ sparsifiers and ledgers, certified by ``tests/test_engine_equivalence.py``).
 A dedicated cross-check executes the full Theorem 7 pipeline on *both*
 backends at the tightest-ε config: sparsifier edges/weights and both round
 ledgers must match bit-for-bit, and the vectorized path must be ≥ 20×
-faster wall-clock; the timing lands in ``BENCH_E13.json``.
+faster wall-clock, each side timed as the median of five calls
+(:func:`benchmarks.conftest.median_seconds`); the timing lands in
+``BENCH_E13.json``.
 
 Set ``E8_QUICK=1`` for the CI smoke: one small config, both backends,
 equality asserted, no timing assertions.
@@ -23,11 +25,10 @@ equality asserted, no timing assertions.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
-from benchmarks.conftest import run_once, write_bench_artifact
+from benchmarks.conftest import median_seconds, run_once, write_bench_artifact
 from repro.cuts import (
     approx_all_cuts,
     effective_resistance_sparsifier,
@@ -38,14 +39,15 @@ from repro.util.tables import Table
 
 
 def _both_backends(g, eps, lam, tau, seed):
-    """Full Theorem 7 pipeline on both backends: identical results, timed."""
+    """Full Theorem 7 pipeline on both backends: identical results, each
+    side timed as the median of five calls."""
     out = {}
     for backend in ("simulator", "vectorized"):
-        t0 = time.perf_counter()
-        res = approx_all_cuts(
-            g, eps=eps, lam=lam, C=1.5, seed=seed, tau=tau, backend=backend
+        out[backend] = median_seconds(
+            lambda: approx_all_cuts(
+                g, eps=eps, lam=lam, C=1.5, seed=seed, tau=tau, backend=backend
+            )
         )
-        out[backend] = (res, time.perf_counter() - t0)
     sim, vec = out["simulator"][0], out["vectorized"][0]
     assert sim.sparsifier.sparsifier == vec.sparsifier.sparsifier
     assert np.array_equal(

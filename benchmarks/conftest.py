@@ -12,15 +12,40 @@ Every benchmark:
 Perf-tracking benchmarks (E6, E8, E13) additionally merge their wall-clock
 and backend-speedup numbers into ``BENCH_E13.json`` via
 :func:`write_bench_artifact`; CI uploads the file so the perf trajectory is
-comparable across PRs.
+comparable across PRs. E6 and E8 time each backend with
+:func:`median_seconds`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
+import time
 from pathlib import Path
 
+from repro.engine.verify import diff
+
+
+def median_seconds(call):
+    """``(result, seconds)``: what ``call()`` returns and the median wall
+    clock of five calls.
+
+    One call of a few milliseconds swings with host noise, so a speedup
+    floor on single-shot timings flakes; the median of five is a
+    measurement. Every call must return the same result (compared field
+    by field with :func:`repro.engine.verify.diff`), so each timing covers
+    the same work.
+    """
+    results, seconds = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        results.append(call())
+        seconds.append(time.perf_counter() - t0)
+    for again in results[1:]:
+        mismatch = diff(results[0], again, "repeat")
+        assert not mismatch, f"repeated call changed its result: {mismatch[:3]}"
+    return results[0], statistics.median(seconds)
 
 
 def run_once(benchmark, fn):

@@ -23,7 +23,7 @@ import importlib.util
 from functools import lru_cache
 
 from repro.analysis.model import Finding
-from repro.analysis.walker import ModuleInfo
+from repro.analysis.walker import ModuleInfo, ctx_params
 
 __all__ = ["check_bit_accounting", "priced_type_names"]
 
@@ -147,16 +147,6 @@ def _classify(info: ModuleInfo, expr: ast.expr) -> str | None:
     return None
 
 
-def _ctx_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    out = set()
-    for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs:
-        if a.arg == "ctx":
-            out.add(a.arg)
-        elif a.annotation is not None and "Context" in ast.unparse(a.annotation):
-            out.add(a.arg)
-    return out
-
-
 def _payload_args(call: ast.Call, method: str) -> list[ast.expr]:
     """The payload expression(s) of one send call."""
     out: list[ast.expr] = []
@@ -177,7 +167,7 @@ def check_bit_accounting(info: ModuleInfo) -> list[Finding]:
     for node in ast.walk(info.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        ctx_names = _ctx_params(node)
+        ctx_names = ctx_params(node)
         if not ctx_names:
             continue
         for call in ast.walk(node):

@@ -29,7 +29,7 @@ import ast
 import builtins
 
 from repro.analysis.model import Finding
-from repro.analysis.walker import ModuleInfo
+from repro.analysis.walker import ModuleInfo, ctx_params
 
 __all__ = ["check_congest_legality", "CONTEXT_API"]
 
@@ -111,16 +111,6 @@ def _annotation_mentions_graph(annotation: ast.AST | None) -> bool:
     return any(token in text for token in GRAPH_TYPE_TOKENS)
 
 
-def _ctx_param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    out = set()
-    for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs:
-        if a.arg == "ctx":
-            out.add(a.arg)
-        elif a.annotation is not None and "Context" in ast.unparse(a.annotation):
-            out.add(a.arg)
-    return out
-
-
 def _check_method(
     info: ModuleInfo, cls: ast.ClassDef, func: ast.FunctionDef | ast.AsyncFunctionDef
 ) -> list[Finding]:
@@ -142,7 +132,7 @@ def _check_method(
 
     ignored = _annotation_nodes(func)
     local = _local_names(func)
-    ctx_names = _ctx_param_names(func)
+    ctx_names = ctx_params(func)
     bindings = info.module_bindings
 
     for node in ast.walk(func):

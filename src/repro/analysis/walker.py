@@ -27,7 +27,13 @@ from pathlib import Path
 
 from repro.analysis.model import RULES, Finding
 
-__all__ = ["ModuleInfo", "close_program_classes", "parse_module", "iter_python_files"]
+__all__ = [
+    "ModuleInfo",
+    "close_program_classes",
+    "ctx_params",
+    "parse_module",
+    "iter_python_files",
+]
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable(?P<file>-file)?\s*=\s*(?P<rules>[\w,\- ]+)")
 
@@ -163,6 +169,19 @@ def close_program_classes(modules: list[ModuleInfo]) -> None:
         bases = found
         for info in modules:
             _collect_program_classes(info, bases)
+
+
+def ctx_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Names of ``func``'s parameters that carry a node's
+    :class:`~repro.congest.program.Context`: ``ctx``, or any parameter whose
+    annotation mentions ``Context``."""
+    out = set()
+    for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs:
+        if a.arg == "ctx":
+            out.add(a.arg)
+        elif a.annotation is not None and "Context" in ast.unparse(a.annotation):
+            out.add(a.arg)
+    return out
 
 
 def parse_module(path: Path, display_path: str | None = None) -> ModuleInfo | Finding:

@@ -29,8 +29,8 @@ from repro.util.errors import ProtocolError, ValidationError
 __all__ = ["PRTResult", "dfs_timestamps", "prt_apsp"]
 
 
-def dfs_timestamps(graph: Graph, start: int = 0) -> np.ndarray:
-    """First-visit times π(u) of an iterative DFS tour from ``start``.
+def dfs_timestamps(graph: Graph) -> np.ndarray:
+    """First-visit times π(u) of an iterative DFS tour from node 0.
 
     The tour advances one edge per time unit; retreating along a tree edge
     also costs one unit (the walk is physical — it is executed by a token
@@ -38,10 +38,10 @@ def dfs_timestamps(graph: Graph, start: int = 0) -> np.ndarray:
     """
     n = graph.n
     pi = np.full(n, -1, dtype=np.int64)
-    pi[start] = 0
+    pi[0] = 0
     clock = 0
     # Iterative DFS keeping an explicit path for the retreat cost.
-    stack = [(start, iter(graph.neighbors(start).tolist()))]
+    stack = [(0, iter(graph.neighbors(0).tolist()))]
     while stack:
         node, it = stack[-1]
         advanced = False
@@ -75,14 +75,14 @@ class PRTResult:
         return self.dist.shape[0]
 
 
-def prt_apsp(graph: Graph, start: int = 0) -> PRTResult:
+def prt_apsp(graph: Graph) -> PRTResult:
     """Run the PRT12 schedule and certify its no-collision invariant.
 
     Raises :class:`ProtocolError` if two waves would hit one node in the
     same round (PRT prove this cannot happen; hitting the assertion would
     mean our DFS timestamps violate their precondition).
     """
-    pi = dfs_timestamps(graph, start)
+    pi = dfs_timestamps(graph)
     dist = all_pairs_distances(graph)
     if np.any(dist < 0):
         raise ValidationError("PRT needs a connected graph")

@@ -58,7 +58,6 @@ class ApproxAPSPResult:
 def approx_apsp_unweighted(
     graph: Graph,
     lam: int | None = None,
-    c: float = 3.0,
     C: float = 2.0,
     seed: int = 0,
     backend: str = "simulator",
@@ -75,7 +74,7 @@ def approx_apsp_unweighted(
     from repro.engine import validate_backend
 
     validate_backend(backend)
-    clustering = build_clustering(graph, c=c, seed=seed)
+    clustering = build_clustering(graph, seed=seed)
     k = clustering.k
 
     prt = prt_apsp(clustering.cluster_graph)

@@ -8,9 +8,8 @@ The paper reasons about two resources:
   over the whole execution (Lemma 1 promises O(k); Theorem 12 schedules
   multiple algorithms subject to total congestion).
 
-:class:`Metrics` tracks both exactly, per directed edge, plus total message
-and bit counts for the information-theoretic lower-bound harnesses
-(Theorem 3 counts bits across a minimum cut).
+:class:`Metrics` tracks both exactly, per undirected edge, plus total
+message and bit counts. The simulator writes the totals once per run.
 """
 
 from __future__ import annotations
@@ -36,44 +35,10 @@ class Metrics:
         if self.edge_messages is None:
             self.edge_messages = np.zeros(self.m, dtype=np.int64)
 
-    def record_message(self, eid: int, bits: int) -> None:
-        self.total_messages += 1
-        self.total_bits += bits
-        self.edge_messages[eid] += 1
-
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Fold ``other`` into self (rounds add; per-edge arrays must match).
-
-        Used by the tracer's counter aggregation and anywhere several
-        sub-executions (e.g. per-tree simulator runs) roll up into one
-        ledger.
-        """
-        if other.m != self.m:
-            raise ValueError(
-                f"cannot merge Metrics over different edge sets "
-                f"(m={self.m} vs m={other.m})"
-            )
-        self.rounds += other.rounds
-        self.total_messages += other.total_messages
-        self.total_bits += other.total_bits
-        self.edge_messages += other.edge_messages
-        return self
-
     @property
     def max_congestion(self) -> int:
         """Max messages over any undirected edge across the execution."""
         return int(self.edge_messages.max()) if self.m else 0
-
-    def bits_across(self, edge_ids: np.ndarray, per_message_bits: int | None = None) -> int:
-        """Upper bound on bits sent across the given edge set.
-
-        With ``per_message_bits`` given, charges that many bits per message
-        (the Theorem 3 accounting); otherwise returns message count only.
-        """
-        count = int(self.edge_messages[np.asarray(edge_ids, dtype=np.int64)].sum())
-        if per_message_bits is None:
-            return count
-        return count * per_message_bits
 
     def summary(self) -> dict:
         return {

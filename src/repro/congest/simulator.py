@@ -1,11 +1,11 @@
 """Synchronous round-driven CONGEST simulator.
 
 The simulator *is* the model (DESIGN.md §2): per round every node may send
-one message of at most ``B = bandwidth_factor · ⌈log₂ n⌉`` bits per incident
-edge; messages sent in round r are delivered at the start of round r+1.
-Oversized payloads and double-sends raise :class:`BandwidthExceeded` — round
-counts reported by a completed run are therefore certified CONGEST
-executions, never estimates.
+one message of at most ``B = 8·⌈log₂ n⌉`` bits per incident edge
+(:func:`repro.util.bits.message_bit_budget`); messages sent in round r are
+delivered at the start of round r+1. Oversized payloads and double-sends
+raise :class:`BandwidthExceeded` — round counts reported by a completed run
+are therefore certified CONGEST executions, never estimates.
 
 Performance notes: the loop maintains an **active set**, so rounds where
 only a frontier of nodes acts cost O(frontier), not O(n). Transport works
@@ -79,6 +79,9 @@ class SimulationResult:
 class Simulator:
     """Run a :class:`NodeProgram` per node on a :class:`Network`.
 
+    Each message may carry at most ``B = 8·⌈log₂ n⌉`` bits
+    (:func:`~repro.util.bits.message_bit_budget`, floored at 32 bits).
+
     Parameters
     ----------
     network:
@@ -92,9 +95,6 @@ class Simulator:
         (learnable in Õ(n/δ) rounds, Lemma 4); callers model that by
         placing them here and, if they want end-to-end counts, adding the
         Lemma 4 cost to their round totals.
-    bandwidth_factor:
-        Hidden constant of the O(log n) bandwidth; see
-        :func:`repro.util.bits.message_bit_budget`.
     seed:
         Root seed for the per-node independent random streams: node ``v``
         draws what ``spawn_rngs(ensure_rng(seed), n)[v]`` would, from a
@@ -106,12 +106,11 @@ class Simulator:
         network: Network,
         program_factory: Callable[[int], NodeProgram],
         shared: dict | None = None,
-        bandwidth_factor: int = 8,
         seed=None,
     ):
         self.network = network
         self.n = network.n
-        self.budget = message_bit_budget(self.n, bandwidth_factor)
+        self.budget = message_bit_budget(self.n)
         shared = dict(shared or {})
         shared.setdefault("n", self.n)
         self.shared = shared

@@ -242,7 +242,6 @@ def run_tournament(
     seed: int = 0,
     backend: str = "simulator",
     mobile_rounds: int = 4096,
-    max_reroots: int = 4,
     placement: dict[int, int] | None = None,
 ) -> TournamentResult:
     """Round-robin every adversary against every defense at one budget.
@@ -330,7 +329,6 @@ def run_tournament(
             adversary=adv,
             seed=seed,
             backend=backend,
-            max_reroots=max_reroots,
             initial_report=rep0,
         )
         rep = out.initial

@@ -34,7 +34,6 @@ from repro.core.tree_packing import (
     TreePacking,
     build_tree_packing,
     build_packing_with_retry,
-    packing_from_masks,
     resolve_roots,
 )
 from repro.core.broadcast import (
@@ -92,7 +91,6 @@ __all__ = [
     "TreePacking",
     "build_tree_packing",
     "build_packing_with_retry",
-    "packing_from_masks",
     "resolve_roots",
     "BroadcastResult",
     "uniform_random_placement",

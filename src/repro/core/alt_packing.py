@@ -157,13 +157,12 @@ def greedy_low_diameter_packing(
     graph: Graph,
     num_trees: int,
     roots: list[int] | None = None,
-    penalty: float = 2.0,
     seed=None,
 ) -> TreePacking:
     """Theorem 10-style packing: congestion-penalized shortest-path trees.
 
     Tree t is the shortest-path tree from root ``r_t`` under edge lengths
-    ``1 + penalty · load(e) + ε`` (ε a tiny random jitter to break ties
+    ``1 + 2 · load(e) + ε`` (ε a tiny random jitter to break ties
     diversely); ``load(e)`` counts how many earlier trees used e. Loaded
     edges become expensive, so the packing spreads across the graph; the
     multiplicative-weights flavor is what keeps congestion logarithmic in
@@ -186,7 +185,7 @@ def greedy_low_diameter_packing(
     trees: list[SpanningTree] = []
     for root in roots:
         jitter = rng.random(graph.m) * 1e-3
-        lengths = 1.0 + penalty * load + jitter
+        lengths = 1.0 + 2.0 * load + jitter
         parent, hops = _dijkstra_tree(graph, root, lengths)
         tree = SpanningTree(root=root, parent=parent, depth_of=hops)
         trees.append(tree)

@@ -170,13 +170,13 @@ def _number_messages_batch(
     return out
 
 
-def _run_pipeline(graph, trees, per_channel, verify, backend):
+def _run_pipeline(graph, trees, per_channel, backend):
     """Dispatch the Lemma 1 pipeline to the chosen backend."""
     if backend == "vectorized":
         from repro.engine.fastpath import vectorized_tree_broadcast
 
-        return vectorized_tree_broadcast(graph, trees, per_channel, verify=verify)
-    return run_tree_broadcast(graph, trees, per_channel, verify=verify)
+        return vectorized_tree_broadcast(graph, trees, per_channel)
+    return run_tree_broadcast(graph, trees, per_channel)
 
 
 def _placement_ids(
@@ -209,12 +209,12 @@ def _flat_ids(
     return np.repeat(nodes, counts), base + np.arange(base.size, dtype=np.int64)
 
 
-def _textbook_tail(graph, placement, tree, starts, phases, verify, backend):
+def _textbook_tail(graph, placement, tree, starts, phases, backend):
     """Per-placement remainder of the textbook algorithm (post-numbering)."""
     k = sum(placement.values())
     with obs.span("pipeline"):
         outcome = _run_pipeline(
-            graph, {0: tree}, {0: _flat_ids(placement, starts)}, verify, backend
+            graph, {0: tree}, {0: _flat_ids(placement, starts)}, backend
         )
     phases["pipeline"] = outcome.rounds
     return BroadcastResult(
@@ -232,19 +232,15 @@ def _textbook_tail(graph, placement, tree, starts, phases, verify, backend):
 def textbook_broadcast(
     graph: Graph,
     placement: dict[int, int],
-    verify: bool = True,
     backend: str = "simulator",
 ) -> BroadcastResult:
     """Lemma 1's O(D + k) pipeline over a single BFS tree."""
-    return textbook_broadcast_batch(
-        graph, [placement], verify=verify, backend=backend
-    )[0]
+    return textbook_broadcast_batch(graph, [placement], backend=backend)[0]
 
 
 def textbook_broadcast_batch(
     graph: Graph,
     placements,
-    verify: bool = True,
     backend: str = "simulator",
 ) -> list[BroadcastResult]:
     """Many textbook broadcasts with the shared prologue paid once.
@@ -262,7 +258,7 @@ def textbook_broadcast_batch(
     with obs.span("textbook_broadcast"):
         numbered = _number_messages_batch(graph, placements, backend)
         return [
-            _textbook_tail(graph, placement, tree, starts, phases, verify, backend)
+            _textbook_tail(graph, placement, tree, starts, phases, backend)
             for placement, (_leader, tree, starts, phases) in zip(
                 placements, numbered
             )
@@ -275,7 +271,6 @@ def fast_broadcast(
     lam: int | None = None,
     C: float = 2.0,
     seed: int = 0,
-    verify: bool = True,
     distributed_packing: bool = True,
     packing: TreePacking | None = None,
     backend: str = "simulator",
@@ -310,30 +305,35 @@ def fast_broadcast(
         lam=lam,
         C=C,
         seeds=seed,
-        verify=verify,
         distributed_packing=distributed_packing,
         packing=packing,
         backend=backend,
     )[0]
 
 
-def _fast_tail(graph, placement, starts, phases, packing, verify, backend):
+def _message_trees(ids: np.ndarray, k: int, parts: int, redundancy: int = 1) -> np.ndarray:
+    """Theorem 1's message-to-tree rule, one row per id: id j of ``1..k``
+    has the home tree ``h = min((j − 1) // ⌈k/parts⌉, parts − 1)`` and rides
+    the trees ``(h + i) mod parts`` for ``i < redundancy``."""
+    home = np.minimum((ids - 1) // max(1, math.ceil(k / parts)), parts - 1)
+    return (home[:, None] + np.arange(redundancy)) % parts
+
+
+def _fast_tail(graph, placement, starts, phases, packing, backend):
     """Per-placement remainder of Theorem 1 (channel split + pipeline)."""
     k = sum(placement.values())
     parts = packing.size
 
-    # Assign message id j (1-based) to class (j-1) // K, K = ceil(k / parts).
-    # The ids come ascending, so the class column is sorted and one
+    # The ids come ascending, so their home trees are sorted and one
     # searchsorted cuts the flat pair into per-channel views.
-    K = max(1, math.ceil(k / parts))
     with obs.span("channel_split"):
         origins, ids = _flat_ids(placement, starts)
-        channel = np.minimum((ids - 1) // K, parts - 1)
+        channel = _message_trees(ids, k, parts)[:, 0]
         cuts = np.searchsorted(channel, np.arange(1, parts))
         per_channel = dict(enumerate(zip(np.split(origins, cuts), np.split(ids, cuts))))
         trees = {c: _bfs_view(packing, c) for c in range(parts)}
     with obs.span("pipeline"):
-        outcome = _run_pipeline(graph, trees, per_channel, verify, backend)
+        outcome = _run_pipeline(graph, trees, per_channel, backend)
     phases["pipeline"] = outcome.rounds
     return BroadcastResult(
         algorithm="fast",
@@ -353,7 +353,6 @@ def fast_broadcast_batch(
     lam: int | None = None,
     C: float = 2.0,
     seeds=0,
-    verify: bool = True,
     distributed_packing: bool = True,
     packing: TreePacking | None = None,
     backend: str = "simulator",
@@ -394,7 +393,7 @@ def fast_broadcast_batch(
             if packing is not None:
                 phases["tree_packing"] = 0
                 results.append(
-                    _fast_tail(graph, placement, starts, phases, packing, verify, backend)
+                    _fast_tail(graph, placement, starts, phases, packing, backend)
                 )
                 continue
             built = packings.get(seed)
@@ -413,7 +412,7 @@ def fast_broadcast_batch(
                 packings[seed] = built
             phases["tree_packing"] = built.construction_rounds
             results.append(
-                _fast_tail(graph, placement, starts, phases, built, verify, backend)
+                _fast_tail(graph, placement, starts, phases, built, backend)
             )
         return results
 
@@ -441,7 +440,6 @@ def combined_broadcast(
     lam: int | None = None,
     C: float = 2.0,
     seed: int = 0,
-    verify: bool = True,
     backend: str = "simulator",
 ) -> BroadcastResult:
     """Section 3.2's min(textbook, fast): predict, then run the winner.
@@ -463,9 +461,7 @@ def combined_broadcast(
     t_text = predict_textbook_rounds(D, k)
     t_fast = predict_fast_rounds(graph.n, k, delta, lam, C)
     if t_text <= t_fast:
-        result = textbook_broadcast(
-            graph, placement, verify=verify, backend=backend
-        )
+        result = textbook_broadcast(graph, placement, backend=backend)
         result.algorithm = "combined/textbook"
     else:
         result = fast_broadcast(
@@ -474,7 +470,6 @@ def combined_broadcast(
             lam=lam,
             C=C,
             seed=seed,
-            verify=verify,
             backend=backend,
         )
         result.algorithm = "combined/fast"

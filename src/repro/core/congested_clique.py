@@ -63,13 +63,6 @@ class BCCOutcome:
     per_bcc_round_cost: list[int] = field(default_factory=list)
     packing: TreePacking | None = None
 
-    @property
-    def amortized_cost(self) -> float:
-        """CONGEST rounds per simulated BCC round."""
-        if self.bcc_rounds == 0:
-            return 0.0
-        return self.congest_rounds / self.bcc_rounds
-
 
 def simulate_bcc(
     graph: Graph,
@@ -119,9 +112,7 @@ def simulate_bcc(
                 )
             messages.append(msg)
         # One n-message broadcast ships them everywhere.
-        res = fast_broadcast(
-            graph, placement, packing=packing, seed=seed, verify=True
-        )
+        res = fast_broadcast(graph, placement, packing=packing, seed=seed)
         per_round.append(res.rounds)
         total += res.rounds
         # Deliver the full vector to every node.

@@ -8,7 +8,7 @@ used; since the true λ validates w.h.p., at most ``O(log(δ/λ))`` iterations
 run and the total check cost telescopes to ``O((n log n)/λ)``.
 
 The validity predicate needs an explicit constant: we accept a guess when
-every class BFS spans and has depth ≤ ``check_factor · (n ln n)/δ`` (depth ≤
+every class BFS spans and has depth ≤ ``4 · (n ln n)/δ`` (depth ≤
 diameter, so this is the conservative direction: a class that passes is
 certainly usable by the pipeline with the claimed cost).
 """
@@ -55,16 +55,14 @@ def find_packing_unknown_lambda(
     graph: Graph,
     seed: int = 0,
     C: float = 2.0,
-    check_factor: float = 4.0,
-    root: int = 0,
     backend: str = "simulator",
 ) -> LambdaSearchOutcome:
     """Exponential search for a valid Theorem 2 packing without knowing λ.
 
-    Each iteration's validation is a genuine parallel BFS (on the simulator,
-    or the equivalent vectorized backend); its certified round count is
-    recorded. Depth acceptance threshold: ``check_factor · (n ln n)/δ`` (and
-    for tiny graphs at least n, so the predicate is never vacuously
+    Each iteration's validation is a genuine parallel BFS from node 0 (on
+    the simulator, or the equivalent vectorized backend); its certified
+    round count is recorded. Depth acceptance threshold: ``4 · (n ln n)/δ``
+    (and for tiny graphs at least n, so the predicate is never vacuously
     unsatisfiable).
 
     Each iteration draws a *fresh* partition seed (``seed + 7919·iteration``,
@@ -78,9 +76,7 @@ def find_packing_unknown_lambda(
     delta = graph.min_degree()
     if delta < 1:
         raise ValidationError("graph must have minimum degree >= 1")
-    depth_bound = max(
-        float(graph.n), check_factor * graph.n * math.log(max(graph.n, 2)) / delta
-    )
+    depth_bound = max(float(graph.n), 4 * graph.n * math.log(max(graph.n, 2)) / delta)
 
     outcome = LambdaSearchOutcome()
     guess = delta
@@ -90,7 +86,7 @@ def find_packing_unknown_lambda(
         iter_seed = seed + 7919 * iteration
         decomp = random_partition(graph, parts, iter_seed)
         results, rounds = run_parallel_bfs(
-            graph, decomp.masks(), roots=[root] * parts, backend=backend
+            graph, decomp.masks(), roots=[0] * parts, backend=backend
         )
         outcome.guesses.append(guess)
         outcome.validation_rounds.append(rounds)
@@ -117,8 +113,6 @@ def broadcast_unknown_lambda(
     placement: dict[int, int],
     seed: int = 0,
     C: float = 2.0,
-    check_factor: float = 4.0,
-    verify: bool = True,
     backend: str = "simulator",
 ) -> tuple[BroadcastResult, LambdaSearchOutcome]:
     """k-broadcast in O(((n+k)/λ) log n) rounds with λ unknown (§1.1 Remark).
@@ -126,12 +120,8 @@ def broadcast_unknown_lambda(
     Returns the broadcast result (with the search's validation rounds charged
     in a ``lambda_search`` phase) alongside the search trace.
     """
-    search = find_packing_unknown_lambda(
-        graph, seed=seed, C=C, check_factor=check_factor, backend=backend
-    )
-    result = fast_broadcast(
-        graph, placement, packing=search.packing, verify=verify, backend=backend
-    )
+    search = find_packing_unknown_lambda(graph, seed=seed, C=C, backend=backend)
+    result = fast_broadcast(graph, placement, packing=search.packing, backend=backend)
     # The accepted iteration's BFS *is* the packing construction; earlier
     # failed iterations are pure overhead, charged explicitly.
     result.phases["lambda_search"] = search.total_validation_rounds

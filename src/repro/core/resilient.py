@@ -25,7 +25,6 @@ numpy engine (:mod:`repro.engine.faults`) — bit-identical
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -36,7 +35,12 @@ from repro import obs
 from repro.congest.adversary import AdversarySchedule, FaultPlan
 from repro.congest.faults import FaultySimulator
 from repro.congest.network import Network
-from repro.core.broadcast import _bfs_view, _number_messages_batch, _placement_ids
+from repro.core.broadcast import (
+    _bfs_view,
+    _message_trees,
+    _number_messages_batch,
+    _placement_ids,
+)
 from repro.core.tree_packing import TreePacking
 from repro.engine.faults import (
     FaultyBroadcastOutcome,
@@ -193,7 +197,7 @@ class FaultCell:
 def _simulate_cell(
     network: Network,
     trees: dict[int, BFSResult],
-    split: dict[int, dict[int, list[int]]],
+    split: dict[int, tuple[np.ndarray, np.ndarray]],
     mids: np.ndarray,
     plan: FaultPlan,
     fault_seed,
@@ -229,17 +233,21 @@ def _simulate_cell(
 
 def split_messages(
     ids: dict[int, list[int]], parts: int, redundancy: int
-) -> dict[int, dict[int, list[int]]]:
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Each message on its home tree and the ``redundancy - 1`` trees after
-    it, as ``{tree: {node: [ids]}}``: the ids ``1..k`` fill the trees in
-    blocks of ⌈k / parts⌉, the last tree taking any remainder."""
-    K = max(1, math.ceil(sum(map(len, ids.values())) / parts))
-    pc: dict[int, dict[int, list[int]]] = {c: {} for c in range(parts)}
-    for v, vids in ids.items():
-        for j in vids:
-            home = min((j - 1) // K, parts - 1)
-            for i in range(redundancy):
-                pc[(home + i) % parts].setdefault(v, []).append(j)
+    it, as ``{tree: (origins, ids)}`` in the order of ``ids``: the ids
+    ``1..k`` fill the trees in blocks of ⌈k / parts⌉, the last tree taking
+    any remainder (:func:`~repro.core.broadcast._message_trees`)."""
+    counts = [len(vids) for vids in ids.values()]
+    origins = np.repeat(np.fromiter(ids, dtype=np.int64, count=len(ids)), counts)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(ids.values()), dtype=np.int64, count=sum(counts)
+    )
+    rides = _message_trees(flat, flat.size, parts, redundancy)
+    pc = {}
+    for c in range(parts):
+        hit = (rides == c).any(axis=1)
+        pc[c] = (origins[hit], flat[hit])
     return pc
 
 
@@ -282,9 +290,9 @@ def evaluate_fault_grid(
     rows = np.searchsorted(mids, np.asarray(all_ids, dtype=np.int64))
     network = Network(graph) if backend == "simulator" else None
 
-    splits: dict[int, dict[int, dict[int, list[int]]]] = {}
+    splits: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
 
-    def split(redundancy: int) -> dict[int, dict[int, list[int]]]:
+    def split(redundancy: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         if redundancy not in splits:
             splits[redundancy] = split_messages(ids, parts, redundancy)
         return splits[redundancy]
@@ -365,7 +373,6 @@ def repair_coverage(
     fault_seed: int | None = None,
     adversary: AdversarySchedule | None = None,
     backend: str = "simulator",
-    max_reroots: int = 4,
     initial_report: DeliveryReport | None = None,
 ) -> RepairOutcome:
     """Detect dead color classes and rebuild only what broke (Section 1.2).
@@ -377,13 +384,13 @@ def repair_coverage(
        coverage < 1 **and** its tree uses a statically dead edge. Transient
        loss (``drop_rate``/``mobile``) is not structural damage; nothing to
        re-root, so those channels are left alone.
-    2. **Re-root** — for each broken channel (at most ``max_reroots``), one
+    2. **Re-root** — for each broken channel (at most four), one
        validity BFS on the class's *live* edges (``class_masks[c]`` minus the
        dead set), rooted at the highest-live-degree node (ties: smallest id)
        — the spot the damage touches least. A spanning result replaces the
        tree; the BFS rounds are charged either way.
     3. **Rebuild fallback** — when the certificate is truly broken (no class
-       masks, more than ``max_reroots`` dead classes, or a live class that no
+       masks, more than four dead classes, or a live class that no
        longer spans), rebuild a whole packing on the live host graph with
        spread roots. If even that fails (the damage disconnected the graph),
        the partial repairs stand and the rerun reports how far they got.
@@ -439,18 +446,15 @@ def repair_coverage(
         dead_mask[np.fromiter(plan.dead_edges, dtype=np.int64)] = True
 
     # Detect: report-driven suspects ∩ structurally damaged trees.
-    k = initial.k
-    K = max(1, math.ceil(k / parts))
-    suspects: set[int] = set()
-    for j, cov in initial.per_message_coverage.items():
-        if cov < 1.0:
-            home = min((j - 1) // K, parts - 1)
-            suspects.update((home + i) % parts for i in range(redundancy))
-    structural = {
-        c for c in suspects
+    lost = np.fromiter(
+        (j for j, cov in initial.per_message_coverage.items() if cov < 1.0),
+        dtype=np.int64,
+    )
+    suspects = np.unique(_message_trees(lost, initial.k, parts, redundancy))
+    broken = [
+        c for c in suspects.tolist()
         if any(dead_mask[e] for e in tree_edge_ids(packing, c))
-    }
-    broken = sorted(structural)
+    ]
     if not broken:
         return done  # purely transient loss — nothing structural to repair
 
@@ -459,7 +463,7 @@ def repair_coverage(
     rerooted: dict[int, int] = {}
     repair_rounds = 0
     attempts = 0
-    need_rebuild = masks is None or len(broken) > max_reroots
+    need_rebuild = masks is None or len(broken) > 4
     if not need_rebuild:
         for c in broken:
             live = masks[c] & ~dead_mask

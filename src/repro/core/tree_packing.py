@@ -33,7 +33,6 @@ import numpy as np
 from repro import obs
 from repro.core.decomposition import Decomposition
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_tree
 from repro.primitives.bfs import BFSResult, check_roots, run_parallel_bfs
 from repro.util.errors import ValidationError
 
@@ -43,7 +42,6 @@ __all__ = [
     "TreePacking",
     "build_tree_packing",
     "packing_from_bfs_results",
-    "packing_from_masks",
     "resolve_roots",
 ]
 
@@ -198,9 +196,7 @@ def resolve_roots(
     roots="shared",
     base_root: int = 0,
     seed: int = 0,
-    eps: float = 0.4,
     backend: str = "simulator",
-    cuts_result=None,
 ) -> list[int]:
     """Resolve a root policy to one BFS root per color class.
 
@@ -210,9 +206,8 @@ def resolve_roots(
     * ``"spread"`` — evenly spaced distinct roots
       ``(base_root + ⌊c·n/parts⌋) mod n``: no single node failure (or cheap
       cut around one node) can behead more than one color class.
-    * ``"cut-aware"`` — runs Theorem 7 (:func:`~repro.cuts.approx.approx_all_cuts`,
-      reusable via ``cuts_result``), scores every singleton cut from the
-      ε-sparsifier exactly as :class:`~repro.congest.adversary.TargetedCutAdversary`
+    * ``"cut-aware"`` — runs Theorem 7 (:func:`~repro.cuts.approx.approx_all_cuts`
+      at ε = 0.4), scores every singleton cut from the ε-sparsifier exactly as :class:`~repro.congest.adversary.TargetedCutAdversary`
       does, and spreads the roots over the *heaviest*-cut half of the nodes —
       the places a budgeted cut attacker can least afford to sever.
     * an explicit sequence of ``parts`` node ids is passed through verbatim.
@@ -240,9 +235,7 @@ def resolve_roots(
     if roots == "cut-aware":
         from repro.cuts.approx import approx_all_cuts
 
-        res = cuts_result
-        if res is None:
-            res = approx_all_cuts(graph, eps=eps, seed=seed, backend=backend)
+        res = approx_all_cuts(graph, eps=0.4, seed=seed, backend=backend)
         H = res.sparsifier.sparsifier
         hw = H.weights if H.weights is not None else np.ones(H.m)
         deg_h = np.zeros(n)
@@ -309,11 +302,10 @@ def build_packing_with_retry(
     seed: int,
     root: int = 0,
     distributed: bool = True,
-    max_tries: int = 8,
     backend: str = "simulator",
     roots=None,
 ) -> tuple[TreePacking, int]:
-    """Theorem 2 packing with seed-retry on w.h.p. failure.
+    """Theorem 2 packing with seed-retry on w.h.p. failure, at most 8 seeds.
 
     The paper's validity-check remark (§1.1) licenses this: checking whether
     every class spans costs one parallel BFS, O((n log n)/δ) rounds, so a
@@ -339,7 +331,7 @@ def build_packing_with_retry(
         backend=backend,
     )
     last_error: ValidationError | None = None
-    for attempt in range(max_tries):
+    for attempt in range(8):
         decomp = random_partition(graph, parts, seed + 7919 * attempt)
         try:
             packing = build_tree_packing(
@@ -356,7 +348,7 @@ def build_packing_with_retry(
         obs.count("packing.attempts", attempt + 1)
         return packing, attempt + 1
     raise ValidationError(
-        f"no spanning {parts}-part decomposition in {max_tries} seeds — "
+        f"no spanning {parts}-part decomposition in 8 seeds — "
         "the per-class expected degree δ/parts is likely below the ln n "
         "connectivity threshold; use fewer parts (larger C)"
     ) from last_error
@@ -366,7 +358,6 @@ def _packing_from_trees(
     graph: Graph,
     trees: list[SpanningTree],
     rounds: int,
-    enforce_disjoint: bool = True,
     class_masks: list[np.ndarray] | None = None,
 ) -> TreePacking:
     """Shared tail: per-edge tree counts + the Theorem 2 disjointness gate."""
@@ -391,7 +382,7 @@ def _packing_from_trees(
         edge_tree_count=count,
         class_masks=class_masks,
     )
-    if enforce_disjoint and packing.congestion > 1:
+    if packing.congestion > 1:
         raise ValidationError(
             "Theorem 2 packing must be edge-disjoint", congestion=packing.congestion
         )
@@ -407,21 +398,3 @@ def packing_from_bfs_results(
     the trees in hand are adopted directly instead of being recomputed.
     """
     return _packing_from_trees(graph, [_tree_from_bfs(r) for r in results], rounds)
-
-
-def packing_from_masks(
-    graph: Graph, masks: list[np.ndarray], root: int = 0, rounds: int = 0
-) -> TreePacking:
-    """Build a packing from arbitrary (possibly overlapping) edge masks.
-
-    Used by the Appendix A alternative construction, where trees share edges
-    with congestion O(log n) rather than being disjoint.
-    """
-    trees = []
-    for mask in masks:
-        sub, _ = graph.edge_subgraph_with_map(mask)
-        parent, dist = bfs_tree(sub, root)
-        if np.any(dist < 0):
-            raise ValidationError("mask does not induce a spanning subgraph")
-        trees.append(SpanningTree(root=root, parent=parent, depth_of=dist))
-    return _packing_from_trees(graph, trees, rounds, enforce_disjoint=False)

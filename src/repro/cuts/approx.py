@@ -90,9 +90,9 @@ def evaluate_cut_quality(
     sparsifier: Graph,
     num_random_cuts: int = 50,
     seed=None,
-    include_min_cut: bool = True,
 ) -> dict[str, float]:
-    """Max relative error of cut_H vs cut_G over a diverse cut family.
+    """Max relative error of cut_H vs cut_G over a diverse cut family:
+    random bisections, up to 25 singleton cuts, and a minimum cut of G.
 
     Returns ``{"max_rel_error": ..., "mean_rel_error": ..., "cuts": ...}``;
     Theorem 7 promises max_rel_error ≤ ε for *all* cuts, so the sampled
@@ -110,11 +110,10 @@ def evaluate_cut_quality(
         side = np.zeros(graph.n, dtype=bool)
         side[v] = True
         sides.append(side)
-    if include_min_cut:
-        from repro.graphs.connectivity import min_cut
+    from repro.graphs.connectivity import min_cut
 
-        side, _ = min_cut(graph)
-        sides.append(side)
+    side, _ = min_cut(graph)
+    sides.append(side)
 
     errors = []
     for side in sides:

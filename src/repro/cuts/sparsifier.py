@@ -35,17 +35,17 @@ __all__ = [
 ]
 
 
-def bundle_size(n: int, eps: float, c: float = 0.25) -> int:
-    """τ = O(log²n / ε²): number of spanners per bundle.
+def bundle_size(n: int, eps: float) -> int:
+    """τ = ⌈0.25 · ln²n / ε²⌉ = O(log²n / ε²): number of spanners per bundle.
 
-    ``c`` trades sparsifier size against accuracy; the default keeps the
+    The constant 0.25 trades sparsifier size against accuracy: it keeps the
     E8 experiment's sparsifiers comfortably inside the (1±ε) envelope while
     still shrinking the graph (τ spanners ≈ τ·k·n^{1+1/k} edges per level).
     """
     if not (0 < eps <= 1):
         raise ValidationError("need 0 < ε <= 1")
     ln = math.log(max(n, 3))
-    return max(1, int(math.ceil(c * ln * ln / (eps * eps))))
+    return max(1, int(math.ceil(0.25 * ln * ln / (eps * eps))))
 
 
 @dataclass
@@ -67,16 +67,18 @@ def koutis_xu_sparsifier(
     graph: Graph,
     eps: float,
     seed=None,
-    spanner_k: int | None = None,
     tau: int | None = None,
-    max_levels: int | None = None,
     backend: str = "simulator",
 ) -> SparsifierResult:
     """Spanner-bundle cut sparsifier (the Theorem 6 object).
 
     Works on weighted or unweighted graphs (unweighted = all weights 1).
-    The per-level round charge is ``τ · O(spanner_k²)`` (τ spanner
+    Each bundle spanner is a [BS07] (2k−1)-spanner with ``k = ⌈ln n⌉`` (at
+    least 2), so the per-level round charge is ``τ · O(k²)`` (τ spanner
     constructions, [BS07] cost each), totaling the Õ(1/ε²) of Theorem 6.
+    At most ``⌈log₂ m⌉`` levels run (at least one). The bundle may take
+    every edge: τ spanners of up to ``k·n^{1+1/k}`` edges each can exceed
+    m, and then H is the host itself, which nothing in Theorem 6 rules out.
 
     backend: ``"simulator"`` (default) builds each bundle spanner with the
         per-node [BS07] loops; ``"vectorized"`` uses the whole-array twin
@@ -90,12 +92,9 @@ def koutis_xu_sparsifier(
     validate_backend(backend)
     rng = ensure_rng(seed)
     n = graph.n
-    if spanner_k is None:
-        spanner_k = max(2, int(math.ceil(math.log(max(n, 3)))))
+    spanner_k = max(2, int(math.ceil(math.log(max(n, 3)))))
     if tau is None:
         tau = bundle_size(n, eps)
-    if max_levels is None:
-        max_levels = max(1, int(math.ceil(math.log2(max(graph.m, 2)))))
 
     # Current residual graph, tracked as (edge endpoint arrays, weights).
     cur_u = graph.edge_u.copy()
@@ -111,7 +110,7 @@ def koutis_xu_sparsifier(
     bundles: list[int] = []
     levels = 0
 
-    for _level in range(max_levels):
+    for _level in range(max(1, int(math.ceil(math.log2(max(graph.m, 2)))))):
         m_cur = len(cur_u)
         if m_cur <= tau * n:  # residual small enough: keep everything
             break
@@ -172,11 +171,11 @@ def koutis_xu_sparsifier(
 
 
 def effective_resistance_sparsifier(
-    graph: Graph, eps: float, seed=None, oversample: float = 1.0
+    graph: Graph, eps: float, seed=None
 ) -> SparsifierResult:
     """Spielman–Srivastava sampling by effective resistance (cross-check).
 
-    Centralized (dense Laplacian pseudo-inverse): q = O(n log n/ε²) samples
+    Centralized (dense Laplacian pseudo-inverse): q = ⌊9 n ln n/ε²⌋ samples
     with probability ∝ w_e·R_eff(e), each kept edge reweighted by
     w_e/(q·p_e). Used by tests/benches to sanity-check the Koutis–Xu output
     on the same instances; not part of the distributed pipeline.
@@ -196,7 +195,7 @@ def effective_resistance_sparsifier(
     reff = np.maximum(d, 1e-15)
     probs = w * reff
     probs = probs / probs.sum()
-    q = max(1, int(oversample * 9 * n * math.log(max(n, 3)) / (eps * eps)))
+    q = max(1, int(9 * n * math.log(max(n, 3)) / (eps * eps)))
     counts = rng.multinomial(q, probs)
     kept = counts > 0
     new_w = w[kept] * counts[kept] / (q * probs[kept])

@@ -172,7 +172,7 @@ class PipelineChannels:
 
     n: int
     cids: list[int]
-    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]]
+    flat: dict[int, tuple[np.ndarray, np.ndarray]]
     parents: np.ndarray  # (C, n)
     dists: np.ndarray  # (C, n)
     nonroot: np.ndarray  # (C, n)
@@ -193,7 +193,7 @@ class PipelineChannels:
 
 
 def pipeline_channels(
-    graph: Graph, trees: dict[int, BFSResult], messages: dict, bandwidth_factor: int = 8
+    graph: Graph, trees: dict[int, BFSResult], messages: dict
 ) -> PipelineChannels:
     """Check a Lemma 1 input the way the simulator would refuse it.
 
@@ -234,19 +234,14 @@ def pipeline_channels(
 
     # Every id is eventually sent (the downcast reaches every tree edge), so
     # the largest price decides the bandwidth gate.
-    budget = message_bit_budget(n, bandwidth_factor)
+    budget = message_bit_budget(n)
     chan_bits: list[np.ndarray] = []
     for cid in cids:
         ids = flat[cid][1] if cid in flat else ()
         if not len(ids):
             chan_bits.append(np.empty(0, dtype=np.int64))
             continue
-        if isinstance(ids, np.ndarray):
-            bits = 2 + bits_for_int(cid) + bits_for_int_array(ids)
-        else:  # ids beyond int64: price individually
-            bits = np.array(
-                [2 + bits_for_int(cid) + bits_for_int(m) for m in ids], dtype=np.int64
-            )
+        bits = 2 + bits_for_int(cid) + bits_for_int_array(ids)
         if n > 1 and int(bits.max()) > budget:
             worst = int(ids[int(np.argmax(bits))])
             raise BandwidthExceeded(
@@ -324,8 +319,6 @@ def vectorized_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
     messages: dict,
-    verify: bool = True,
-    bandwidth_factor: int = 8,
 ) -> TreeBroadcastOutcome:
     """Fast-path :func:`repro.primitives.pipeline.run_tree_broadcast`.
 
@@ -348,13 +341,13 @@ def vectorized_tree_broadcast(
     upcast, so the edge ``(parent(v), v)`` in channel c carries ``k_c +
     (messages originating in subtree(v))`` messages in total.
 
-    ``verify`` is accepted for signature parity; delivery holds by
-    construction once every tree spans (checked on entry), which the
-    equivalence suite cross-validates against the simulator's counters.
+    Delivery holds by construction once every tree spans (checked on
+    entry), which the equivalence suite cross-validates against the
+    simulator's delivery check and counters.
     """
     n = graph.n
     check_child_lists(trees)
-    ch = pipeline_channels(graph, trees, messages, bandwidth_factor)
+    ch = pipeline_channels(graph, trees, messages)
     per_channel_k = channel_sizes(trees, ch.flat)
 
     metrics = Metrics(m=graph.m)

@@ -889,9 +889,8 @@ def vectorized_faulty_broadcast(
     ``trees``/``messages`` take the same shapes as
     :func:`repro.engine.fastpath.vectorized_tree_broadcast` and are checked
     by the same :func:`~repro.engine.fastpath.pipeline_channels`: messages
-    as :func:`~repro.primitives.pipeline.checked_messages` checks them,
-    edge-disjoint trees, and the bandwidth budget. Message ids must also
-    fit in int64. Channels are processed in sorted-cid order, which matches
+    as :func:`~repro.primitives.pipeline.checked_messages` checks them (ids
+    in int64), edge-disjoint trees, and the bandwidth budget. Channels are processed in sorted-cid order, which matches
     any driver that builds its per-node channel specs over ``{0: ..., 1:
     ..., ...}`` in cid order.
 
@@ -917,12 +916,10 @@ def vectorized_faulty_broadcast(
     plan = plan if plan is not None else FaultPlan()
     n = graph.n
     ch = pipeline_channels(graph, trees, messages)
-    ids = []
-    for cid in ch.cids:
-        chan_ids = ch.flat[cid][1] if cid in ch.flat else np.empty(0, dtype=np.int64)
-        if not isinstance(chan_ids, np.ndarray):
-            raise ValidationError(f"channel {cid}: message ids must fit in int64")
-        ids.append(chan_ids)
+    ids = [
+        ch.flat[cid][1] if cid in ch.flat else np.empty(0, dtype=np.int64)
+        for cid in ch.cids
+    ]
     stream = FaultStream(graph, plan, fault_seed)
     mid_index = np.unique(np.concatenate(ids)) if ids else np.empty(0, dtype=np.int64)
     rows = [np.searchsorted(mid_index, x) for x in ids]

@@ -25,8 +25,8 @@ element for element: the loop adopts, per key, the smallest previous-layer
 neighbor, the simulator's first-port rule.
 
 Memory is bounded by chunking query rows: :func:`plane_sweep` processes at
-most ``max_cells`` (query × node) cells at a time, so batch sizes far
-beyond the resident-plane budget stream through in slices.
+most ``_PLANE_MAX_CELLS`` (query × node) cells at a time, so batch sizes
+far beyond the resident-plane budget stream through in slices.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.util.errors import ValidationError, integer_ids
 
 __all__ = ["masked_union_bfs", "plane_sweep"]
 
-# Default resident-plane budget: 2^24 int64 cells keep the parent+dist
+# Resident-plane budget: 2^24 int64 cells keep the parent+dist
 # planes of one chunk at 256 MB total regardless of batch size.
 _PLANE_MAX_CELLS = 1 << 24
 
@@ -64,7 +64,6 @@ def plane_sweep(
     indptr: np.ndarray,
     indices: np.ndarray,
     roots,
-    max_cells: int = _PLANE_MAX_CELLS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched BFS over one shared CSR: ``(parent, dist, rounds)`` planes.
 
@@ -72,15 +71,16 @@ def plane_sweep(
     to ``frontier_sweep(n, indptr, indices, roots[i])``, and ``rounds[i]``
     is the flood's round count (:func:`~repro.primitives.bfs.run_bfs`):
     depth + 1 when the root has a usable port, else 0. Query rows are
-    processed in chunks of at most ``max_cells // n`` so the resident
-    working set stays bounded for arbitrarily large batches.
+    processed in chunks of at most ``_PLANE_MAX_CELLS // n`` (read at call
+    time) so the resident working set stays bounded for arbitrarily large
+    batches.
     """
     n = int(n)
     roots = integer_ids(np.atleast_1d(roots), "plane roots")
     if roots.size and (int(roots.min()) < 0 or int(roots.max()) >= n):
         raise ValidationError(f"plane root out of range [0, {n})")
     q = int(roots.size)
-    chunk = max(1, int(max_cells) // max(1, n))
+    chunk = max(1, _PLANE_MAX_CELLS // max(1, n))
     obs.count("plane.queries", q)
     obs.count("plane.chunks", max(1, -(-q // chunk)))
     if q <= chunk:

@@ -91,24 +91,6 @@ class _UnitFlowNetwork:
             v = u
         return True
 
-    def reachable_in_residual(self, s: int) -> np.ndarray:
-        """Nodes reachable from ``s`` in the residual graph (min-cut side)."""
-        g = self.graph
-        seen = np.zeros(g.n, dtype=bool)
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            nbrs = g.neighbors(v)
-            eids = g.incident_edge_ids(v)
-            for w, eid in zip(nbrs.tolist(), eids.tolist()):
-                if seen[w]:
-                    continue
-                if self.residual(eid, from_u=(g.edge_u[eid] == v)) > 0:
-                    seen[w] = True
-                    queue.append(w)
-        return seen
-
 
 def _scipy_unit_maxflow(graph: Graph, s: int, t: int):
     """Unit-capacity max flow via scipy's Cython Dinic implementation.
@@ -178,10 +160,11 @@ def greedy_dominating_set(graph: Graph) -> list[int]:
     return dom
 
 
-def edge_connectivity(graph: Graph, method: str = "scipy") -> int:
+def edge_connectivity(graph: Graph) -> int:
     """Global edge connectivity λ (0 for disconnected graphs, n=1 → 0).
 
-    Uses Matula's dominating-set reduction: for any dominating set ``D`` and
+    Each max-flow runs on scipy's compiled Dinic (the default method of
+    :func:`local_edge_connectivity`). Uses Matula's dominating-set reduction: for any dominating set ``D`` and
     any ``s ∈ D``, ``λ = min(δ, min_{v ∈ D\\{s}} maxflow(s, v))``. The key
     fact is that when λ < δ, both sides of a minimum cut contain more than δ
     nodes and hence (every node being dominated) both sides intersect D.
@@ -197,16 +180,14 @@ def edge_connectivity(graph: Graph, method: str = "scipy") -> int:
     for t in dom[1:]:
         if best == 0:
             break
-        flow = local_edge_connectivity(graph, s, t, cutoff=best, method=method)
-        best = min(best, flow)
+        best = min(best, local_edge_connectivity(graph, s, t))
     # A dominating set can be a single node (s adjacent to everyone); λ = δ
     # is then correct only if no non-degree cut is smaller, which requires
     # checking s against a second node. Handle |D| == 1 explicitly.
     if len(dom) == 1:
         for t in range(graph.n):
             if t != s:
-                flow = local_edge_connectivity(graph, s, t, cutoff=best, method=method)
-                best = min(best, flow)
+                best = min(best, local_edge_connectivity(graph, s, t))
                 break
     return best
 

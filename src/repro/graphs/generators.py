@@ -111,12 +111,12 @@ def torus_grid(rows: int, cols: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def random_regular(n: int, d: int, seed=None, max_tries: int = 200) -> Graph:
+def random_regular(n: int, d: int, seed=None) -> Graph:
     """Random d-regular simple graph (Steger–Wormald incremental pairing).
 
     Stubs are matched one pair at a time, always choosing among pairs that
     keep the graph simple; a deadlocked attempt (only forbidden pairs remain)
-    restarts. This succeeds in O(1) expected restarts for d = o(√n), unlike
+    restarts, at most 200 times. This succeeds in O(1) expected restarts for d = o(√n), unlike
     naive configuration-model rejection whose success probability decays as
     exp(-Θ(d²)). A random d-regular graph is d-connected w.h.p. [Bollobás];
     the tests verify λ = d exactly.
@@ -128,7 +128,7 @@ def random_regular(n: int, d: int, seed=None, max_tries: int = 200) -> Graph:
     if d < 1:
         raise ValidationError("need d >= 1")
     rng = ensure_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(200):
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(stubs)
         stubs = stubs.tolist()
@@ -168,7 +168,7 @@ def random_regular(n: int, d: int, seed=None, max_tries: int = 200) -> Graph:
         return g
     raise ValidationError(
         f"failed to generate a simple {d}-regular graph on {n} nodes "
-        f"after {max_tries} attempts"
+        "after 200 attempts"
     )
 
 
@@ -198,15 +198,16 @@ def gnp_random(n: int, p: float, seed=None) -> Graph:
     return Graph(n, edges)
 
 
-def connected_gnp(n: int, p: float, seed=None, max_tries: int = 100) -> Graph:
-    """G(n, p) conditioned on connectivity (rejection sampling)."""
+def connected_gnp(n: int, p: float, seed=None) -> Graph:
+    """G(n, p) conditioned on connectivity (rejection sampling, at most 100
+    draws)."""
     rng = ensure_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(100):
         g = gnp_random(n, p, rng)
         if is_connected(g):
             return g
     raise ValidationError(
-        f"no connected G({n}, {p}) sample in {max_tries} tries; increase p"
+        f"no connected G({n}, {p}) sample in 100 tries; increase p"
     )
 
 

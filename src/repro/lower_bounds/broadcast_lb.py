@@ -8,19 +8,15 @@ and per round only λ·w bits cross (w = edge bandwidth), so
 ``2·t·w·λ ≥ s·k/2 − 4``.
 
 This module turns the proof into a *checkable certificate* on concrete runs:
-:func:`cut_crossing_bits` counts the bits an execution actually moved across
-a given minimum cut (from simulator metrics), and
-:func:`verify_broadcast_meets_bound` asserts the measured rounds respect the
-bound — a consistency check between the simulator, the algorithms, and the
-information-theoretic argument.
+:func:`verify_broadcast_meets_bound` finds a minimum cut and asserts the
+measured rounds respect the bound — a consistency check between the
+simulator, the algorithms, and the information-theoretic argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.graphs.connectivity import min_cut
 from repro.graphs.graph import Graph
@@ -57,7 +53,6 @@ class Theorem3Certificate:
     cut_size: int
     measured_rounds: int
     bound_rounds: float
-    bits_across_cut: int | None = None
 
     @property
     def holds(self) -> bool:
@@ -77,27 +72,18 @@ def verify_broadcast_meets_bound(
     measured_rounds: int,
     message_bits: int,
     bandwidth_bits: int,
-    metrics=None,
 ) -> Theorem3Certificate:
-    """Check a broadcast execution against Theorem 3's bound.
-
-    When ``metrics`` (simulator :class:`~repro.congest.Metrics`) is given,
-    additionally counts the messages the run pushed across a concrete
-    minimum cut — the physical quantity the proof bounds.
-    """
-    side, cut_ids = min_cut(graph)
+    """Check a broadcast execution against Theorem 3's bound, with λ the
+    size of a concrete minimum cut."""
+    _side, cut_ids = min_cut(graph)
     lam = len(cut_ids)
     bound = theorem3_rounds_bound(k, lam, message_bits, bandwidth_bits)
-    bits = None
-    if metrics is not None:
-        bits = metrics.bits_across(np.asarray(cut_ids), per_message_bits=None)
     cert = Theorem3Certificate(
         k=k,
         lam=lam,
         cut_size=lam,
         measured_rounds=measured_rounds,
         bound_rounds=bound,
-        bits_across_cut=bits,
     )
     if not cert.holds:
         raise ValidationError(

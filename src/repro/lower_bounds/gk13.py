@@ -63,14 +63,14 @@ def theorem13_prediction(n: int, lam: int) -> tuple[float, float]:
 
 
 def measure_packing_diameters(
-    length: int, lam: int, C: float = 1.0, seed: int = 0, max_tries: int = 10
+    length: int, lam: int, C: float = 1.0, seed: int = 0
 ) -> PackingDiameterReport:
     """Build the GK13 instance, pack trees via Theorem 2, measure diameters.
 
     The packing uses the paper's own randomized partition — the relevant
     regime for Theorem 13, whose statement quantifies over *all* packings
     (so any packing, including ours, must exhibit the predicted shape).
-    Retries fresh seeds when a color class fails to span (the per-class
+    Tries up to 10 seeds while a color class fails to span (the per-class
     degree on this family sits near the connectivity threshold, so the
     w.h.p. event fails noticeably often at bench scales).
     """
@@ -79,7 +79,7 @@ def measure_packing_diameters(
     g = ghaffari_kuhn_family(length, lam)
     parts = num_parts(lam, g.n, C)
     packing = None
-    for attempt in range(max_tries):
+    for attempt in range(10):
         decomp = random_partition(g, parts, seed + attempt)
         try:
             packing = build_tree_packing(decomp, distributed=False)
@@ -88,7 +88,7 @@ def measure_packing_diameters(
             continue
     if packing is None:
         raise ValidationError(
-            f"no spanning partition of the GK13 family in {max_tries} seeds; "
+            "no spanning partition of the GK13 family in 10 seeds; "
             "decrease parts (larger C) or increase lam"
         )
     return PackingDiameterReport(

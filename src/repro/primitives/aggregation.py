@@ -144,15 +144,15 @@ def tree_aggregate(
     return answers.pop(), result.metrics.rounds
 
 
-def learn_min_degree(graph: Graph, root: int = 0) -> tuple[int, int]:
+def learn_min_degree(graph: Graph) -> tuple[int, int]:
     """Lemma 4 (δ half): every node learns δ in O(D) rounds.
 
-    Returns ``(delta, total_rounds)`` where the total includes the BFS that
-    builds the aggregation tree. (The λ half of Lemma 4 relies on the
+    Returns ``(delta, total_rounds)`` where the total includes the BFS from
+    node 0 that builds the aggregation tree. (The λ half of Lemma 4 relies on the
     shortcut machinery of [CPT20, GZ22]; the library instead offers the
     paper's exponential-search alternative — see
     :mod:`repro.core.lambda_search` — which needs no λ knowledge at all.)
     """
-    tree = run_bfs(graph, root)
+    tree = run_bfs(graph, 0)
     delta, rounds = tree_aggregate(graph, tree, graph.degrees(), op="min")
     return delta, tree.rounds + rounds

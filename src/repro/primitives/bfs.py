@@ -153,13 +153,6 @@ class BFSResult:
         """True iff every node was reached."""
         return bool((self.dist >= 0).all())
 
-    def tree_edges(self) -> list[tuple[int, int]]:
-        return [
-            (int(self.parent[v]), v)
-            for v in range(len(self.parent))
-            if self.parent[v] >= 0 and self.parent[v] != v
-        ]
-
 
 class BFSProgram(NodeProgram):
     """Per-node state machine running BFS on one or more channels.

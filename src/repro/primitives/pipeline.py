@@ -32,7 +32,6 @@ its receipt matrix.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -163,31 +162,19 @@ class TreeBroadcastOutcome:
         return self.metrics.max_congestion
 
 
-def _message_ids(ids) -> np.ndarray | list[int]:
-    """Message ids as int64, or as Python ints when one lies beyond int64:
-    those are priced one by one, so an oversized id still raises
-    :class:`~repro.util.errors.BandwidthExceeded` on either backend."""
-    try:
-        return integer_ids(ids, "message ids")
-    except ValidationError:
-        if not all(isinstance(m, numbers.Integral) for m in ids):
-            raise
-        return [int(m) for m in ids]
-
-
 def checked_messages(
     n: int, trees: dict[int, BFSResult], messages: dict
-) -> dict[int, tuple[np.ndarray, np.ndarray | list[int]]]:
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Every channel's messages as aligned ``(origins, ids)``, checked the
     same way before either backend runs the pipeline.
 
     A channel's messages are ``{node: [ids]}`` or already the flat pair of
     one origin per id. Raises :class:`ValidationError` on a channel without
     a tree, an origin that is not an integer in ``[0, n)``, an id that is
-    not an integer, a duplicate id within a channel, and a tree that does
-    not span.
+    not an integer or does not fit in int64, a duplicate id within a
+    channel, and a tree that does not span.
     """
-    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]] = {}
+    flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for cid, placement in messages.items():
         if cid not in trees:
             raise ValidationError(f"messages given for unknown channel {cid}")
@@ -200,17 +187,13 @@ def checked_messages(
         bad = origins[(origins < 0) | (origins >= n)]
         if bad.size:
             raise ValidationError(f"message origin {bad[0]} out of range [0, {n})")
-        ids = _message_ids(ids)
+        ids = integer_ids(ids, "message ids")
         if lens is not None:
             origins = np.repeat(origins, lens)
         if origins.shape != (len(ids),):
             raise ValidationError(f"channel {cid}: need one origin per message id")
-        if isinstance(ids, np.ndarray):
-            ids_sorted = np.sort(ids)
-            dup = bool((ids_sorted[1:] == ids_sorted[:-1]).any())
-        else:
-            dup = len(set(ids)) != len(ids)
-        if dup:
+        ids_sorted = np.sort(ids)
+        if (ids_sorted[1:] == ids_sorted[:-1]).any():
             raise ValidationError(f"duplicate message ids on channel {cid}")
         flat[cid] = (origins, ids)
     for cid, tree in trees.items():
@@ -243,7 +226,7 @@ def check_child_lists(trees: dict[int, BFSResult]) -> None:
 def simulate_pipelines(
     network: Network,
     trees: dict[int, BFSResult],
-    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]],
+    flat: dict[int, tuple[np.ndarray, np.ndarray]],
     program=PipelinedBroadcastProgram,
     simulator=Simulator,
     **sim_kwargs,
@@ -264,7 +247,7 @@ def simulate_pipelines(
         own: dict[int, list[int]] = {}
         if cid in flat:
             origins, ids = flat[cid]
-            for v, m in zip(origins.tolist(), map(int, ids)):
+            for v, m in zip(origins.tolist(), ids.tolist()):
                 own.setdefault(v, []).append(m)
         for v, parent in enumerate(np.asarray(tree.parent).tolist()):
             specs[v][cid] = ChannelSpec(
@@ -277,7 +260,7 @@ def simulate_pipelines(
 
 
 def channel_sizes(
-    trees: dict[int, BFSResult], flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]]
+    trees: dict[int, BFSResult], flat: dict[int, tuple[np.ndarray, np.ndarray]]
 ) -> dict[int, int]:
     """Each channel's message count k_c, zero for a tree without messages."""
     sizes = {cid: len(ids) for cid, (_origins, ids) in flat.items()}
@@ -289,12 +272,12 @@ def channel_sizes(
 def check_delivery(
     programs: list[PipelinedBroadcastProgram],
     trees: dict[int, BFSResult],
-    flat: dict[int, tuple[np.ndarray, np.ndarray | list[int]]],
+    flat: dict[int, tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """Raise :class:`ProtocolError` at the first node (in id order) that
     missed a message of some channel: its receipts must match the channel's
     ids in count and in sum, which is exact for distinct ids."""
-    expected = {cid: (len(ids), sum(map(int, ids))) for cid, (_o, ids) in flat.items()}
+    expected = {cid: (len(ids), sum(ids.tolist())) for cid, (_o, ids) in flat.items()}
     for v, prog in enumerate(programs):
         for cid in trees:
             k, total = expected.get(cid, (0, 0))
@@ -309,7 +292,6 @@ def run_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
     messages: dict,
-    verify: bool = True,
 ) -> TreeBroadcastOutcome:
     """Broadcast messages over one or more edge-disjoint rooted trees.
 
@@ -324,17 +306,15 @@ def run_tree_broadcast(
     messages: ``channel -> {node -> [message ids]}`` initial placement, or
         per channel the flat ``(origins, ids)`` pair; both are checked by
         :func:`checked_messages`.
-    verify: check that every node received every channel's full id multiset
-        (:func:`check_delivery`).
 
-    Returns a :class:`TreeBroadcastOutcome` with certified round/congestion
-    counts.
+    Every node must receive every channel's full id multiset
+    (:func:`check_delivery`). Returns a :class:`TreeBroadcastOutcome` with
+    certified round/congestion counts.
     """
     check_child_lists(trees)
     flat = checked_messages(graph.n, trees, messages)
     result, _sim = simulate_pipelines(Network(graph), trees, flat)
-    if verify:
-        check_delivery(result.programs, trees, flat)
+    check_delivery(result.programs, trees, flat)
     per_channel_k = channel_sizes(trees, flat)
     return TreeBroadcastOutcome(
         rounds=result.metrics.rounds,

@@ -108,7 +108,6 @@ def run_scheduled_broadcast(
     messages: dict,
     max_delay: int | None = None,
     seed=None,
-    verify: bool = True,
 ) -> ScheduleOutcome:
     """Run possibly-overlapping tree broadcasts with random start delays.
 
@@ -133,8 +132,7 @@ def run_scheduled_broadcast(
     result, _sim = simulate_pipelines(
         Network(graph), trees, flat, partial(ScheduledBroadcastProgram, delays=delays)
     )
-    if verify:
-        check_delivery(result.programs, trees, flat)
+    check_delivery(result.programs, trees, flat)
     return ScheduleOutcome(
         makespan=result.metrics.rounds,
         metrics=result.metrics,

@@ -4,7 +4,8 @@ The CONGEST model allows each edge to carry ``O(log n)`` bits per round. To
 make round counts *certified* rather than estimated, every payload the
 simulator transports must have a computable bit size; the transport compares
 it against the budget :func:`message_bit_budget` and refuses oversized
-messages.
+messages. :data:`BANDWIDTH_FACTOR` is the hidden constant of the model's
+``O(log n)`` bandwidth, and this module is its one home.
 
 Payloads are plain Python data (ints, strings, tuples/lists thereof, and
 ``None``). Sizes are charged conservatively:
@@ -24,11 +25,18 @@ from typing import Any
 import numpy as np
 
 __all__ = [
+    "BANDWIDTH_FACTOR",
     "bits_for_int",
     "bits_for_int_array",
     "bits_for_payload",
     "message_bit_budget",
 ]
+
+#: Hidden constant of the model's ``O(log n)`` bandwidth: 8 words of
+#: ``⌈log₂ n⌉`` bits comfortably fit a small tagged tuple of node IDs, e.g.
+#: ``(channel, kind, node_id, distance)``, which is what the protocols in
+#: this library actually send.
+BANDWIDTH_FACTOR = 8
 
 
 def bits_for_int(x: int) -> int:
@@ -73,17 +81,12 @@ def bits_for_payload(payload: Any) -> int:
         ) from None
 
 
-def message_bit_budget(n: int, bandwidth_factor: int = 8) -> int:
-    """Per-edge-per-round budget ``B = bandwidth_factor * ceil(log2 n)``.
-
-    ``bandwidth_factor`` is the hidden constant of the model's ``O(log n)``;
-    the default 8 comfortably fits a small tagged tuple of node IDs — e.g.
-    ``(channel, kind, node_id, distance)`` — which is what the protocols in
-    this library actually send.
-    """
+def message_bit_budget(n: int) -> int:
+    """Per-edge-per-round budget ``B = BANDWIDTH_FACTOR · ⌈log₂ n⌉``, that
+    is ``8·⌈log₂ n⌉`` bits."""
     # Floor the log factor at 4 so protocols on toy graphs (n < 16) are not
     # starved below any realistic word size; the model constant only matters
     # asymptotically.
     if n < 2:
-        return 4 * bandwidth_factor
-    return bandwidth_factor * max(4, math.ceil(math.log2(n)))
+        return 4 * BANDWIDTH_FACTOR
+    return BANDWIDTH_FACTOR * max(4, math.ceil(math.log2(n)))

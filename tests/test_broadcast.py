@@ -256,9 +256,9 @@ class TestFastBroadcast:
         split = {}
         run_pipeline = bc._run_pipeline
 
-        def spy(graph, trees, per_channel, verify, backend):
+        def spy(graph, trees, per_channel, backend):
             split.update(per_channel)
-            return run_pipeline(graph, trees, per_channel, verify, backend)
+            return run_pipeline(graph, trees, per_channel, backend)
 
         monkeypatch.setattr(bc, "_run_pipeline", spy)
         decomp = random_partition(host, 3, seed=11)

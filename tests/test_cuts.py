@@ -54,6 +54,19 @@ class TestKoutisXu:
             dense.total_weight(), rel=0.35
         )
 
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    def test_bundle_taking_every_edge_returns_the_host(self, backend):
+        """m > τ·n, so one level runs, but its τ = 3 spanners (k = 3) take
+        all 28 edges of K8, leaving nothing to sample: H is the host, weights
+        included. Theorem 6 allows it (τ·k·n^{1+1/k} exceeds m). The repo
+        benchmark's apsp-cuts workload hits the same case at n = 2000 with
+        seed 2404, where four spanners take all 40,000 edges."""
+        g = random_weights(complete_graph(8), 1, 2, seed=2)
+        res = koutis_xu_sparsifier(g, eps=0.5, seed=0, tau=3, backend=backend)
+        assert g.m > 3 * g.n
+        assert res.levels == 1 and res.bundle_sizes == [3]
+        assert res.sparsifier == g
+
     def test_small_graph_passthrough(self, reg_small):
         # τ·n exceeds m: nothing to do; the graph itself is the sparsifier.
         res = koutis_xu_sparsifier(reg_small, eps=0.3, seed=1)

@@ -3,8 +3,8 @@
 Four contracts:
 
 * **Tracer semantics** — context-var scoping, span nesting (parent/depth),
-  typed counters (sum vs max, mode fixed by first call), the ``traced``
-  decorator, and :meth:`Metrics.merge` used by counter roll-ups.
+  typed counters (sum vs max, mode fixed by first call) and the ``traced``
+  decorator.
 * **Artifacts** — JSONL and Chrome trace-event JSON both round-trip
   through :func:`repro.obs.load_trace`; ``repro trace`` renders them; the
   CLI ``--trace`` flag records any subcommand.
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import main as cli_main
-from repro.congest import Metrics
 from repro.core import fast_broadcast, uniform_random_placement
 from repro.engine.faults import faulty_bfs
 from repro.engine.verify import random_fault_plan
@@ -106,25 +105,6 @@ class TestTracer:
             assert fn(4) == 4
         assert [r.name for r in tracer.spans] == ["wrapped"]
         assert fn.__name__ == "fn"
-
-    def test_metrics_merge(self):
-        a = Metrics(m=3)
-        a.record_message(0, 8)
-        a.rounds = 2
-        b = Metrics(m=3)
-        b.record_message(0, 8)
-        b.record_message(2, 16)
-        b.rounds = 5
-        out = a.merge(b)
-        assert out is a
-        assert a.rounds == 7
-        assert a.total_messages == 3
-        assert a.total_bits == 32
-        assert a.edge_messages.tolist() == [2, 0, 1]
-
-    def test_metrics_merge_rejects_mismatched_edge_sets(self):
-        with pytest.raises(ValueError, match="merge"):
-            Metrics(m=3).merge(Metrics(m=4))
 
 
 # ---------------------------------------------------------------------- #

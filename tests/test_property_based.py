@@ -200,8 +200,8 @@ def test_derive_seed_in_range(root, key):
 @given(small_graphs(connected=True))
 @settings(max_examples=40, deadline=None)
 def test_dfs_timestamps_dominate_distance(g):
-    """π(v) >= d(start, v): the DFS tour is a physical walk."""
-    pi = dfs_timestamps(g, 0)
+    """π(v) >= d(0, v): the DFS tour from node 0 is a physical walk."""
+    pi = dfs_timestamps(g)
     d = bfs_distances(g, 0)
     assert (pi >= d).all()
     assert len(np.unique(pi)) == g.n

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.adversary import FaultPlan
+from repro.engine import plane
 from repro.engine.faults import faulty_bfs_grid
 from repro.engine.plane import masked_union_bfs, plane_sweep
 from repro.engine.verify import (
@@ -102,12 +103,13 @@ class TestPlaneVsSolo:
             assert np.array_equal(res.dist, solo.dist)
             assert res.rounds == solo.rounds
 
-    def test_chunked_plane_equals_resident_plane(self):
+    def test_chunked_plane_equals_resident_plane(self, monkeypatch):
         g = thick_cycle(6, 3)
         indptr, indices = g.masked_csr(None)
         roots = list(range(g.n)) * 2
         full = plane_sweep(g.n, indptr, indices, roots)
-        tiny = plane_sweep(g.n, indptr, indices, roots, max_cells=2 * g.n)
+        monkeypatch.setattr(plane, "_PLANE_MAX_CELLS", 2 * g.n)
+        tiny = plane_sweep(g.n, indptr, indices, roots)
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    build_tree_packing,
-    packing_from_masks,
-    random_partition,
-)
+from repro.core import build_tree_packing, random_partition
 from repro.core.tree_packing import SpanningTree
 from repro.engine.verify import diff
-from repro.graphs import cycle_graph, path_graph, random_regular
+from repro.graphs import random_regular
 from repro.util.errors import ValidationError
 
 
@@ -111,19 +107,3 @@ class TestBuildPacking:
         broken.edge_tree_count[0] += 1
         with pytest.raises(ValidationError):
             broken.validate()
-
-
-class TestPackingFromMasks:
-    def test_overlapping_masks_counted(self):
-        g = cycle_graph(6)
-        full = np.ones(g.m, dtype=bool)
-        packing = packing_from_masks(g, [full, full])
-        assert packing.size == 2
-        assert packing.congestion == 2
-        assert not packing.is_edge_disjoint
-
-    def test_non_spanning_mask_raises(self):
-        g = path_graph(4)
-        empty = np.zeros(g.m, dtype=bool)
-        with pytest.raises(ValidationError):
-            packing_from_masks(g, [empty])

@@ -17,6 +17,8 @@ from repro.util import (
     rng_from_seed,
     spawn_rngs,
 )
+from repro.util import bits
+from repro.util.bits import BANDWIDTH_FACTOR
 from repro.util.rng import child_rng, spawn_seeds
 
 
@@ -67,8 +69,10 @@ class TestBits:
         assert message_bit_budget(1) == 32
         assert message_bit_budget(8) == 32  # floor at 4 log-units
 
-    def test_budget_factor(self):
-        assert message_bit_budget(1024, bandwidth_factor=4) == 40
+    def test_budget_factor(self, monkeypatch):
+        assert message_bit_budget(1024) == BANDWIDTH_FACTOR * 10
+        monkeypatch.setattr(bits, "BANDWIDTH_FACTOR", 4)
+        assert message_bit_budget(1024) == 40
 
 
 class TestRng:
