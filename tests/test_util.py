@@ -18,7 +18,6 @@ from repro.util import (
     spawn_rngs,
 )
 from repro.util import bits
-from repro.util.bits import BANDWIDTH_FACTOR
 from repro.util.rng import child_rng, spawn_seeds
 
 
@@ -70,7 +69,7 @@ class TestBits:
         assert message_bit_budget(8) == 32  # floor at 4 log-units
 
     def test_budget_factor(self, monkeypatch):
-        assert message_bit_budget(1024) == BANDWIDTH_FACTOR * 10
+        assert message_bit_budget(1024) == bits.BANDWIDTH_FACTOR * 10
         monkeypatch.setattr(bits, "BANDWIDTH_FACTOR", 4)
         assert message_bit_budget(1024) == 40
 
