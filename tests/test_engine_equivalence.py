@@ -244,8 +244,12 @@ class TestPipelineEquivalence:
             ((np.array([2]), np.array([1.5])), "1.5"),
             ({0: [3, 3]}, "duplicate message ids"),
             ((np.array([0, 4]), np.array([3, 3])), "duplicate message ids"),
-            ({0: [1 << 63]}, "fit in int64"),
-            ((np.array([0]), np.array([1 << 63], dtype=np.uint64)), "fit in int64"),
+            pytest.param({0: [1 << 63]}, "fit in int64", id="i64-map"),
+            pytest.param(
+                (np.array([0]), np.array([1 << 63], dtype=np.uint64)),
+                "fit in int64",
+                id="i64-flat",
+            ),
         ],
     )
     def test_malformed_messages_raise_alike(self, messages, named):
