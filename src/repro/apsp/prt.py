@@ -36,12 +36,12 @@ def dfs_timestamps(graph: Graph) -> np.ndarray:
     also costs one unit (the walk is physical — it is executed by a token
     moving in the network), so all timestamps are ≤ 2(n-1).
     """
-    n = graph.n
-    pi = np.full(n, -1, dtype=np.int64)
+    indptr, indices = graph._indptr.tolist(), graph._indices.tolist()
+    pi = [-1] * graph.n
     pi[0] = 0
     clock = 0
     # Iterative DFS keeping an explicit path for the retreat cost.
-    stack = [(0, iter(graph.neighbors(0).tolist()))]
+    stack = [(0, iter(indices[indptr[0] : indptr[1]]))]
     while stack:
         node, it = stack[-1]
         advanced = False
@@ -49,16 +49,16 @@ def dfs_timestamps(graph: Graph) -> np.ndarray:
             if pi[nxt] < 0:
                 clock += 1
                 pi[nxt] = clock
-                stack.append((nxt, iter(graph.neighbors(nxt).tolist())))
+                stack.append((nxt, iter(indices[indptr[nxt] : indptr[nxt + 1]])))
                 advanced = True
                 break
         if not advanced:
             stack.pop()
             if stack:
                 clock += 1  # retreat edge
-    if np.any(pi < 0):
+    if -1 in pi:
         raise ValidationError("DFS did not reach every node (disconnected?)")
-    return pi
+    return np.array(pi, dtype=np.int64)
 
 
 @dataclass

@@ -66,9 +66,10 @@ def approx_all_cuts(
 
     validate_backend(backend)
     sp = koutis_xu_sparsifier(graph, eps, seed=seed, tau=tau, backend=backend)
-    placement: dict[int, int] = {}
-    for u in sp.sparsifier.edge_u.tolist():
-        placement[u] = placement.get(u, 0) + 1
+    # One message per sparsifier edge, held by its lower endpoint.
+    counts = np.bincount(sp.sparsifier.edge_u, minlength=graph.n)
+    holders = np.flatnonzero(counts)
+    placement = dict(zip(holders.tolist(), counts[holders].tolist()))
     bres = fast_broadcast(
         graph,
         placement,

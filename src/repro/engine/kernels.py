@@ -50,7 +50,6 @@ __all__ = [
     "children_lists",
     "expand_csr_rows",
     "frontier_sweep",
-    "in_sorted",
     "last_send_round_spans",
     "lists_to_csr",
     "upcast_spans",
@@ -60,14 +59,6 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # CSR builders shared by fastpath / faults / broadcast call sites
 # --------------------------------------------------------------------------- #
-
-def in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Membership of ``values`` in the sorted array ``table``."""
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(table, values), table.size - 1)
-    return table[pos] == values
-
 
 def children_csr(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, child_ids)`` of a parent array, children ascending.

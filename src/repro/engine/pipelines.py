@@ -22,11 +22,16 @@ Tie-breaks mirrored exactly:
 * center assignment adopts the **smallest center id** among a node's
   neighbors (CSR neighbor blocks are id-sorted, so "first valid per block"
   is that minimum);
-* the spanner's per-(node, cluster) lightest edge breaks weight ties toward
-  the **smaller edge id**, and the lightest *sampled* cluster is the
-  ``(weight, edge id)`` minimum over sampled candidates — both are
-  group-head selections over arcs sorted once per run by
-  ``(source, weight, edge id)``.
+* the spanner sorts its arcs once per run by ``(source, weight, edge id)``,
+  so every node's block runs lightest-first, weight ties toward the
+  **smaller edge id**, and "lightest" is always "first". In a sampling
+  phase a node of an unsampled cluster joins through the first arc of its
+  block into a sampled cluster, and the reference's strictly
+  ``(weight, edge id)``-lighter edges are the first arc into each cluster
+  before that one; a node with no sampled arc leaves and keeps the first
+  arc into every cluster of its block. So a phase groups only the arcs
+  before each join arc, the arcs that decide it. The final phase groups
+  every node's arcs into live clusters other than its own.
 """
 
 from __future__ import annotations
@@ -102,61 +107,6 @@ def contract_clusters(graph: Graph, s: np.ndarray, k: int) -> Graph:
 # [BS07] spanner — the Theorem 5 / Koutis–Xu workhorse
 # --------------------------------------------------------------------------- #
 
-from repro.engine.kernels import in_sorted as _in_sorted  # noqa: E402
-
-
-class _ArcView:
-    """The directed arcs one spanner run sweeps, in ``(src, w, eid)`` order.
-
-    Sorting once per run leaves each phase one single-key sort: within a
-    source's block the arcs already run lightest-first, ties toward the
-    smaller edge id.
-    """
-
-    def __init__(self, graph: Graph):
-        m = graph.m
-        w = graph.weights if graph.weights is not None else np.ones(m)
-        # rank[e] = position of edge e in (w, eid) order; src·m + rank is a
-        # unique key, so one flat argsort replaces a three-key lexsort.
-        rank = np.empty(m, dtype=np.int64)
-        rank[np.argsort(w, kind="stable")] = np.arange(m)
-        src = graph.arc_sources()
-        order = np.argsort(src * np.int64(m) + rank[graph._adj_edge_id])
-        self.n = graph.n
-        self.src = src[order]
-        self.dst = graph._indices[order]
-        self.eid = graph._adj_edge_id[order]
-        self.w = w[self.eid]
-
-    def lightest_per_cluster(
-        self, cluster_arr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per (source node, neighbor cluster) lightest edge.
-
-        ``cluster_arr[u] = -1`` marks unclustered neighbors (skipped).
-        Returns ``(src, cluster, w, eid)`` group heads, each minimal in
-        ``(w, eid)`` for its (source, cluster) pair, in arc order: grouped
-        by source (ascending), ``(w, eid)``-ascending within a source — the
-        vectorized ``_lightest_per_cluster`` of the reference.
-        """
-        cl = cluster_arr[self.dst]
-        valid = np.nonzero(cl >= 0)[0]
-        if valid.size == 0:
-            return self.src[valid], cl[valid], self.w[valid], self.eid[valid]
-        # A stable sort by (src, cluster) keeps arc order inside each pair,
-        # so every pair's lightest arc comes first.
-        key = self.src[valid] * np.int64(self.n) + cl[valid]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.empty(key.size, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        head = np.zeros(valid.size, dtype=bool)
-        head[order[first]] = True
-        keep = valid[head]
-        return self.src[keep], cl[keep], self.w[keep], self.eid[keep]
-
-
 @obs.traced("spanner.edges")
 def vectorized_spanner_edges(
     graph: Graph, k: int, rng: np.random.Generator, p: float
@@ -166,68 +116,61 @@ def vectorized_spanner_edges(
     Twin of the reference loops in
     :func:`repro.apsp.spanner.baswana_sen_spanner` (which documents the
     algorithm): k−1 cluster-sampling phases, then the cluster-joining phase.
-    Consumes exactly one ``rng.random(#active clusters)`` draw per phase —
+    Consumes exactly one ``rng.random(#live clusters)`` draw per phase —
     the reference's coin schedule — and returns the identical sorted id set.
     """
-    n = graph.n
-    arcs = _ArcView(graph)
-    chosen: list[np.ndarray] = []
-    cluster_of = np.arange(n, dtype=np.int64)  # level 0: singletons
-    active = np.ones(n, dtype=bool)
+    n, m = graph.n, graph.m
+    w = graph.weights if graph.weights is not None else np.ones(m)
+    # One sort per run puts the arcs in (src, w, eid) order: rank[e] is edge
+    # e's place in (w, eid) order, so src·m + rank is a unique flat key. Each
+    # node's block stays where the CSR has it.
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(w, kind="stable")] = np.arange(m)
+    src = graph.arc_sources()
+    order = np.argsort(src * np.int64(m) + rank[graph._adj_edge_id])
+    src, dst, eid = src[order], graph._indices[order], graph._adj_edge_id[order]
+    start, end = graph._indptr[:-1], graph._indptr[1:]
+    kept = np.zeros(m, dtype=bool)
 
+    def keep_heads(arcs: np.ndarray, cl: np.ndarray) -> None:
+        # Sorted by (cluster, position), the arcs of one (cluster, source)
+        # pair form a run that opens with the pair's lightest arc.
+        cl, arcs = np.divmod(np.sort(cl * np.int64(src.size) + arcs), src.size)
+        pair = cl * np.int64(n) + src[arcs]
+        head = np.ones(arcs.size, dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=head[1:])
+        kept[eid[arcs[head]]] = True
+
+    cluster_of = np.arange(n, dtype=np.int64)  # level 0: singletons; -1: left
+    sampled = np.zeros(n + 1, dtype=bool)  # slot n answers cluster -1
     for _phase in range(k - 1):
-        centers = np.unique(cluster_of[active & (cluster_of >= 0)])
-        sampled = centers[rng.random(len(centers)) < p]
+        # A live cluster still holds its center.
+        centers = np.flatnonzero(cluster_of == np.arange(n))
+        sampled[:] = False
+        sampled[centers[rng.random(centers.size) < p]] = True
+        # Nodes of a sampled cluster stay in it; every other clustered node
+        # decides. Its join arc is its first, so lightest, sampled arc.
+        stays = sampled[cluster_of]
+        deciding = np.flatnonzero((cluster_of >= 0) & ~stays)
+        lo, hi = start[deciding], end[deciding]
+        hits = np.append(np.flatnonzero(stays[dst]), src.size)  # sentinel
+        join = hits[np.searchsorted(hits, lo)]
+        # The node keeps the lightest arc into each cluster it reaches before
+        # its join arc, or before its block ends if it has none and leaves.
+        bound = np.minimum(join, hi)
+        lens = bound - lo
+        arcs = np.repeat(bound - np.cumsum(lens), lens) + np.arange(lens.sum())
+        cl = cluster_of[dst[arcs]]
+        keep_heads(arcs[cl >= 0], cl[cl >= 0])
+        join = join[join < hi]
+        kept[eid[join]] = True
+        joined = cluster_of[dst[join]]
+        cluster_of = np.where(stays, cluster_of, -1)
+        cluster_of[src[join]] = joined
 
-        hs, hc, hw, he = arcs.lightest_per_cluster(
-            np.where(active, cluster_of, -1)
-        )
-        in_sampled_cluster = _in_sorted(cluster_of, sampled)
-        new_cluster = np.where(active & in_sampled_cluster, cluster_of, -1)
-
-        # Heads of active nodes whose own cluster was *not* sampled drive
-        # the phase; everything else keeps or loses its cluster above.
-        deciding = active[hs] & ~in_sampled_cluster[hs]
-        hs, hc, hw, he = hs[deciding], hc[deciding], hw[deciding], he[deciding]
-
-        samp_head = _in_sorted(hc, sampled)
-        # Lightest sampled cluster per node: heads run (w, eid)-ascending
-        # within each source, so it is the node's first sampled head.
-        best_w = np.full(n, np.inf)
-        best_e = np.full(n, -1, dtype=np.int64)
-        best_c = np.full(n, -1, dtype=np.int64)
-        if samp_head.any():
-            ss, sc, sw, se = hs[samp_head], hc[samp_head], hw[samp_head], he[samp_head]
-            top = np.empty(ss.size, dtype=bool)
-            top[0] = True
-            np.not_equal(ss[1:], ss[:-1], out=top[1:])
-            best_w[ss[top]] = sw[top]
-            best_e[ss[top]] = se[top]
-            best_c[ss[top]] = sc[top]
-        has_sampled = best_c >= 0
-
-        # No sampled neighbor cluster: keep the lightest edge to every
-        # neighboring cluster and leave the clustering.
-        chosen.append(he[~has_sampled[hs]])
-        # Otherwise: join the lightest sampled cluster, keep its edge plus
-        # every strictly (w, eid)-lighter per-cluster edge. (best_c is only
-        # ever set at deciding heads, so has_sampled nodes are exactly the
-        # active, unsampled-cluster nodes with a sampled neighbor cluster.)
-        joiners = np.nonzero(has_sampled)[0]
-        chosen.append(best_e[joiners])
-        new_cluster[joiners] = best_c[joiners]
-        lighter = (hw < best_w[hs]) | ((hw == best_w[hs]) & (he < best_e[hs]))
-        chosen.append(he[has_sampled[hs] & lighter])
-
-        cluster_of = new_cluster
-        active = cluster_of >= 0
-
-    # Phase 2: every node connects to each adjacent surviving cluster with
-    # its lightest edge (intra-cluster edges skipped).
-    hs, hc, _, he = arcs.lightest_per_cluster(np.where(active, cluster_of, -1))
-    own = active[hs] & (cluster_of[hs] == hc)
-    chosen.append(he[~own])
-
-    if not chosen:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(chosen))
+    # Cluster joining: every node keeps its lightest arc into each live
+    # cluster but its own.
+    cl = cluster_of[dst]
+    arcs = np.flatnonzero((cl >= 0) & (cl != cluster_of[src]))
+    keep_heads(arcs, cl[arcs])
+    return np.flatnonzero(kept)

@@ -738,8 +738,8 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     :func:`~repro.graphs.traversal.bfs_distances`, a separate dist-only
     loop, and the parents of the plain-Python smallest-previous-layer
     rule; ``last_send_round_spans`` and ``upcast_spans`` must match
-    plain-Python walks (the upcast one round at a time); and the small
-    CSR/membership helpers must match their numpy one-liners. The
+    plain-Python walks (the upcast one round at a time); and the CSR
+    builders must match plain-Python lists and slices. The
     pipeline built on them is compared with the simulator by
     :func:`check_tree_broadcast`.
     """
@@ -784,7 +784,7 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     )
     out += diff(got_last, last_sim, "kernels.last_send_round_spans")
 
-    # -- CSR builders and membership helpers ---------------------------- #
+    # -- CSR builders --------------------------------------------------- #
     parent = sweep_parent  # tree convention: the root is its own parent
     lists = kernels.children_lists(parent)
     ref_lists: list[list[int]] = [[] for _ in range(n)]
@@ -812,11 +812,6 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     out += diff(
         (cind[sel], counts, offs), (ref_vals, ref_counts, ref_offs),
         "kernels.expand_csr_rows",
-    )
-    table = np.unique(rng.integers(0, 2 * n, size=n))
-    values = rng.integers(0, 2 * n, size=n)
-    out += diff(
-        kernels.in_sorted(values, table), np.isin(values, table), "kernels.in_sorted"
     )
 
     # -- upcast_spans expanded per round == a round-by-round queue walk -- #

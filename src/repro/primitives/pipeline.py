@@ -169,10 +169,11 @@ def checked_messages(
     same way before either backend runs the pipeline.
 
     A channel's messages are ``{node: [ids]}`` or already the flat pair of
-    one origin per id. Raises :class:`ValidationError` on a channel without
-    a tree, an origin that is not an integer in ``[0, n)``, an id that is
-    not an integer or does not fit in int64, a duplicate id within a
-    channel, and a tree that does not span.
+    one origin per id, both 1-D. Raises :class:`ValidationError` on a
+    channel without a tree, an origin that is not an integer in ``[0, n)``,
+    an id that is not an integer or does not fit in int64, origins and ids
+    that are not 1-D arrays of one length, a duplicate id within a channel,
+    and a tree that does not span.
     """
     flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for cid, placement in messages.items():
@@ -190,8 +191,10 @@ def checked_messages(
         ids = integer_ids(ids, "message ids")
         if lens is not None:
             origins = np.repeat(origins, lens)
-        if origins.shape != (len(ids),):
-            raise ValidationError(f"channel {cid}: need one origin per message id")
+        if ids.ndim != 1 or origins.shape != ids.shape:
+            raise ValidationError(
+                f"channel {cid}: need one origin per message id, both 1-D"
+            )
         ids_sorted = np.sort(ids)
         if (ids_sorted[1:] == ids_sorted[:-1]).any():
             raise ValidationError(f"duplicate message ids on channel {cid}")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apsp.spanner import _reference_spanner_edges
 from repro.core.broadcast import (
     _bfs_view,
     _number_messages_batch,
@@ -29,6 +30,7 @@ from repro.engine import BACKENDS, validate_backend, verify
 from repro.congest.adversary import FaultPlan
 from repro.engine.fastpath import vectorized_tree_broadcast
 from repro.engine.faults import vectorized_faulty_broadcast
+from repro.engine.pipelines import vectorized_spanner_edges
 from repro.engine.verify import (
     EXEMPT,
     ROWS,
@@ -250,6 +252,11 @@ class TestPipelineEquivalence:
                 "fit in int64",
                 id="i64-flat",
             ),
+            pytest.param(
+                (np.array([0]), np.array([[1, 2]])),
+                "one origin per message id",
+                id="ids-2d",
+            ),
         ],
     )
     def test_malformed_messages_raise_alike(self, messages, named):
@@ -262,7 +269,9 @@ class TestPipelineEquivalence:
         merged the duplicate into one message. Ids beyond int64 were priced
         one by one on the fault-free backends (2⁶³ fits the budget from
         n = 257) and refused by the faulty engine alone; Lemma 3 numbers
-        ids 1..k, so no caller produces one."""
+        ids 1..k, so no caller produces one. A 2-D id array with one
+        origin per row made the simulator raise TypeError, while both
+        vectorized entry points ran it as one message."""
         g = cycle_graph(6)
         tree = run_bfs(g, 0, backend="vectorized")
         texts = []
@@ -455,6 +464,18 @@ class TestEndToEndBroadcast:
         assert res.rounds == sum(res.phases.values())
 
 
+class _CountedDraws:
+    """A generator stand-in that records the size of every ``random`` draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.sizes: list[int] = []
+
+    def random(self, size: int) -> np.ndarray:
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
 class TestPipelineTwins:
     """APSP + cut-sparsifier vectorized paths: bit-identical to the loops."""
 
@@ -473,16 +494,43 @@ class TestPipelineTwins:
         n=st.integers(2, 24),
         extra=st.integers(0, 30),
         seed=st.integers(0, 10_000),
-        k=st.integers(2, 4),
+        k=st.integers(2, 8),
         weighted=st.booleans(),
         high=st.sampled_from((2, 100)),
     )
     def test_spanner_backends_identical(self, n, extra, seed, k, weighted, high):
         # Weights in {1, 2} make (w, eid) ties common; 1–100 rarely tie.
+        # k reaches 8, the k of the benchmark's cut sparsifier on n = 2000.
         g = random_connected_graph(n, extra, seed=seed)
         if weighted:
             g = random_weights(g, high=high, seed=seed + 1)
         assert check_spanner(g, k, seed=seed + 2) == []
+
+    @pytest.mark.parametrize(
+        "p, k, sizes",
+        [
+            pytest.param(0.0, 2, [30], id="none-sampled"),
+            pytest.param(1.0, 4, [30, 30, 30], id="all-sampled"),
+            pytest.param(0.0, 5, [30, 0, 0, 0], id="no-live-cluster"),
+            pytest.param(0.4, 8, [30, 10, 7, 2, 0, 0, 0], id="k8"),
+        ],
+    )
+    def test_spanner_phase_extremes(self, p, k, sizes):
+        """Both spanner paths, called with one p on a tie-heavy host. At
+        p = 0 no cluster is sampled, every node leaves in phase 1, and each
+        later phase draws ``rng.random(0)``; at p = 1 every cluster is
+        sampled and no node decides; at k = 8 the last cluster dies in
+        phase 4. Each path must draw one coin per live cluster per phase
+        (``sizes``), keep the same edge ids and leave the generator in the
+        same state."""
+        g = random_weights(random_connected_graph(30, 60, seed=4), high=2, seed=5)
+        outs = []
+        for build in (_reference_spanner_edges, vectorized_spanner_edges):
+            rng = _CountedDraws(np.random.default_rng(7))
+            ids = build(g, k, rng, p)
+            outs.append((ids, ids.dtype, rng.sizes, rng.rng.bit_generator.state))
+        assert diff(outs[0], outs[1]) == []
+        assert outs[0][2] == sizes
 
     @_SETTINGS
     @given(
