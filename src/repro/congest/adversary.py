@@ -336,9 +336,7 @@ class TargetedCutAdversary(AdversarySchedule):
       set fits the budget (actually disconnecting something), falling back
       to the ``budget`` lowest-weight crossing edges of the lightest cut.
 
-    ``cuts_result`` lets callers reuse an existing Theorem 7 run (the
-    amortization Section 1 suggests); otherwise one is computed with the
-    given backend.
+    The Theorem 7 run uses the given backend, once per graph.
     """
 
     def __init__(
@@ -349,7 +347,6 @@ class TargetedCutAdversary(AdversarySchedule):
         seed: int = 0,
         tau: int | None = None,
         backend: str = "vectorized",
-        cuts_result=None,
     ):
         if budget is not None and budget < 1:
             raise ValidationError("budget must be >= 1 (or None for unlimited)")
@@ -359,15 +356,11 @@ class TargetedCutAdversary(AdversarySchedule):
         self.seed = int(seed)
         self.tau = tau
         self.backend = backend
-        self.cuts_result = cuts_result
         # compile() is deterministic per graph but runs the whole Theorem 7
         # pipeline; memoize so a redundancy sweep pays for it once.
         self._plan_cache: dict[Graph, FaultPlan] = {}
 
     def to_json(self) -> dict:
-        # cuts_result (a live Theorem 7 object) is deliberately not
-        # serialized — from_json recomputes it, deterministically, from the
-        # recorded (eps, seed, tau, backend).
         return {
             "type": "targeted-cut",
             "eps": self.eps,
@@ -392,15 +385,9 @@ class TargetedCutAdversary(AdversarySchedule):
         cached = self._plan_cache.get(graph)
         if cached is not None:
             return cached
-        res = self.cuts_result
-        if res is None:
-            res = approx_all_cuts(
-                graph,
-                eps=self.eps,
-                seed=self.seed,
-                tau=self.tau,
-                backend=self.backend,
-            )
+        res = approx_all_cuts(
+            graph, eps=self.eps, seed=self.seed, tau=self.tau, backend=self.backend
+        )
         n = graph.n
         H = res.sparsifier.sparsifier
         # All n degree cuts scored in one pass: cut_H({v}) is just v's

@@ -368,7 +368,6 @@ def repair_coverage(
     redundancy: int = 1,
     dead_edges: Iterable[int] | None = None,
     drop_rate: float = 0.0,
-    mobile: Mapping[int, Iterable[int]] | None = None,
     seed: int = 0,
     fault_seed: int | None = None,
     adversary: AdversarySchedule | None = None,
@@ -382,8 +381,8 @@ def repair_coverage(
 
     1. **Detect** — a channel is *broken* when it carried a message with
        coverage < 1 **and** its tree uses a statically dead edge. Transient
-       loss (``drop_rate``/``mobile``) is not structural damage; nothing to
-       re-root, so those channels are left alone.
+       loss (``drop_rate`` or a mobile adversary) is not structural damage;
+       nothing to re-root, so those channels are left alone.
     2. **Re-root** — for each broken channel (at most four), one
        validity BFS on the class's *live* edges (``class_masks[c]`` minus the
        dead set), rooted at the highest-live-degree node (ties: smallest id)
@@ -415,8 +414,7 @@ def repair_coverage(
 
     parts = packing.size
     plan = FaultCell(
-        dead_edges=dead_edges or (), drop_rate=drop_rate, mobile=mobile,
-        adversary=adversary,
+        dead_edges=dead_edges or (), drop_rate=drop_rate, adversary=adversary
     ).plan(graph, packing)
 
     def run(pk: TreePacking) -> DeliveryReport:

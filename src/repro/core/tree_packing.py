@@ -54,8 +54,9 @@ ROOT_POLICIES = ("shared", "spread", "cut-aware")
 class SpanningTree:
     """A rooted spanning tree given by parent pointers.
 
-    ``parent[root] == root``; ``edge_ids`` are ids in the *host* graph, so
-    edge-disjointness across trees is checkable exactly.
+    ``parent[root] == root``, and ``depth_of[v]`` is ``v``'s hop depth.
+    The tree's edges are ``(parent[v], v)`` for ``v != root``; a
+    :class:`TreePacking` maps them to host edge ids to count them.
     """
 
     root: int

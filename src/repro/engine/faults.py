@@ -217,7 +217,7 @@ def vectorized_faulty_bfs(
         announce on every other usable port in ascending-neighbor order —
         the exact outbox insertion order of ``BFSProgram``.
         """
-        sel, counts, offs = expand_csr_rows(indptr, adopters)
+        sel, counts = expand_csr_rows(indptr, adopters)
         if sel.size == 0:
             return None
         src = np.repeat(adopters, counts)
@@ -231,7 +231,7 @@ def vectorized_faulty_bfs(
             dst[keep],
             eid[keep],
             kind[keep],
-            offs[keep],
+            sel[keep],  # rises within each node's block: the port order
         )
         if not src.size:
             return None

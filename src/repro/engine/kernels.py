@@ -8,13 +8,14 @@ O(events) numpy steps:
 * **One BFS layer loop** — :func:`frontier_sweep` (defined in
   :mod:`repro.graphs.traversal`, so centralized callers reach it without
   importing the engine) advances every BFS of a call one layer per numpy
-  gather over flat keys ``q·n + v`` and adopts parents inline: one value
-  sort of ``candidate·n + source`` puts each fresh candidate's smallest
-  previous-layer neighbor first, and a simple graph's keys are distinct,
-  so the unstable sort is exact. A solo sweep, the disjoint-union sweep
-  of a tree packing and the query plane of :mod:`repro.engine.plane` all
-  run it; ``check_kernels`` compares it with
-  :func:`~repro.graphs.traversal.bfs_distances` and the plain-Python
+  gather over flat keys ``q·n + v`` and adopts parents inline: one
+  ``np.minimum.at`` scatter of each fresh arc's source onto its candidate
+  leaves every candidate its smallest previous-layer neighbor, and the
+  arcs whose source won are the next frontier, one per candidate. A solo
+  sweep, the disjoint-union sweep of a tree packing and the query plane
+  of :mod:`repro.engine.plane` all run it; ``check_kernels`` compares it
+  with a plain-Python queue BFS
+  (:func:`repro.engine.verify.queue_bfs_dist`) and the plain-Python
   first-port rule (:func:`repro.engine.verify.first_port_parents`).
 
 * **Event-batched span stepping** — between queue-drain events the

@@ -21,8 +21,9 @@ Two batching shapes cover every caller:
   clock.
 
 **Bit-identity contract.** Each query's outputs equal its standalone run,
-element for element: the loop adopts, per key, the smallest previous-layer
-neighbor, the simulator's first-port rule.
+element for element: the loop's minimum-scatter adopts, per key, the
+smallest previous-layer neighbor, the simulator's first-port rule, and a
+minimum does not depend on the order in which the queries' arcs reach it.
 
 Memory is bounded by chunking query rows: :func:`plane_sweep` processes at
 most ``_PLANE_MAX_CELLS`` (query × node) cells at a time, so batch sizes

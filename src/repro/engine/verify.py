@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,7 +94,6 @@ from repro.engine.faults import faulty_bfs, faulty_bfs_grid
 from repro.graphs.connectivity import edge_connectivity
 from repro.graphs.generators import random_weights, thick_cycle
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
 from repro.primitives.bfs import BFSResult, run_bfs, run_bfs_batch, run_parallel_bfs
 from repro.primitives.leader import elect_leader
 from repro.primitives.numbering import assign_item_numbers
@@ -140,6 +139,7 @@ __all__ = [
     "check_tournament",
     "check_trace_transparency",
     "first_port_parents",
+    "queue_bfs_dist",
     "boundary_hosts",
     "Trial",
     "ROWS",
@@ -731,26 +731,42 @@ def first_port_parents(
     return parent
 
 
+def queue_bfs_dist(indptr: np.ndarray, indices: np.ndarray, root: int) -> np.ndarray:
+    """Hop distances from ``root`` by a plain-Python FIFO queue over the
+    CSR; ``-1`` stays unreached."""
+    dist = [-1] * (indptr.size - 1)
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in indices[indptr[u] : indptr[u + 1]].tolist():
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return np.array(dist, dtype=np.int64)
+
+
 def check_kernels(graph: Graph, seed) -> list[str]:
     """Direct identities of the :mod:`repro.engine.kernels` primitives.
 
-    ``frontier_sweep`` must give the dists of
-    :func:`~repro.graphs.traversal.bfs_distances`, a separate dist-only
-    loop, and the parents of the plain-Python smallest-previous-layer
-    rule; ``last_send_round_spans`` and ``upcast_spans`` must match
-    plain-Python walks (the upcast one round at a time); and the CSR
-    builders must match plain-Python lists and slices. The
-    pipeline built on them is compared with the simulator by
-    :func:`check_tree_broadcast`.
+    ``frontier_sweep`` must give the dists of a plain-Python queue BFS
+    (:func:`queue_bfs_dist`) and the parents of the plain-Python
+    smallest-previous-layer rule (:func:`first_port_parents`);
+    ``last_send_round_spans`` and ``upcast_spans`` must match plain-Python
+    walks (the upcast one round at a time); and the CSR builders must
+    match plain-Python lists and slices. The pipeline built on them is
+    compared with the simulator by :func:`check_tree_broadcast`.
     """
     n = graph.n
     rng = ensure_rng(seed)
 
-    # -- frontier_sweep vs bfs_distances and the python adoption rule --- #
+    # -- frontier_sweep vs a python queue BFS and adoption rule -------- #
     root = int(rng.integers(n))
     indptr, indices = graph._indptr, graph._indices
     sweep_parent, sweep_dist = kernels.frontier_sweep(n, indptr, indices, root)
-    out = diff(sweep_dist, bfs_distances(graph, root), "kernels.frontier_sweep.dist")
+    out = diff(
+        sweep_dist, queue_bfs_dist(indptr, indices, root), "kernels.frontier_sweep.dist"
+    )
     out += diff(
         sweep_parent,
         first_port_parents(indptr, indices, sweep_dist),
@@ -797,21 +813,15 @@ def check_kernels(graph: Graph, seed) -> list[str]:
         (cindptr, cind), kernels.lists_to_csr(lists), "kernels.children_csr"
     )
     rows = rng.integers(0, n, size=min(n, 5))
-    sel, counts, offs = kernels.expand_csr_rows(cindptr, rows)
+    sel, counts = kernels.expand_csr_rows(cindptr, rows)
     ref_counts = np.diff(cindptr)[rows]
     ref_vals = (
         np.concatenate([cind[cindptr[r] : cindptr[r + 1]] for r in rows])
         if rows.size
         else np.empty(0, dtype=np.int64)
     )
-    ref_offs = (
-        np.concatenate([np.arange(c) for c in ref_counts.tolist()])
-        if rows.size
-        else np.empty(0, dtype=np.int64)
-    )
     out += diff(
-        (cind[sel], counts, offs), (ref_vals, ref_counts, ref_offs),
-        "kernels.expand_csr_rows",
+        (cind[sel], counts), (ref_vals, ref_counts), "kernels.expand_csr_rows"
     )
 
     # -- upcast_spans expanded per round == a round-by-round queue walk -- #

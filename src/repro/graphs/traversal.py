@@ -6,17 +6,17 @@ outputs of distributed protocols against ground truth and (b) implement the
 (e.g. every node computing APSP on a received spanner). The distributed BFS
 of Lemma 2 lives in :mod:`repro.primitives.bfs`.
 
-Three layer loops cover every BFS in the library:
+Two layer loops cover every BFS in the library:
 
 * :func:`frontier_sweep` — the one loop that adopts parents. It runs over
   flat keys ``q·n + v`` (query ``q``, node ``v``), so one call serves a
   solo BFS, many BFS queries over one CSR (``queries > 1``, the query
   plane of :mod:`repro.engine.plane`) and a disjoint union of channel
-  subgraphs. :func:`bfs_tree` and the vectorized backend's sweeps all run
-  it; :mod:`repro.engine.kernels` re-exports it.
-* :func:`bfs_distances` — the dist-only loop. Without parent bookkeeping
-  it runs in about two thirds of :func:`frontier_sweep`'s time, which
-  matters to diameter checks and leader election that run it many times.
+  subgraphs. :func:`bfs_tree`, :func:`bfs_distances` (which returns its
+  ``dist``) and the vectorized backend's sweeps all run it;
+  :mod:`repro.engine.kernels` re-exports it. Its parent adoption is one
+  minimum-scatter per layer, which costs about what the sort that dedups
+  a dist-only loop's frontier did, so no second loop is kept for dists.
 * :func:`all_pairs_distances` — PRT's exact APSP on the cluster graph
   (Theorem 4) runs every source at once as a bit-parallel multi-source BFS
   (Then et al., "The More the Merrier", PVLDB 2014): 64 sources share each
@@ -50,21 +50,21 @@ UNREACHED = -1
 
 def expand_csr_rows(
     indptr: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Flat slot indices of all CSR adjacency entries of ``rows``.
 
-    Returns ``(sel, counts, offs)``: ``sel`` indexes the CSR data array with
-    each row's block contiguous in row order, ``counts`` is the per-row
-    block length, and ``offs`` the within-block rank of each entry. Shared
-    by every whole-frontier sweep in the library.
+    Returns ``(sel, counts)``: ``sel`` indexes the CSR data array with each
+    row's block contiguous in row order and rising within the block, and
+    ``counts`` is the per-row block length. Shared by every whole-frontier
+    sweep in the library.
     """
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    base = np.repeat(indptr[rows], counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return base + offs, counts, offs
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    # Entry i of a row's block sits at start + (i − the block's first flat
+    # position): one repeat of that per-row shift over a flat arange.
+    sel = np.arange(int(counts.sum()), dtype=np.int64)
+    sel += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return sel, counts
 
 
 def frontier_sweep(
@@ -85,13 +85,14 @@ def frontier_sweep(
 
     One layer gathers the arcs of every frontier node ``v = key mod n``;
     a candidate's key is ``(key − v) + neighbor``. Candidates already
-    reached drop out, and the rest are value-sorted as
-    ``candidate·n + source``. The first entry of each candidate adopts
-    the source it carries, which is its **smallest** previous-layer
-    neighbor — the simulator's first-port rule, since ports are numbered
-    by neighbor id. The sort is exact although it is not stable: a simple
-    graph has one arc per (source, neighbor) pair, so no two entries are
-    equal.
+    reached drop out, and one ``np.minimum.at`` scatters each remaining
+    arc's source onto its candidate, so every candidate's parent is its
+    **smallest** previous-layer neighbor — the simulator's first-port
+    rule, since ports are numbered by neighbor id. The arcs whose source
+    won are the next frontier, one per candidate: a simple graph, its
+    masked CSRs and the disjoint-union CSR hold one arc per (source,
+    candidate) pair. Parents start at the int64 maximum, which every
+    source undercuts, and keys left unreached get ``-1`` after the loop.
 
     Several roots of one query must lie in pairwise-disconnected
     components, as in the disjoint-union sweep of
@@ -103,7 +104,7 @@ def frontier_sweep(
     keys = integer_ids(np.atleast_1d(root), "BFS start keys")
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= size):
         raise ValidationError(f"BFS start key out of range [0, {size})")
-    parent = np.full(size, UNREACHED, dtype=np.int64)
+    parent = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
     dist = np.full(size, UNREACHED, dtype=np.int64)
     parent[keys] = keys % n
     dist[keys] = 0
@@ -114,7 +115,7 @@ def frontier_sweep(
         obs.count("kernels.frontier_peak", frontier.size, "max")
         obs.count("kernels.gather_layers")
         v = frontier % n if queries > 1 else frontier
-        sel, counts, _offs = expand_csr_rows(indptr, v)
+        sel, counts = expand_csr_rows(indptr, v)
         cand = indices[sel]
         if queries > 1:
             cand += np.repeat(frontier - v, counts)
@@ -122,19 +123,12 @@ def frontier_sweep(
         cand = cand[fresh]
         if not cand.size:
             break
-        # key = candidate·n + source < queries·n², computed in int64: far
-        # below 2⁶³ for any graph whose parent array fits in memory.
-        key = np.multiply(cand, n, dtype=np.int64)
-        key += np.repeat(v, counts)[fresh]
-        key.sort()
-        cand = key // n
-        first = np.empty(cand.size, dtype=bool)
-        first[0] = True
-        np.not_equal(cand[1:], cand[:-1], out=first[1:])
-        frontier = cand[first]
-        parent[frontier] = key[first] - frontier * n
+        src = np.repeat(v, counts)[fresh]
+        np.minimum.at(parent, cand, src)
+        frontier = cand[parent[cand] == src]
         d += 1
         dist[frontier] = d
+    parent[dist < 0] = UNREACHED
     return parent, dist
 
 
@@ -142,27 +136,7 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; ``-1`` marks unreachable nodes."""
     if not 0 <= source < graph.n:
         raise ValidationError(f"source {source} out of range [0, {graph.n})")
-    dist = np.full(graph.n, UNREACHED, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    indptr, indices = graph._indptr, graph._indices
-    d = 0
-    while frontier.size:
-        sel, _counts, _offs = expand_csr_rows(indptr, frontier)
-        out = indices[sel]
-        fresh = out[dist[out] == UNREACHED]
-        if fresh.size == 0:
-            break
-        d += 1
-        # Dedup by sort-and-diff: an O(n) full-array rescan per layer would
-        # dominate on deep graphs (depth · n at n = 10⁶).
-        fresh = np.sort(fresh)
-        keep = np.empty(fresh.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])
-        frontier = fresh[keep]
-        dist[frontier] = d
-    return dist
+    return frontier_sweep(graph.n, graph._indptr, graph._indices, source)[1]
 
 
 def bfs_tree(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +237,7 @@ def connected_components(graph: Graph) -> np.ndarray:
         frontier = np.array([v], dtype=np.int64)
         while frontier.size:
             left -= frontier.size
-            sel, _counts, _offs = expand_csr_rows(indptr, frontier)
+            sel, _counts = expand_csr_rows(indptr, frontier)
             out = indices[sel]
             frontier = np.unique(out[label[out] == UNREACHED])
             label[frontier] = v

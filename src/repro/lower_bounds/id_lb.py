@@ -30,13 +30,13 @@ def id_entropy_bits(n: int, c: float = 2.0) -> float:
     return (n / 2.0) * (c - 1.0) * math.log2(n)
 
 
-def theorem8_rounds_bound(n: int, lam: int, c: float = 2.0, bandwidth_bits: int | None = None) -> float:
+def theorem8_rounds_bound(n: int, lam: int) -> float:
     """Explicit Theorem 8 bound: entropy / (2·λ·w) rounds.
 
-    ``bandwidth_bits`` defaults to ``c·log2 n`` (IDs must fit in a message).
-    The factor 2 accounts for both directions of each cut edge.
+    IDs are drawn from [n²] (c = 2), and ``w = 2·log2 n`` bits, so an ID
+    fits in a message. The factor 2 accounts for both directions of each
+    cut edge.
     """
     if lam < 1:
         raise ValidationError("λ must be >= 1")
-    w = bandwidth_bits if bandwidth_bits is not None else c * math.log2(max(n, 2))
-    return id_entropy_bits(n, c) / (2.0 * lam * w)
+    return id_entropy_bits(n) / (2.0 * lam * 2.0 * math.log2(max(n, 2)))

@@ -67,29 +67,29 @@ class Theorem9Instance:
         """Bits v₁ must learn: (n−2)·log2(kmax)."""
         return (self.n - 2) * math.log2(max(self.kmax, 2))
 
-    def rounds_bound(self, bandwidth_bits: float | None = None) -> float:
-        """Ω(n/(λ log α)) with explicit constants: bits/(λ·w)."""
-        w = bandwidth_bits if bandwidth_bits is not None else 3 * math.log2(max(self.n, 2))
-        return self.information_bits() / (self.lam * w)
+    def rounds_bound(self) -> float:
+        """Ω(n/(λ log α)) with explicit constants: bits/(λ·w), where
+        ``w = log2(n³)`` bits fit the heaviest weight."""
+        return self.information_bits() / (self.lam * 3 * math.log2(max(self.n, 2)))
 
 
 def theorem9_instance(
-    n: int, lam: int, alpha: float = 2.0, c: int = 3, seed=None
+    n: int, lam: int, alpha: float = 2.0, seed=None
 ) -> Theorem9Instance:
     """Build the Theorem 9 graph with uniformly random exponents.
 
-    Construction (paper, 0-based): v₁–v₂ weight 1; v₁ to the first λ clique
-    nodes with weight n^c; nodes 2..n−1 a clique with weight n^c; v₂ to each
-    clique node i with weight ``(2α)^{k_i}``.
+    Construction (paper, 0-based, c = 3): v₁–v₂ weight 1; v₁ to the first λ
+    clique nodes with weight n^c; nodes 2..n−1 a clique with weight n^c; v₂
+    to each clique node i with weight ``(2α)^{k_i}``.
     """
     if n < lam + 2:
         raise ValidationError("need n >= λ + 2")
     if lam < 2:
         raise ValidationError("λ must be >= 2 (v₁ needs the v₂ edge plus heavies)")
     rng = ensure_rng(seed)
-    kmax = kmax_for(n, alpha, c)
+    kmax = kmax_for(n, alpha)
     exponents = rng.integers(1, kmax + 1, size=n - 2)
-    heavy = float(n) ** c
+    heavy = float(n) ** 3
 
     # v₁'s degree is exactly λ: the v₂ edge plus λ−1 heavy edges into the
     # clique (paper: "connect v₁ to {v₃..v_{λ+1}}"), so isolating v₁ is a

@@ -191,10 +191,8 @@ def checked_messages(
         ids = integer_ids(ids, "message ids")
         if lens is not None:
             origins = np.repeat(origins, lens)
-        if ids.ndim != 1 or origins.shape != ids.shape:
-            raise ValidationError(
-                f"channel {cid}: need one origin per message id, both 1-D"
-            )
+        if origins.shape != ids.shape:
+            raise ValidationError(f"channel {cid}: need one origin per message id")
         ids_sorted = np.sort(ids)
         if (ids_sorted[1:] == ids_sorted[:-1]).any():
             raise ValidationError(f"duplicate message ids on channel {cid}")

@@ -65,13 +65,9 @@ def predict_fast_rounds(
     return prologue + 3.0 * diam_scale + 2.0 * per_tree_k
 
 
-def predict_combined_rounds(
-    n: int, k: int, delta: int, lam: int, D: int, C: float = 2.0
-) -> float:
+def predict_combined_rounds(n: int, k: int, delta: int, lam: int, D: int) -> float:
     """Section 3.2: min(textbook, fast)."""
-    return min(
-        predict_textbook_rounds(D, k), predict_fast_rounds(n, k, delta, lam, C)
-    )
+    return min(predict_textbook_rounds(D, k), predict_fast_rounds(n, k, delta, lam))
 
 
 def theorem3_lower_bound(k: int, lam: int) -> float:
@@ -91,17 +87,18 @@ def theorem8_lower_bound(n: int, lam: int) -> float:
     return max(0.0, n / (4.0 * lam) - 1.0)
 
 
-def theorem9_lower_bound(n: int, lam: int, alpha: float, c: int = 3) -> float:
+def theorem9_lower_bound(n: int, lam: int, alpha: float) -> float:
     """Ω(n/(λ log α)) for α-approximate weighted APSP (Theorem 9).
 
     kmax = Θ(log n / log(2α)) choices per random exponent; v₁ must learn
-    (n-2)·log₂(kmax) bits over λ·log₂(n^c) bits per round.
+    (n-2)·log₂(kmax) bits over λ·log₂(n³) bits per round (weights up to n^c,
+    c = 3).
     """
     if alpha < 1:
         raise ValidationError("α must be >= 1")
-    kmax = max(2, int(c * math.log(max(n, 2)) / math.log(2 * alpha)))
+    kmax = max(2, int(3 * math.log(max(n, 2)) / math.log(2 * alpha)))
     bits_needed = (n - 2) * math.log2(kmax)
-    bits_per_round = lam * c * math.log2(max(n, 2))
+    bits_per_round = lam * 3 * math.log2(max(n, 2))
     return max(0.0, bits_needed / bits_per_round)
 
 

@@ -50,22 +50,30 @@ class ProtocolError(ReproError):
 
 
 def integer_ids(values: Sequence[Any], what: str) -> np.ndarray:
-    """``values`` as an int64 array, or :class:`ValidationError` naming the
-    first one that is not an integer (Python, numpy or bool).
+    """``values`` as a 1-D int64 array, or :class:`ValidationError` naming
+    the first one that is not an integer (Python, numpy or bool).
 
     One numpy conversion checks every value at once: a float, string or
-    object entry leaves the array without an integer dtype. ``np.fromiter``
+    object entry leaves the array without an integer dtype, and a nested
+    entry leaves it 2-D or, ragged, makes numpy raise. ``np.fromiter``
     with an integer dtype cannot be the check: it truncates 1.5 to 1.
     Integers beyond int64 raise too (``uint64`` values above 2⁶³ − 1 would
     otherwise wrap to negative ids).
     """
-    arr = np.array(values)
-    if arr.size and (
-        arr.dtype.kind not in "biu"
-        or (arr.dtype.kind == "u" and int(arr.max()) > np.iinfo(np.int64).max)
+    try:
+        arr = np.array(values)
+        flat = arr.ndim == 1
+    except ValueError:  # ragged nesting, which numpy cannot shape
+        flat = False
+    if not flat or (
+        arr.size
+        and (
+            arr.dtype.kind not in "biu"
+            or (arr.dtype.kind == "u" and int(arr.max()) > np.iinfo(np.int64).max)
+        )
     ):
         bad = next((v for v in values if not isinstance(v, numbers.Integral)), None)
-        if bad is None:
+        if bad is None and flat:
             raise ValidationError(f"{what} must fit in int64, got {max(values)!r}")
         raise ValidationError(f"{what} must be integers, got {bad!r}")
     return arr.astype(np.int64, copy=False)

@@ -59,6 +59,7 @@ from repro.engine.verify import (
     check_weighted_apsp,
     diff,
     first_port_parents,
+    queue_bfs_dist,
     random_connected_graph,
     random_edge_masks,
     random_fault_plan,
@@ -68,7 +69,6 @@ from repro.engine.verify import (
 from repro.engine.kernels import frontier_sweep
 from repro.engine.plane import masked_union_bfs, plane_sweep
 from repro.graphs import Graph, cycle_graph, path_of_cliques, random_weights, thick_cycle
-from repro.graphs.traversal import bfs_distances
 from repro.primitives.bfs import BFSResult, run_bfs, run_parallel_bfs
 from repro.primitives.leader import elect_leader
 from repro.primitives.pipeline import run_tree_broadcast
@@ -253,9 +253,18 @@ class TestPipelineEquivalence:
                 id="i64-flat",
             ),
             pytest.param(
-                (np.array([0]), np.array([[1, 2]])),
+                (np.array([0]), np.array([[1, 2]])), "must be integers", id="ids-2d"
+            ),
+            pytest.param({0: [[1, 2]]}, "must be integers", id="ids-2d-map"),
+            pytest.param({0: [[1, 2], 3]}, "must be integers", id="ids-ragged"),
+            pytest.param({0: [1, [2]]}, "must be integers", id="ids-ragged-tail"),
+            pytest.param(
+                ([[0, 1], 2], np.array([1, 2])), "must be integers", id="origins-ragged"
+            ),
+            pytest.param(
+                (np.array([0, 1]), np.array([1])),
                 "one origin per message id",
-                id="ids-2d",
+                id="unaligned",
             ),
         ],
     )
@@ -271,7 +280,10 @@ class TestPipelineEquivalence:
         n = 257) and refused by the faulty engine alone; Lemma 3 numbers
         ids 1..k, so no caller produces one. A 2-D id array with one
         origin per row made the simulator raise TypeError, while both
-        vectorized entry points ran it as one message."""
+        vectorized entry points ran it as one message; ragged ids or
+        origins made all three raise numpy's ValueError. Ids and origins
+        go through one flat-integer check, and a count mismatch between
+        them is caught after it."""
         g = cycle_graph(6)
         tree = run_bfs(g, 0, backend="vectorized")
         texts = []
@@ -364,32 +376,51 @@ class TestPrologueElection:
 class TestFrontierSweepTies:
     """On ``thick_cycle(12, 4)`` every node beyond the root's group has
     several tied previous-layer neighbors, so the adoption rule decides
-    almost every parent: the value sort must pick the first port."""
+    almost every parent: the minimum-scatter must pick the first port. The
+    dists are compared with a plain-Python queue BFS, since
+    ``bfs_distances`` returns the sweep's own ``dist``."""
+
+    @staticmethod
+    def _sweeps(g, keep, roots, union_roots):
+        """``(label, parent, dist, indptr, indices, root)`` of one solo
+        sweep, one plane over ``roots`` and one union over three disjoint
+        classes, all on the CSR of the edges in ``keep``."""
+        indptr, indices = g.masked_csr(keep)
+        parent, dist = frontier_sweep(g.n, indptr, indices, roots[1])
+        yield "solo", parent, dist, indptr, indices, roots[1]
+        parents, dists, _rounds = plane_sweep(g.n, indptr, indices, roots)
+        for q, r in enumerate(roots):
+            yield f"plane[{q}]", parents[q], dists[q], indptr, indices, r
+        masks = [(np.arange(g.m) % 3 == c) & keep for c in range(3)]
+        for c, res in enumerate(masked_union_bfs(g, masks, union_roots)):
+            sub = g.edge_subgraph(masks[c])
+            yield f"union[{c}]", res.parent, res.dist, sub._indptr, sub._indices, res.root
 
     def test_solo_plane_and_union_adopt_first_port(self):
         g = thick_cycle(12, 4)
-        indptr, indices = g._indptr, g._indices
-        parent, dist = frontier_sweep(g.n, indptr, indices, 5)
-        assert diff(dist, bfs_distances(g, 5), "solo.dist") == []
-        assert diff(parent, first_port_parents(indptr, indices, dist), "solo") == []
+        everything = np.ones(g.m, dtype=bool)
+        for label, parent, dist, indptr, indices, root in self._sweeps(
+            g, everything, [0, 5, 17, 30, 47], [0, 13, 40]
+        ):
+            assert diff(dist, queue_bfs_dist(indptr, indices, root), f"{label}.dist") == []
+            assert diff(parent, first_port_parents(indptr, indices, dist), label) == []
 
-        roots = [0, 5, 17, 30, 47]
-        parents, dists, _rounds = plane_sweep(g.n, indptr, indices, roots)
-        for q, r in enumerate(roots):
-            assert diff(dists[q], bfs_distances(g, r), f"plane[{q}].dist") == []
-            assert diff(
-                parents[q], first_port_parents(indptr, indices, dists[q]), f"plane[{q}]"
-            ) == []
-
-        masks = [np.arange(g.m) % 3 == c for c in range(3)]
-        for c, res in enumerate(masked_union_bfs(g, masks, [0, 13, 40])):
-            sub = g.edge_subgraph(masks[c])
-            assert diff(res.dist, bfs_distances(sub, res.root), f"union[{c}].dist") == []
-            assert diff(
-                res.parent,
-                first_port_parents(sub._indptr, sub._indices, res.dist),
-                f"union[{c}]",
-            ) == []
+    def test_unreached_keys_get_no_parent(self):
+        """Keeping only the edges among nodes 0–29 leaves nodes 30–47
+        unreached from every root below 30, and everything but the root
+        unreached from node 40: their parent is ``-1`` in every sweep, not
+        the int64 maximum the scatter starts from."""
+        g = thick_cycle(12, 4)
+        keep = (g.edge_u < 30) & (g.edge_v < 30)
+        unreached = 0
+        for label, parent, dist, indptr, indices, root in self._sweeps(
+            g, keep, [0, 5, 17, 40], [0, 13, 40]
+        ):
+            assert diff(dist, queue_bfs_dist(indptr, indices, root), f"{label}.dist") == []
+            assert diff(parent, first_port_parents(indptr, indices, dist), label) == []
+            assert (parent[dist < 0] == -1).all(), label
+            unreached += int((dist < 0).sum())
+        assert unreached >= 8 * 18  # nodes 30–47 in each of the 8 sweeps
 
 
 class TestPackingEquivalence:

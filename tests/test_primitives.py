@@ -92,6 +92,27 @@ class TestDistributedBFS:
                 call()
 
     @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
+    @pytest.mark.parametrize(
+        "roots",
+        [[[0, 1], [2, 3]], np.array([[0, 1]]), [0, [1, 2]]],
+        ids=["2d", "2d-array", "ragged"],
+    )
+    def test_nested_roots_rejected_by_the_batch_floods(self, backend, roots):
+        """Roots must be a flat sequence of integers: a 2-D root list used
+        to return results on the simulator and raise TypeError on the
+        vectorized backend, and ragged roots raised numpy's ValueError."""
+        from repro.engine.faults import faulty_bfs_grid
+        from repro.primitives.bfs import run_bfs_batch
+
+        g = cycle_graph(6)
+        for call in (
+            lambda: run_bfs_batch(g, roots, backend=backend),
+            lambda: faulty_bfs_grid(g, roots, backend=backend),
+        ):
+            with pytest.raises(ValidationError, match="BFS roots must be integers"):
+                call()
+
+    @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
     def test_bool_root_is_node_one(self, backend):
         tree = run_bfs(cycle_graph(6), True, backend=backend)
         assert tree.root == 1 and type(tree.root) is int
