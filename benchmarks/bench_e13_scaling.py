@@ -15,8 +15,8 @@ scaling predictions that the other experiments only probe pointwise:
 simulator can stomach — the phase ledgers must be identical and the
 vectorized engine must be ≥ 10× faster wall-clock. E13a/E13b/E13d then run
 on the vectorized backend, which is what lets E13d push to graph sizes the
-simulator never reached — the series now ends at n = 10⁶, carried by the
-span-batched step strategy (the certified round counts are the same
+simulator never reached — the series now ends at n = 10⁶, carried by
+round accounting with no per-round loop (the certified round counts are the same
 numbers; ``tests/test_engine_equivalence.py`` and
 ``tests/test_span_engine.py`` are the proof). Per-n wall clocks and the backend speedups are merged into
 ``BENCH_E13.json`` (:func:`benchmarks.conftest.write_bench_artifact`) so
@@ -168,9 +168,9 @@ def run_experiment():
     # never reached (the fast/textbook gap must persist, not collapse, at
     # scale). Per-n wall clocks land in BENCH_E13.json so the perf
     # trajectory of the engine itself is tracked across PRs. The last two
-    # points exist because of the span-batched step strategy: per-round
-    # stepping walked ~10⁵ rounds of numpy calls here, spans walk one per
-    # tree layer.
+    # points exist because the pipeline has no per-round loop: per-round
+    # stepping walked ~10⁵ rounds of numpy calls here, while the round
+    # count is now one histogram of origin depths per tree.
     #
     # The n = 10⁵ wall-clock inversion and what fixing it means: before
     # spans, fast lost the point 16.0 s vs 9.0 s *despite* 3.6x fewer

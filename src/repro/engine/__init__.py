@@ -31,15 +31,18 @@ count are deterministic functions of the input:
   - **Leader election (min-ID flood)** — the minimum id (node 0) wins;
     rounds = ecc(0) + 1 (the farthest node's last improvement floods out
     one more round).
-  - **Item numbering (Lemma 3)** — convergecast + range split computed
-    layer-by-layer; rounds = 2 · depth(T).
+  - **Item numbering (Lemma 3)** — convergecast layer by layer, then
+    each child's offset among its siblings from one cumsum over the
+    child CSR and one gather-add per layer down; rounds = 2 · depth(T).
   - **Pipelined tree broadcast (Lemma 1 / Theorem 1 step 4)** — the round
-    count depends only on per-node queue *lengths*, never on message
-    identity. Between queue-drain events the recurrence is closed-form, so
-    the upcast advances one tree layer per numpy step; the root's service,
-    the downcast, congestion, and message/bit totals follow in closed form
-    (each message crosses each tree edge once downward, and its root-path
-    once upward).
+    count depends only on the depths of the messages' origins, never on
+    message identity: with N(≥ d) the messages from depth d or deeper, the
+    root sends its last message in round max_d (d + N(≥ d)) − 1 and the
+    downcast, a pure pipeline, reaches the deepest leaf depth(T) rounds
+    later. One histogram of origin depths per tree gives the count, with
+    no upcast loop; congestion and message/bit totals follow in closed
+    form too (each message crosses each tree edge once downward, and its
+    root-path once upward).
 
 **Certification relationship.** The vectorized backend inherits the
 simulator's certification *by testing, not by construction*: the

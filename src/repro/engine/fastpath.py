@@ -16,13 +16,14 @@ import numpy as np
 from repro import obs
 from repro.congest.metrics import Metrics
 from repro.engine.kernels import (
+    children_csr,
     expand_csr_rows,
     last_send_round_spans,
-    upcast_spans,
 )
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult, run_bfs
 from repro.primitives.leader import disconnected_error
+from repro.primitives.numbering import check_numbering_tree
 from repro.primitives.pipeline import (
     TreeBroadcastOutcome,
     channel_sizes,
@@ -91,12 +92,14 @@ def _layer_slices(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, bounds
 
 
-def _subtree_sums(parent: np.ndarray, dist: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _subtree_sums(
+    parent: np.ndarray, order: np.ndarray, bounds: np.ndarray, values: np.ndarray
+) -> np.ndarray:
     """Per-node sum of ``values`` over the node's subtree (layer-wise
-    convergecast: deepest layer first, each layer folded into its parents)."""
+    convergecast over the :func:`_layer_slices` of ``dist``: deepest layer
+    first, each layer folded into its parents)."""
     acc = np.asarray(values, dtype=np.int64).copy()
-    order, bounds = _layer_slices(dist)
-    for d in range(int(dist.max()), 0, -1):
+    for d in range(bounds.size - 2, 0, -1):
         layer = order[bounds[d] : bounds[d + 1]]
         np.add.at(acc, parent[layer], acc[layer])
     return acc
@@ -111,7 +114,10 @@ def vectorized_numbering(
     splits at round depth(T); the RANGE wave then takes depth(T) more rounds
     to reach the deepest leaves — 2·depth(T) rounds total. Ranges are handed
     to children in increasing child id, matching the simulator's child-port
-    order (ports are sorted by neighbor id).
+    order (ports are sorted by neighbor id). The tree must have one root
+    and be layered by ``dist``
+    (:func:`~repro.primitives.numbering.check_numbering_tree`), as on the
+    simulator.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (graph.n,):
@@ -120,27 +126,28 @@ def vectorized_numbering(
         raise ValidationError("item counts must be non-negative")
     if not tree.spans():
         raise ValidationError("numbering requires a spanning tree")
+    check_numbering_tree(tree)
 
     n = graph.n
-    parent = tree.parent
-    dist = tree.dist
-    order, bounds = _layer_slices(dist)
-    maxd = int(dist.max())
+    parent = np.asarray(tree.parent, dtype=np.int64)
+    order, bounds = _layer_slices(tree.dist)
+    subtree = _subtree_sums(parent, order, bounds, counts)
 
-    subtree = _subtree_sums(parent, dist, counts)
+    # A child's range starts past its parent's own items and the subtrees
+    # of its smaller siblings: one exclusive cumsum over the child blocks
+    # of the CSR, whose children ascend as the simulator's ports do.
+    indptr, kids = children_csr(parent)
+    below = np.cumsum(subtree[kids]) - subtree[kids]
+    ps = parent[kids]
+    offset = np.zeros(n, dtype=np.int64)
+    offset[kids] = counts[ps] + below - below[indptr[ps]]
 
     starts = np.zeros(n, dtype=np.int64)
     starts[tree.root] = 1
+    maxd = bounds.size - 2
     for d in range(1, maxd + 1):
-        vs = order[bounds[d] : bounds[d + 1]]  # ascending ids within the layer
-        sibling = np.argsort(parent[vs], kind="stable")
-        vs = vs[sibling]
-        ps = parent[vs]
-        cum = np.cumsum(subtree[vs]) - subtree[vs]
-        head = np.ones(vs.size, dtype=bool)
-        head[1:] = ps[1:] != ps[:-1]
-        group_base = cum[head][np.cumsum(head) - 1]
-        starts[vs] = starts[ps] + counts[ps] + (cum - group_base)
+        vs = order[bounds[d] : bounds[d + 1]]
+        starts[vs] = starts[parent[vs]] + offset[vs]
 
     # Certify the Lemma 3 guarantee (ids are exactly the partition 1..X),
     # mirroring the simulator driver's post-check. Zero-count nodes hold an
@@ -271,10 +278,17 @@ def pipeline_closed_form(ch: PipelineChannels, sel) -> tuple[int, int, int]:
        pipeline: the root's last down-send at round t_last drains at the
        deepest leaf in round t_last + depth(T), which is the round the
        simulator goes quiet;
-    3. the upcast therefore only needs the *root's arrival stream*, which
-       :func:`~repro.engine.kernels.upcast_spans` batches whole tree layers
-       through the event-span algebra, and the root's service is the closed
-       form :func:`~repro.engine.kernels.last_send_round_spans`.
+    3. t_last depends on the origins' depths alone. With ``N(≥ d)`` the
+       channel's messages whose origin has depth at least d, ``t_last =
+       max_d (d + N(≥ d)) − 1`` over the depths d that hold messages: one
+       ``np.bincount`` of the depths, fed to
+       :func:`~repro.engine.kernels.last_send_round_spans` as one span
+       ``[d, d]`` per depth. A message from depth d reaches the root no
+       earlier than round d, and the root pops one message per round, so
+       ``t_last`` is at least each term. If the root idles in round τ, work
+       conservation along every root path leaves no message of origin depth
+       ≤ τ in flight, so its last busy stretch pops exactly the N(≥ τ + 1)
+       deeper ones, and the term of the last idle τ is attained.
 
     Each message crosses its origin-to-root path once on the upcast and
     every one of the ``n - 1`` tree edges once on the downcast; every
@@ -282,35 +296,21 @@ def pipeline_closed_form(ch: PipelineChannels, sel) -> tuple[int, int, int]:
     """
     n = ch.n
     rows = np.arange(len(ch.cids))[sel].tolist()
+    depths = [ch.dists[ci][ch.origins(ci)] for ci in rows]
     total_messages = total_bits = 0
-    for ci in rows:
-        origins = ch.origins(ci)
-        traversals = ch.dists[ci][origins] + (n - 1)
+    for ci, depth in zip(rows, depths):
+        traversals = depth + (n - 1)
         total_messages += int(traversals.sum())
         total_bits += int((ch.bits[ci] * traversals).sum())
 
-    own = ch.own[sel]
-    nonroot = ch.nonroot[sel]
-    up = np.where(nonroot, own, 0).ravel()
-    flat_parents = (ch.parents[sel] + (np.arange(len(rows)) * n)[:, None]).ravel()
-    root_own = own[~nonroot]  # one entry per channel, in selection order
     rounds = 0
     with obs.span("upcast"):
-        sn, sb, se, sr = upcast_spans(up, flat_parents, ch.dists[sel].ravel())
-        span_chan = sn // n
-        for i, ci in enumerate(rows):
-            if not len(ch.bits[ci]):
+        for ci, depth in zip(rows, depths):
+            if not depth.size:
                 continue  # no sends on this channel at all
-            pick = span_chan == i
-            starts = sb[pick]  # disjoint spans, sorted by start
-            ends = se[pick]
-            rates = sr[pick]
-            if root_own[i]:
-                zero = np.zeros(1, dtype=np.int64)
-                starts = np.concatenate([zero, starts])
-                ends = np.concatenate([zero, ends])
-                rates = np.concatenate([[int(root_own[i])], rates])
-            t_last = last_send_round_spans(starts, ends, rates)
+            per_depth = np.bincount(depth)
+            d = np.flatnonzero(per_depth)
+            t_last = last_send_round_spans(d, d, per_depth[d])
             rounds = max(rounds, t_last + int(ch.dists[ci].max()))
     return rounds, total_messages, total_bits
 
@@ -366,7 +366,9 @@ def vectorized_tree_broadcast(
     # dominant metrics cost.
     with obs.span("downcast_metrics"):
         flat_parents = (ch.parents + (np.arange(C) * n)[:, None]).ravel()
-        sub_flat = _subtree_sums(flat_parents, ch.dists.ravel(), ch.own.ravel())
+        sub_flat = _subtree_sums(
+            flat_parents, *_layer_slices(ch.dists.ravel()), ch.own.ravel()
+        )
         for ci, cid in enumerate(ch.cids):
             vs = np.nonzero(ch.nonroot[ci])[0]
             if vs.size == 0:

@@ -1,9 +1,6 @@
 """Shared array kernels for the vectorized backend: CSR builders, the
-BFS layer loop, and the event-batched span algebra.
-
-Two primitives collapse the O(rounds) Python loops of
-:mod:`repro.engine.fastpath` and :mod:`repro.engine.faults` into
-O(events) numpy steps:
+BFS layer loop, the root service of the Lemma 1 pipeline, and the
+event-batched span algebra, which no protocol runs any more.
 
 * **One BFS layer loop** — :func:`frontier_sweep` (defined in
   :mod:`repro.graphs.traversal`, so centralized callers reach it without
@@ -18,6 +15,13 @@ O(events) numpy steps:
   (:func:`repro.engine.verify.queue_bfs_dist`) and the plain-Python
   first-port rule (:func:`repro.engine.verify.first_port_parents`).
 
+* **Root service** — :func:`last_send_round_spans` is the last send round
+  of a unit-rate queue fed by arrival spans. The Lemma 1 closed form
+  (:func:`repro.engine.fastpath.pipeline_closed_form`) feeds it one span
+  ``[d, d]`` per origin depth ``d``, at the rate of the messages from that
+  depth, and so reads the root's last send off the origin-depth histogram
+  with no upcast at all.
+
 * **Event-batched span stepping** — between queue-drain events the
   pipelined-broadcast recurrence is closed-form, so
   :func:`upcast_spans` advances the Lemma 1 upcast one *tree layer* at a
@@ -25,13 +29,17 @@ O(events) numpy steps:
   are overlaid into arrival-rate spans (:func:`_overlay_spans`) and the
   work-conserving unit-rate queues are folded with a segmented max-plus
   scan (:func:`_busy_scan`). Total work is O((n + events) · depth-layers)
-  with no per-round Python iteration. The verify sweep
-  (``check_kernels``) replays the upcast one round at a time in plain
-  Python and demands the same root arrival stream.
+  with no per-round Python iteration. The pipeline's round count needs
+  only the origin-depth histogram, so no library code calls it. It stays
+  because ``perfbench/layers.py`` wraps it by name and the traced
+  benchmark run fails on a missing target, so it goes with the next change
+  to the benchmark; until then the verify sweep (``check_kernels``)
+  replays the upcast one round at a time in plain Python and demands the
+  same root arrival stream.
 
-Exactness of the batch-at-start model used throughout: an arrival span
-of rate ``ρ ≥ 1`` over rounds ``[a, b]`` delivers item ``i`` at
-``a + ⌊i/ρ⌋``; a unit-rate server that starts the span at round
+Exactness of the batch-at-start model the span functions use: an
+arrival span of rate ``ρ ≥ 1`` over rounds ``[a, b]`` delivers item ``i``
+at ``a + ⌊i/ρ⌋``; a unit-rate server that starts the span at round
 ``max(prev_finish + 1, a)`` sends item ``i`` no earlier than ``a + i ≥
 a + ⌊i/ρ⌋``, so availability never binds mid-span and the whole span
 behaves exactly like a batch of ``ρ·(b−a+1)`` items landing at ``a``.
@@ -242,14 +250,12 @@ def last_send_round_spans(
 
     Span ``j`` delivers ``rates[j]`` items per round over
     ``[starts[j], ends[j]]`` (spans disjoint, sorted by start, rates
-    ``≥ 1``; a rate may be 0 only for a degenerate single-round batch
-    such as the root's own items at round 0 — the batch-at-start model
-    is exact either way since a width-1 span has no mid-span rounds).
-    Folding the per-item recurrence ``t_i = max(a_i, t_{i-1} + 1)`` over
-    whole batches gives ``t_last = max_j (a_j + (K - cum_{<j})) - 1``
-    with K the total item count; over spans the maximum of ``start_j +
-    (items not yet arrived before span j)`` is attained at span starts
-    because the objective's slope inside a span is ``1 - rate ≤ 0``.
+    ``≥ 1``, at least one span). Folding the per-item recurrence
+    ``t_i = max(a_i, t_{i-1} + 1)`` over whole batches gives ``t_last =
+    max_j (a_j + (K - cum_{<j})) - 1`` with K the total item count; over
+    spans the maximum of ``start_j + (items not yet arrived before span
+    j)`` is attained at span starts because the objective's slope inside a
+    span is ``1 - rate ≤ 0``.
     """
     w = (ends - starts + 1) * rates
     cum_before = np.cumsum(w) - w

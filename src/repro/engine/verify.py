@@ -753,9 +753,12 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     (:func:`queue_bfs_dist`) and the parents of the plain-Python
     smallest-previous-layer rule (:func:`first_port_parents`);
     ``last_send_round_spans`` and ``upcast_spans`` must match plain-Python
-    walks (the upcast one round at a time); and the CSR builders must
-    match plain-Python lists and slices. The pipeline built on them is
-    compared with the simulator by :func:`check_tree_broadcast`.
+    walks (the upcast one round at a time); the root, popping that walk's
+    arrivals one per round, must pop its last one in the round
+    ``last_send_round_spans`` gives over the origin-depth histogram, the
+    closed form of the Lemma 1 pipeline; and the CSR builders must match
+    plain-Python lists and slices. The pipeline built on them is compared
+    with the simulator by :func:`check_tree_broadcast`.
     """
     n = graph.n
     rng = ensure_rng(seed)
@@ -848,7 +851,26 @@ def check_kernels(graph: Graph, seed) -> list[str]:
         for v, b, e, rate in zip(sn, sb, se, sr)
         for rr in range(int(b), int(e) + 1)
     )
-    return out + diff(spans, walk, "kernels.upcast_spans")
+    out += diff(spans, walk, "kernels.upcast_spans")
+
+    # -- the root's last pop == the closed form over origin depths ------ #
+    if not walk:
+        return out
+    arrived = {rr: c for rr, _root, c in walk}
+    held = last_pop = r = 0
+    while arrived or held:
+        r += 1
+        held += arrived.pop(r, 0)
+        if held:
+            held -= 1  # the root sends one item down per round
+            last_pop = r
+    per_depth = np.bincount(np.repeat(sweep_dist, up))
+    d = np.flatnonzero(per_depth)
+    return out + diff(
+        kernels.last_send_round_spans(d, d, per_depth[d]),
+        last_pop,
+        "kernels.last_send_round_spans.depths",
+    )
 
 
 def check_fault_paths(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:

@@ -144,6 +144,11 @@ class BFSResult:
         expected = np.where(parent[v] == v, 0, dist[parent[v]] + 1)
         return bool((dist[v] == expected).all())
 
+    def single_rooted(self) -> bool:
+        """Whether :attr:`root` is the only node that is its own parent."""
+        parent = np.asarray(self.parent, dtype=np.int64)
+        return np.array_equal(np.flatnonzero(parent == np.arange(parent.size)), [self.root])
+
     @property
     def depth(self) -> int:
         reached = self.dist[self.dist >= 0]

@@ -25,7 +25,7 @@ from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.util.errors import ProtocolError, ValidationError
 
-__all__ = ["NumberingProgram", "assign_item_numbers"]
+__all__ = ["NumberingProgram", "assign_item_numbers", "check_numbering_tree"]
 
 _COUNT = 0
 _RANGE = 1
@@ -96,6 +96,17 @@ class NumberingProgram(NodeProgram):
                 raise ProtocolError(f"unknown numbering payload kind {kind}")
 
 
+def check_numbering_tree(tree: BFSResult) -> None:
+    """Raise :class:`ValidationError` unless ``tree`` has one root, its
+    ``root``, and ``dist`` is the BFS layering of ``parent``. Lemma 3 splits
+    the ranges from ``root`` alone, and the vectorized numbering hands them
+    down one ``dist`` layer at a time."""
+    if not (tree.single_rooted() and tree.layered()):
+        raise ValidationError(
+            "numbering requires a tree with one root, layered by dist"
+        )
+
+
 def assign_item_numbers(
     graph: Graph, tree: BFSResult, counts: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -110,6 +121,7 @@ def assign_item_numbers(
         raise ValidationError("need one item count per node")
     if not tree.spans():
         raise ValidationError("numbering requires a spanning tree")
+    check_numbering_tree(tree)
     network = Network(graph)
 
     def factory(v: int) -> NumberingProgram:

@@ -6,13 +6,19 @@ congestion ``O(k)`` per edge:
 
 * **Upcast** — every node streams its pending messages (its own items plus
   anything received from children) to its parent, one per round per tree
-  edge. After ``depth + k`` rounds the root has everything.
+  edge. A message whose origin has depth d reaches the root in round d at
+  the earliest.
 * **Downcast** — the root streams every message to all children, one per
-  round; internal nodes forward FIFO. Another ``depth + k`` rounds.
+  round; internal nodes forward FIFO, so the root's last send, in round
+  ``t``, reaches the deepest leaf in round ``t + depth``.
 
-The two phases overlap freely (the root starts streaming as soon as the
-first message arrives), so the whole pipeline is ``≈ 2·depth + 2k`` rounds —
-the ``O(D + k)`` of Lemma 1 with explicit constants.
+The two phases overlap (the root sends a message down as soon as its queue
+allows), and the count is exact. With ``N(≥ d)`` the messages whose origin
+has depth at least ``d``, the root's last send is ``max_d (d + N(≥ d)) − 1``
+over the depths that hold messages
+(:func:`repro.engine.fastpath.pipeline_closed_form` proves it), so ``k ≥ 1``
+messages take ``depth + max_d (d + N(≥ d)) − 1 ≤ 2·depth + k − 1`` rounds
+and none take 0 — the ``O(D + k)`` of Lemma 1 with explicit constants.
 
 **Channels.** Theorem 1 runs λ' of these pipelines concurrently, one per
 edge-disjoint spanning tree, each carrying its assigned ``k_i = O(k/λ')``
@@ -173,7 +179,9 @@ def checked_messages(
     channel without a tree, an origin that is not an integer in ``[0, n)``,
     an id that is not an integer or does not fit in int64, origins and ids
     that are not 1-D arrays of one length, a duplicate id within a channel,
-    and a tree that does not span.
+    a tree that does not span, and a tree whose self-parents are not its
+    ``root`` alone, on which the simulator would root the channel at every
+    self-parent and the faulty engine at ``root``.
     """
     flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for cid, placement in messages.items():
@@ -200,6 +208,10 @@ def checked_messages(
     for cid, tree in trees.items():
         if not tree.spans():
             raise ValidationError(f"channel {cid} tree does not span the graph")
+        if not tree.single_rooted():
+            raise ValidationError(
+                f"channel {cid}: tree root {tree.root} is not its only self-parent"
+            )
     return flat
 
 

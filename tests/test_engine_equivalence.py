@@ -28,7 +28,7 @@ from repro.core.lambda_search import find_packing_unknown_lambda
 from repro.core.tree_packing import build_packing_with_retry, build_tree_packing
 from repro.engine import BACKENDS, validate_backend, verify
 from repro.congest.adversary import FaultPlan
-from repro.engine.fastpath import vectorized_tree_broadcast
+from repro.engine.fastpath import vectorized_numbering, vectorized_tree_broadcast
 from repro.engine.faults import vectorized_faulty_broadcast
 from repro.engine.pipelines import vectorized_spanner_edges
 from repro.engine.verify import (
@@ -68,9 +68,17 @@ from repro.engine.verify import (
 )
 from repro.engine.kernels import frontier_sweep
 from repro.engine.plane import masked_union_bfs, plane_sweep
-from repro.graphs import Graph, cycle_graph, path_of_cliques, random_weights, thick_cycle
+from repro.graphs import (
+    Graph,
+    cycle_graph,
+    path_graph,
+    path_of_cliques,
+    random_weights,
+    thick_cycle,
+)
 from repro.primitives.bfs import BFSResult, run_bfs, run_parallel_bfs
 from repro.primitives.leader import elect_leader
+from repro.primitives.numbering import assign_item_numbers
 from repro.primitives.pipeline import run_tree_broadcast
 from repro.primitives.scheduling import run_scheduled_broadcast
 from repro.util.errors import BandwidthExceeded, ValidationError
@@ -80,6 +88,21 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _bent_tree(graph: Graph, bend: str) -> BFSResult:
+    """Node 0's BFS tree on ``cycle_graph(6)`` bent one of three ways:
+    every non-root ``dist`` one too deep (``deep``), node 3 made a second
+    self-parent (``forest``), or the ``root`` field relabelled to node 3
+    (``root field``)."""
+    tree = run_bfs(graph, 0, backend="vectorized")
+    if bend == "deep":
+        return BFSResult(0, tree.parent, tree.dist + (tree.dist > 0), None, tree.rounds)
+    if bend == "forest":
+        return BFSResult(
+            0, np.array([0, 0, 1, 3, 3, 0]), np.array([0, 1, 2, 0, 1, 1]), None, tree.rounds
+        )
+    return BFSResult(3, tree.parent, tree.dist, None, tree.rounds)
 
 
 class TestBFSEquivalence:
@@ -152,6 +175,25 @@ class TestPrologueEquivalence:
         )
         assert check_numbering(g, counts) == []
 
+    @pytest.mark.parametrize("bend", ["deep", "forest", "root field"])
+    def test_numbering_needs_one_root_and_layering(self, bend):
+        """Lemma 3 numbering refuses a tree that is not singly rooted and
+        BFS-layered, with one error on both backends. Before, on
+        ``cycle_graph(6)`` with counts [1, 2, 0, 3, 1, 2], the too-deep tree
+        took 6 rounds on the simulator and 8 vectorized; the forest made
+        the simulator raise TypeError and the relabelled root
+        ProtocolError, while the vectorized side raised a ValidationError
+        of its own on both."""
+        g = cycle_graph(6)
+        tree = _bent_tree(g, bend)
+        counts = np.array([1, 2, 0, 3, 1, 2])
+        texts = []
+        for number in (assign_item_numbers, vectorized_numbering):
+            with pytest.raises(ValidationError) as err:
+                number(g, tree, counts)
+            texts.append(str(err.value))
+        assert len(set(texts)) == 1 and "one root" in texts[0]
+
 
 class TestPipelineEquivalence:
     @_SETTINGS
@@ -166,6 +208,71 @@ class TestPipelineEquivalence:
         g = random_connected_graph(n, extra, seed=seed)
         masks = random_edge_masks(g, parts, seed=seed + 2)
         assert check_tree_broadcast(g, masks, k, seed=seed + 3) == []
+
+    @pytest.mark.parametrize(
+        "bend, messages, dead",
+        [
+            ("forest", {2: [1, 2], 4: [3]}, []),
+            ("root field", {3: [1, 2], 4: [3]}, [(4, 5)]),
+        ],
+    )
+    def test_tree_with_another_root_rejected(self, bend, messages, dead):
+        """A channel tree must have one root, its ``root``: every Lemma 1
+        entry point and the simulator's grid cell refuse a forest and a
+        tree whose ``root`` is not its self-parent, with one error naming
+        the channel. Before, on the forest, the simulator raised
+        ProtocolError after the run (node 0 got 2/3), the closed form
+        returned 6 rounds, and the faulty engine reported receipts
+        [6, 6, 6] and 20 messages against the grid cell's [4, 4, 2] and 12.
+        On the relabelled root with edge {4, 5} dead, the grid cell gave 7
+        rounds, receipts [5, 5, 0], 17 messages and 3 drops, and the faulty
+        engine 1 round, [1, 1, 0], 1 message and 1 drop."""
+        from repro.congest.network import Network
+        from repro.core.resilient import _simulate_cell
+
+        g = cycle_graph(6)
+        tree = _bent_tree(g, bend)
+        plan = FaultPlan(dead_edges=frozenset(g.edge_id(u, v) for u, v in dead))
+        mids = np.array([1, 2, 3])
+        runs = [
+            lambda: run_tree_broadcast(g, {0: tree}, {0: messages}),
+            lambda: vectorized_tree_broadcast(g, {0: tree}, {0: messages}),
+            lambda: run_scheduled_broadcast(g, {0: tree}, {0: messages}),
+            lambda: vectorized_faulty_broadcast(g, {0: tree}, {0: messages}, plan),
+            lambda: _simulate_cell(Network(g), {0: tree}, {0: messages}, mids, plan, 0, 0),
+        ]
+        texts = []
+        for run in runs:
+            with pytest.raises(ValidationError) as err:
+                run()
+            texts.append(str(err.value))
+        assert len(set(texts)) == 1 and "channel 0" in texts[0] and "self-parent" in texts[0]
+
+    @pytest.mark.parametrize(
+        "graph, placement, rounds",
+        [
+            (path_graph(10), {9: 10}, 27),
+            (path_graph(10), {0: 10}, 18),
+            (path_graph(10), dict.fromkeys(range(10), 1), 18),
+            (Graph(1, []), {0: 3}, 2),
+            (Graph(5, [(0, 1), (0, 2), (2, 3), (2, 4)]), {1: 5, 3: 5, 4: 5}, 17),
+            (Graph(6, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)]), {1: 1, 5: 10}, 17),
+        ],
+        ids=["path-deep", "path-root", "path-spread", "n=1", "two-layers", "chain-and-leaf"],
+    )
+    def test_pinned_round_counts(self, graph, placement, rounds):
+        """Lemma 1's exact count, depth(T) + max_d (d + N(≥ d)) − 1 over
+        the depths d that hold messages, from node 0 on both backends and
+        the faulty engine under a null plan. The last case is the one a
+        count of k plus the deepest origin gets wrong: 1 message at depth 1
+        and 10 at depth 4 finish in 4 + max(1 + 11, 4 + 10) − 1 = 17."""
+        tree = run_bfs(graph, 0, backend="vectorized")
+        messages, j = {}, 1
+        for v, c in placement.items():
+            messages[v] = list(range(j, j + c))
+            j += c
+        for run in (run_tree_broadcast, vectorized_tree_broadcast, vectorized_faulty_broadcast):
+            assert run(graph, {0: tree}, {0: messages}).rounds == rounds
 
     def test_oversized_payload_raises_like_simulator(self):
         g = thick_cycle(4, 3)

@@ -46,8 +46,16 @@ def connected_graph_and_placement(draw, max_n=10, max_k=12):
 def test_pipeline_delivers_within_bound(case):
     g, placement, k, root = case
     tree = run_bfs(g, root)
-    out = run_tree_broadcast(g, {0: tree}, {0: placement})  # verify=True asserts
-    assert out.rounds <= 2 * tree.depth + 2 * k + 4
+    out = run_tree_broadcast(g, {0: tree}, {0: placement})  # checks delivery
+    # Exact: the root's last send is max_d (d + N(≥ d)) − 1 over the origin
+    # depths d, with N(≥ d) the messages from depth d or deeper, and the
+    # downcast reaches the deepest leaf depth(T) rounds later.
+    depths = [int(tree.dist[v]) for v, ids in placement.items() for _ in ids]
+    if k:
+        last_send = max(d + sum(e >= d for e in depths) for d in depths) - 1
+        assert out.rounds == tree.depth + last_send <= 2 * tree.depth + k - 1
+    else:
+        assert out.rounds == 0
     assert out.max_congestion <= 2 * k + 1
 
 

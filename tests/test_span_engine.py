@@ -1,11 +1,13 @@
 """Property tests for the span-batched engine paths.
 
-The vectorized engine advances the Lemma 1 queue recurrence and the rate-0
-fault engine one numpy step per *event* instead of per round. These tests
-assert it is **bit-identical** to the round-by-round simulator — receipts,
-rounds, bits, drops, and the fault RNG stream — on randomized graphs and
-fault plans, including the ``drop_rate=1.0`` and single-node boundaries,
-and that the kernels match their plain-Python references.
+The vectorized engine reads the Lemma 1 round count off the origin-depth
+histogram, and the fault engine trades per-round steps for closed forms
+where the plan allows (untouched trees, the downcast of touched ones,
+total loss). These tests assert it is **bit-identical** to the
+round-by-round simulator — receipts, rounds, bits, drops, and the fault
+RNG stream — on randomized graphs and fault plans, including the
+``drop_rate=1.0`` and single-node boundaries, and that the kernels match
+their plain-Python references.
 """
 
 import numpy as np
@@ -32,8 +34,8 @@ _SETTINGS = settings(
 
 
 class TestSpanPipelineEquivalence:
-    """Lemma 1 upcast spans + frontier sweeps vs the simulator and the
-    kernels' plain-Python references."""
+    """The Lemma 1 closed form vs the simulator, and the kernels (frontier
+    sweeps, upcast spans, root service) vs their plain-Python references."""
 
     @_SETTINGS
     @given(
