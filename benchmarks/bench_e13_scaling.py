@@ -32,7 +32,12 @@ import os
 import resource
 import time
 
-from benchmarks.conftest import run_once, trace_artifact_path, write_bench_artifact
+from benchmarks.conftest import (
+    median_seconds,
+    run_once,
+    trace_artifact_path,
+    write_bench_artifact,
+)
 from repro import obs
 from repro.core import (
     build_packing_with_retry,
@@ -46,16 +51,22 @@ from repro.util.tables import Table
 
 
 def _both_backends(groups: int, size: int, k: int, lam: int, seed: int):
-    """Run textbook+fast on both backends; return ((text, fast), seconds) per
-    backend and assert the certified ledgers are identical."""
+    """Run textbook+fast on both backends; return (text, fast, seconds) per
+    backend and assert the certified ledgers are identical. Each backend's
+    seconds are the median of five calls (:func:`median_seconds`): one
+    vectorized call takes a few milliseconds, and a single shot of it
+    moves with host noise."""
     g = thick_cycle(groups, size)
     pl = uniform_random_placement(g.n, k, seed=seed)
     out = {}
     for backend in ("simulator", "vectorized"):
-        t0 = time.perf_counter()
-        text = textbook_broadcast(g, pl, backend=backend)
-        fast = fast_broadcast(g, pl, lam=lam, C=1.5, seed=1, backend=backend)
-        out[backend] = (text, fast, time.perf_counter() - t0)
+        (text, fast), seconds = median_seconds(
+            lambda: (
+                textbook_broadcast(g, pl, backend=backend),
+                fast_broadcast(g, pl, lam=lam, C=1.5, seed=1, backend=backend),
+            )
+        )
+        out[backend] = (text, fast, seconds)
     text_sim, fast_sim, _ = out["simulator"]
     text_vec, fast_vec, _ = out["vectorized"]
     assert text_sim.phases == text_vec.phases, "textbook ledgers diverged"

@@ -14,9 +14,12 @@ memory, such as E13d's per-row ``peak_rss_mb``) gate the same way: the
 build fails when the current figure exceeds ``threshold ×`` the previous
 one. Leaves whose key ends in ``qps`` (queries/sec — the E18
 batched-throughput floor) gate in the opposite direction: the build fails
-when the current throughput drops below ``old / threshold``. Timings
-under ``--min-seconds`` in the old artifact are skipped — at the sub-50 ms
-scale a 2× "regression" is scheduler noise, not a pipeline change.
+when the current throughput drops below ``old / threshold``. Every
+phase of a ``*phases`` breakdown gates on its own, like a wall clock: a
+phase that doubles fails the build even when the total it sits under
+stays flat, because another phase got faster. Timings that grow by less
+than ``--min-seconds`` are skipped — at the sub-50 ms scale a 2×
+"regression" is scheduler noise, not a pipeline change.
 Metrics present in only one artifact are one-sided: sections the previous
 PR didn't measure are "new", sections this PR no longer measures are
 "retired" — both are notices, never gate failures, so the first PR adding
@@ -187,6 +190,18 @@ def compare(
             regressions.append(line)
     for path in sorted(set(new_secs) - set(old_secs)):
         notes.append(f"new: {path} = {new_secs[path]:.3f}s")
+    # Phases gate on their own: a total can hide a phase that doubled.
+    for path, old_p in sorted(old_phases.items()):
+        new_p = new_phases.get(path, {})
+        for name, before in sorted(old_p.items()):
+            after = new_p.get(name)
+            if after is None or after - before < min_seconds:
+                continue
+            if after > threshold * max(before, 1e-9):
+                regressions.append(
+                    f"{path}[{name}]: {before:.3f}s -> {after:.3f}s "
+                    f"({after / max(before, 1e-9):.1f}x > {threshold:.1f}x gate)"
+                )
     # Throughput floor: *qps leaves gate downward — batching machinery that
     # silently degrades to per-query speed is exactly what this catches.
     for path, before, after in _paired(walk_qps(old), walk_qps(new), "q/s", notes):

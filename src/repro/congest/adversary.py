@@ -54,22 +54,25 @@ __all__ = [
 ]
 
 
-def _edge_sets(groups: list) -> list[frozenset[int]]:
-    """Each group of edge ids as a frozenset of Python ints.
+def _edge_sets(groups: list) -> tuple[list[frozenset[int]], tuple[int, int]]:
+    """Each group of edge ids as a frozenset of Python ints, and the
+    smallest and largest id of them all (``(0, -1)`` when there is none).
 
     Every id is checked in one numpy conversion (:func:`integer_ids`), so a
-    fractional id raises instead of being truncated. Groups that already
-    are frozensets of Python ints are kept as they are: compiled schedules
-    pass through several plans, and a mobile schedule holds 10⁵ ids.
+    fractional id raises instead of being truncated; the same array gives
+    the id range. Groups that already are frozensets of Python ints are
+    kept as they are: compiled schedules pass through several plans, and a
+    mobile schedule holds 10⁵ ids.
     """
     groups = [es if type(es) is frozenset else list(es) for es in groups]
     flat = list(itertools.chain.from_iterable(groups))
     ids = integer_ids(flat, "fault plan edge ids")
+    span = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
     if set(map(type, flat)) <= {int}:
-        return [frozenset(es) for es in groups]
+        return [frozenset(es) for es in groups], span
     values = ids.tolist()
     bounds = list(itertools.accumulate(map(len, groups), initial=0))
-    return [frozenset(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [frozenset(values[a:b]) for a, b in zip(bounds, bounds[1:])], span
 
 
 def _round_key(key):
@@ -87,6 +90,8 @@ class FaultPlan:
     (delivery) round ``r`` only; ``drop_rate`` is the i.i.d. per-message loss
     probability, decided by one fault-RNG coin per surviving message in
     delivery order — the contract both backends implement identically.
+    Building the plan records the range of its edge ids, so
+    :meth:`validate_for` compares two numbers.
     """
 
     dead_edges: frozenset[int] = frozenset()
@@ -94,15 +99,17 @@ class FaultPlan:
     mobile: Mapping[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        (dead,) = _edge_sets([self.dead_edges])
+        (dead,), (dlo, dhi) = _edge_sets([self.dead_edges])
         object.__setattr__(self, "dead_edges", dead)
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ValidationError("drop_rate must be in [0, 1]")
         mobile = dict(self.mobile)
         rounds = integer_ids(list(mobile), "fault plan rounds").tolist()
-        object.__setattr__(
-            self, "mobile", dict(zip(rounds, _edge_sets(list(mobile.values()))))
-        )
+        sets, (mlo, mhi) = _edge_sets(list(mobile.values()))
+        object.__setattr__(self, "mobile", dict(zip(rounds, sets)))
+        # Not a field: equality, hashing and the verify digests read only
+        # the three fields above. An empty side's (0, -1) can flag no id.
+        object.__setattr__(self, "_id_span", (min(dlo, mlo), max(dhi, mhi)))
 
     @property
     def is_null(self) -> bool:
@@ -114,14 +121,20 @@ class FaultPlan:
         Both delivery hooks call this, so a typo'd edge id fails loudly and
         identically on both backends instead of being silently ignored by
         the simulator's set-membership test and crashing (positive overflow)
-        or aliasing a real edge (negative id) in the vectorized mask.
+        or aliasing a real edge (negative id) in the vectorized mask. The
+        id range recorded when the plan was built decides; the bad ids are
+        listed only to name them.
         """
-        bad = [e for e in self.dead_edges if not (0 <= e < m)]
-        for r, es in self.mobile.items():
-            bad.extend(e for e in es if not (0 <= e < m))
-        if bad:
+        lo, hi = self._id_span
+        if lo < 0 or hi >= m:
+            bad = {
+                e
+                for es in (self.dead_edges, *self.mobile.values())
+                for e in es
+                if not (0 <= e < m)
+            }
             raise ValidationError(
-                f"fault plan targets nonexistent edge ids {sorted(set(bad))[:8]} "
+                f"fault plan targets nonexistent edge ids {sorted(bad)[:8]} "
                 f"(graph has {m} edges)"
             )
         return self
@@ -270,10 +283,15 @@ class StaticSaboteur(AdversarySchedule):
 
 
 class MobileAdversary(AdversarySchedule):
-    """Round-scoped control: ``mobile[r]`` edges drop deliveries of round r."""
+    """Round-scoped control: ``mobile[r]`` edges drop deliveries of round r.
+
+    The schedule is checked once, here, into the plan :meth:`compile`
+    returns on every call.
+    """
 
     def __init__(self, mobile: Mapping[int, Iterable[int]]):
-        self.mobile = FaultPlan(mobile=mobile).mobile
+        self._plan = FaultPlan(mobile=mobile)
+        self.mobile = self._plan.mobile
 
     @classmethod
     def sweeping(
@@ -298,7 +316,7 @@ class MobileAdversary(AdversarySchedule):
         return cls(sched)
 
     def compile(self, graph: Graph, packing=None) -> FaultPlan:
-        return FaultPlan(mobile=self.mobile)
+        return self._plan
 
     def to_json(self) -> dict:
         return {

@@ -123,11 +123,13 @@ def kd_connectivity_witness(
 
 def _dijkstra_tree(
     graph: Graph, root: int, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shortest-path tree under per-edge ``lengths``; returns (parent, hops)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest-path tree under per-edge ``lengths``; returns
+    ``(parent, hops, parent_edge)``."""
     n = graph.n
     dist = np.full(n, np.inf)
     parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
     hops = np.full(n, -1, dtype=np.int64)
     dist[root] = 0.0
     parent[root] = root
@@ -146,11 +148,12 @@ def _dijkstra_tree(
             if nd < dist[y] - 1e-12:
                 dist[y] = nd
                 parent[y] = x
+                parent_edge[y] = eid
                 hops[y] = hops[x] + 1
                 heapq.heappush(heap, (nd, y))
     if np.any(parent < 0):
         raise ValidationError("graph is disconnected; cannot pack spanning trees")
-    return parent, hops
+    return parent, hops, parent_edge
 
 
 def greedy_low_diameter_packing(
@@ -186,15 +189,12 @@ def greedy_low_diameter_packing(
     for root in roots:
         jitter = rng.random(graph.m) * 1e-3
         lengths = 1.0 + 2.0 * load + jitter
-        parent, hops = _dijkstra_tree(graph, root, lengths)
-        tree = SpanningTree(root=root, parent=parent, depth_of=hops)
-        trees.append(tree)
-        for u, v in tree.edges():
-            load[graph.edge_id(u, v)] += 1.0
-    count = np.zeros(graph.m, dtype=np.int64)
-    for tree in trees:
-        for u, v in tree.edges():
-            count[graph.edge_id(u, v)] += 1
+        parent, hops, parent_edge = _dijkstra_tree(graph, root, lengths)
+        trees.append(
+            SpanningTree(root=root, parent=parent, depth_of=hops, parent_edge=parent_edge)
+        )
+        load[parent_edge[parent_edge >= 0]] += 1.0  # a tree holds each edge once
+    count = load.astype(np.int64)
     return TreePacking(
         graph=graph, trees=trees, construction_rounds=0, edge_tree_count=count
     )

@@ -431,6 +431,7 @@ def _bfs_view(packing: TreePacking, i: int) -> BFSResult:
         dist=tree.depth_of,
         children=None,
         rounds=0,
+        parent_edge=tree.parent_edge,
     )
 
 

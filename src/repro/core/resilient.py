@@ -47,6 +47,7 @@ from repro.engine.faults import (
     _popcount_rows,
     vectorized_faulty_broadcast,
 )
+from repro.engine.kernels import arc_edge_ids
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.primitives.pipeline import checked_messages, simulate_pipelines
@@ -65,11 +66,10 @@ __all__ = [
 
 
 def tree_edge_ids(packing: TreePacking, index: int) -> set[int]:
-    """Edge ids (in the host graph) of one packed tree — a sabotage target."""
-    tree = packing.trees[index]
-    return {
-        packing.graph.edge_id(u, v) for u, v in tree.edges()
-    }
+    """Edge ids (in the host graph) of one packed tree — a sabotage target,
+    read off the tree's carried ``parent_edge``."""
+    pe = packing.trees[index].parent_edge
+    return set(pe[pe >= 0].tolist())
 
 
 @dataclass
@@ -207,7 +207,7 @@ def _simulate_cell(
     node's receipts ORed into a matrix packed like the vectorized engine's."""
     n = network.n
     result, sim = simulate_pipelines(
-        network, trees, checked_messages(n, trees, split),
+        network, trees, checked_messages(network.graph, trees, split),
         simulator=FaultySimulator, plan=plan, fault_seed=fault_seed, seed=seed,
     )
     recv = np.zeros((mids.size, max(1, (n + 7) // 8)), dtype=np.uint8)
@@ -451,7 +451,7 @@ def repair_coverage(
     suspects = np.unique(_message_trees(lost, initial.k, parts, redundancy))
     broken = [
         c for c in suspects.tolist()
-        if any(dead_mask[e] for e in tree_edge_ids(packing, c))
+        if dead_mask[list(tree_edge_ids(packing, c))].any()
     ]
     if not broken:
         return done  # purely transient loss — nothing structural to repair
@@ -480,7 +480,10 @@ def repair_coverage(
                 break
             res = results[0]
             trees[c] = SpanningTree(
-                root=new_root, parent=res.parent.copy(), depth_of=res.dist.copy()
+                root=new_root,
+                parent=res.parent.copy(),
+                depth_of=res.dist.copy(),
+                parent_edge=res.parent_edge.copy(),
             )
             rerooted[c] = new_root
 
@@ -497,7 +500,17 @@ def repair_coverage(
         else:
             rebuilt = True
             rerooted = {}
-            trees = live_packing.trees
+            # The rebuilt trees name edges of the live subgraph; orig maps
+            # them back to host ids.
+            trees = [
+                SpanningTree(
+                    root=t.root,
+                    parent=t.parent,
+                    depth_of=t.depth_of,
+                    parent_edge=arc_edge_ids(orig, t.parent_edge.copy()),
+                )
+                for t in live_packing.trees
+            ]
             repair_rounds += live_packing.construction_rounds
             masks = None
             if live_packing.class_masks is not None:

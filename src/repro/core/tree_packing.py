@@ -33,7 +33,12 @@ import numpy as np
 from repro import obs
 from repro.core.decomposition import Decomposition
 from repro.graphs.graph import Graph
-from repro.primitives.bfs import BFSResult, check_roots, run_parallel_bfs
+from repro.primitives.bfs import (
+    BFSResult,
+    check_roots,
+    run_parallel_bfs,
+    tree_edge_error,
+)
 from repro.util.errors import ValidationError
 
 __all__ = [
@@ -55,13 +60,15 @@ class SpanningTree:
     """A rooted spanning tree given by parent pointers.
 
     ``parent[root] == root``, and ``depth_of[v]`` is ``v``'s hop depth.
-    The tree's edges are ``(parent[v], v)`` for ``v != root``; a
-    :class:`TreePacking` maps them to host edge ids to count them.
+    The tree's edges are ``(parent[v], v)`` for ``v != root``, and
+    ``parent_edge[v]`` is that edge's host id (``-1`` at the root), filled
+    by whatever built the tree; a :class:`TreePacking` counts them by it.
     """
 
     root: int
     parent: np.ndarray
     depth_of: np.ndarray
+    parent_edge: np.ndarray
 
     def __post_init__(self):
         if np.any(self.parent < 0):
@@ -169,13 +176,20 @@ class TreePacking:
         return self.size / c
 
     def validate(self) -> None:
-        """Certify the Section 3.1 claims: spanning + consistent edge counts."""
-        count = np.zeros(self.graph.m, dtype=np.int64)
-        for tree in self.trees:
-            if len(tree.parent) != self.graph.n:
+        """Certify the Section 3.1 claims: spanning, every ``parent_edge``
+        the host edge between ``v`` and its parent, consistent edge counts."""
+        g = self.graph
+        count = np.zeros(g.m, dtype=np.int64)
+        for i, tree in enumerate(self.trees):
+            if len(tree.parent) != g.n:
                 raise ValidationError("tree node count mismatch")
-            for u, v in tree.edges():
-                count[self.graph.edge_id(u, v)] += 1  # KeyError = non-edge
+            bad = tree_edge_error(g, tree.parent, tree.parent_edge)
+            if bad is not None:
+                raise ValidationError(f"tree {i}: {bad}")
+            nodes = np.arange(g.n)
+            count += np.bincount(
+                tree.parent_edge[nodes != tree.root], minlength=g.m
+            )
         if not np.array_equal(count, self.edge_tree_count):
             raise ValidationError("edge_tree_count is stale")
 
@@ -187,7 +201,10 @@ def _tree_from_bfs(result: BFSResult) -> SpanningTree:
             "failed; retry with a larger C or a different seed"
         )
     return SpanningTree(
-        root=result.root, parent=result.parent.copy(), depth_of=result.dist.copy()
+        root=result.root,
+        parent=result.parent.copy(),
+        depth_of=result.dist.copy(),
+        parent_edge=result.parent_edge.copy(),
     )
 
 
@@ -361,15 +378,13 @@ def _packing_from_trees(
     rounds: int,
     class_masks: list[np.ndarray] | None = None,
 ) -> TreePacking:
-    """Shared tail: per-edge tree counts + the Theorem 2 disjointness gate."""
-    # One bincount over the concatenated tree-edge ids replaces a per-tree
-    # unbuffered np.add.at scatter — identical counts, one pass over graph.m.
+    """Shared tail: per-edge tree counts + the Theorem 2 disjointness gate.
+
+    The counts read each tree's carried ``parent_edge``: one bincount over
+    the concatenated tree-edge ids, one pass over graph.m.
+    """
     nodes = np.arange(graph.n)
-    eids = [
-        graph.edge_ids_for_pairs(tree.parent[vs], vs)
-        for tree in trees
-        for vs in (np.nonzero(nodes != tree.root)[0],)
-    ]
+    eids = [tree.parent_edge[nodes != tree.root] for tree in trees]
     if eids:
         count = np.bincount(np.concatenate(eids), minlength=graph.m).astype(
             np.int64, copy=False

@@ -173,8 +173,9 @@ class PipelineChannels:
     :func:`~repro.primitives.pipeline.checked_messages` returned, ``own``
     counts the messages each node holds, and ``tree_eids[c]`` holds the
     edge ``(parent(v), v)`` of every non-root ``v`` of channel ``c``,
-    ascending in ``v``. ``bits[c]`` prices each of the channel's ids as the
-    ``(kind, channel, id)`` tuple the simulator transports.
+    ascending in ``v``: the tree's carried ``parent_edge``. ``bits[c]``
+    prices each of the channel's ids as the ``(kind, channel, id)`` tuple
+    the simulator transports.
     """
 
     n: int
@@ -204,15 +205,17 @@ def pipeline_channels(
 ) -> PipelineChannels:
     """Check a Lemma 1 input the way the simulator would refuse it.
 
-    Messages go through :func:`~repro.primitives.pipeline.checked_messages`.
-    Then the trees must be edge-disjoint and every id must fit the bandwidth
+    Messages go through :func:`~repro.primitives.pipeline.checked_messages`,
+    which also checks that every tree's ``parent_edge`` names its edges (one
+    gather of ``edge_u``/``edge_v`` against ``(parent[v], v)``). Then the
+    trees must be edge-disjoint and every id must fit the bandwidth
     budget: the simulator raises
     :class:`~repro.util.errors.BandwidthExceeded` on the first double-send
     over a shared edge or on the first oversized payload.
     """
     n = graph.n
     cids = sorted(trees)
-    flat = checked_messages(n, trees, messages)
+    flat = checked_messages(graph, trees, messages)
     C = len(cids)
     parents = np.empty((C, n), dtype=np.int64)
     dists = np.empty((C, n), dtype=np.int64)
@@ -224,13 +227,14 @@ def pipeline_channels(
             own[ci] = np.bincount(flat[cid][0], minlength=n)
     nonroot = parents != np.arange(n)
 
-    # Tree-edge ids, computed once in a single batched query (one
-    # searchsorted over all channels' tree edges). Any edge used twice —
-    # across channels or within one malformed tree — is a duplicate in the
-    # flat id array, so one sort of the O(Σ|V|) tree edges finds overlap.
-    eids_flat = graph.edge_ids_for_pairs(parents[nonroot], np.nonzero(nonroot)[1])
-    sizes = nonroot.sum(axis=1)
-    tree_eids = np.split(eids_flat, np.cumsum(sizes)[:-1]) if C else []
+    # The trees carry their edge ids. Any edge used twice — across
+    # channels or within one malformed tree — is a duplicate in the flat
+    # id array, so one sort of the O(Σ|V|) tree edges finds overlap.
+    tree_eids = [
+        np.asarray(trees[cid].parent_edge, dtype=np.int64)[nonroot[ci]]
+        for ci, cid in enumerate(cids)
+    ]
+    eids_flat = np.concatenate(tree_eids) if C else np.empty(0, dtype=np.int64)
     if n > 1 and C > 1 and eids_flat.size:
         eids_sorted = np.sort(eids_flat)
         if bool((eids_sorted[1:] == eids_sorted[:-1]).any()):

@@ -191,18 +191,13 @@ def vectorized_faulty_bfs(
     plan = plan if plan is not None else FaultPlan()
     n = graph.n
     stream = FaultStream(graph, plan, fault_seed)
-    indptr, indices = graph.masked_csr(
+    indptr, indices, arc_eids = graph.masked_csr(
         None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
-    )
-    degs = np.diff(indptr)
-    arc_eids = (
-        graph.edge_ids_for_pairs(np.repeat(np.arange(n), degs), indices)
-        if indices.size
-        else np.empty(0, dtype=np.int64)
     )
 
     dist = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
     adopted = np.zeros(n, dtype=bool)
     dist[root] = 0
     parent[root] = root
@@ -256,13 +251,14 @@ def vectorized_faulty_bfs(
             a_src = src[ann]
             a_dst = dst[ann]
             order = np.lexsort((a_src, a_dst))
-            a_src, a_dst = a_src[order], a_dst[order]
+            a_src, a_dst, a_eid = a_src[order], a_dst[order], eid[ann][order]
             first = np.ones(a_dst.size, dtype=bool)
             first[1:] = a_dst[1:] != a_dst[:-1]
             winners = a_dst[first]
             announcers = a_src[first]  # smallest port == smallest neighbor id
             dist[winners] = dist[announcers] + 1
             parent[winners] = announcers
+            parent_edge[winners] = a_eid[first]
             adopted[winners] = True
             batch = expand(winners)
 
@@ -275,7 +271,12 @@ def vectorized_faulty_bfs(
         for lst in children:
             lst.sort()  # canonical order, as simulate_floods does
     result = BFSResult(
-        root=root, parent=parent, dist=dist, children=children, rounds=rounds
+        root=root,
+        parent=parent,
+        dist=dist,
+        children=children,
+        rounds=rounds,
+        parent_edge=parent_edge,
     )
     return FaultyBFSOutcome(
         result=result, dropped=stream.dropped, fault_rng_state=stream.rng_state
@@ -379,7 +380,7 @@ def _static_floods(
     seeds differ only in their (pristine) recorded RNG state.
     """
     plan.validate_for(graph.m)
-    indptr, _ = graph.masked_csr(edge_mask)
+    indptr = graph.masked_csr(edge_mask)[0]
     live = np.ones(graph.m, dtype=bool) if edge_mask is None else edge_mask.copy()
     dead = np.zeros(graph.m, dtype=bool)
     if plan.dead_edges:
@@ -448,7 +449,14 @@ class FaultyBroadcastOutcome:
 
 
 class _Channel:
-    """Tree arrays of one broadcast channel and its root's down queue."""
+    """Tree arrays of one broadcast channel and its root's down queue.
+
+    The tree's edges come from its carried ``parent_edge``: the up arc of
+    ``v`` and the down arc into child ``c`` are ``v``'s and ``c``'s parent
+    edges. Collected child lists (a faulty flood's) may leave children
+    out, and :func:`~repro.primitives.pipeline.checked_messages` has
+    checked that each listed child's parent is the node listing it.
+    """
 
     __slots__ = (
         "root",
@@ -461,17 +469,13 @@ class _Channel:
         "root_dq",
     )
 
-    def __init__(self, graph: Graph, tree: BFSResult, tree_eids: np.ndarray):
-        n = graph.n
+    def __init__(self, tree: BFSResult):
         self.root = int(tree.root)
         self.parent = np.asarray(tree.parent, dtype=np.int64)
         self.dist = np.asarray(tree.dist, dtype=np.int64)
-        self.up_eid = np.full(n, -1, dtype=np.int64)
-        self.up_eid[self.parent != np.arange(n)] = tree_eids
+        self.up_eid = np.asarray(tree.parent_edge, dtype=np.int64)
         self.cindptr, self.cind = tree.children_as_csr()
-        self.ceid = graph.edge_ids_for_pairs(
-            np.repeat(np.arange(n), np.diff(self.cindptr)), self.cind
-        )
+        self.ceid = self.up_eid[self.cind]
         # Rows of mid_index the root sends down, in order: its own items
         # first, then every up arrival.
         self.root_dq: list[int] = []
@@ -945,7 +949,7 @@ def vectorized_faulty_broadcast(
             recv[rows[ci]] = full
 
     touched = np.flatnonzero(~closed).tolist()
-    chans = [_Channel(graph, trees[ch.cids[ci]], ch.tree_eids[ci]) for ci in touched]
+    chans = [_Channel(trees[ch.cids[ci]]) for ci in touched]
     up = _UpQueue(n, chans)
     # Seed the queues like the node program does: a root's own items go
     # straight to its down queue (and count as received); every other

@@ -6,14 +6,17 @@ event-batched span algebra, which no protocol runs any more.
   :mod:`repro.graphs.traversal`, so centralized callers reach it without
   importing the engine) advances every BFS of a call one layer per numpy
   gather over flat keys ``q·n + v`` and adopts parents inline: one
-  ``np.minimum.at`` scatter of each fresh arc's source onto its candidate
-  leaves every candidate its smallest previous-layer neighbor, and the
-  arcs whose source won are the next frontier, one per candidate. A solo
-  sweep, the disjoint-union sweep of a tree packing and the query plane
-  of :mod:`repro.engine.plane` all run it; ``check_kernels`` compares it
-  with a plain-Python queue BFS
-  (:func:`repro.engine.verify.queue_bfs_dist`) and the plain-Python
-  first-port rule (:func:`repro.engine.verify.first_port_parents`).
+  ``np.minimum.at`` scatter of each fresh arc's CSR position onto its
+  candidate leaves every candidate the arc from its smallest
+  previous-layer neighbor (positions rise with the source), and the
+  winning arcs are the next frontier, one per candidate. The sweep
+  returns them, so :func:`arc_edge_ids` names every tree edge from the
+  swept CSR's edge ids. A solo sweep, the disjoint-union sweep of a tree
+  packing and the query plane of :mod:`repro.engine.plane` all run it;
+  ``check_kernels`` compares it with a plain-Python queue BFS
+  (:func:`repro.engine.verify.queue_bfs_dist`), the plain-Python
+  first-port rule (:func:`repro.engine.verify.first_port_parents`) and
+  :meth:`~repro.graphs.graph.Graph.edge_id` of each tree edge.
 
 * **Root service** — :func:`last_send_round_spans` is the last send round
   of a unit-rate queue fed by arrival spans. The Lemma 1 closed form
@@ -55,6 +58,7 @@ from repro import obs
 from repro.graphs.traversal import expand_csr_rows, frontier_sweep
 
 __all__ = [
+    "arc_edge_ids",
     "children_csr",
     "children_lists",
     "expand_csr_rows",
@@ -68,6 +72,30 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # CSR builders shared by fastpath / faults / broadcast call sites
 # --------------------------------------------------------------------------- #
+
+# Cells :func:`arc_edge_ids` maps per step, so its temporaries stay near
+# 1 MB however large the plane it rewrites.
+_ARC_BLOCK = 1 << 16
+
+
+def arc_edge_ids(edge_ids: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """The edge id of each arc :func:`frontier_sweep` adopted over,
+    written over ``arc`` in place and returned.
+
+    ``edge_ids`` is the swept CSR's edge-id array and ``arc`` holds its
+    positions, ``-1`` at roots and unreached keys, which stay ``-1``. A
+    query plane's arcs become its ``parent_edge`` plane in their own
+    memory, a block of cells at a time, so naming the tree edges adds no
+    plane to the batch (a sweep's outputs are contiguous; any other
+    ``arc`` is mapped in a copy).
+    """
+    flat = arc.reshape(-1)
+    for lo in range(0, flat.size, _ARC_BLOCK):
+        block = flat[lo : lo + _ARC_BLOCK]
+        hit = block >= 0
+        block[hit] = edge_ids[block[hit]]
+    return flat.reshape(arc.shape)
+
 
 def children_csr(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, child_ids)`` of a parent array, children ascending.

@@ -239,7 +239,7 @@ EXEMPT = frozenset({"backend"})
 #: ones).
 _VIEWS: dict[type, tuple[str, ...]] = {
     Graph: ("n", "m", "edge_u", "edge_v", "weights"),
-    BFSResult: ("root", "parent", "dist", "rounds", "children"),
+    BFSResult: ("root", "parent", "dist", "rounds", "children", "parent_edge"),
 }
 
 
@@ -750,8 +750,10 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     """Direct identities of the :mod:`repro.engine.kernels` primitives.
 
     ``frontier_sweep`` must give the dists of a plain-Python queue BFS
-    (:func:`queue_bfs_dist`) and the parents of the plain-Python
-    smallest-previous-layer rule (:func:`first_port_parents`);
+    (:func:`queue_bfs_dist`), the parents of the plain-Python
+    smallest-previous-layer rule (:func:`first_port_parents`), and adopted
+    arcs whose edge ids are :meth:`~repro.graphs.graph.Graph.edge_id` of
+    each tree edge (``-1`` at the root and unreached nodes);
     ``last_send_round_spans`` and ``upcast_spans`` must match plain-Python
     walks (the upcast one round at a time); the root, popping that walk's
     arrivals one per round, must pop its last one in the round
@@ -766,7 +768,7 @@ def check_kernels(graph: Graph, seed) -> list[str]:
     # -- frontier_sweep vs a python queue BFS and adoption rule -------- #
     root = int(rng.integers(n))
     indptr, indices = graph._indptr, graph._indices
-    sweep_parent, sweep_dist = kernels.frontier_sweep(n, indptr, indices, root)
+    sweep_parent, sweep_dist, sweep_arc = kernels.frontier_sweep(n, indptr, indices, root)
     out = diff(
         sweep_dist, queue_bfs_dist(indptr, indices, root), "kernels.frontier_sweep.dist"
     )
@@ -774,6 +776,18 @@ def check_kernels(graph: Graph, seed) -> list[str]:
         sweep_parent,
         first_port_parents(indptr, indices, sweep_dist),
         "kernels.frontier_sweep.parent",
+    )
+    # The adopted arc names the tree edge: its id is the endpoints' edge.
+    out += diff(
+        kernels.arc_edge_ids(graph._adj_edge_id, sweep_arc),
+        np.array(
+            [
+                graph.edge_id(p, v) if p >= 0 and p != v else -1
+                for v, p in enumerate(sweep_parent.tolist())
+            ],
+            dtype=np.int64,
+        ),
+        "kernels.frontier_sweep.edge",
     )
 
     # -- last_send_round_spans vs a per-round queue walk ---------------- #

@@ -19,10 +19,14 @@ Design points:
   by the spanner/sparsifier applications.
 * **One sort** builds the CSR: a single argsort of the 2m directed-arc keys
   ``u·n + v`` gives the neighbor order, the edge ids and the parallel-edge
-  check, and the sorted keys are kept for edge lookups. An int64 graph
-  holds 64 bytes per edge: ``edge_u`` and ``edge_v`` (8 each), and the
-  2m-long ``_indices``, ``_adj_edge_id`` and sorted arc keys (16 each).
-  Construction peaks at about that much beyond its input.
+  check; the keys die with the constructor. Like the dgl
+  ``ImmutableGraphIndex``, the CSR carries each arc's edge id beside
+  ``indptr`` and ``indices``, so a BFS tree names its edges from the arcs
+  it adopted and nothing searches by endpoints. An int64 graph holds 48
+  bytes per edge: ``edge_u`` and ``edge_v`` (8 each) and the 2m-long
+  ``_indices`` and ``_adj_edge_id`` (16 each), plus ``_indptr``'s 8 per
+  node. Derived views (arc sources, arc twins, masked CSRs) are built on
+  first use and kept in one ``_cache``.
 """
 
 from __future__ import annotations
@@ -58,11 +62,12 @@ class Graph:
     it meets: node count, edge shape, endpoint range, self-loops, parallel
     edges, then the weights' shape and sign. It sorts once: arc ``i < m``
     runs ``u_i → v_i`` and arc ``m + i`` runs back, and one argsort of
-    their keys ``row·n + col`` yields the CSR. The sorted keys are stored
-    (``key mod n`` is ``_indices``), the sort order folded mod ``m`` is
-    ``_adj_edge_id``, and ``_indptr`` comes from endpoint counts. No
-    temporary outlives its last use, so the peak stays near the 64 bytes
-    per edge the graph keeps.
+    their keys ``row·n + col`` yields the CSR. The sorted keys mod ``n``
+    are ``_indices``, the sort order folded mod ``m`` is ``_adj_edge_id``
+    (the CSR's edge ids), and ``_indptr`` comes from endpoint counts. No
+    temporary outlives its last use, and the keys are not kept: the graph
+    holds 48 bytes per edge. Views derived from the CSR live in one
+    ``_cache``.
     """
 
     __slots__ = (
@@ -74,10 +79,7 @@ class Graph:
         "_indptr",
         "_indices",
         "_adj_edge_id",
-        "_arc_keys",
-        "_arc_sources",
-        "_arc_twins",
-        "_masked_csr_cache",
+        "_cache",
         "masked_csr_hits",
     )
 
@@ -120,6 +122,7 @@ class Graph:
         del keys
         if np.any(arc_keys[1:] == arc_keys[:-1]):
             raise ValidationError("parallel edges are not allowed in a simple graph")
+        np.remainder(arc_keys, n, out=arc_keys)
 
         self.n = n
         self.m = m
@@ -138,20 +141,20 @@ class Graph:
         else:
             self.weights = None
 
-        # Folded in place, the sort order becomes _adj_edge_id.
+        # Folded in place, the sort order becomes _adj_edge_id, and the
+        # keys (reduced mod n above) become _indices.
         if m:
             np.remainder(order, m, out=order)
         self._adj_edge_id = order
-        self._indices = arc_keys % n
-        self._arc_keys = arc_keys
+        self._indices = arc_keys
         deg = np.bincount(u, minlength=n)
         deg += np.bincount(v, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
         self._indptr = indptr
-        self._arc_sources = None  # lazy: source node of each directed arc
-        self._arc_twins = None  # lazy: index of each arc's reverse arc
-        self._masked_csr_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        # Every view derived on first use: "arc_sources", "arc_twins", and
+        # one frozen masked CSR per bit-packed mask (bytes keys).
+        self._cache: dict = {}
         self.masked_csr_hits = 0  # cache-hit counter (observable by tests)
 
     # ------------------------------------------------------------------ #
@@ -211,63 +214,36 @@ class Graph:
         ``i`` falls in — i.e. ``repeat(arange(n), degrees)`` — memoized
         because every whole-array sweep over the adjacency needs it.
         """
-        if self._arc_sources is None:
-            self._arc_sources = np.repeat(
+        hit = self._cache.get("arc_sources")
+        if hit is None:
+            hit = self._cache["arc_sources"] = np.repeat(
                 np.arange(self.n), np.diff(self._indptr)
             )
-        return self._arc_sources
-
-    def _sorted_arc_keys(self) -> np.ndarray:
-        """The ``u·n + v`` key of each directed arc, sorted: CSR order.
-
-        These are the keys the constructor sorted, kept as they came out.
-        """
-        return self._arc_keys
+        return hit
 
     def arc_twins(self) -> np.ndarray:
         """Index of each directed arc's reverse arc, aligned with the CSR.
 
         For the arc at position ``i`` from ``v`` to ``u``, ``arc_twins()[i]``
-        is the position of the arc from ``u`` to ``v``: one searchsorted of
-        the reversed keys ``v + u·n`` into the sorted arc keys. Memoized and
-        built on first use, so whole-array sweeps that never route a single
-        message never pay for it.
+        is the position of the arc from ``u`` to ``v``. Each edge id occurs
+        at exactly two positions of ``_adj_edge_id``, its two arcs, so one
+        argsort of the edge ids pairs every arc with its twin. Memoized and
+        built on first use: only the simulator's port table reads it.
         """
-        if self._arc_twins is None:
-            self._arc_twins = np.searchsorted(
-                self._sorted_arc_keys(), self._indices * self.n + self.arc_sources()
-            )
-        return self._arc_twins
-
-    def edge_ids_for_pairs(self, us, vs) -> np.ndarray:
-        """Vectorized :meth:`edge_id` over aligned endpoint arrays.
-
-        The constructor kept the sorted arc keys ``u·n + v``, so every
-        lookup is one searchsorted over them. Raises ``KeyError`` if any
-        pair is not an edge.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.m == 0:
-            raise KeyError(f"no edge {{{int(us[0])}, {int(vs[0])}}}")
-        if us.min() < 0 or vs.min() < 0 or us.max() >= self.n or vs.max() >= self.n:
-            raise KeyError("edge endpoint out of range")
-        arc_keys = self._sorted_arc_keys()
-        keys = us * self.n + vs
-        pos = np.searchsorted(arc_keys, keys)
-        pos_clipped = np.minimum(pos, arc_keys.size - 1)
-        missing = (pos >= arc_keys.size) | (arc_keys[pos_clipped] != keys)
-        if np.any(missing):
-            i = int(np.nonzero(missing)[0][0])
-            raise KeyError(f"no edge {{{int(us[i])}, {int(vs[i])}}}")
-        return self._adj_edge_id[pos]
+        hit = self._cache.get("arc_twins")
+        if hit is None:
+            pairs = np.argsort(self._adj_edge_id, kind="stable").reshape(-1, 2)
+            hit = np.empty(2 * self.m, dtype=np.int64)
+            hit[pairs[:, 0]] = pairs[:, 1]
+            hit[pairs[:, 1]] = pairs[:, 0]
+            self._cache["arc_twins"] = hit
+        return hit
 
     def masked_csr(
         self, edge_mask: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of the subgraph keeping only masked edges.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices, edge_ids)`` of the subgraph keeping only
+        masked edges: ``edge_ids[i]`` is the host edge of arc ``i``.
 
         Neighbor order inside each block is preserved (sorted by id), so the
         smallest-port tie-break of the CONGEST layer survives the filtering.
@@ -275,7 +251,7 @@ class Graph:
         this method come back to the same mask: a fault plan's
         dead-edge-subtracted CSR is asked for by every faulty BFS and every
         fault grid run under that plan, and a solo BFS channel mask by every
-        sweep over it. Keys are bit-packed (m/8 bytes) and the cache holds
+        sweep over it. Keys are bit-packed (m/8 bytes) and ``_cache`` holds
         the most recent ``_MASKED_CSR_CACHE_LIMIT`` masks, so one-shot masks
         cannot pin memory forever. ``masked_csr_hits`` counts cache hits.
         The disjoint-union builder :meth:`disjoint_masked_csrs` does not
@@ -283,23 +259,25 @@ class Graph:
         copied).
         """
         if edge_mask is None:
-            return self._indptr, self._indices
+            return self._indptr, self._indices, self._adj_edge_id
         mask = self._checked_mask(edge_mask)
         key = np.packbits(mask).tobytes()
-        hit = self._masked_csr_cache.get(key)
+        hit = self._cache.get(key)
         if hit is not None:
             self.masked_csr_hits += 1
             obs.count("graph.masked_csr_hits")
             return hit
-        indptr, indices = self._compress_arcs(mask[self._adj_edge_id])
-        while len(self._masked_csr_cache) >= _MASKED_CSR_CACHE_LIMIT:
-            self._masked_csr_cache.pop(next(iter(self._masked_csr_cache)))
+        allowed = mask[self._adj_edge_id]
+        csr = (*self._compress_arcs(allowed), self._adj_edge_id[allowed])
+        masks = [k for k in self._cache if isinstance(k, bytes)]
+        for old in masks[: max(0, len(masks) + 1 - _MASKED_CSR_CACHE_LIMIT)]:
+            del self._cache[old]
         # The same arrays are handed to every caller: freeze them so an
         # in-place edit cannot silently corrupt the cache.
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        self._masked_csr_cache[key] = (indptr, indices)
-        return indptr, indices
+        for arr in csr:
+            arr.setflags(write=False)
+        self._cache[key] = csr
+        return csr
 
     def _checked_mask(self, edge_mask: np.ndarray) -> np.ndarray:
         """``edge_mask`` as a boolean array, checked to be one flag per edge."""
@@ -355,8 +333,9 @@ class Graph:
 
     def disjoint_masked_csrs(
         self, edge_masks: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)`` of the disjoint union of masked copies.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices, arc_class)`` of the disjoint union of
+        masked copies.
 
         Class ``c`` (the edges of ``edge_masks[c]``, which must be pairwise
         disjoint) takes nodes ``[c·n, (c+1)·n)``, so block ``c`` equals
@@ -370,17 +349,24 @@ class Graph:
         of one packing attempt's colour classes, sweeps each decomposition
         once, so a cached entry would only hold memory. Each class block
         counts one ``graph.masked_csr_misses``.
+
+        The union carries no edge-id array: a second array as long as
+        ``indices`` would be live through the whole sweep. ``arc_class``,
+        each host arc's class label (``c + 1``, or 0 for none) in the
+        smallest unsigned dtype, is what :meth:`disjoint_edge_ids` needs to
+        name the edge behind any adopted union arc once ``indices`` is freed.
         """
         edge_masks = list(edge_masks)
         n = self.n
         label = self.mask_labels(edge_masks)
-        arc_label = label[self._adj_edge_id]
+        arc_class = label[self._adj_edge_id]
         indptr = np.zeros(len(edge_masks) * n + 1, dtype=np.int64)
         indices = np.empty(2 * np.count_nonzero(label), dtype=np.int64)
+        del label
         pos = 0
         for c in range(len(edge_masks)):
             obs.count("graph.masked_csr_misses")
-            arcs = np.flatnonzero(arc_label == c + 1)
+            arcs = np.flatnonzero(arc_class == c + 1)
             block = indices[pos : pos + arcs.size]
             np.add(
                 np.searchsorted(arcs, self._indptr[1:]),
@@ -392,7 +378,33 @@ class Graph:
             np.take(self._indices, arcs, out=block, mode="clip")
             block += c * n
             pos += arcs.size
-        return indptr, indices
+        return indptr, indices, arc_class
+
+    def disjoint_edge_ids(
+        self, arc_class: np.ndarray, indptr: np.ndarray, arc: np.ndarray
+    ) -> np.ndarray:
+        """Host edge id of the arc each union key was adopted over, ``-1``
+        kept.
+
+        ``arc_class`` and ``indptr`` are what :meth:`disjoint_masked_csrs`
+        returned, and ``arc`` holds one union arc position (or ``-1``) per
+        union key, as a sweep over the union returns it. Block ``c`` lists
+        the host arcs of class ``c + 1`` in host order, so its position
+        ``p`` is the ``(p − indptr[c·n])``-th of them: one ``flatnonzero``
+        of the class per block that holds a position recovers the host
+        arcs, and ``_adj_edge_id`` their edges.
+        """
+        n = self.n
+        out = np.full(arc.shape, -1, dtype=np.int64)
+        for c in range((indptr.size - 1) // n):
+            block = arc[c * n : (c + 1) * n]
+            keys = np.flatnonzero(block >= 0)
+            if keys.size:
+                arcs = np.flatnonzero(arc_class == c + 1)
+                out[c * n + keys] = self._adj_edge_id[
+                    arcs[block[keys] - indptr[c * n]]
+                ]
+        return out
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u < v``."""

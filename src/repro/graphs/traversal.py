@@ -15,8 +15,10 @@ Two layer loops cover every BFS in the library:
   subgraphs. :func:`bfs_tree`, :func:`bfs_distances` (which returns its
   ``dist``) and the vectorized backend's sweeps all run it;
   :mod:`repro.engine.kernels` re-exports it. Its parent adoption is one
-  minimum-scatter per layer, which costs about what the sort that dedups
-  a dist-only loop's frontier did, so no second loop is kept for dists.
+  minimum-scatter of arc positions per layer, which costs about what the
+  sort that dedups a dist-only loop's frontier did, so no second loop is
+  kept for dists. The winning position names the adopted arc, so a
+  caller reads each tree edge's id off its CSR's edge ids.
 * :func:`all_pairs_distances` — PRT's exact APSP on the cluster graph
   (Theorem 4) runs every source at once as a bit-parallel multi-source BFS
   (Then et al., "The More the Merrier", PVLDB 2014): 64 sources share each
@@ -73,26 +75,34 @@ def frontier_sweep(
     indices: np.ndarray,
     root: int | np.ndarray,
     queries: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """BFS ``(parent, dist)`` over flat keys ``q·n + v``: the one layer loop.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BFS ``(parent, dist, arc)`` over flat keys ``q·n + v``: the one layer
+    loop.
 
-    ``root`` is one start key or a sorted array of them; ``parent`` and
-    ``dist`` hold ``queries·n`` entries, key ``q·n + v`` being node ``v``
-    of query ``q``, and every query walks the same CSR. A parent is a
-    node id, a root is its own parent, and ``-1`` marks unreached keys.
-    A start key that is not an integer, or lies outside
-    ``[0, queries·n)``, raises :class:`ValidationError`.
+    ``root`` is one start key or a sorted array of them; the outputs hold
+    ``queries·n`` entries, key ``q·n + v`` being node ``v`` of query
+    ``q``, and every query walks the same CSR. A parent is a node id (a
+    key of the swept CSR when ``queries == 1``), a root is its own parent,
+    and ``-1`` marks unreached keys. ``arc`` is the CSR position of the arc
+    each key was adopted over, ``-1`` at roots and unreached keys: a
+    caller whose CSR carries edge ids reads the tree edge there. A start
+    key that is not an integer, or lies outside ``[0, queries·n)``,
+    raises :class:`ValidationError`.
 
     One layer gathers the arcs of every frontier node ``v = key mod n``;
     a candidate's key is ``(key − v) + neighbor``. Candidates already
     reached drop out, and one ``np.minimum.at`` scatters each remaining
-    arc's source onto its candidate, so every candidate's parent is its
-    **smallest** previous-layer neighbor — the simulator's first-port
-    rule, since ports are numbered by neighbor id. The arcs whose source
-    won are the next frontier, one per candidate: a simple graph, its
-    masked CSRs and the disjoint-union CSR hold one arc per (source,
-    candidate) pair. Parents start at the int64 maximum, which every
-    source undercuts, and keys left unreached get ``-1`` after the loop.
+    arc's CSR position onto its candidate. Positions rise with the source
+    node in every CSR swept here (host, masked, disjoint union, and the
+    one CSR a plane shares), and a simple graph, its masked CSRs and the
+    disjoint-union CSR hold one arc per (source, candidate) pair, so the
+    winning arc comes from the candidate's **smallest** previous-layer
+    neighbor — the simulator's first-port rule, since ports are numbered
+    by neighbor id. The winning arcs are the next frontier, one per
+    candidate. Positions start at the int64 maximum, which every position
+    undercuts; after the loop one ``searchsorted`` of every adopted arc
+    into ``indptr`` gives the parents, so the loop keeps two arrays, not
+    three.
 
     Several roots of one query must lie in pairwise-disconnected
     components, as in the disjoint-union sweep of
@@ -104,9 +114,8 @@ def frontier_sweep(
     keys = integer_ids(np.atleast_1d(root), "BFS start keys")
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= size):
         raise ValidationError(f"BFS start key out of range [0, {size})")
-    parent = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
     dist = np.full(size, UNREACHED, dtype=np.int64)
-    parent[keys] = keys % n
+    arc = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
     dist[keys] = 0
     frontier = keys
     d = 0
@@ -123,13 +132,17 @@ def frontier_sweep(
         cand = cand[fresh]
         if not cand.size:
             break
-        src = np.repeat(v, counts)[fresh]
-        np.minimum.at(parent, cand, src)
-        frontier = cand[parent[cand] == src]
+        pos = sel[fresh]
+        np.minimum.at(arc, cand, pos)
+        frontier = cand[arc[cand] == pos]
         d += 1
         dist[frontier] = d
-    parent[dist < 0] = UNREACHED
-    return parent, dist
+    arc[dist <= 0] = UNREACHED
+    # Every arc's source in one pass; a -1 lands before row 0's start.
+    parent = np.searchsorted(indptr, arc, side="right")
+    parent -= 1
+    parent[keys] = keys % n
+    return parent, dist, arc
 
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
@@ -148,7 +161,7 @@ def bfs_tree(graph: Graph, source: int) -> tuple[np.ndarray, np.ndarray]:
     (matching the port-ordered distributed BFS of Lemma 2). A ``source``
     outside ``[0, n)`` raises :class:`ValidationError`.
     """
-    return frontier_sweep(graph.n, graph._indptr, graph._indices, source)
+    return frontier_sweep(graph.n, graph._indptr, graph._indices, source)[:2]
 
 
 # Gathered-plane budget of one source block of :func:`all_pairs_distances`:

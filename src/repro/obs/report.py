@@ -46,6 +46,7 @@ def _span_from_dict(rec: dict, where: str) -> SpanRecord:
             start=float(rec["start"]),
             dur=float(rec["dur"]),
             rss_kb=int(rec.get("rss_kb", 0)),
+            minflt=int(rec.get("minflt", 0)),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"{where}: malformed span record {rec!r}") from err
@@ -98,6 +99,7 @@ def _load_chrome(payload: dict, where: str) -> TraceData:
                         "start": float(ev.get("ts", 0.0)) / 1e6,
                         "dur": float(ev.get("dur", 0.0)) / 1e6,
                         "rss_kb": args.get("rss_kb", 0),
+                        "minflt": args.get("minflt", 0),
                     },
                     f"{where}: traceEvents[{i}]",
                 )
@@ -143,6 +145,7 @@ class PhaseStats:
     total: float = 0.0  # summed durations (seconds)
     self_time: float = 0.0  # total minus direct children (seconds)
     rss_kb: int = 0  # summed peak-RSS deltas
+    minflt: int = 0  # summed minor page faults
 
 
 def phase_stats(data: TraceData) -> list[PhaseStats]:
@@ -163,6 +166,7 @@ def phase_stats(data: TraceData) -> list[PhaseStats]:
         st.total += rec.dur
         st.self_time += rec.dur - child_time.get(rec.sid, 0.0)
         st.rss_kb += rec.rss_kb
+        st.minflt += rec.minflt
     return sorted(stats.values(), key=lambda s: (-s.total, s.name))
 
 
@@ -179,13 +183,13 @@ def format_report(data: TraceData, top_counters: int = 20) -> str:
         name_w = max(5, max(len(s.name) for s in stats))
         lines.append(
             f"{'phase':<{name_w}} {'calls':>6} {'total_s':>9} {'self_s':>9} "
-            f"{'share':>6} {'rss_kb':>8}"
+            f"{'share':>6} {'rss_kb':>8} {'minflt':>8}"
         )
         for st in stats:
             share = st.total / wall if wall > 0 else 0.0
             lines.append(
                 f"{st.name:<{name_w}} {st.calls:>6} {st.total:>9.4f} "
-                f"{st.self_time:>9.4f} {share:>6.1%} {st.rss_kb:>8}"
+                f"{st.self_time:>9.4f} {share:>6.1%} {st.rss_kb:>8} {st.minflt:>8}"
             )
     if data.counters:
         lines.append("")

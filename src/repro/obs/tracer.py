@@ -3,10 +3,12 @@
 One tracer records two kinds of telemetry:
 
 * **Spans** — named wall-clock intervals with nesting. Each span captures
-  ``time.perf_counter`` at entry/exit plus the peak-RSS delta across the
-  interval (``resource.getrusage`` where available). Spans form a tree via
-  parent ids, so per-phase *self* time (total minus children) is
-  recoverable by :mod:`repro.obs.report`.
+  ``time.perf_counter`` at entry/exit plus the peak-RSS and minor-page-fault
+  deltas across the interval (one ``resource.getrusage`` call at each end,
+  where available): a layer that page-faulted on fresh memory can be told
+  from one whose code got slower. Spans form a tree via parent ids, so
+  per-phase *self* time (total minus children) is recoverable by
+  :mod:`repro.obs.report`.
 
 * **Typed counters** — named scalars with an aggregation mode: ``"sum"``
   accumulates (BFS layers, frontier populations, memo hits), ``"max"``
@@ -72,16 +74,19 @@ COUNTER_MODES = ("sum", "max")
 _CURRENT: ContextVar["Tracer | None"] = ContextVar("repro_obs_tracer", default=None)
 
 
-def _peak_rss_kb() -> int:
-    """Process peak RSS in KB (monotonic non-decreasing), 0 if unknown."""
+def _rusage() -> tuple[int, int]:
+    """Process ``(peak RSS in KB, minor page faults)`` from one
+    ``getrusage`` call (both monotonic non-decreasing), zeros if unknown."""
     if _resource is None:  # pragma: no cover - POSIX dev image
-        return 0
-    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
+        return 0, 0
+    usage = _resource.getrusage(_resource.RUSAGE_SELF)
+    return int(usage.ru_maxrss), int(usage.ru_minflt)
 
 
 @dataclass
 class SpanRecord:
-    """One finished span: name, interval, nesting, peak-RSS delta."""
+    """One finished span: name, interval, nesting, peak-RSS and
+    minor-fault deltas."""
 
     sid: int
     parent: int | None
@@ -90,6 +95,7 @@ class SpanRecord:
     start: float  # seconds since the tracer epoch
     dur: float  # seconds
     rss_kb: int  # peak-RSS growth across the span (KB, >= 0)
+    minflt: int = 0  # minor page faults taken during the span (>= 0)
 
     def as_dict(self) -> dict:
         return {
@@ -101,13 +107,14 @@ class SpanRecord:
             "start": round(self.start, 9),
             "dur": round(self.dur, 9),
             "rss_kb": self.rss_kb,
+            "minflt": self.minflt,
         }
 
 
 class _Span:
     """Context manager for one live span (created by :meth:`Tracer.span`)."""
 
-    __slots__ = ("_tracer", "_name", "_sid", "_parent", "_depth", "_t0", "_rss0")
+    __slots__ = ("_tracer", "_name", "_sid", "_parent", "_depth", "_t0", "_usage0")
 
     def __init__(self, tracer: "Tracer", name: str):
         self._tracer = tracer
@@ -121,7 +128,7 @@ class _Span:
         self._parent = stack[-1] if stack else None
         self._depth = len(stack)
         stack.append(self._sid)
-        self._rss0 = _peak_rss_kb()
+        self._usage0 = _rusage()
         self._t0 = time.perf_counter()
         return self
 
@@ -129,6 +136,8 @@ class _Span:
         t1 = time.perf_counter()
         tracer = self._tracer
         tracer._stack.pop()
+        rss, minflt = _rusage()
+        rss0, minflt0 = self._usage0
         tracer.spans.append(
             SpanRecord(
                 sid=self._sid,
@@ -137,7 +146,8 @@ class _Span:
                 name=self._name,
                 start=self._t0 - tracer.epoch,
                 dur=t1 - self._t0,
-                rss_kb=max(0, _peak_rss_kb() - self._rss0),
+                rss_kb=max(0, rss - rss0),
+                minflt=max(0, minflt - minflt0),
             )
         )
         return False
@@ -250,8 +260,9 @@ class Tracer:
                     "dur": dur,
                     "pid": 0,
                     "tid": 0,
-                    "args": {"rss_kb": rec.rss_kb, "sid": rec.sid,
-                             "parent": rec.parent, "depth": rec.depth},
+                    "args": {"rss_kb": rec.rss_kb, "minflt": rec.minflt,
+                             "sid": rec.sid, "parent": rec.parent,
+                             "depth": rec.depth},
                 }
             )
         for name in sorted(self.counters):

@@ -40,6 +40,7 @@ __all__ = [
     "run_bfs_batch",
     "run_parallel_bfs",
     "simulate_floods",
+    "tree_edge_error",
 ]
 
 _ANNOUNCE = 0  # payload kind tags (ints keep messages small)
@@ -66,9 +67,14 @@ class BFSResult:
         and the Python lists are pure construction overhead at n ≈ 10⁶.
     rounds: rounds consumed by the simulation that produced this result
         (shared across channels when run in parallel).
+    parent_edge: ``parent_edge[v]`` = host edge id of the tree edge
+        ``(parent[v], v)``, ``-1`` at the root and at unreached nodes. Every
+        producer fills it from the arc or port ``v`` adopted over, so the
+        consumers that count, check or fault tree edges never look an edge
+        up by its endpoints.
     """
 
-    __slots__ = ("root", "parent", "dist", "rounds", "_children")
+    __slots__ = ("root", "parent", "dist", "rounds", "_children", "parent_edge")
 
     def __init__(
         self,
@@ -77,12 +83,14 @@ class BFSResult:
         dist: np.ndarray,
         children: list[list[int]] | None,
         rounds: int,
+        parent_edge: np.ndarray,
     ):
         self.root = root
         self.parent = parent
         self.dist = dist
         self.rounds = rounds
         self._children = children
+        self.parent_edge = parent_edge
 
     def __repr__(self):
         return (
@@ -119,20 +127,38 @@ class BFSResult:
         Lists derived from ``parent`` always do, so lazy ones are not built.
         Collected lists differ only under faults, where a dropped child
         notice leaves a child out: the simulator then never sends down
-        that arc, while a closed form that reads ``parent`` would.
+        that arc, while a closed form that reads ``parent`` would. Lists
+        under their parents (:meth:`children_under_parents`) hold exactly
+        those arcs when they list every child once.
+        """
+        if self._children is None:
+            return True
+        cind = self.children_as_csr()[1]
+        parent = np.asarray(self.parent, dtype=np.int64)
+        child = (parent >= 0) & (parent != np.arange(parent.size))
+        return bool(
+            self.children_under_parents()
+            and cind.size == child.sum()
+            and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
+        )
+
+    def children_under_parents(self) -> bool:
+        """Whether every listed child's parent is the node that lists it,
+        and no node lists itself.
+
+        Lists derived from ``parent`` always hold this. A faulty flood's
+        collected lists may leave a child out, never list another node's:
+        down arcs then carry the child's own ``parent_edge``.
         """
         if self._children is None:
             return True
         cindptr, cind = self.children_as_csr()
         parent = np.asarray(self.parent, dtype=np.int64)
-        nodes = np.arange(parent.size)
-        child = (parent >= 0) & (parent != nodes)
+        lister = np.repeat(np.arange(parent.size), np.diff(cindptr))
         return bool(
-            cind.size == child.sum()
-            and ((cind >= 0) & (cind < parent.size)).all()
-            and child[cind].all()
-            and np.array_equal(parent[cind], np.repeat(nodes, np.diff(cindptr)))
-            and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
+            ((cind >= 0) & (cind < parent.size)).all()
+            and np.array_equal(parent[cind], lister)
+            and (cind != lister).all()
         )
 
     def layered(self) -> bool:
@@ -234,6 +260,41 @@ class BFSProgram(NodeProgram):
                     ctx.send(p, msg)
 
 
+def tree_edge_error(graph: Graph, parent, parent_edge) -> str | None:
+    """Why ``parent_edge`` is not the tree's edge ids, or ``None``.
+
+    Every node ``v`` whose parent is another node must carry the host edge
+    ``{parent[v], v}``, and every other node ``-1``. One gather of
+    ``edge_u``/``edge_v`` checks them all; the first fault, in node order,
+    is named: a parent that is not a neighbor, or an id that names another
+    edge.
+    """
+    parent = np.asarray(parent, dtype=np.int64)
+    pe = np.asarray(parent_edge, dtype=np.int64)
+    if pe.shape != parent.shape:
+        return f"parent_edge has shape {pe.shape}, parent {parent.shape}"
+    nodes = np.arange(parent.size)
+    child = (parent >= 0) & (parent != nodes)
+    vs = np.flatnonzero(child)
+    ps, es = parent[vs], pe[vs]
+    ok = (es >= 0) & (es < graph.m)
+    e = es[ok]
+    ok[ok] = (graph.edge_u[e] == np.minimum(ps[ok], vs[ok])) & (
+        graph.edge_v[e] == np.maximum(ps[ok], vs[ok])
+    )
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        v, p = int(vs[i]), int(ps[i])
+        if not (p < graph.n and graph.has_edge(p, v)):
+            return f"tree edge {{{p}, {v}}} is not an edge of the graph"
+        return f"parent_edge[{v}] = {int(es[i])} is not the edge {{{p}, {v}}}"
+    stray = np.flatnonzero(~child & (pe != -1))
+    if stray.size:
+        v = int(stray[0])
+        return f"parent_edge[{v}] = {int(pe[v])} at a node without a parent"
+    return None
+
+
 def check_roots(graph: Graph, roots) -> list[int]:
     """BFS roots as Python ints in ``[0, n)``, else :class:`ValidationError`.
 
@@ -282,13 +343,18 @@ def simulate_floods(
     results = []
     for channel, root in channel_roots.items():
         parent = np.full(graph.n, -1, dtype=np.int64)
+        parent_edge = np.full(graph.n, -1, dtype=np.int64)
         dist = np.full(graph.n, -1, dtype=np.int64)
         children: list[list[int]] = [[] for _ in range(graph.n)]
         for v, prog in enumerate(programs):
             if channel in prog.dist:
                 dist[v] = prog.dist[channel]
                 pport = prog.parent_port[channel]
-                parent[v] = v if pport is None else network.neighbor(v, pport)
+                if pport is None:
+                    parent[v] = v
+                else:
+                    parent[v] = network.neighbor(v, pport)
+                    parent_edge[v] = network.edge_of_port(v, pport)
             # Canonical child order (ascending id): CHILD notices all land in
             # the same round, so their relative order is an artifact of the
             # delivery loop, not of the protocol; sorting makes the two
@@ -297,7 +363,14 @@ def simulate_floods(
                 network.neighbor(v, p) for p in prog.child_ports.get(channel, [])
             )
         results.append(
-            BFSResult(root=root, parent=parent, dist=dist, children=children, rounds=rounds)
+            BFSResult(
+                root=root,
+                parent=parent,
+                dist=dist,
+                children=children,
+                rounds=rounds,
+                parent_edge=parent_edge,
+            )
         )
     return results, sim
 
@@ -326,11 +399,12 @@ def run_bfs_batch(
 ) -> list[BFSResult]:
     """Answer many single-root BFS queries over one (masked) graph.
 
-    Element ``i`` is the flood from ``roots[i]`` alone (parents, dists,
-    children, rounds). The simulator runs one execution per root. Under
-    ``backend="vectorized"`` all distinct roots share one
+    Element ``i`` is the flood from ``roots[i]`` alone (parents, parent
+    edges, dists, children, rounds). The simulator runs one execution per
+    root. Under ``backend="vectorized"`` all distinct roots share one
     :func:`~repro.engine.plane.plane_sweep` — one call of the BFS layer
-    loop over flat (query, node) keys — and duplicate roots share
+    loop over flat (query, node) keys, whose adopted arcs name the tree
+    edges through the masked CSR's edge ids — and duplicate roots share
     read-only result rows. Rounds are depth + 1 (the deepest layer's
     child notices drain one round later), or 0 when the root has no usable
     port and the flood never starts.
@@ -343,9 +417,12 @@ def run_bfs_batch(
         return [simulate_floods(graph, [r], [mask])[0][0] for r in root_list]
     from repro.engine.plane import plane_sweep
 
-    indptr, indices = graph.masked_csr(mask)
+    from repro.engine.kernels import arc_edge_ids
+
+    indptr, indices, edge_ids = graph.masked_csr(mask)
     uniq, inverse = np.unique(np.asarray(root_list, dtype=np.int64), return_inverse=True)
-    parent, dist, rounds = plane_sweep(graph.n, indptr, indices, uniq)
+    parent, dist, arc, rounds = plane_sweep(graph.n, indptr, indices, uniq)
+    parent_edge = arc_edge_ids(edge_ids, arc)
     return [
         BFSResult(
             root=r,
@@ -353,6 +430,7 @@ def run_bfs_batch(
             dist=dist[q],
             children=None,  # derived lazily from parent: identical lists
             rounds=int(rounds[q]),
+            parent_edge=parent_edge[q],
         )
         for r, q in zip(root_list, inverse.tolist())
     ]

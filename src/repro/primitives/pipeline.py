@@ -48,7 +48,7 @@ from repro.congest.network import Network
 from repro.congest.program import Context, NodeProgram
 from repro.congest.simulator import SimulationResult, Simulator
 from repro.graphs.graph import Graph
-from repro.primitives.bfs import BFSResult
+from repro.primitives.bfs import BFSResult, tree_edge_error
 from repro.util.errors import ProtocolError, ValidationError, integer_ids
 
 __all__ = [
@@ -169,7 +169,7 @@ class TreeBroadcastOutcome:
 
 
 def checked_messages(
-    n: int, trees: dict[int, BFSResult], messages: dict
+    graph: Graph, trees: dict[int, BFSResult], messages: dict
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Every channel's messages as aligned ``(origins, ids)``, checked the
     same way before either backend runs the pipeline.
@@ -179,10 +179,17 @@ def checked_messages(
     channel without a tree, an origin that is not an integer in ``[0, n)``,
     an id that is not an integer or does not fit in int64, origins and ids
     that are not 1-D arrays of one length, a duplicate id within a channel,
-    a tree that does not span, and a tree whose self-parents are not its
+    a tree that does not span, a tree whose self-parents are not its
     ``root`` alone, on which the simulator would root the channel at every
-    self-parent and the faulty engine at ``root``.
+    self-parent and the faulty engine at ``root``, a tree whose
+    ``parent_edge`` is not its edges (:func:`~repro.primitives.bfs.tree_edge_error`):
+    a parent that is not a neighbor, which the simulator's port table
+    refuses, or an id of another edge, which the vectorized engines would
+    charge and fault in its place, and a tree whose child list names a
+    node whose parent is another (:meth:`BFSResult.children_under_parents`),
+    which the simulator would send down and the receiver refuse mid-run.
     """
+    n = graph.n
     flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for cid, placement in messages.items():
         if cid not in trees:
@@ -211,6 +218,13 @@ def checked_messages(
         if not tree.single_rooted():
             raise ValidationError(
                 f"channel {cid}: tree root {tree.root} is not its only self-parent"
+            )
+        bad = tree_edge_error(graph, tree.parent, tree.parent_edge)
+        if bad is not None:
+            raise ValidationError(f"channel {cid}: {bad}")
+        if not tree.children_under_parents():
+            raise ValidationError(
+                f"channel {cid}: a tree child list names a node whose parent is another"
             )
     return flat
 
@@ -325,7 +339,7 @@ def run_tree_broadcast(
     certified round/congestion counts.
     """
     check_child_lists(trees)
-    flat = checked_messages(graph.n, trees, messages)
+    flat = checked_messages(graph, trees, messages)
     result, _sim = simulate_pipelines(Network(graph), trees, flat)
     check_delivery(result.programs, trees, flat)
     per_channel_k = channel_sizes(trees, flat)

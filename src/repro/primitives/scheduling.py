@@ -121,7 +121,7 @@ def run_scheduled_broadcast(
     """
     rng = ensure_rng(seed)
     check_child_lists(trees)
-    flat = checked_messages(graph.n, trees, messages)
+    flat = checked_messages(graph, trees, messages)
     per_job_k = channel_sizes(trees, flat)
     if max_delay is None:
         max_delay = max(1, sum(per_job_k.values()) // max(1, len(trees)))

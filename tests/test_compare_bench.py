@@ -214,9 +214,12 @@ class TestPhaseAttribution:
             }
         }
         regressions, _ = compare(self.OLD, new, threshold=2.0, min_seconds=0.05)
-        assert len(regressions) == 1
+        # The total names its biggest mover, and that phase, which grew
+        # 10x by 0.38 s, fails the gate on its own line as well.
+        assert len(regressions) == 2
         assert "phase 'pipeline' moved most" in regressions[0]
         assert "+0.380s" in regressions[0]
+        assert regressions[1].startswith("e13_quick.vec_phases[pipeline]: 0.040s -> 0.420s")
 
     def test_stem_matching_prefers_the_sibling_breakdown(self):
         old = {
@@ -248,6 +251,23 @@ class TestPhaseAttribution:
         old = {"e13_quick": {"vec_seconds": 0.10}}
         regressions, _ = compare(old, new, threshold=2.0, min_seconds=0.05)
         assert len(regressions) == 1 and "moved most" not in regressions[0]
+
+    def test_phase_doubling_under_a_flat_total_fails(self):
+        """Packing got 0.3 s faster and the pipeline 0.3 s slower: the total
+        stays at 1.0 s, and the pipeline phase, more than doubled, fails
+        alone."""
+        old = {"row": {"fast_seconds": 1.0, "fast_phases": {"pipeline": 0.2, "packing": 0.8}}}
+        new = {"row": {"fast_seconds": 1.0, "fast_phases": {"pipeline": 0.5, "packing": 0.5}}}
+        regressions, _ = compare(old, new, threshold=2.0, min_seconds=0.05)
+        assert regressions == [
+            "row.fast_phases[pipeline]: 0.200s -> 0.500s (2.5x > 2.0x gate)"
+        ]
+
+    def test_phase_doubling_under_the_floor_passes(self):
+        """A phase that triples by 0.02 s stays under the 0.05 s noise floor."""
+        old = {"row": {"fast_seconds": 1.0, "fast_phases": {"upcast": 0.01, "packing": 0.99}}}
+        new = {"row": {"fast_seconds": 1.0, "fast_phases": {"upcast": 0.03, "packing": 0.97}}}
+        assert compare(old, new, threshold=2.0, min_seconds=0.05) == ([], [])
 
     def test_shrinking_phases_report_no_grower(self):
         old_p = {"p.phases": {"a": 1.0}}

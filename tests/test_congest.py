@@ -29,7 +29,7 @@ class TestNetwork:
     def test_port_roundtrip(self, graph):
         net = Network(graph)
         twins = graph.arc_twins()
-        indptr, indices = graph.masked_csr()
+        indptr, indices, edge_ids = graph.masked_csr()
         for v in range(graph.n):
             assert net.degree(v) == graph.degree(v)
             for p in range(graph.degree(v)):
@@ -39,7 +39,7 @@ class TestNetwork:
                 assert net.port_to(v, u) == p
                 assert net.port_to(u, v) == int(twins[a] - indptr[u])
                 assert net.port_to(u, v) == net.arc_back_port[a]
-                assert net.edge_of_port(v, p) == graph.edge_id(v, u)
+                assert net.edge_of_port(v, p) == graph.edge_id(v, u) == edge_ids[a]
 
     def test_edge_of_port(self):
         g = cycle_graph(4)
@@ -497,7 +497,7 @@ class TestRoundTransport:
             metrics = sim.run().metrics
         else:
             trees = {0: run_bfs(g, 0, backend="vectorized")}
-            flat = checked_messages(g.n, trees, {0: {v: [v + 1] for v in range(g.n)}})
+            flat = checked_messages(g, trees, {0: {v: [v + 1] for v in range(g.n)}})
             kwargs = {"drop_rate": 0.3, "fault_seed": 5} if case == "lossy" else {}
             base = FaultySimulator if case == "lossy" else Simulator
             result, sim = simulate_pipelines(net, trees, flat, simulator=_recording(base), **kwargs)

@@ -90,19 +90,43 @@ _SETTINGS = settings(
 )
 
 
+def _parent_edges(graph: Graph, parent) -> np.ndarray:
+    """The ``parent_edge`` a tree with these parents carries, looked up
+    one node at a time: a hand-built tree's ids."""
+    return np.array(
+        [-1 if p in (-1, v) else graph.edge_id(p, v) for v, p in enumerate(parent)],
+        dtype=np.int64,
+    )
+
+
 def _bent_tree(graph: Graph, bend: str) -> BFSResult:
-    """Node 0's BFS tree on ``cycle_graph(6)`` bent one of three ways:
+    """Node 0's BFS tree on ``cycle_graph(6)`` bent one of five ways:
     every non-root ``dist`` one too deep (``deep``), node 3 made a second
-    self-parent (``forest``), or the ``root`` field relabelled to node 3
-    (``root field``)."""
+    self-parent (``forest``), the ``root`` field relabelled to node 3
+    (``root field``), node 3 re-parented to node 0 at depth 1 over the
+    non-edge {0, 3} (``non-edge``), or node 3's ``parent_edge`` naming
+    edge {3, 4} while its parent stays node 2 (``wrong edge id``). All
+    but ``deep`` stay BFS-layered."""
     tree = run_bfs(graph, 0, backend="vectorized")
     if bend == "deep":
-        return BFSResult(0, tree.parent, tree.dist + (tree.dist > 0), None, tree.rounds)
-    if bend == "forest":
         return BFSResult(
-            0, np.array([0, 0, 1, 3, 3, 0]), np.array([0, 1, 2, 0, 1, 1]), None, tree.rounds
+            0, tree.parent, tree.dist + (tree.dist > 0), None, tree.rounds, tree.parent_edge
         )
-    return BFSResult(3, tree.parent, tree.dist, None, tree.rounds)
+    if bend == "forest":
+        parent = np.array([0, 0, 1, 3, 3, 0])
+        return BFSResult(
+            0, parent, np.array([0, 1, 2, 0, 1, 1]), None, tree.rounds,
+            _parent_edges(graph, parent),
+        )
+    if bend == "non-edge":
+        parent, dist = tree.parent.copy(), tree.dist.copy()
+        parent[3], dist[3] = 0, 1
+        return BFSResult(0, parent, dist, None, tree.rounds, tree.parent_edge)
+    if bend == "wrong edge id":
+        parent_edge = tree.parent_edge.copy()
+        parent_edge[3] = graph.edge_id(3, 4)
+        return BFSResult(0, tree.parent, tree.dist, None, tree.rounds, parent_edge)
+    return BFSResult(3, tree.parent, tree.dist, None, tree.rounds, tree.parent_edge)
 
 
 class TestBFSEquivalence:
@@ -249,6 +273,43 @@ class TestPipelineEquivalence:
         assert len(set(texts)) == 1 and "channel 0" in texts[0] and "self-parent" in texts[0]
 
     @pytest.mark.parametrize(
+        "bend, text",
+        [
+            ("non-edge", "tree edge {0, 3} is not an edge of the graph"),
+            ("wrong edge id", "parent_edge[3] = 3 is not the edge {2, 3}"),
+        ],
+    )
+    def test_tree_off_its_edges_rejected(self, bend, text):
+        """A channel tree's edges must be host edges, and its
+        ``parent_edge`` must name them: every Lemma 1 entry point and the
+        simulator's grid cell refuse a layered tree over the non-edge
+        {0, 3}, and one whose id for node 3 names another edge, with one
+        error naming the channel. Before, on the non-edge, the three
+        simulator paths raised "3 is not a neighbor of 0" and the two
+        vectorized engines KeyError "no edge {0, 3}"."""
+        from repro.congest.network import Network
+        from repro.core.resilient import _simulate_cell
+
+        g = cycle_graph(6)
+        tree = _bent_tree(g, bend)
+        assert tree.layered()
+        messages = {2: [1, 2], 4: [3]}
+        mids = np.array([1, 2, 3])
+        runs = [
+            lambda: run_tree_broadcast(g, {0: tree}, {0: messages}),
+            lambda: vectorized_tree_broadcast(g, {0: tree}, {0: messages}),
+            lambda: run_scheduled_broadcast(g, {0: tree}, {0: messages}),
+            lambda: vectorized_faulty_broadcast(g, {0: tree}, {0: messages}),
+            lambda: _simulate_cell(Network(g), {0: tree}, {0: messages}, mids, FaultPlan(), 0, 0),
+        ]
+        texts = []
+        for run in runs:
+            with pytest.raises(ValidationError) as err:
+                run()
+            texts.append(str(err.value))
+        assert texts == [f"channel 0: {text}"] * len(runs)
+
+    @pytest.mark.parametrize(
         "graph, placement, rounds",
         [
             (path_graph(10), {9: 10}, 27),
@@ -308,7 +369,7 @@ class TestPipelineEquivalence:
         full = run_bfs(g, 0, backend="vectorized")
         children = [list(c) for c in full.children]
         edit(children[node])
-        tree = BFSResult(0, full.parent, full.dist, children, full.rounds)
+        tree = BFSResult(0, full.parent, full.dist, children, full.rounds, full.parent_edge)
         texts = []
         for run in (run_tree_broadcast, vectorized_tree_broadcast, run_scheduled_broadcast):
             with pytest.raises(ValidationError) as err:
@@ -492,10 +553,10 @@ class TestFrontierSweepTies:
         """``(label, parent, dist, indptr, indices, root)`` of one solo
         sweep, one plane over ``roots`` and one union over three disjoint
         classes, all on the CSR of the edges in ``keep``."""
-        indptr, indices = g.masked_csr(keep)
-        parent, dist = frontier_sweep(g.n, indptr, indices, roots[1])
+        indptr, indices, _edge_ids = g.masked_csr(keep)
+        parent, dist, _arc = frontier_sweep(g.n, indptr, indices, roots[1])
         yield "solo", parent, dist, indptr, indices, roots[1]
-        parents, dists, _rounds = plane_sweep(g.n, indptr, indices, roots)
+        parents, dists, _arcs, _rounds = plane_sweep(g.n, indptr, indices, roots)
         for q, r in enumerate(roots):
             yield f"plane[{q}]", parents[q], dists[q], indptr, indices, r
         masks = [(np.arange(g.m) % 3 == c) & keep for c in range(3)]
@@ -726,7 +787,7 @@ class TestAwkwardInputs:
         assert check_bfs(g, 0, edge_mask=full) == []
         assert np.array_equal(g.masked_csr(full)[0], g._indptr)
         halves = [np.array([True, False]), np.array([False, True])]
-        indptr, indices = g.disjoint_masked_csrs(halves)
+        indptr, indices, _arc_class = g.disjoint_masked_csrs(halves)
         for c, mask in enumerate(halves):
             sub = g.edge_subgraph(mask)
             block = indptr[c * g.n : (c + 1) * g.n + 1]
@@ -792,14 +853,14 @@ class TestMaskedCSRMemoization:
     def test_cache_hit_on_repeated_mask(self):
         g = thick_cycle(6, 4)
         mask = random_edge_masks(g, 2, seed=1)[0]
-        indptr1, indices1 = g.masked_csr(mask)
+        indptr1, indices1, eids1 = g.masked_csr(mask)
         assert g.masked_csr_hits == 0
-        indptr2, indices2 = g.masked_csr(mask.copy())  # equal content, new array
+        indptr2, indices2, eids2 = g.masked_csr(mask.copy())  # equal content, new array
         assert g.masked_csr_hits == 1
-        assert indptr1 is indptr2 and indices1 is indices2
+        assert indptr1 is indptr2 and indices1 is indices2 and eids1 is eids2
         # A different mask is a different cache entry, not a stale hit.
         other = ~mask
-        indptr3, _ = g.masked_csr(other)
+        indptr3, _, _ = g.masked_csr(other)
         assert g.masked_csr_hits == 1
         assert not np.array_equal(indptr1, indptr3)
 
@@ -817,7 +878,7 @@ class TestMaskedCSRMemoization:
         for a, b in zip(first, again, strict=True):
             assert np.array_equal(a.parent, b.parent)
             assert np.array_equal(a.dist, b.dist) and a.rounds == b.rounds
-        assert g._masked_csr_cache == {} and g.masked_csr_hits == 0
+        assert g._cache == {} and g.masked_csr_hits == 0
 
     def test_parallel_bfs_reuses_cached_csr(self):
         self._assert_repeat_run_rebuilds(1)
@@ -827,8 +888,8 @@ class TestMaskedCSRMemoization:
 
     def test_none_mask_is_not_cached_copy(self):
         g = thick_cycle(6, 4)
-        indptr, indices = g.masked_csr(None)
-        assert indptr is g._indptr and indices is g._indices
+        indptr, indices, edge_ids = g.masked_csr(None)
+        assert indptr is g._indptr and indices is g._indices and edge_ids is g._adj_edge_id
         assert g.masked_csr_hits == 0
 
 
@@ -1001,7 +1062,7 @@ class TestFaultEngineEquivalence:
         full = run_bfs(g, 0, backend="vectorized")
         children = [list(c) for c in full.children]
         children[1].remove(2)
-        tree = BFSResult(0, full.parent, full.dist, children, full.rounds)
+        tree = BFSResult(0, full.parent, full.dist, children, full.rounds, full.parent_edge)
         messages = {0: {0: [1], 3: [2]}}
         vec = vectorized_faulty_broadcast(g, {0: tree}, messages)
         sim = _simulate_cell(
@@ -1009,6 +1070,36 @@ class TestFaultEngineEquivalence:
         )
         assert diff(vec, sim, "tree") == []
         assert vec.receipt_counts.tolist() == [4, 4]
+
+    @pytest.mark.parametrize("lister", [5, 4])
+    def test_child_list_naming_another_nodes_child_rejected(self, lister):
+        """A collected child list may leave a child out but not list
+        another node's child: both faulty paths refuse node 3 (whose parent
+        is node 2) on node ``lister``'s list with one error naming the
+        channel. Before, over the non-edge {5, 3} the simulator's grid cell
+        raised "3 is not a neighbor of 5" and the faulty engine KeyError;
+        over the edge {4, 3} the grid cell raised ProtocolError mid-run
+        ("DOWN on non-parent port") and the faulty engine delivered."""
+        from repro.congest.network import Network
+        from repro.core.resilient import _simulate_cell
+
+        g = cycle_graph(6)
+        full = run_bfs(g, 0, backend="vectorized")
+        children = [list(c) for c in full.children]
+        children[lister] = sorted(children[lister] + [3])
+        tree = BFSResult(0, full.parent, full.dist, children, full.rounds, full.parent_edge)
+        messages = {0: {0: [1], 3: [2]}}
+        texts = []
+        for run in (
+            lambda: vectorized_faulty_broadcast(g, {0: tree}, messages),
+            lambda: _simulate_cell(
+                Network(g), {0: tree}, messages, np.array([1, 2]), FaultPlan(), 0, 0
+            ),
+        ):
+            with pytest.raises(ValidationError) as err:
+                run()
+            texts.append(str(err.value))
+        assert texts == ["channel 0: a tree child list names a node whose parent is another"] * 2
 
     @pytest.mark.parametrize("shape", [(10, 6), (8, 5)])
     @pytest.mark.parametrize("parts", [1, 2, 3])

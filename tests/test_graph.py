@@ -89,7 +89,6 @@ def _reference_csr(g: Graph) -> dict[str, np.ndarray]:
         "_indptr": indptr,
         "_indices": indices,
         "_adj_edge_id": eids[order],
-        "_sorted_arc_keys": keys,
         "arc_sources": sources,
         "arc_twins": np.searchsorted(keys, indices * n + sources),
     }
@@ -134,25 +133,33 @@ class TestDisjointUnionCSR:
         # Colour `classes` is left uncovered, and the last class is empty.
         masks = [colors == c for c in range(classes - 1)]
         masks.append(np.zeros(g.m, dtype=bool))
-        indptr, indices = g.disjoint_masked_csrs(masks)
+        indptr, indices, arc_class = g.disjoint_masked_csrs(masks)
         n = g.n
         assert indptr.shape == (classes * n + 1,)
         assert indptr.dtype == indices.dtype == np.int64
         assert indices.size == indptr[-1]
+        # The last arc of every union row names its class's edge, as
+        # masked_csr does; an empty row names none.
+        last = np.where(np.diff(indptr) > 0, indptr[1:] - 1, -1)
+        edge = g.disjoint_edge_ids(arc_class, indptr, last)
         for c, mask in enumerate(masks):
-            want_ptr, want_idx = g.masked_csr(mask)
+            want_ptr, want_idx, want_eid = g.masked_csr(mask)
             block = indptr[c * n : (c + 1) * n + 1]
             assert np.array_equal(block - block[0], want_ptr)
             assert np.array_equal(indices[block[0] : block[-1]] - c * n, want_idx)
+            rows = np.diff(want_ptr) > 0
+            want_last = np.full(n, -1)
+            want_last[rows] = want_eid[want_ptr[1:][rows] - 1]
+            assert np.array_equal(edge[c * n : (c + 1) * n], want_last)
 
     def test_wide_labels(self):
         # 300 classes need a label wider than one byte.
         g = thick_cycle(10, 6)
         masks = [np.arange(g.m) % 300 == c for c in range(300)]
-        indptr, indices = g.disjoint_masked_csrs(masks)
-        assert g.mask_labels(masks).dtype == np.uint16
+        indptr, indices, arc_class = g.disjoint_masked_csrs(masks)
+        assert g.mask_labels(masks).dtype == arc_class.dtype == np.uint16
         for c in (0, 1, 255, 299):
-            want_ptr, want_idx = g.masked_csr(masks[c])
+            want_ptr, want_idx, _ = g.masked_csr(masks[c])
             block = indptr[c * g.n : (c + 1) * g.n + 1]
             assert np.array_equal(block - block[0], want_ptr)
             assert np.array_equal(indices[block[0] : block[-1]] - c * g.n, want_idx)
@@ -188,12 +195,23 @@ def _traced_peak(fn) -> int:
 class TestMemoryBudgets:
     """Peak construction memory on ``thick_cycle(250, 40)`` (m = 4·10⁵),
     in bytes per edge. ``tracemalloc`` sees numpy's allocations, so the
-    figures repeat exactly. What stays resident is 64 B/edge: ``edge_u``,
-    ``edge_v``, ``_indices``, ``_adj_edge_id`` and the sorted arc keys."""
+    figures repeat exactly. What stays resident is 48 B/edge: ``edge_u``,
+    ``edge_v``, ``_indices`` and ``_adj_edge_id``, the CSR's edge ids. No
+    arc keys are kept: trees carry their edge ids, so nothing looks an
+    edge up by its endpoints."""
 
     @pytest.fixture(scope="class")
     def host(self):
         return thick_cycle(250, 40)
+
+    def test_resident_arrays(self, host):
+        g = Graph(host.n, np.stack([host.edge_u, host.edge_v], axis=1))
+        held = sum(
+            getattr(g, name).nbytes
+            for name in Graph.__slots__
+            if isinstance(getattr(g, name), np.ndarray)
+        )
+        assert held <= 48 * g.m + 8 * (g.n + 1)  # _indptr is per node
 
     def test_graph_constructor(self, host):
         edges = np.stack([host.edge_u, host.edge_v], axis=1)

@@ -128,12 +128,15 @@ class TestFailureInjection:
         bad_parent[leaf] = leaf
         bad_children = [list(c) for c in view.children]
         bad_children[int(view.parent[leaf])].remove(leaf)
+        bad_edge = view.parent_edge.copy()
+        bad_edge[leaf] = -1
         bad = BFSResult(
             root=view.root,
             parent=bad_parent,
             dist=view.dist,
             children=bad_children,
             rounds=0,
+            parent_edge=bad_edge,
         )
         with pytest.raises((ProtocolError, ValidationError)):
             run_tree_broadcast(g, {0: bad}, {0: {0: [1, 2]}})

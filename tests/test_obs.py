@@ -164,6 +164,23 @@ class TestArtifacts:
         assert "outer" in text and "inner" in text
         assert "events" in text and "(max)" in text
 
+    def test_minor_faults_recorded_and_round_tripped(self, tmp_path):
+        """A span that touches fresh memory records the minor page faults it
+        took, beside its peak-RSS delta, and both artifact formats and the
+        ``repro trace`` table carry the count."""
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            with obs.span("touch"):
+                np.ones(1 << 22)  # 32 MB of fresh pages
+        (rec,) = tracer.spans
+        assert rec.minflt > 0
+        for name in ("t.jsonl", "t.json"):
+            (back,) = obs.load_trace(tracer.write(tmp_path / name)).spans
+            assert back.minflt == rec.minflt
+        text = obs.format_report(obs.TraceData(spans=[rec]))
+        header, row = text.splitlines()[1:3]
+        assert header.split()[-1] == "minflt" and row.split()[-1] == str(rec.minflt)
+
     def test_load_trace_rejects_junk(self, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("not json at all")

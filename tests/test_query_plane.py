@@ -25,7 +25,7 @@ from repro.engine.verify import (
     random_connected_graph,
     random_edge_masks,
 )
-from repro.engine.kernels import frontier_sweep
+from repro.engine.kernels import arc_edge_ids, frontier_sweep
 from repro.graphs import Graph, cycle_graph, thick_cycle
 from repro.primitives.bfs import run_bfs, run_bfs_batch
 from repro.util.errors import ValidationError
@@ -50,12 +50,13 @@ class TestPlaneVsSolo:
         g = random_connected_graph(n, extra, seed=seed)
         rng = rng_from_seed(seed + 1)
         roots = rng.integers(0, n, size=q).tolist()
-        indptr, indices = g.masked_csr(None)
-        parent, dist, rounds = plane_sweep(g.n, indptr, indices, roots)
+        indptr, indices, edge_ids = g.masked_csr(None)
+        parent, dist, arc, rounds = plane_sweep(g.n, indptr, indices, roots)
         for i, r in enumerate(roots):
             solo = run_bfs(g, int(r), backend="simulator")
             assert np.array_equal(parent[i], solo.parent)
             assert np.array_equal(dist[i], solo.dist)
+            assert np.array_equal(arc_edge_ids(edge_ids, arc[i]), solo.parent_edge)
             assert int(rounds[i]) == solo.rounds
 
     @_SETTINGS
@@ -105,7 +106,7 @@ class TestPlaneVsSolo:
 
     def test_chunked_plane_equals_resident_plane(self, monkeypatch):
         g = thick_cycle(6, 3)
-        indptr, indices = g.masked_csr(None)
+        indptr, indices, _ = g.masked_csr(None)
         roots = list(range(g.n)) * 2
         full = plane_sweep(g.n, indptr, indices, roots)
         monkeypatch.setattr(plane, "_PLANE_MAX_CELLS", 2 * g.n)
@@ -122,9 +123,10 @@ class TestPlaneEdges:
             assert res.parent.tolist() == [0]
             assert res.dist.tolist() == [0]
             assert res.rounds == 0
-        indptr, indices = g.masked_csr(None)
-        parent, dist, rounds = plane_sweep(1, indptr, indices, [0, 0, 0])
-        assert parent.shape == (3, 1) and rounds.tolist() == [0, 0, 0]
+        indptr, indices, _ = g.masked_csr(None)
+        parent, dist, arc, rounds = plane_sweep(1, indptr, indices, [0, 0, 0])
+        assert parent.shape == arc.shape == (3, 1) and rounds.tolist() == [0, 0, 0]
+        assert arc.tolist() == [[-1]] * 3
 
     def test_empty_batch(self):
         g = thick_cycle(3, 3)
@@ -133,7 +135,7 @@ class TestPlaneEdges:
 
     def test_root_out_of_range_rejected(self):
         g = thick_cycle(3, 3)
-        indptr, indices = g.masked_csr(None)
+        indptr, indices, _ = g.masked_csr(None)
         for bad in (-1, g.n):
             with pytest.raises(ValidationError):
                 plane_sweep(g.n, indptr, indices, [0, bad])
@@ -191,7 +193,7 @@ class TestKernelRoots:
     @pytest.mark.parametrize("root", [1.7, np.float64(2.0)])
     def test_fractional_root_rejected(self, root):
         g = cycle_graph(6)
-        indptr, indices = g.masked_csr(None)
+        indptr, indices, _ = g.masked_csr(None)
         with pytest.raises(ValidationError):
             frontier_sweep(g.n, indptr, indices, root)
         with pytest.raises(ValidationError):
@@ -202,10 +204,10 @@ class TestKernelRoots:
     @pytest.mark.parametrize("root", [np.int64(2), np.int32(2), True])
     def test_numpy_and_bool_roots_accepted(self, root):
         g = cycle_graph(6)
-        indptr, indices = g.masked_csr(None)
+        indptr, indices, _ = g.masked_csr(None)
         node = int(root)
-        parent, dist = frontier_sweep(g.n, indptr, indices, root)
-        assert dist[node] == 0 and parent[node] == node
+        parent, dist, arc = frontier_sweep(g.n, indptr, indices, root)
+        assert dist[node] == 0 and parent[node] == node and arc[node] == -1
         planes = plane_sweep(g.n, indptr, indices, [root])
         assert planes[1][0, node] == 0
         (res,) = masked_union_bfs(g, [np.ones(g.m, dtype=bool)], [root])

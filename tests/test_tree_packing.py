@@ -21,14 +21,21 @@ class TestSpanningTree:
     def test_depth_and_edges(self):
         parent = np.array([0, 0, 1, 2])
         depth = np.array([0, 1, 2, 3])
-        t = SpanningTree(root=0, parent=parent, depth_of=depth)
+        t = SpanningTree(
+            root=0, parent=parent, depth_of=depth, parent_edge=np.array([-1, 0, 1, 2])
+        )
         assert t.depth == 3
         assert sorted(t.edges()) == [(0, 1), (1, 2), (2, 3)]
         assert t.diameter() == 3
 
     def test_star_diameter(self):
         parent = np.array([0, 0, 0, 0])
-        t = SpanningTree(root=0, parent=parent, depth_of=np.array([0, 1, 1, 1]))
+        t = SpanningTree(
+            root=0,
+            parent=parent,
+            depth_of=np.array([0, 1, 1, 1]),
+            parent_edge=np.array([-1, 0, 1, 2]),
+        )
         assert t.diameter() == 2
 
     def test_path_to_root(self):
@@ -36,16 +43,27 @@ class TestSpanningTree:
             root=0,
             parent=np.array([0, 0, 1]),
             depth_of=np.array([0, 1, 2]),
+            parent_edge=np.array([-1, 0, 1]),
         )
         assert t.path_to_root(2) == [2, 1, 0]
 
     def test_rejects_orphan(self):
         with pytest.raises(ValidationError):
-            SpanningTree(root=0, parent=np.array([0, -1]), depth_of=np.array([0, 1]))
+            SpanningTree(
+                root=0,
+                parent=np.array([0, -1]),
+                depth_of=np.array([0, 1]),
+                parent_edge=np.array([-1, -1]),
+            )
 
     def test_rejects_bad_root(self):
         with pytest.raises(ValidationError):
-            SpanningTree(root=1, parent=np.array([0, 0]), depth_of=np.array([0, 1]))
+            SpanningTree(
+                root=1,
+                parent=np.array([0, 0]),
+                depth_of=np.array([0, 1]),
+                parent_edge=np.array([-1, 0]),
+            )
 
 
 class TestBuildPacking:
