@@ -34,6 +34,7 @@ equality and the coverage separation asserted, no timing assertions.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -64,12 +65,11 @@ def _setup(groups: int, size: int, k: int, parts: int, seed: int = 2):
 
 
 def _report_fields(rep):
-    return (
-        rep.rounds,
-        rep.dropped_messages,
-        rep.fully_delivered,
-        rep.per_message_coverage,
-    )
+    """Every field of a delivery report but the backend that wrote it:
+    coverage, rounds, drops, send totals and the fault RNG state."""
+    fields = dataclasses.asdict(rep)
+    del fields["backend"]
+    return fields
 
 
 def _assert_separation(g, packing, placement, k, parts, backend="vectorized"):
@@ -135,7 +135,7 @@ def run_quick():
         t0 = time.perf_counter()
         out[backend] = evaluate_fault_grid(g, placement, packing, cells, backend=backend)
         secs[backend] = time.perf_counter() - t0
-    r1, r2, lossy, mobile, null = out["vectorized"]
+    r1, r2, _lossy, mobile, null = out["vectorized"]
     assert r1.fully_delivered == k - k // parts and r1.min_coverage < 1.0
     assert r2.fully_delivered == k and r2.min_coverage == 1.0
     assert mobile.dropped_messages > 0, "the mobile adversary hit nothing"
@@ -144,9 +144,6 @@ def run_quick():
         assert _report_fields(sim) == _report_fields(vec), (
             f"backend drift in quick scenario {i}"
         )
-    assert (
-        out["simulator"][2].fault_rng_state == lossy.fault_rng_state
-    ), "fault RNG streams diverged"
     write_bench_artifact(
         "e16_quick",
         {
@@ -204,7 +201,6 @@ def run_experiment():
     rows_a = []
     for (name, r, _), rep, solo in zip(jobs, reports, looped):
         assert _report_fields(rep) == _report_fields(solo), (name, r)
-        assert rep.fault_rng_state == solo.fault_rng_state, (name, r)
         ta.add_row([
             name, r, rep.rounds, rep.dropped_messages,
             f"{rep.fully_delivered}/{k}", round(rep.min_coverage, 3),
@@ -280,7 +276,6 @@ def run_experiment():
         out[backend] = (rep, time.perf_counter() - t0)
     sim, vec = out["simulator"], out["vectorized"]
     assert _report_fields(sim[0]) == _report_fields(vec[0]), "backend drift at n=1e4"
-    assert sim[0].fault_rng_state == vec[0].fault_rng_state
     speedup = sim[1] / vec[1]
     print(
         f"E16c backend cross-check (n={n}, k={kc}): sim {sim[1]:.1f}s, "

@@ -19,8 +19,9 @@ whole-network numpy batches instead of per-node Python state machines:
   :func:`repro.engine.fastpath.pipeline_closed_form`. The other channels'
   state is arrays throughout: their up-queues live in one flat
   :class:`_UpQueue` that all three paths (rate-0 spans, total loss, the
-  per-round replay) read, and the replay draws each round's delivery batch
-  from a slot table numbered once, in the simulator's delivery order.
+  per-round replay) read. The replay numbers every possible crossing once,
+  in the simulator's delivery order, and builds each round's batch from
+  that round's senders alone: it sorts them and expands their slot ranges.
 
 **Bit-identical contract.** Both kernels replicate the corresponding
 :class:`~repro.congest.faults.FaultySimulator` execution exactly: the same
@@ -90,29 +91,42 @@ class FaultStream:
             self.dead[
                 np.fromiter(plan.dead_edges, dtype=np.int64, count=len(plan.dead_edges))
             ] = True
+        self.any_dead = bool(plan.dead_edges)
         self.dropped = 0
 
-    def deliver_mask(self, rnd: int, eids: np.ndarray) -> np.ndarray:
-        """True where the message on ``eids[i]`` survives delivery round ``rnd``."""
-        drop = self.dead[eids]
-        spot = self.mobile.get(rnd)
-        if spot:
-            mob = np.zeros(self.m, dtype=bool)
-            mob[np.fromiter(spot, dtype=np.int64, count=len(spot))] = True
-            drop = drop | mob[eids]
+    def drops_edges(self, rnd: int) -> bool:
+        """Whether a dead or mobile edge can drop a delivery of round ``rnd``."""
+        return self.any_dead or bool(self.mobile.get(rnd))
+
+    def deliver_mask(self, rnd: int, eids: np.ndarray | int) -> np.ndarray:
+        """True where the message on ``eids[i]`` survives delivery round ``rnd``.
+
+        In a round where no edge drops (:meth:`drops_edges` is false) only
+        the batch's size matters, and ``eids`` may be that size.
+        """
+        if self.drops_edges(rnd):
+            alive = ~self.dead[eids]
+            spot = self.mobile.get(rnd)
+            if spot:
+                mob = np.ones(self.m, dtype=bool)
+                mob[np.fromiter(spot, dtype=np.int64, count=len(spot))] = False
+                alive &= mob[eids]
+            live = np.flatnonzero(alive)
+            if self.rate > 0.0 and live.size:
+                alive[live] = self._coins(live.size)
         else:
-            drop = drop.copy()
-        if self.rate > 0.0:
-            alive_idx = np.nonzero(~drop)[0]
-            if alive_idx.size:
-                obs.count("rng.fault_coins", alive_idx.size)
-                coin = self.rng.random(alive_idx.size) < self.rate
-                drop[alive_idx[coin]] = True
-        n_dropped = int(drop.sum())
+            size = eids if isinstance(eids, int) else eids.size
+            alive = self._coins(size) if self.rate > 0.0 and size else np.ones(size, dtype=bool)
+        n_dropped = alive.size - int(np.count_nonzero(alive))
         self.dropped += n_dropped
         if n_dropped:
             obs.count("faults.dropped", n_dropped)
-        return ~drop
+        return alive
+
+    def _coins(self, size: int) -> np.ndarray:
+        """Draw ``size`` fault coins, in order; True where one spares its message."""
+        obs.count("rng.fault_coins", size)
+        return self.rng.random(size) >= self.rate
 
     @property
     def rng_state(self) -> dict:
@@ -548,11 +562,12 @@ def _span_broadcast_viable(n: int, chans: list[_Channel], kmax: list[int]) -> bo
     """Preconditions of the closed-form downcast, checked per channel.
 
     The span path needs a proper BFS layering of the children arcs (root
-    depth 0, child depth = parent depth + 1, at most one parent arc per
-    node, all depths known) so emissions pipeline at exactly one layer
-    per round, and a bounded packed hole matrix (n × ceil(K/8) bytes,
-    capped at ~256 MB using the a-priori bound K ≤ items placed on the
-    channel). Anything else falls back to the per-round replay.
+    depth 0, child depth = parent depth + 1, all depths known; checked
+    child lists name each node once, under its parent) so emissions
+    pipeline at exactly one layer per round, and a bounded packed hole
+    matrix (n × ceil(K/8) bytes, capped at ~256 MB using the a-priori
+    bound K ≤ items placed on the channel). Anything else falls back to
+    the per-round replay.
     """
     for st, k in zip(chans, kmax):
         if n * ((k + 7) // 8) > (1 << 28):
@@ -560,8 +575,6 @@ def _span_broadcast_viable(n: int, chans: list[_Channel], kmax: list[int]) -> bo
         if st.dist[st.root] != 0 or np.any(st.dist < 0):
             return False
         if st.cind.size:
-            if np.bincount(st.cind, minlength=n).max() > 1:
-                return False
             arc_parent = np.repeat(np.arange(n, dtype=np.int64), np.diff(st.cindptr))
             if not np.array_equal(st.dist[st.cind], st.dist[arc_parent] + 1):
                 return False
@@ -792,82 +805,90 @@ def _replay_faulty_broadcast(
 
     Every possible crossing gets a slot, numbered once in the simulator's
     delivery order: sender node ascending, then channel, the up-send before
-    the down-sends, children in tree order. Each round sets the slots of
-    every up-queue head and every down sender and reads them back with
-    ``flatnonzero`` — the round's delivery batch, already in that order —
-    so the plan drops from it exactly as ``FaultySimulator._deliver``
-    would, coin for coin. ``down_row[q]`` holds what queue ``q`` (channel,
-    node) sends down next: the row a non-root received this round, or a
-    root's next item. Returns ``(rounds, total_messages, total_bits)``.
+    the down-sends, children in tree order. ``sptr`` cuts the slots into
+    sender ranges: queue ``q`` (channel ``ci``, node ``v``) up-sends from
+    range ``key[q] = 2·(v·c + ci)`` and down-sends from range ``key[q] + 1``.
+    Each round lists its senders (every up-queue head, each root's next
+    item, and the internal nodes that received a down item last round),
+    sorts only their keys and expands their ranges, so the batch comes out
+    in delivery order and the plan drops from it exactly as
+    ``FaultySimulator._deliver`` would, coin for coin. Bits are priced per
+    sender, and the batch's edge ids are gathered only in a round where an
+    edge can drop. Returns ``(rounds, total_messages, total_bits)``.
     """
     c = len(chans)
+    qids = np.arange(c * n, dtype=np.int64)
     nchild = np.array([np.diff(st.cindptr) for st in chans], dtype=np.int64).ravel()
-    nonroot = up.to != np.arange(c * n)
-    # Sender v's slots hold, per channel, its up slot (non-roots only) and
-    # then one down slot per child; the blocks run in (v, channel) order.
-    width = (nonroot + nchild).reshape(c, n).T.ravel()
-    first = (np.cumsum(width) - width).reshape(n, c).T.ravel()  # per queue id
-    down_first = first + nonroot
-    size = int(width.sum())
+    nonroot = up.to != qids
+    key = 2 * ((qids % n) * c + qids // n)
+    width = np.empty(2 * c * n, dtype=np.int64)
+    width[key], width[key + 1] = nonroot, nchild
+    sptr = np.concatenate(([0], np.cumsum(width)))
+    size = int(sptr[-1])
     slot_eid = np.empty(size, dtype=np.int64)
-    slot_to = np.empty(size, dtype=np.int64)  # the receiving queue id
-    slot_up = np.zeros(size, dtype=bool)
+    # An up slot's receiving queue; a down slot's receiver as a sender (its
+    # down key), or -1 at a leaf. Down slots also carry the receiver's
+    # receipt bit: its byte within a receipt row, and the bit's mask.
+    slot_dst = np.empty(size, dtype=np.int64)
+    slot_byte = np.zeros(size, dtype=np.int64)
+    slot_bit = np.zeros(size, dtype=np.uint8)
     q = np.flatnonzero(nonroot)
-    slot_eid[first[q]], slot_to[first[q]], slot_up[first[q]] = up.eid[q], up.to[q], True
+    s = sptr[key[q]]
+    slot_eid[s], slot_dst[s] = up.eid[q], up.to[q]
     for ci, st in enumerate(chans):
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(st.cindptr))
-        s = down_first[ci * n + src] + np.arange(st.cind.size) - st.cindptr[src]
-        slot_eid[s], slot_to[s] = st.ceid, ci * n + st.cind
-    slot_bits = cid_bits[slot_to // n]
-
-    active = np.zeros(size, dtype=bool)
-    slot_row = np.zeros(size, dtype=np.int64)
-    down_row = np.full(c * n, -1, dtype=np.int64)
+        s = sptr[key[ci * n + src] + 1] + np.arange(st.cind.size) - st.cindptr[src]
+        to = ci * n + st.cind
+        slot_eid[s], slot_dst[s] = st.ceid, np.where(nchild[to] > 0, key[to] + 1, -1)
+        slot_byte[s], slot_bit[s] = st.cind >> 3, 1 << (st.cind & 7)
+    flat, stride = recv.reshape(-1), recv.shape[1]
+    root_key = [int(key[ci * n + st.root]) + 1 for ci, st in enumerate(chans)]
     root_head = [0] * c
-
-    def send_phase() -> tuple[np.ndarray, bool]:
-        """Pump every nonempty queue once: the round's slots, and whether
-        any queue still holds items (the simulator's wake condition — it
-        keeps the clock running when a pop sends nothing, e.g. a
-        single-node root draining its own list)."""
-        hq, hrow = up.pop_heads()
-        busy = len(up) > 0
-        for ci, st in enumerate(chans):
-            if root_head[ci] < len(st.root_dq):
-                down_row[ci * n + st.root] = st.root_dq[root_head[ci]]
-                root_head[ci] += 1
-                busy = busy or root_head[ci] < len(st.root_dq)
-        ds = np.flatnonzero(down_row >= 0)
-        cnt = nchild[ds]
-        s = np.repeat(down_first[ds] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        slot_row[s] = np.repeat(down_row[ds], cnt)
-        active[s] = True
-        down_row[ds] = -1
-        slot_row[first[hq]] = hrow
-        active[first[hq]] = True
-        idx = np.flatnonzero(active)
-        active[idx] = False
-        return idx, busy
 
     total_messages = 0
     total_bits = 0
     rounds = 0
-    idx, busy = send_phase()
-    while idx.size or busy:
+    dkey = drow = np.empty(0, dtype=np.int64)
+    while True:
+        # Pump every nonempty queue once. The clock runs while a round has
+        # crossings or any queue still holds items: the simulator's wake
+        # condition, which counts a pop that sends nothing (a single-node
+        # root draining its own list).
+        hq, hrow = up.pop_heads()
+        busy = len(up) > 0
+        rkey, rrow = [], []
+        for ci, st in enumerate(chans):
+            if root_head[ci] < len(st.root_dq):
+                rkey.append(root_key[ci])
+                rrow.append(st.root_dq[root_head[ci]])
+                root_head[ci] += 1
+                busy = busy or root_head[ci] < len(st.root_dq)
+        keys = np.concatenate((key[hq], np.array(rkey, dtype=np.int64), dkey))
+        order = np.argsort(keys)
+        keys = keys[order]
+        rows = np.concatenate((hrow, np.array(rrow, dtype=np.int64), drow))[order]
+        s, cnt = expand_csr_rows(sptr, keys)
+        if not (s.size or busy):
+            return rounds, total_messages, total_bits
         rounds += 1
-        rows = slot_row[idx]
-        total_messages += idx.size
-        total_bits += int(price[rows].sum() + slot_bits[idx].sum())
-        alive = stream.deliver_mask(rounds, slot_eid[idx])
-        idx, rows = idx[alive], rows[alive]
-        to, is_up = slot_to[idx], slot_up[idx]
-        up.arrive(to[is_up], rows[is_up], recv)
-        dq, dr = to[~is_up], rows[~is_up]
-        v = dq % n
-        np.bitwise_or.at(recv, (dr, v >> 3), (1 << (v & 7)).astype(np.uint8))
-        down_row[dq] = dr
-        idx, busy = send_phase()
-    return rounds, total_messages, total_bits
+        total_messages += s.size
+        total_bits += int((price[rows] + cid_bits[(keys >> 1) % c]) @ cnt)
+        alive = stream.deliver_mask(
+            rounds, slot_eid[s] if stream.drops_edges(rounds) else s.size
+        )
+        # An up-sender's one crossing sits at its offset into the batch.
+        is_up = np.flatnonzero((keys & 1) == 0)
+        at = (np.cumsum(cnt) - cnt)[is_up]
+        got = alive[at]
+        up.arrive(slot_dst[s[at[got]]], rows[is_up][got], recv)
+        alive[at] = False
+        s, row = s[alive], np.repeat(rows, cnt)[alive]
+        # One round can bring a row to several nodes of one receipt byte;
+        # a buffered |= would keep only one of their bits.
+        np.bitwise_or.at(flat, row * stride + slot_byte[s], slot_bit[s])
+        dkey = slot_dst[s]
+        inner = np.flatnonzero(dkey >= 0)
+        dkey, drow = dkey[inner], row[inner]
 
 
 @obs.traced("faulty_broadcast")

@@ -138,9 +138,17 @@ class BFSResult:
         child = (parent >= 0) & (parent != np.arange(parent.size))
         return bool(
             self.children_under_parents()
+            and self.children_listed_once()
             and cind.size == child.sum()
-            and np.bincount(cind, minlength=parent.size).max(initial=0) <= 1
         )
+
+    def children_listed_once(self) -> bool:
+        """Whether no child list names a node twice; lists derived from
+        ``parent`` never do."""
+        if self._children is None:
+            return True
+        cind = self.children_as_csr()[1]
+        return bool(np.unique(cind).size == cind.size)
 
     def children_under_parents(self) -> bool:
         """Whether every listed child's parent is the node that lists it,

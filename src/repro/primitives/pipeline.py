@@ -187,7 +187,9 @@ def checked_messages(
     refuses, or an id of another edge, which the vectorized engines would
     charge and fault in its place, and a tree whose child list names a
     node whose parent is another (:meth:`BFSResult.children_under_parents`),
-    which the simulator would send down and the receiver refuse mid-run.
+    which the simulator would send down and the receiver refuse mid-run,
+    or names a node twice (:meth:`BFSResult.children_listed_once`), over
+    whose port the simulator would send twice in one round.
     """
     n = graph.n
     flat: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -226,6 +228,8 @@ def checked_messages(
             raise ValidationError(
                 f"channel {cid}: a tree child list names a node whose parent is another"
             )
+        if not tree.children_listed_once():
+            raise ValidationError(f"channel {cid}: a tree child list names a node twice")
     return flat
 
 

@@ -434,6 +434,42 @@ class TestRoundTransport:
         assert sim._deliver(3, [m for m in batch if m[1] in (0, 2)]) == []
         assert sim._fault_rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "dead, mobile", [({0}, {3: {2}}), (set(), {})], ids=["dead+mobile", "rate-only"]
+    )
+    def test_fault_stream_drops_what_the_hook_drops(self, dead, mobile):
+        """The vectorized engine's ``FaultStream`` twins the fault hook over
+        the same two rounds: equal survivor masks, drop count, RNG state
+        and counters. A rate-only plan drops no edge, so the stream takes
+        the batch's size alone, as the faulty broadcast's replay passes it."""
+        from repro import obs
+        from repro.congest.adversary import FaultPlan
+        from repro.congest.faults import FaultySimulator
+        from repro.engine.faults import FaultStream
+
+        g = cycle_graph(6)
+        plan = FaultPlan(dead_edges=dead, mobile=mobile, drop_rate=0.5)
+        sim = FaultySimulator(Network(g), lambda v: NodeProgram(), plan=plan, fault_seed=9)
+        stream = FaultStream(g, plan, fault_seed=9)
+        eids = [1, 0, 2, 3, 2, 4, 5, 0, 1, 3, 4, 5, 2, 2, 0, 1, 3, 4, 5, 1]
+        batch = [(i % 6, eid, (0, (i,))) for i, eid in enumerate(eids)]
+        with obs.use_tracer() as sim_tracer:
+            kept = [sim._deliver(rnd, batch) for rnd in (3, 4)]
+        assert [stream.drops_edges(rnd) for rnd in (3, 4)] == [bool(dead)] * 2
+        with obs.use_tracer() as tracer:
+            masks = [
+                stream.deliver_mask(
+                    rnd, np.array(eids) if stream.drops_edges(rnd) else len(eids)
+                )
+                for rnd in (3, 4)
+            ]
+        assert [[m for m, a in zip(batch, mask) if a] for mask in masks] == kept
+        assert 0 < stream.dropped == sim.dropped < 2 * len(batch)
+        assert stream.rng_state == sim._fault_rng.bit_generator.state
+        counters, sim_counters = tracer.counter_values(), sim_tracer.counter_values()
+        for name in ("rng.fault_coins", "faults.dropped"):
+            assert counters[name] == sim_counters[name]
+
     @staticmethod
     def _fan_out(graph, sends, received=None):
         """Node 0 sends ``sends[i]`` (one object per group of ports) in

@@ -1101,6 +1101,33 @@ class TestFaultEngineEquivalence:
             texts.append(str(err.value))
         assert texts == ["channel 0: a tree child list names a node whose parent is another"] * 2
 
+    def test_child_listed_twice_rejected(self):
+        """A child list that names node 2 twice, under its own parent, is
+        refused by both faulty paths with one error naming the channel.
+        Before, a lossy cell's simulator raised BandwidthExceeded mid-run
+        (node 1 sent twice over one port in a round) and the faulty engine
+        delivered."""
+        from repro.congest.network import Network
+        from repro.core.resilient import _simulate_cell
+
+        g = cycle_graph(6)
+        full = run_bfs(g, 0, backend="vectorized")
+        children = [list(c) for c in full.children]
+        children[1] = children[1] * 2
+        tree = BFSResult(0, full.parent, full.dist, children, full.rounds, full.parent_edge)
+        messages, plan = {0: {3: [10, 11], 4: [12]}}, FaultPlan(drop_rate=0.3)
+        texts = []
+        for run in (
+            lambda: vectorized_faulty_broadcast(g, {0: tree}, messages, plan, 1),
+            lambda: _simulate_cell(
+                Network(g), {0: tree}, messages, np.array([10, 11, 12]), plan, 1, 0
+            ),
+        ):
+            with pytest.raises(ValidationError) as err:
+                run()
+            texts.append(str(err.value))
+        assert texts == ["channel 0: a tree child list names a node twice"] * 2
+
     @pytest.mark.parametrize("shape", [(10, 6), (8, 5)])
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_null_plan_is_the_lemma1_pipeline(self, shape, parts):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.apsp import baswana_sen_spanner, check_spanner_stretch
 from repro.cuts import koutis_xu_sparsifier
+from repro.engine.verify import random_connected_graph
 from repro.graphs import Graph, cut_value
+from repro.graphs.generators import random_weights
 
 
 @st.composite
@@ -39,23 +41,48 @@ def test_spanner_stretch_always_holds(g, k, seed):
     assert ok, f"stretch {worst} > {2*k-1} on n={g.n}, m={g.m}, k={k}"
 
 
+def _k2_host(n, extra, seed, weight_seed):
+    """A random connected host with weights in {1, 2}, as the verify sweep
+    draws them."""
+    return random_weights(random_connected_graph(n, extra, seed), 1, 2, seed=weight_seed)
+
+
+# The falsifying instances of the ROADMAP item, as (host, k, spanner seed).
+# At k = 3 the spanner drops edge (4, 6) of weight 1 and the best surviving
+# 4→6 path costs 6 > 2k−1 = 5; on each k = 2 host some edge's best
+# surviving path costs 4 > 3.
+_PINNED_SPANNERS = {
+    "k3-n8": (
+        lambda: Graph(
+            8,
+            [(0, 1), (0, 4), (1, 6), (2, 4), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7)],
+            weights=[1.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0, 1.0, 1.0],
+        ),
+        3,
+        3068,
+    ),
+    "k2-n19": (lambda: _k2_host(19, 36, 870917688, 139958029), 2, 1969451485),
+    "k2-n25-e39": (lambda: _k2_host(25, 39, 117280778, 131588958), 2, 2048788953),
+    "k2-n25-e40": (lambda: _k2_host(25, 40, 411588904, 2020265890), 2, 378336164),
+}
+
+
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="known stretch bug: ROADMAP.md open item 'Fix the spanner stretch bug'",
 )
+@pytest.mark.parametrize("instance", list(_PINNED_SPANNERS))
 @pytest.mark.parametrize("backend", ["simulator", "vectorized"])
-def test_spanner_stretch_pinned_instance(backend):
-    """The falsifying instance of the ROADMAP item: the spanner drops edge
-    (4, 6) of weight 1 and the best surviving 4→6 path costs 6 > 2k−1 = 5.
-    Strict, so a fix turns this red until the marker is removed."""
-    g = Graph(
-        8,
-        [(0, 1), (0, 4), (1, 6), (2, 4), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7)],
-        weights=[1.0, 1.0, 4.0, 1.0, 5.0, 1.0, 1.0, 1.0, 1.0],
-    )
-    sp = baswana_sen_spanner(g, 3, seed=3068, backend=backend)
-    ok, worst = check_spanner_stretch(g, sp.spanner, 3)
-    assert ok, f"stretch {worst} > 5"
+def test_spanner_stretch_pinned_instance(backend, instance):
+    """Each falsifying instance of the ROADMAP item breaks stretch 2k−1 on
+    both backends. Strict, so a fix turns these red until the marker is
+    removed; only the stretch assertion counts as the expected failure."""
+    host, k, seed = _PINNED_SPANNERS[instance]
+    g = host()
+    sp = baswana_sen_spanner(g, k, seed=seed, backend=backend)
+    ok, worst = check_spanner_stretch(g, sp.spanner, k)
+    assert ok, f"stretch {worst} > {2 * k - 1}"
 
 
 @given(weighted_connected_graphs(), st.integers(2, 4), st.integers(0, 10_000))
