@@ -29,7 +29,6 @@ from repro.core import (
     tree_edge_ids,
     uniform_random_placement,
 )
-from repro.core.broadcast import _bfs_view
 from repro.graphs import thick_cycle
 from repro.primitives.pipeline import run_tree_broadcast
 from repro.util.errors import ValidationError
@@ -72,7 +71,7 @@ def _ablate_C(g, lam, k):
 def _ablate_assignment(g, lam, k):
     parts = num_parts(lam, g.n, C=1.5)
     packing, _ = build_packing_with_retry(g, parts, seed=3, distributed=False)
-    trees = {c: _bfs_view(packing, c) for c in range(parts)}
+    trees = dict(enumerate(packing.trees))
     rng = rng_from_seed(4)
     owners = rng.integers(g.n, size=k)
 

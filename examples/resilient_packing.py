@@ -33,7 +33,6 @@ from repro.core import (
     redundant_broadcast,
     uniform_random_placement,
 )
-from repro.core.broadcast import _bfs_view
 from repro.graphs import edge_connectivity, random_regular
 from repro.primitives import run_scheduled_broadcast
 
@@ -71,14 +70,14 @@ def main(argv=None) -> None:
     # Theorem 12: run a broadcast job over *every* Appendix A tree at once.
     # Trees share edges, so the jobs contend; random delays smooth the load.
     jobs = min(6, alt.size)
-    trees = {j: _bfs_view(alt, j) for j in range(jobs)}
+    trees = dict(enumerate(alt.trees[:jobs]))
     msgs = {
         j: {(17 * j) % g.n: list(range(100 * j + 1, 100 * j + 31))}
         for j in range(jobs)
     }
     sched = run_scheduled_broadcast(g, trees, msgs, seed=6)
     base = run_scheduled_broadcast(g, trees, msgs, max_delay=0, seed=6)
-    budget = sched.congestion + max(t.diameter() for t in alt.trees[:jobs]) * math.log(g.n) ** 2
+    budget = sched.congestion + max(alt.diameters()[:jobs]) * math.log(g.n) ** 2
     print(f"Theorem 12 — {jobs} overlapping 30-message broadcasts:")
     print(f"  makespan {sched.makespan} rounds with random delays "
           f"(no-delay baseline {base.makespan}); "

@@ -30,7 +30,6 @@ from repro.core.decomposition import (
 )
 from repro.core.tree_packing import (
     ROOT_POLICIES,
-    SpanningTree,
     TreePacking,
     build_tree_packing,
     build_packing_with_retry,
@@ -87,7 +86,6 @@ __all__ = [
     "DecompositionReport",
     "validate_decomposition",
     "ROOT_POLICIES",
-    "SpanningTree",
     "TreePacking",
     "build_tree_packing",
     "build_packing_with_retry",

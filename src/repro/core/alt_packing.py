@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.tree_packing import SpanningTree, TreePacking
+from repro.core.tree_packing import TreePacking
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
+from repro.primitives.bfs import BFSResult
 from repro.util.errors import ValidationError
 from repro.util.rng import ensure_rng
 
@@ -185,14 +186,12 @@ def greedy_low_diameter_packing(
     if len(roots) != num_trees:
         raise ValidationError("need one root per tree")
     load = np.zeros(graph.m, dtype=np.float64)
-    trees: list[SpanningTree] = []
+    trees: list[BFSResult] = []
     for root in roots:
         jitter = rng.random(graph.m) * 1e-3
         lengths = 1.0 + 2.0 * load + jitter
         parent, hops, parent_edge = _dijkstra_tree(graph, root, lengths)
-        trees.append(
-            SpanningTree(root=root, parent=parent, depth_of=hops, parent_edge=parent_edge)
-        )
+        trees.append(BFSResult(root, parent, hops, None, 0, parent_edge))
         load[parent_edge[parent_edge >= 0]] += 1.0  # a tree holds each edge once
     count = load.astype(np.int64)
     return TreePacking(

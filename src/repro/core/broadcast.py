@@ -331,7 +331,7 @@ def _fast_tail(graph, placement, starts, phases, packing, backend):
         channel = _message_trees(ids, k, parts)[:, 0]
         cuts = np.searchsorted(channel, np.arange(1, parts))
         per_channel = dict(enumerate(zip(np.split(origins, cuts), np.split(ids, cuts))))
-        trees = {c: _bfs_view(packing, c) for c in range(parts)}
+        trees = dict(enumerate(packing.trees))
     with obs.span("pipeline"):
         outcome = _run_pipeline(graph, trees, per_channel, backend)
     phases["pipeline"] = outcome.rounds
@@ -415,24 +415,6 @@ def fast_broadcast_batch(
                 _fast_tail(graph, placement, starts, phases, built, backend)
             )
         return results
-
-
-def _bfs_view(packing: TreePacking, i: int) -> BFSResult:
-    """Adapt a packed SpanningTree to the BFSResult shape the pipeline uses.
-
-    ``children`` stays lazy: the vectorized pipeline reads only ``parent``,
-    ``dist``, and ``spans()``, so the Python child lists materialize only
-    if a simulator consumer asks for them.
-    """
-    tree = packing.trees[i]
-    return BFSResult(
-        root=tree.root,
-        parent=tree.parent,
-        dist=tree.depth_of,
-        children=None,
-        rounds=0,
-        parent_edge=tree.parent_edge,
-    )
 
 
 def combined_broadcast(

@@ -19,7 +19,7 @@ sweeping mobile adversary, i.i.d. loss, targeted-cut attacker), and
 ``backend="vectorized"`` replays the identical execution on the fault-aware
 numpy engine (:mod:`repro.engine.faults`) — bit-identical
 :class:`DeliveryReport`, same fault RNG stream — at n = 10⁵ scale
-(benchmark E16: about 650× over the simulator at n = 10⁴, leaf ``e16c``).
+(benchmark E16: 1,744× over the simulator at n = 10⁴, leaf ``e16c``).
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from repro.congest.adversary import AdversarySchedule, FaultPlan
 from repro.congest.faults import FaultySimulator
 from repro.congest.network import Network
 from repro.core.broadcast import (
-    _bfs_view,
     _message_trees,
     _number_messages_batch,
     _placement_ids,
 )
-from repro.core.tree_packing import TreePacking
+from repro.core.tree_packing import TreePacking, packing_from_bfs_results
 from repro.engine.faults import (
     FaultyBroadcastOutcome,
     _popcount_rows,
@@ -67,7 +66,13 @@ __all__ = [
 
 def tree_edge_ids(packing: TreePacking, index: int) -> set[int]:
     """Edge ids (in the host graph) of one packed tree — a sabotage target,
-    read off the tree's carried ``parent_edge``."""
+    read off the tree's carried ``parent_edge``. ``index`` must be an
+    integer in ``[0, packing.size)``; a negative one would name a tree
+    counted from the end."""
+    if not isinstance(index, numbers.Integral) or not 0 <= index < packing.size:
+        raise ValidationError(
+            f"tree index must be an integer in [0, {packing.size}), got {index!r}"
+        )
     pe = packing.trees[index].parent_edge
     return set(pe[pe >= 0].tolist())
 
@@ -267,8 +272,8 @@ def evaluate_fault_grid(
     scenario, defense, and fault seed — coverage, drops, rounds, send
     totals, and fault RNG state. The setup is shared by every cell, on
     both backends: leader election and message numbering, placement-id
-    assignment, the per-tree BFS views, and the message-to-tree split of
-    each redundancy level. Only the faulty broadcast itself runs per cell:
+    assignment, and the message-to-tree split of each redundancy level.
+    Only the faulty broadcast itself runs per cell:
     on a :class:`~repro.congest.faults.FaultySimulator`, or on the
     vectorized engine (:func:`~repro.engine.faults.vectorized_faulty_broadcast`).
     """
@@ -284,7 +289,7 @@ def evaluate_fault_grid(
         graph, [placement], backend
     )[0]
     ids = _placement_ids(placement, starts)
-    trees = {c: _bfs_view(packing, c) for c in range(parts)}
+    trees = dict(enumerate(packing.trees))
     all_ids = [j for vids in ids.values() for j in vids]
     mids = np.unique(np.asarray(all_ids, dtype=np.int64))
     rows = np.searchsorted(mids, np.asarray(all_ids, dtype=np.int64))
@@ -405,11 +410,7 @@ def repair_coverage(
     same (graph, placement, packing, scenario, seeds, backend) tuple, which
     the grid guarantees bit-identically.
     """
-    from repro.core.tree_packing import (
-        SpanningTree,
-        _packing_from_trees,
-        build_packing_with_retry,
-    )
+    from repro.core.tree_packing import build_packing_with_retry
     from repro.primitives.bfs import run_parallel_bfs
 
     parts = packing.size
@@ -478,13 +479,7 @@ def repair_coverage(
             if not results[0].spans():
                 need_rebuild = True  # class certificate broken beyond re-rooting
                 break
-            res = results[0]
-            trees[c] = SpanningTree(
-                root=new_root,
-                parent=res.parent.copy(),
-                depth_of=res.dist.copy(),
-                parent_edge=res.parent_edge.copy(),
-            )
+            trees[c] = results[0]
             rerooted[c] = new_root
 
     rebuilt = False
@@ -503,11 +498,13 @@ def repair_coverage(
             # The rebuilt trees name edges of the live subgraph; orig maps
             # them back to host ids.
             trees = [
-                SpanningTree(
-                    root=t.root,
-                    parent=t.parent,
-                    depth_of=t.depth_of,
-                    parent_edge=arc_edge_ids(orig, t.parent_edge.copy()),
+                BFSResult(
+                    t.root,
+                    t.parent,
+                    t.dist,
+                    None,
+                    t.rounds,
+                    arc_edge_ids(orig, t.parent_edge.copy()),
                 )
                 for t in live_packing.trees
             ]
@@ -526,7 +523,7 @@ def repair_coverage(
             rebuilt=False, repair_rounds=repair_rounds, attempts=attempts,
             packing=packing,
         )
-    repaired = _packing_from_trees(
+    repaired = packing_from_bfs_results(
         graph, trees, packing.construction_rounds, class_masks=masks
     )
     final = run(repaired)

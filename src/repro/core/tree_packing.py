@@ -33,6 +33,7 @@ import numpy as np
 from repro import obs
 from repro.core.decomposition import Decomposition
 from repro.graphs.graph import Graph
+from repro.graphs.traversal import bfs_distances
 from repro.primitives.bfs import (
     BFSResult,
     check_roots,
@@ -43,7 +44,6 @@ from repro.util.errors import ValidationError
 
 __all__ = [
     "ROOT_POLICIES",
-    "SpanningTree",
     "TreePacking",
     "build_tree_packing",
     "packing_from_bfs_results",
@@ -56,78 +56,16 @@ ROOT_POLICIES = ("shared", "spread", "cut-aware")
 
 
 @dataclass
-class SpanningTree:
-    """A rooted spanning tree given by parent pointers.
-
-    ``parent[root] == root``, and ``depth_of[v]`` is ``v``'s hop depth.
-    The tree's edges are ``(parent[v], v)`` for ``v != root``, and
-    ``parent_edge[v]`` is that edge's host id (``-1`` at the root), filled
-    by whatever built the tree; a :class:`TreePacking` counts them by it.
-    """
-
-    root: int
-    parent: np.ndarray
-    depth_of: np.ndarray
-    parent_edge: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.parent < 0):
-            raise ValidationError("tree does not span: node without parent")
-        if self.parent[self.root] != self.root:
-            raise ValidationError("root must be its own parent")
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
-    @property
-    def depth(self) -> int:
-        return int(self.depth_of.max())
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            (int(self.parent[v]), v) for v in range(self.n) if v != self.root
-        ]
-
-    def diameter(self) -> int:
-        """Exact tree diameter via two BFS sweeps (exact on trees)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges():
-            adj[u].append(v)
-            adj[v].append(u)
-
-        def far(src: int) -> tuple[int, int]:
-            dist = np.full(self.n, -1, dtype=np.int64)
-            dist[src] = 0
-            stack = [src]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        stack.append(y)
-            w = int(np.argmax(dist))
-            return w, int(dist[w])
-
-        a, _ = far(self.root)
-        _, d = far(a)
-        return d
-
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while path[-1] != self.root:
-            path.append(int(self.parent[path[-1]]))
-        return path
-
-
-@dataclass
 class TreePacking:
     """A collection of spanning trees of one host graph, with build cost.
 
     Attributes
     ----------
     graph: host graph.
-    trees: the spanning trees.
+    trees: the spanning trees, each a rooted :class:`BFSResult` whose
+        ``parent[root] == root``, ``dist`` is the hop depth and
+        ``parent_edge`` names every tree edge's host id; the Lemma 1
+        pipelines take them as they are.
     construction_rounds: certified CONGEST rounds spent building the packing
         (0 for the coloring itself + the parallel-BFS rounds).
     edge_tree_count: per host edge, in how many trees it appears — the
@@ -139,7 +77,7 @@ class TreePacking:
     """
 
     graph: Graph
-    trees: list[SpanningTree]
+    trees: list[BFSResult]
     construction_rounds: int
     edge_tree_count: np.ndarray
     class_masks: list[np.ndarray] | None = None
@@ -167,7 +105,19 @@ class TreePacking:
 
     @property
     def max_diameter(self) -> int:
-        return max(t.diameter() for t in self.trees)
+        return max(self.diameters())
+
+    def diameters(self) -> list[int]:
+        """Each tree's exact diameter: a node farthest from the root ends a
+        longest path, so one BFS over the tree's edges from it suffices."""
+        out = []
+        for tree in self.trees:
+            pe = tree.parent_edge
+            mask = np.zeros(self.graph.m, dtype=bool)
+            mask[pe[pe >= 0]] = True
+            far = int(np.argmax(tree.dist))
+            out.append(int(bfs_distances(self.graph.edge_subgraph(mask), far).max()))
+        return out
 
     def fractional_total_weight(self) -> float:
         """Fractional tree-packing weight: unit weight per tree, scaled so
@@ -176,36 +126,40 @@ class TreePacking:
         return self.size / c
 
     def validate(self) -> None:
-        """Certify the Section 3.1 claims: spanning, every ``parent_edge``
-        the host edge between ``v`` and its parent, consistent edge counts."""
+        """Certify the Section 3.1 claims: spanning, singly rooted and
+        BFS-layered trees, every ``parent_edge`` the host edge between
+        ``v`` and its parent, consistent edge counts."""
         g = self.graph
-        count = np.zeros(g.m, dtype=np.int64)
         for i, tree in enumerate(self.trees):
             if len(tree.parent) != g.n:
                 raise ValidationError("tree node count mismatch")
+            _check_tree(tree, i)
             bad = tree_edge_error(g, tree.parent, tree.parent_edge)
             if bad is not None:
                 raise ValidationError(f"tree {i}: {bad}")
-            nodes = np.arange(g.n)
-            count += np.bincount(
-                tree.parent_edge[nodes != tree.root], minlength=g.m
-            )
-        if not np.array_equal(count, self.edge_tree_count):
+        if not np.array_equal(_edge_counts(g, self.trees), self.edge_tree_count):
             raise ValidationError("edge_tree_count is stale")
 
 
-def _tree_from_bfs(result: BFSResult) -> SpanningTree:
-    if not result.spans():
+def _edge_counts(graph: Graph, trees: list[BFSResult]) -> np.ndarray:
+    """Per host edge, how many of ``trees`` hold it: one bincount over the
+    concatenated tree-edge ids (``parent_edge`` is ``-1`` at a root)."""
+    eids = np.concatenate([np.empty(0, np.int64)] + [t.parent_edge for t in trees])
+    return np.bincount(eids[eids >= 0], minlength=graph.m).astype(np.int64, copy=False)
+
+
+def _check_tree(tree: BFSResult, i: int) -> None:
+    """Refuse tree ``i`` unless it spans, its root is its only self-parent,
+    and its ``dist`` is the hop depth of its parents."""
+    if not tree.spans() or (tree.parent < 0).any():
         raise ValidationError(
             "color class is not spanning — the w.h.p. event of Theorem 2 "
             "failed; retry with a larger C or a different seed"
         )
-    return SpanningTree(
-        root=result.root,
-        parent=result.parent.copy(),
-        depth_of=result.dist.copy(),
-        parent_edge=result.parent_edge.copy(),
-    )
+    if not tree.single_rooted():
+        raise ValidationError(f"tree {i}: root {tree.root} is not its only self-parent")
+    if not tree.layered():
+        raise ValidationError(f"tree {i}: dist is not the BFS layering of its parents")
 
 
 def resolve_roots(
@@ -309,8 +263,7 @@ def build_tree_packing(
     results, rounds = run_parallel_bfs(
         g, masks, roots=root_list, backend="simulator" if simulate else "vectorized"
     )
-    trees = [_tree_from_bfs(r) for r in results]
-    return _packing_from_trees(g, trees, rounds, class_masks=masks)
+    return packing_from_bfs_results(g, results, rounds, class_masks=masks)
 
 
 @obs.traced("tree_packing.retry")
@@ -372,30 +325,25 @@ def build_packing_with_retry(
     ) from last_error
 
 
-def _packing_from_trees(
+def packing_from_bfs_results(
     graph: Graph,
-    trees: list[SpanningTree],
+    trees: list[BFSResult],
     rounds: int,
     class_masks: list[np.ndarray] | None = None,
 ) -> TreePacking:
-    """Shared tail: per-edge tree counts + the Theorem 2 disjointness gate.
+    """The Theorem 2 packing of ``trees``, kept as they are (no copy).
 
-    The counts read each tree's carried ``parent_edge``: one bincount over
-    the concatenated tree-edge ids, one pass over graph.m.
+    Refuses a tree that does not span, is not singly rooted or is not
+    BFS-layered, counts each host edge's trees off the carried
+    ``parent_edge``, and gates edge-disjointness.
     """
-    nodes = np.arange(graph.n)
-    eids = [tree.parent_edge[nodes != tree.root] for tree in trees]
-    if eids:
-        count = np.bincount(np.concatenate(eids), minlength=graph.m).astype(
-            np.int64, copy=False
-        )
-    else:
-        count = np.zeros(graph.m, dtype=np.int64)
+    for i, tree in enumerate(trees):
+        _check_tree(tree, i)
     packing = TreePacking(
         graph=graph,
         trees=trees,
         construction_rounds=rounds,
-        edge_tree_count=count,
+        edge_tree_count=_edge_counts(graph, trees),
         class_masks=class_masks,
     )
     if packing.congestion > 1:
@@ -403,14 +351,3 @@ def _packing_from_trees(
             "Theorem 2 packing must be edge-disjoint", congestion=packing.congestion
         )
     return packing
-
-
-def packing_from_bfs_results(
-    graph: Graph, results: list[BFSResult], rounds: int
-) -> TreePacking:
-    """Packing from already-computed parallel-BFS results (no re-traversal).
-
-    The unknown-λ search's validation BFS *is* the packing construction, so
-    the trees in hand are adopted directly instead of being recomputed.
-    """
-    return _packing_from_trees(graph, [_tree_from_bfs(r) for r in results], rounds)

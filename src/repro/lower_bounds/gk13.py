@@ -100,5 +100,5 @@ def measure_packing_diameters(
         # Ω(n/λ) deep".
         host_diameter=approx_diameter(g, samples=4, seed=seed),
         parts=parts,
-        tree_diameters=[t.diameter() for t in packing.trees],
+        tree_diameters=packing.diameters(),
     )

@@ -65,6 +65,9 @@ class BFSResult:
         the parent-derived ones — while fault-free vectorized paths pass
         ``None``, since the hot pipeline consumers never read ``children``
         and the Python lists are pure construction overhead at n ≈ 10⁶.
+        Derived lists are memoized apart from collected ones, so a tree
+        that was built lazy keeps the shortcuts of the ``children_*``
+        checks after a reader asks for its lists.
     rounds: rounds consumed by the simulation that produced this result
         (shared across channels when run in parallel).
     parent_edge: ``parent_edge[v]`` = host edge id of the tree edge
@@ -74,7 +77,7 @@ class BFSResult:
         up by its endpoints.
     """
 
-    __slots__ = ("root", "parent", "dist", "rounds", "_children", "parent_edge")
+    __slots__ = ("root", "parent", "dist", "rounds", "_children", "_derived", "parent_edge")
 
     def __init__(
         self,
@@ -90,6 +93,7 @@ class BFSResult:
         self.dist = dist
         self.rounds = rounds
         self._children = children
+        self._derived: list[list[int]] | None = None
         self.parent_edge = parent_edge
 
     def __repr__(self):
@@ -100,13 +104,13 @@ class BFSResult:
 
     @property
     def children(self) -> list[list[int]]:
-        if self._children is None:
+        if self._children is not None:
+            return self._children
+        if self._derived is None:
             from repro.engine.kernels import children_lists
 
-            self._children = children_lists(
-                np.asarray(self.parent, dtype=np.int64)
-            )
-        return self._children
+            self._derived = children_lists(np.asarray(self.parent, dtype=np.int64))
+        return self._derived
 
     def children_as_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, flat_children)`` CSR of :attr:`children`.

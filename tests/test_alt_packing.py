@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -83,7 +84,8 @@ class TestGreedyPacking:
         g = random_regular(50, 8, seed=2)
         packing = greedy_low_diameter_packing(g, 8, seed=3)
         for t in packing.trees:
-            assert len(t.edges()) == g.n - 1
+            assert t.spans()
+            assert np.count_nonzero(t.parent_edge >= 0) == g.n - 1
 
     def test_explicit_roots_respected(self):
         g = random_regular(30, 6, seed=4)

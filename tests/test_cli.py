@@ -142,6 +142,20 @@ class TestResilienceCommand:
         assert rc == 1
         assert "drop_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tree", ["9", "-1", "2"])
+    def test_dead_tree_index_out_of_range_is_an_error(self, capsys, tree):
+        """On a 2-tree packing, ``--tree`` outside [0, 2) prints one error
+        line: no IndexError traceback, and -1 does not kill tree 1."""
+        rc = main(["resilience", "thick:groups=8,size=6", "-k", "8", "--parts", "2",
+                   "--adversary", "dead-tree", f"--tree={tree}",
+                   "--backend", "vectorized"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: tree index must be an integer in [0, 2), got {tree}\n"
+        )
+
     def test_list_scenarios(self, capsys):
         assert main(["resilience", "--list-scenarios"]) == 0
         out = capsys.readouterr().out

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.apsp.spanner import _reference_spanner_edges
 from repro.core.broadcast import (
-    _bfs_view,
     _number_messages_batch,
     fast_broadcast,
     uniform_random_placement,
@@ -385,6 +384,18 @@ class TestPipelineEquivalence:
         out = vectorized_tree_broadcast(g, {0: tree}, {0: {5: [1, 2]}})
         assert out.k_total == 2 and tree._children is None
 
+    def test_read_lazy_child_lists_stay_lazy(self):
+        """Reading a lazy tree's child lists memoizes them apart from
+        collected ones: a packed tree whose lists one simulator run has
+        read still takes the checks' shortcuts in every later call."""
+        g = thick_cycle(4, 3)
+        tree = run_bfs(g, 0, backend="vectorized")
+        assert tree.children == run_bfs(g, 0).children
+        assert tree.children is tree.children
+        assert tree._children is None
+        out = vectorized_tree_broadcast(g, {0: tree}, {0: {5: [1, 2]}})
+        assert out.k_total == 2 and tree._children is None
+
     def test_non_bfs_layered_tree_rejected(self):
         """A tree whose ``dist`` is not the layering of its parents is refused
         by both fault-free Lemma 1 entry points and by the scheduler, with
@@ -501,7 +512,7 @@ class TestFlatHandOff:
     def test_flat_form_matches_mapping(self, parts):
         g = thick_cycle(10, 6)
         packing, _ = build_packing_with_retry(g, parts, seed=1, distributed=False)
-        trees = {c: _bfs_view(packing, c) for c in range(parts)}
+        trees = dict(enumerate(packing.trees))
         rng = np.random.default_rng(parts)
         origins = rng.integers(g.n, size=40)
         origins[:6] = trees[0].root  # messages held at the root
@@ -603,7 +614,7 @@ class TestPackingEquivalence:
         assert np.array_equal(sim.edge_tree_count, vec.edge_tree_count)
         for a, b in zip(sim.trees, vec.trees):
             assert np.array_equal(a.parent, b.parent)
-            assert np.array_equal(a.depth_of, b.depth_of)
+            assert np.array_equal(a.dist, b.dist)
 
     def test_unknown_lambda_search_same_trace(self):
         g = path_of_cliques(3, 8, 2)
@@ -1136,7 +1147,7 @@ class TestFaultEngineEquivalence:
         points', it drops nothing, and every receipt row is full."""
         g = thick_cycle(*shape)
         packing, _ = build_packing_with_retry(g, parts, seed=1, distributed=False)
-        trees = {c: _bfs_view(packing, c) for c in range(parts)}
+        trees = dict(enumerate(packing.trees))
         rng = np.random.default_rng(parts)
         k = 3 * g.n
         origins = rng.integers(g.n, size=k)
@@ -1163,13 +1174,12 @@ class TestFaultEngineEquivalence:
         the replay has no second record of a root's up arrivals (the span
         path's downcast marks every emission as received by its root)."""
         from repro.core import build_packing_with_retry, redundant_broadcast
-        from repro.core.resilient import _bfs_view
 
         g = thick_cycle(8, 5)
         packing, _ = build_packing_with_retry(
             g, 2, seed=1, distributed=False, roots=[0, 1]
         )
-        views = [_bfs_view(packing, c) for c in (0, 1)]
+        views = packing.trees
         assert [int(t.dist[6]) for t in views] == [1, 1]
         dead = [g.edge_id(int(views[1 - r].parent[r]), r) for r in (0, 1)]
         reports = {

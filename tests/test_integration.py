@@ -83,15 +83,12 @@ class TestPackingPipelineConsistency:
     def test_broadcast_over_every_tree_alone_delivers(self):
         """Each tree of the packing is independently a working broadcast
         substrate (spanning + connected)."""
-        from repro.core.broadcast import _bfs_view
         from repro.primitives.pipeline import run_tree_broadcast
 
         g = random_regular(80, 24, seed=4)
         packing, _ = build_packing_with_retry(g, 3, seed=6, distributed=False)
-        for i in range(packing.size):
-            out = run_tree_broadcast(
-                g, {0: _bfs_view(packing, i)}, {0: {0: [1, 2, 3]}}
-            )
+        for tree in packing.trees:
+            out = run_tree_broadcast(g, {0: tree}, {0: {0: [1, 2, 3]}})
             assert out.k_total == 3
 
 
@@ -112,14 +109,13 @@ class TestFailureInjection:
     def test_broadcast_detects_non_spanning_tree(self):
         """Injected fault: drop a tree edge from the packing — delivery
         verification must catch the loss, not silently succeed."""
-        from repro.core.broadcast import _bfs_view
         from repro.primitives.bfs import BFSResult
         from repro.primitives.pipeline import run_tree_broadcast
         from repro.util.errors import ProtocolError, ValidationError
 
         g = random_regular(40, 6, seed=11)
         packing, _ = build_packing_with_retry(g, 1, seed=1, distributed=False)
-        view = _bfs_view(packing, 0)
+        view = packing.trees[0]
         # Cut off one leaf: set its parent to itself (orphaned island).
         leaf = next(
             v for v in range(g.n) if v != view.root and not view.children[v]

@@ -1,12 +1,13 @@
 """Every BFS tree carries the edge id of each node's parent edge.
 
-``BFSResult.parent_edge`` and ``SpanningTree.parent_edge`` hold, for every
-node ``v`` whose parent is another node, the host edge ``{parent[v], v}``,
-and ``-1`` at roots and unreached nodes. Each producer fills it from the
-arc or port it adopted over, and the packing, the Lemma 1 pipelines and the
-faulty engine read it without looking an edge up by its endpoints. These
-tests compare each producer's ids with :meth:`Graph.edge_id` of its parent
-pointers, on both backends where both exist.
+``BFSResult.parent_edge`` holds, for every node ``v`` whose parent is
+another node, the host edge ``{parent[v], v}``, and ``-1`` at roots and
+unreached nodes; a packing's trees are ``BFSResult`` objects too. Each
+producer fills it from the arc or port it adopted over, and the packing,
+the Lemma 1 pipelines and the faulty engine read it without looking an
+edge up by its endpoints. These tests compare each producer's ids with
+:meth:`Graph.edge_id` of its parent pointers, on both backends where both
+exist.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ class TestPackings:
         count = np.zeros(g.m, dtype=np.int64)
         for tree in packing.trees:
             _assert_carries_edges(g, tree.parent, tree.parent_edge)
-            for u, v in tree.edges():
-                count[g.edge_id(u, v)] += 1
+            count[tree.parent_edge[tree.parent_edge >= 0]] += 1
         assert np.array_equal(packing.edge_tree_count, count)
         packing.validate()
 

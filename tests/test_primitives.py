@@ -314,11 +314,10 @@ class TestPipelinedBroadcast:
 
     def test_two_disjoint_channels_parallel(self, reg_dense):
         from repro.core import random_partition, build_tree_packing
-        from repro.core.broadcast import _bfs_view
 
         decomp = random_partition(reg_dense, 2, seed=3)
         packing = build_tree_packing(decomp, distributed=False)
-        trees = {0: _bfs_view(packing, 0), 1: _bfs_view(packing, 1)}
+        trees = dict(enumerate(packing.trees[:2]))
         msgs = {
             0: self._placement(reg_dense.n, 30, seed=1),
             1: {v: [m + 100 for m in ms] for v, ms in self._placement(reg_dense.n, 30, seed=2).items()},

@@ -322,6 +322,18 @@ class TestAdversarySchedules:
         with pytest.raises(ValidationError):
             StaticSaboteur(tree_index=0).compile(g)  # needs the packing
 
+    def test_static_saboteur_refuses_a_tree_index_out_of_range(self, setup):
+        """A negative index would kill a tree counted from the end, a large
+        one raise IndexError and a float TypeError: each is one
+        ValidationError instead. numpy integers are indices like ints."""
+        g, packing, pl = setup
+        for index in (-1, packing.size, 1.0, "0", None):
+            with pytest.raises(ValidationError, match="tree index"):
+                tree_edge_ids(packing, index)
+        with pytest.raises(ValidationError, match=r"tree index .* got -1"):
+            StaticSaboteur(tree_index=-1).compile(g, packing=packing)
+        assert tree_edge_ids(packing, np.int64(1)) == tree_edge_ids(packing, 1)
+
     def test_sweeping_mobile_respects_budget(self):
         g = thick_cycle(6, 4)
         adv = MobileAdversary.sweeping(range(g.m), budget=3, rounds=10, start=2)

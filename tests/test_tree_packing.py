@@ -1,12 +1,15 @@
 """Tests for Section 3.1 tree packings (and the FP23 interface parameters)."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import build_tree_packing, random_partition
-from repro.core.tree_packing import SpanningTree
+from repro.core import build_packing_with_retry, build_tree_packing, random_partition
+from repro.core.alt_packing import greedy_low_diameter_packing
+from repro.core.tree_packing import TreePacking, packing_from_bfs_results
 from repro.engine.verify import diff
-from repro.graphs import random_regular
+from repro.graphs import Graph, path_graph, random_regular
+from repro.primitives.bfs import BFSResult
 from repro.util.errors import ValidationError
 
 
@@ -17,53 +20,70 @@ def packed():
     return g, build_tree_packing(decomp, distributed=True)
 
 
-class TestSpanningTree:
-    def test_depth_and_edges(self):
-        parent = np.array([0, 0, 1, 2])
-        depth = np.array([0, 1, 2, 3])
-        t = SpanningTree(
-            root=0, parent=parent, depth_of=depth, parent_edge=np.array([-1, 0, 1, 2])
+def _tree(root, parent, dist, parent_edge):
+    return BFSResult(
+        root, np.array(parent), np.array(dist), None, 0, np.array(parent_edge)
+    )
+
+
+def _refused_both_ways(g, tree, match):
+    """The constructor and ``validate()`` refuse the one-tree packing."""
+    with pytest.raises(ValidationError, match=match):
+        packing_from_bfs_results(g, [tree], 0)
+    packing = TreePacking(g, [tree], 0, np.zeros(g.m, dtype=np.int64))
+    with pytest.raises(ValidationError, match=match):
+        packing.validate()
+
+
+class TestPackedTrees:
+    def test_path_diameter(self):
+        g = path_graph(4)
+        packing = packing_from_bfs_results(
+            g, [_tree(0, [0, 0, 1, 2], [0, 1, 2, 3], [-1, 0, 1, 2])], 0
         )
-        assert t.depth == 3
-        assert sorted(t.edges()) == [(0, 1), (1, 2), (2, 3)]
-        assert t.diameter() == 3
+        assert packing.max_depth == 3
+        assert packing.diameters() == [3]
 
     def test_star_diameter(self):
-        parent = np.array([0, 0, 0, 0])
-        t = SpanningTree(
-            root=0,
-            parent=parent,
-            depth_of=np.array([0, 1, 1, 1]),
-            parent_edge=np.array([-1, 0, 1, 2]),
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        packing = packing_from_bfs_results(
+            g, [_tree(0, [0, 0, 0, 0], [0, 1, 1, 1], [-1, 0, 1, 2])], 0
         )
-        assert t.diameter() == 2
-
-    def test_path_to_root(self):
-        t = SpanningTree(
-            root=0,
-            parent=np.array([0, 0, 1]),
-            depth_of=np.array([0, 1, 2]),
-            parent_edge=np.array([-1, 0, 1]),
-        )
-        assert t.path_to_root(2) == [2, 1, 0]
+        assert packing.diameters() == [2]
 
     def test_rejects_orphan(self):
-        with pytest.raises(ValidationError):
-            SpanningTree(
-                root=0,
-                parent=np.array([0, -1]),
-                depth_of=np.array([0, 1]),
-                parent_edge=np.array([-1, -1]),
-            )
+        g = path_graph(2)
+        _refused_both_ways(g, _tree(0, [0, -1], [0, -1], [-1, -1]), "not spanning")
 
     def test_rejects_bad_root(self):
-        with pytest.raises(ValidationError):
-            SpanningTree(
-                root=1,
-                parent=np.array([0, 0]),
-                depth_of=np.array([0, 1]),
-                parent_edge=np.array([-1, 0]),
-            )
+        g = path_graph(2)
+        # The root is another node's child, and a second node is its own parent.
+        _refused_both_ways(
+            g, _tree(1, [0, 0], [0, 1], [-1, 0]), "not its only self-parent"
+        )
+        _refused_both_ways(
+            g, _tree(0, [0, 1], [0, 0], [-1, -1]), "not its only self-parent"
+        )
+
+    def test_rejects_unlayered_dist(self):
+        g = path_graph(3)
+        _refused_both_ways(
+            g, _tree(0, [0, 0, 1], [0, 1, 1], [-1, 0, 1]), "BFS layering"
+        )
+
+    def test_diameters_match_networkx(self):
+        g = random_regular(200, 16, seed=3)
+        theorem2, _ = build_packing_with_retry(g, 3, seed=4, distributed=False)
+        greedy = greedy_low_diameter_packing(g, 6, seed=5)
+        for packing in (theorem2, greedy):
+            packing.validate()
+            expected = []
+            for t in packing.trees:
+                pe = t.parent_edge[t.parent_edge >= 0]
+                tree = nx.Graph(zip(g.edge_u[pe].tolist(), g.edge_v[pe].tolist()))
+                expected.append(nx.diameter(tree))
+            assert packing.diameters() == expected
+            assert packing.max_diameter == max(expected)
 
 
 class TestBuildPacking:
@@ -76,14 +96,15 @@ class TestBuildPacking:
     def test_trees_span(self, packed):
         g, packing = packed
         for t in packing.trees:
-            assert len(t.edges()) == g.n - 1
+            assert t.spans()
+            assert np.count_nonzero(t.parent_edge >= 0) == g.n - 1
 
     def test_tree_edges_have_right_color(self, packed):
         g, packing = packed
         decomp = random_partition(g, 3, seed=6)
         for i, t in enumerate(packing.trees):
-            for u, v in t.edges():
-                assert decomp.colors[g.edge_id(u, v)] == i
+            pe = t.parent_edge
+            assert (decomp.colors[pe[pe >= 0]] == i).all()
 
     def test_construction_rounds_scale_with_depth(self, packed):
         _, packing = packed
